@@ -27,9 +27,6 @@ from .model import (
     build_inner_precoder,
     build_K,
     build_redundancy,
-    build_selection_matrices,
-    block_diag_precoder,
-    composite_channel_matrix,
     generate_symbols,
     loglik_gradients,
     make_precoder,
@@ -51,13 +48,13 @@ from .crb_blind import (
     crb_zp_per_block,
     default_anchor,
     fim_blocks,
-    hankel_rearrange,
     left_null_basis,
 )
 from .estimator import (
     ChannelEstimate,
     EstimatorSettings,
     channel_from_noise_subspace,
+    hankel_rearrange,
     resolve_ambiguity,
     subspace_estimate,
 )
@@ -96,14 +93,11 @@ __all__ = [
     "SymbolFrame",
     "SystemConfig",
     "ZeroAnchorTap",
-    "block_diag_precoder",
     "build_K",
     "build_channel_toeplitz",
     "build_inner_precoder",
     "build_redundancy",
-    "build_selection_matrices",
     "channel_from_noise_subspace",
-    "composite_channel_matrix",
     "crb_constrained",
     "crb_direct",
     "crb_fast",

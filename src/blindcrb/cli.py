@@ -6,10 +6,11 @@ Three subcommands:
 * crb       -- evaluate the fast bound once for a fully specified instance
 * selftest  -- internal consistency checks (two-path equality, gradients)
 
-Configuration is a flat text file of "key = value" lines; blank lines and
-"#" comments are ignored. --override key=value (repeatable) takes
-precedence over the file. Exit codes: 0 success, 1 usage or configuration
-error, 2 numerical failure, 3 selftest failure.
+run and crb read a flat configuration file of "key = value" lines
+(--config); blank lines and "#" comments are ignored. --override
+key=value (repeatable) takes precedence over the file. Exit codes: 0
+success, 1 usage or configuration error, 2 numerical failure, 3 selftest
+failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .harness import ExperimentPlan, format_csv, run_experiment, write_csv
 from .model import (
     SystemConfig,
     build_K,
-    composite_channel_matrix,
     generate_symbols,
     loglik_gradients,
     make_precoder,
@@ -91,16 +91,14 @@ _KEY_SPECS = {
     "seed": (int, str),
 }
 
-_RUN_KEYS = (
-    "M", "L", "N", "sigma2", "redundancy_kind", "inner_kind", "snr_db_grid",
-    "n_channels", "n_trials", "master_seed", "window_blocks", "shrinkage",
-    "compute_zp_reference",
+_SYSTEM_KEYS = ("M", "L", "N", "sigma2", "redundancy_kind", "inner_kind")
+
+_RUN_KEYS = _SYSTEM_KEYS + (
+    "snr_db_grid", "n_channels", "n_trials", "master_seed", "window_blocks",
+    "shrinkage", "compute_zp_reference",
 )
 
-_CRB_KEYS = (
-    "M", "L", "N", "sigma2", "redundancy_kind", "inner_kind", "h", "s_n",
-    "d", "seed",
-)
+_CRB_KEYS = _SYSTEM_KEYS + ("h", "s_n", "d", "seed")
 
 _RUN_DEFAULTS = {
     "M": 12,
@@ -118,65 +116,41 @@ _RUN_DEFAULTS = {
     "compute_zp_reference": False,
 }
 
-_CRB_DEFAULTS = {
-    "M": 12,
-    "L": 4,
-    "N": 8,
-    "sigma2": 1.0,
-    "redundancy_kind": "cp",
-    "inner_kind": "identity",
-    "seed": 0,
-}
+_CRB_DEFAULTS = {**{k: _RUN_DEFAULTS[k] for k in _SYSTEM_KEYS}, "seed": 0}
 
 
-def _parse_config_text(text: str, allowed) -> dict:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _UsageError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in allowed:
-            raise _UsageError(f"line {lineno}: unknown key {key!r}")
-        parse = _KEY_SPECS[key][0]
-        try:
-            values[key] = parse(value)
-        except ValueError as err:
-            raise _UsageError(f"line {lineno}: bad value for {key}: {err}") from None
-    return values
-
-
-def _apply_overrides(values: dict, overrides, allowed) -> dict:
-    for item in overrides or ():
-        if "=" not in item:
-            raise _UsageError(f"override {item!r} is not of the form key=value")
-        key, _, value = item.partition("=")
+def _parse_entries(entries, allowed, values: dict) -> dict:
+    """Parse (where, "key = value") pairs into values; where labels errors."""
+    for where, text in entries:
+        if "=" not in text:
+            raise _UsageError(f"{where}: expected 'key = value', got {text!r}")
+        key, _, value = text.partition("=")
         key = key.strip()
         if key not in allowed:
-            raise _UsageError(f"unknown override key {key!r}")
+            raise _UsageError(f"{where}: unknown key {key!r}")
         parse = _KEY_SPECS[key][0]
         try:
             values[key] = parse(value.strip())
         except ValueError as err:
-            raise _UsageError(f"bad value for override {key}: {err}") from None
+            raise _UsageError(f"{where}: bad value for {key}: {err}") from None
     return values
 
 
 def _collect(args, allowed, defaults) -> dict:
-    values = dict(defaults)
+    """Defaults, then the --config file, then each --override in order."""
+    entries = []
     if args.config is not None:
         try:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as err:
             raise _UsageError(f"cannot read config: {err}") from None
-        values.update(_parse_config_text(text, allowed))
-    _apply_overrides(values, args.override, allowed)
-    return values
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                entries.append((f"line {lineno}", line))
+    entries += [("override", item) for item in args.override or ()]
+    return _parse_entries(entries, allowed, dict(defaults))
 
 
 def _dump_config(values: dict, keys) -> str:
@@ -189,16 +163,16 @@ def _dump_config(values: dict, keys) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plan_from_values(values: dict) -> ExperimentPlan:
+def _config_from_values(values: dict) -> SystemConfig:
     try:
-        config = SystemConfig(
-            M=values["M"],
-            L=values["L"],
-            N=values["N"],
-            sigma2=values["sigma2"],
-            redundancy_kind=values["redundancy_kind"],
-            inner_kind=values["inner_kind"],
-        )
+        return SystemConfig(**{key: values[key] for key in _SYSTEM_KEYS})
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
+
+
+def _plan_from_values(values: dict) -> ExperimentPlan:
+    config = _config_from_values(values)
+    try:
         return ExperimentPlan(
             config=config,
             snr_db_grid=values["snr_db_grid"],
@@ -237,24 +211,10 @@ def _cmd_crb(args) -> int:
         values["seed"] = args.seed
     if "h" not in values:
         raise _UsageError("the crb command needs channel taps (key 'h')")
-    if args.dump_config:
-        sys.stdout.write(_dump_config(values, _CRB_KEYS))
-        return EXIT_OK
-    try:
-        config = SystemConfig(
-            M=values["M"],
-            L=values["L"],
-            N=values["N"],
-            sigma2=values["sigma2"],
-            redundancy_kind=values["redundancy_kind"],
-            inner_kind=values["inner_kind"],
-        )
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    config = _config_from_values(values)  # validate before dumping
     h = np.asarray(values["h"], dtype=np.complex128)
     if h.size != config.L + 1:
         raise _UsageError(f"h must have L+1 = {config.L + 1} taps, got {h.size}")
-    precoder = make_precoder(config)
     if "s_n" in values:
         sN = np.asarray(values["s_n"], dtype=np.complex128)
         if sN.size != config.N * config.M:
@@ -266,6 +226,10 @@ def _cmd_crb(args) -> int:
     d = values.get("d", default_anchor(h))
     if not 0 <= d < h.size:
         raise _UsageError(f"anchor index {d} outside 0..{h.size - 1}")
+    if args.dump_config:
+        sys.stdout.write(_dump_config(values, _CRB_KEYS))
+        return EXIT_OK
+    precoder = make_precoder(config)
     result = crb_fast(h, sN, precoder, d, config.sigma2, config.N)
     print(f"trace = {result.trace:.12g}")
     with np.printoptions(precision=6, suppress=False, linewidth=120):
@@ -312,11 +276,11 @@ def _selftest_gradients() -> list:
     precoder = make_precoder(config)
     h = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
     sN = generate_symbols("qpsk", config.M, config.N, rng).sN
-    y = composite_channel_matrix(precoder.F, h, config.N) @ sN
+    y = build_K(config, precoder, h)[0] @ sN
     y += 0.1 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
 
     def loglik(taps):
-        K = composite_channel_matrix(precoder.F, taps, config.N)
+        K, _ = build_K(config, precoder, taps)
         e = y - K @ sN
         return -float(np.real(np.vdot(e, e))) / config.sigma2
 
@@ -351,7 +315,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="blindcrb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_config_flags(p):
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument(
             "--override",
@@ -359,7 +323,6 @@ def _build_parser() -> _Parser:
             metavar="KEY=VALUE",
             help="override one config key (repeatable)",
         )
-        p.add_argument("--out", help="output file path")
         p.add_argument("--seed", type=int, help="override the seed")
         p.add_argument(
             "--dump-config",
@@ -368,15 +331,15 @@ def _build_parser() -> _Parser:
         )
 
     p_run = sub.add_parser("run", help="run a Monte Carlo experiment")
-    add_common(p_run)
+    add_config_flags(p_run)
+    p_run.add_argument("--out", help="CSV output file path (default stdout)")
     p_run.set_defaults(func=_cmd_run)
 
     p_crb = sub.add_parser("crb", help="evaluate the bound for one instance")
-    add_common(p_crb)
+    add_config_flags(p_crb)
     p_crb.set_defaults(func=_cmd_crb)
 
     p_self = sub.add_parser("selftest", help="run internal consistency checks")
-    add_common(p_self)
     p_self.set_defaults(func=_cmd_selftest)
     return parser
 

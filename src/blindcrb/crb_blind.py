@@ -15,8 +15,8 @@ known. Two routes to the same L x L bound over the remaining taps:
   window of the transmitted stream x_N = (I_N kron F) s_N. The orthogonal
   projector is applied through the Q factor of a reduced QR decomposition
   (I - K pinv(K) = I - Q Q^H = Utilde Utilde^H), so D accumulates from
-  L+1 projected correlations without the full left-singular basis, the
-  selection matrices, or the Hankel concatenation.
+  L+1 projected correlations without the full left-singular basis or the
+  selection matrices.
 
 Both routes reject ill-conditioned inversions instead of returning noise,
 so Monte Carlo callers can count and exclude pathological draws.
@@ -24,17 +24,14 @@ so Monte Carlo callers can count and exclude pathological draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
 
-from .crb_core import fix_column_phases, _hermitize
+from .crb_core import RANK_RTOL, fix_column_phases, _hermitize
 from .errors import IllConditioned, RankDeficient
-from .model import Precoder, build_channel_toeplitz, _k_factors
+from .model import Precoder, SystemConfig, build_K, build_channel_toeplitz
 
 COND_LIMIT = 1e12
-RANK_RTOL = 1e-10
-
-CRB_PATHS = ("direct", "fast", "zp_per_block")
 
 
 def default_anchor(h: np.ndarray) -> int:
@@ -67,19 +64,14 @@ class FimBlocks:
 
 @dataclass(frozen=True, eq=False)
 class NullSpaceBasis:
-    """Left null space of K and its zero-padded / Hankel rearrangements.
+    """Left null space of K and its zero padding.
 
     utilde: (NP-L) x (N-1)L orthonormal basis with K^H utilde = 0.
     ghu: utilde zero-padded by L rows top and bottom ((NP+L) x (N-1)L).
-    hankels, utilde_concat: filled by hankel_rearrange; hankels[j] is the
-    PN x (L+1) Hankel matrix of ghu's column j, utilde_concat stacks their
-    transposes side by side into (L+1) x PN(N-1)L.
     """
 
     utilde: np.ndarray
     ghu: np.ndarray
-    hankels: list | None = None
-    utilde_concat: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +79,8 @@ class CrbResult:
     """An L x L bound over the non-anchor taps.
 
     C is Hermitian positive semidefinite, trace its (real) trace, d the
-    anchor index that was deleted, path one of CRB_PATHS.
+    anchor index that was deleted, path one of "direct", "fast",
+    "zp_per_block".
     """
 
     C: np.ndarray
@@ -173,30 +166,6 @@ def left_null_basis(K: np.ndarray, L: int) -> NullSpaceBasis:
     return NullSpaceBasis(utilde=utilde, ghu=ghu)
 
 
-def hankel_rearrange(basis: NullSpaceBasis, P: int, N: int, L: int) -> NullSpaceBasis:
-    """Fill the Hankel rearrangements of the padded null-space columns.
-
-    Column j of ghu (length NP+L) becomes the PN x (L+1) Hankel matrix
-    with entry (r, c) = ghu[r + c, j]; every anti-diagonal is constant and
-    all entries of the column are used. utilde_concat stacks the
-    transposed Hankels left to right in ascending j.
-    """
-    PN = P * N
-    if basis.ghu.shape[0] != PN + L:
-        raise ValueError(
-            f"padded basis has {basis.ghu.shape[0]} rows, expected {PN + L}"
-        )
-    idx = np.arange(PN)[:, None] + np.arange(L + 1)[None, :]
-    stacked = basis.ghu[idx, :]
-    hankels = [stacked[:, :, j] for j in range(basis.ghu.shape[1])]
-    concat = (
-        np.concatenate([Hj.T for Hj in hankels], axis=1)
-        if hankels
-        else np.zeros((L + 1, 0), dtype=np.complex128)
-    )
-    return replace(basis, hankels=hankels, utilde_concat=concat)
-
-
 def _range_basis(K: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(K) from a reduced QR decomposition.
 
@@ -229,8 +198,6 @@ def crb_fast(
     complement of range(K). Agrees with crb_direct to numerical precision
     at a fraction of the cost for long frames.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     h = np.asarray(h, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     P, M = precoder.F.shape
@@ -241,8 +208,9 @@ def crb_fast(
         )
     if sN.shape != (N * M,):
         raise ValueError(f"expected {N * M} symbols, got shape {sN.shape}")
+    config = SystemConfig(M=M, L=L, N=N, sigma2=sigma2)
     NP = N * P
-    K, _ = _k_factors(precoder.F, h, N)
+    K, _ = build_K(config, precoder, h)
     Q = _range_basis(K)
     x = (sN.reshape(N, M) @ precoder.F.T).ravel()
     # Row k is v_k = K_k s_N, a lag-k window of the stream.

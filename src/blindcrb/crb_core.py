@@ -25,6 +25,7 @@ import numpy as np
 from .errors import RankDeficient
 
 PINV_RCOND = 1e-12
+# Relative singular-value floor for every full-rank check in the package.
 RANK_RTOL = 1e-10
 HERMITIAN_RTOL = 1e-12
 

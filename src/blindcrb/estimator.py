@@ -64,6 +64,28 @@ class ChannelEstimate:
     resolved: bool = False
 
 
+def hankel_rearrange(U: np.ndarray, P: int, L: int) -> np.ndarray:
+    """Hankel rearrangement of the zero-padded columns of U.
+
+    U has wP - L rows for a whole number w >= 1 of blocks of P samples.
+    Its columns are padded with L zero rows top and bottom (the lift
+    G^H U), and column j becomes the wP x (L+1) Hankel matrix with
+    constant anti-diagonals. Returns the wP x (L+1) x n stack with entry
+    [r, c, j] = pad(U)[r + c, j].
+    """
+    U = np.asarray(U, dtype=np.complex128)
+    rows = U.shape[0] + L  # Hankel row count, wP
+    w, rem = divmod(rows, P)
+    if rem != 0 or w < 1:
+        raise ValueError(
+            f"basis rows {U.shape[0]} do not match whole blocks of {P}"
+        )
+    padded = np.zeros((rows + L, U.shape[1]), dtype=np.complex128)
+    padded[L: L + U.shape[0]] = U
+    idx = np.arange(rows)[:, None] + np.arange(L + 1)[None, :]
+    return padded[idx, :]
+
+
 def channel_from_noise_subspace(
     noise_basis: np.ndarray, F: np.ndarray, L: int
 ) -> np.ndarray:
@@ -80,17 +102,9 @@ def channel_from_noise_subspace(
     if noise_basis.ndim != 2 or noise_basis.shape[1] == 0:
         raise InsufficientData("noise subspace is empty")
     P, M = F.shape
-    rows = noise_basis.shape[0] + L  # Hankel row count, wP
-    w, rem = divmod(rows, P)
-    if rem != 0 or w < 1:
-        raise ValueError(
-            f"basis rows {noise_basis.shape[0]} do not match whole blocks of {P}"
-        )
+    hankels = hankel_rearrange(noise_basis, P, L)
+    w = hankels.shape[0] // P
     n_vecs = noise_basis.shape[1]
-    padded = np.zeros((rows + L, n_vecs), dtype=np.complex128)
-    padded[L: L + noise_basis.shape[0]] = noise_basis
-    idx = np.arange(rows)[:, None] + np.arange(L + 1)[None, :]
-    hankels = padded[idx, :]
     # Fold the precoder in: (I_w kron F^H) applied down each Hankel column
     # turns the penalty into sum over vectors of |u^H G H(h) (I kron F)|^2.
     blocks = hankels.reshape(w, P, (L + 1) * n_vecs)

@@ -30,6 +30,7 @@ from .estimator import EstimatorSettings, subspace_estimate, resolve_ambiguity
 from .model import (
     Channel,
     SystemConfig,
+    _as_rng,
     generate_symbols,
     make_precoder,
     synthesize_observation,
@@ -63,7 +64,7 @@ def draw_channel(L: int, rng) -> Channel:
     anchor on the strongest tap."""
     if L < 1:
         raise ValueError(f"channel order must be at least 1, got {L}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = _as_rng(rng)
     taps = (gen.standard_normal(L + 1) + 1j * gen.standard_normal(L + 1)) / np.sqrt(2)
     taps /= np.linalg.norm(taps)
     return Channel(h=taps, d=default_anchor(taps))

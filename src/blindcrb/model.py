@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .crb_core import RANK_RTOL
+
 REDUNDANCY_KINDS = ("cp", "zp", "custom")
 INNER_KINDS = ("identity", "idft", "custom")
 MODULATIONS = ("qpsk",)
-
-# Relative singular-value floor for full-rank checks.
-RANK_RTOL = 1e-10
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -254,70 +253,31 @@ def build_channel_toeplitz(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return T
 
 
-def build_selection_matrices(N: int, P: int, L: int):
-    """Build the receive-window selector G and the shift matrices J_l.
-
-    G is (NP-L) x (NP+L) and picks samples L .. NP-1 of the full
-    convolution output (one 1 per row). J_l is (NP+L) x NP with ones on
-    subdiagonal l, so that sum_l h_l J_l reproduces the tall convolution
-    matrix of h.
-
-    Returns (G, [J_0, ..., J_L]).
-    """
-    if N < 1 or P < 1 or L < 0 or L >= P:
-        raise ValueError(f"inconsistent dimensions N={N}, P={P}, L={L}")
-    NP = N * P
-    G = np.eye(NP - L, NP + L, k=L)
-    J = [np.eye(NP + L, NP, k=-l) for l in range(L + 1)]
-    return G, J
-
-
-def block_diag_precoder(F: np.ndarray, N: int) -> np.ndarray:
-    """The frame-level precoder I_N kron F mapping s_N to x_N."""
-    return np.kron(np.eye(N), F)
-
-
-def _k_factors(F: np.ndarray, h: np.ndarray, N: int):
-    """Return (K, X) where K = G H (I_N kron F) and X = I_N kron F.
-
-    Uses the identity K_l = X[L-l : NP-l, :] (rows of the block precoder
-    shifted by the tap lag), so no (NP+L)-sized intermediates are formed.
-    """
-    P, M = F.shape
-    L = h.size - 1
-    if not 0 < L < P:
-        raise ValueError("channel order inconsistent with precoder shape")
-    NP = N * P
-    X = block_diag_precoder(F, N)
-    K = np.zeros((NP - L, N * M), dtype=np.complex128)
-    for l in range(L + 1):
-        K += h[l] * X[L - l: NP - l, :]
-    return K, X
-
-
-def composite_channel_matrix(F: np.ndarray, h: np.ndarray, N: int) -> np.ndarray:
-    """The (NP-L) x NM matrix K mapping a symbol frame to the noiseless
-    received frame."""
-    h = np.asarray(h, dtype=np.complex128)
-    K, _ = _k_factors(F, h, N)
-    return K
-
-
 def build_K(config: SystemConfig, precoder: Precoder, h: np.ndarray):
     """Build the composite matrix K and its per-tap factors K_l.
+
+    Uses the identity K_l = X[L-l : NP-l, :] with X = I_N kron F (rows of
+    the block precoder shifted by the tap lag), so no (NP+L)-sized
+    intermediates are formed. Only the dimensions of config are read.
 
     Returns
     -------
     (K, K_list)
         K is (NP-L) x NM with K = sum_l h[l] * K_list[l]; K_list has
-        L+1 entries K_l = G J_l (I_N kron F).
+        L+1 entries K_l = G J_l (I_N kron F), read-only views into one
+        shared X.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.size != config.L + 1:
         raise ValueError(f"expected {config.L + 1} taps, got shape {np.shape(h)}")
-    K, X = _k_factors(precoder.F, h, config.N)
+    L = config.L
     NP = config.N * config.P
-    K_list = [X[config.L - l: NP - l, :].copy() for l in range(config.L + 1)]
+    X = np.kron(np.eye(config.N), precoder.F)
+    X.flags.writeable = False
+    K_list = [X[L - l: NP - l, :] for l in range(L + 1)]
+    K = np.zeros((NP - L, config.N * config.M), dtype=np.complex128)
+    for hl, Kl in zip(h, K_list):
+        K += hl * Kl
     return K, K_list
 
 
@@ -351,7 +311,6 @@ def synthesize_observation(
     sigma2 overrides the configured noise variance when given; passing 0
     yields the noiseless frame (the config itself must keep sigma2 > 0).
     """
-    h = np.asarray(h, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     if sN.shape != (config.N * config.M,):
         raise ValueError(
@@ -360,7 +319,7 @@ def synthesize_observation(
     var = config.sigma2 if sigma2 is None else sigma2
     if var < 0:
         raise ValueError(f"noise variance must be nonnegative, got {var}")
-    K = composite_channel_matrix(precoder.F, h, config.N)
+    K, _ = build_K(config, precoder, h)
     y = K @ sN
     if var > 0:
         gen = _as_rng(rng)

@@ -1,4 +1,5 @@
-"""Shared builders for randomized test instances."""
+"""Shared builders for randomized test instances, and the explicit
+selection-matrix oracles that build_K's factors are checked against."""
 
 import numpy as np
 
@@ -50,3 +51,26 @@ def assert_psd(A, scale_tol=1e-10, msg=""):
     vals = np.linalg.eigvalsh(A)
     floor = -scale_tol * max(vals[-1], 1e-300)
     assert vals[0] >= floor, f"{msg} min eig {vals[0]:.3e} below {floor:.3e}"
+
+
+def build_selection_matrices(N, P, L):
+    """Build the receive-window selector G and the shift matrices J_l.
+
+    G is (NP-L) x (NP+L) and picks samples L .. NP-1 of the full
+    convolution output (one 1 per row). J_l is (NP+L) x NP with ones on
+    subdiagonal l, so that sum_l h_l J_l reproduces the tall convolution
+    matrix of h.
+
+    Returns (G, [J_0, ..., J_L]).
+    """
+    if N < 1 or P < 1 or L < 0 or L >= P:
+        raise ValueError(f"inconsistent dimensions N={N}, P={P}, L={L}")
+    NP = N * P
+    G = np.eye(NP - L, NP + L, k=L)
+    J = [np.eye(NP + L, NP, k=-l) for l in range(L + 1)]
+    return G, J
+
+
+def block_diag_precoder(F, N):
+    """The frame-level precoder I_N kron F mapping s_N to x_N."""
+    return np.kron(np.eye(N), F)

@@ -184,6 +184,21 @@ class TestCrb:
             == EXIT_USAGE
         )
 
+    def test_invalid_config_rejected_before_dump(self, capsys):
+        code = main(
+            [
+                "crb", "--override", "h=1,2,3", "--override", "M=2",
+                "--override", "L=2", "--dump-config",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_out_flag_not_accepted(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["crb", "--override", "h=1,2,3,4,5", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_rank_deficient_channel_exits_numerical(self, capsys):
         # a tap vector with a null on the DFT grid kills one subcarrier of
         # the multicarrier system, so K loses column rank
@@ -205,6 +220,9 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_takes_no_config_flags(self):
+        assert main(["selftest", "--seed", "5"]) == EXIT_USAGE
 
 
 class TestParsing:

@@ -15,9 +15,7 @@ from blindcrb import (
     IllConditioned,
     RankDeficient,
     SystemConfig,
-    block_diag_precoder,
     build_K,
-    build_selection_matrices,
     crb_constrained,
     crb_direct,
     crb_fast,
@@ -29,7 +27,13 @@ from blindcrb import (
     left_null_basis,
     make_precoder,
 )
-from helpers import assert_psd, random_instance, random_unit_channel
+from helpers import (
+    assert_psd,
+    block_diag_precoder,
+    build_selection_matrices,
+    random_instance,
+    random_unit_channel,
+)
 
 
 def make_blocks(cfg, pre, h, s):
@@ -239,26 +243,15 @@ class TestHankelRearrange:
         rng = np.random.default_rng(34)
         cfg, pre, h, _ = random_instance(rng, M=4, L=2, N=3)
         K, _ = build_K(cfg, pre, h)
-        basis = hankel_rearrange(left_null_basis(K, cfg.L), cfg.P, cfg.N, cfg.L)
+        basis = left_null_basis(K, cfg.L)
+        hankels = hankel_rearrange(basis.utilde, cfg.P, cfg.L)
         PN = cfg.P * cfg.N
-        for j, Hj in enumerate(basis.hankels):
+        for j in range(basis.ghu.shape[1]):
+            Hj = hankels[:, :, j]
             assert Hj.shape == (PN, cfg.L + 1)
             for r in range(PN):
                 for c in range(cfg.L + 1):
                     assert Hj[r, c] == basis.ghu[r + c, j]
-
-    def test_concat_layout(self):
-        rng = np.random.default_rng(35)
-        cfg, pre, h, _ = random_instance(rng, M=4, L=2, N=3)
-        K, _ = build_K(cfg, pre, h)
-        basis = hankel_rearrange(left_null_basis(K, cfg.L), cfg.P, cfg.N, cfg.L)
-        PN = cfg.P * cfg.N
-        ncols = basis.ghu.shape[1]
-        assert basis.utilde_concat.shape == (cfg.L + 1, PN * ncols)
-        for j in range(ncols):
-            np.testing.assert_array_equal(
-                basis.utilde_concat[:, j * PN: (j + 1) * PN], basis.hankels[j].T
-            )
 
     def test_rejects_wrong_padding(self):
         rng = np.random.default_rng(36)
@@ -266,7 +259,7 @@ class TestHankelRearrange:
         K, _ = build_K(cfg, pre, h)
         basis = left_null_basis(K, cfg.L)
         with pytest.raises(ValueError, match="rows"):
-            hankel_rearrange(basis, cfg.P, cfg.N + 1, cfg.L)
+            hankel_rearrange(basis.ghu, cfg.P, cfg.L)
 
 
 class TestCrbFast:

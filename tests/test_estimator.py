@@ -15,8 +15,8 @@ from blindcrb import (
     SolverDegenerate,
     SystemConfig,
     ZeroAnchorTap,
+    build_K,
     channel_from_noise_subspace,
-    composite_channel_matrix,
     default_anchor,
     generate_symbols,
     left_null_basis,
@@ -67,7 +67,7 @@ class TestNoiselessRecovery:
         pre = make_precoder(cfg)
         h = random_unit_channel(2, np.random.default_rng(54))
         w = 2
-        K_w = composite_channel_matrix(pre.F, h, w)
+        K_w, _ = build_K(SystemConfig(M=6, L=2, N=w), pre, h)
         basis = left_null_basis(K_w, cfg.L)
         direction = channel_from_noise_subspace(basis.utilde, pre.F, cfg.L)
         d = default_anchor(h)

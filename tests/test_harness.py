@@ -261,3 +261,19 @@ class TestCsv:
         path = tmp_path / "out.csv"
         write_csv(records, path)
         assert path.read_text() == format_csv(records)
+
+    def test_readme_plan_golden(self):
+        # the README library example, pinned byte for byte
+        plan = ExperimentPlan(
+            config=SystemConfig(M=12, L=4, N=25, redundancy_kind="cp", inner_kind="idft"),
+            snr_db_grid=(10, 20, 30),
+            n_channels=20,
+            n_trials=5,
+            master_seed=0,
+        )
+        assert format_csv(run_experiment(plan)) == (
+            CSV_HEADER + "\n"
+            "10,0.0120921159441,0.349609323377,,25,cp,idft,0,0\n"
+            "20,0.00120921159441,0.0753598596488,,25,cp,idft,0,0\n"
+            "30,0.000120921159441,0.0127816578735,,25,cp,idft,0,0\n"
+        )

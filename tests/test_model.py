@@ -14,15 +14,17 @@ from blindcrb import (
     build_inner_precoder,
     build_K,
     build_redundancy,
-    build_selection_matrices,
-    block_diag_precoder,
-    composite_channel_matrix,
     generate_symbols,
     loglik_gradients,
     make_precoder,
     synthesize_observation,
 )
-from helpers import random_instance, random_unit_channel
+from helpers import (
+    block_diag_precoder,
+    build_selection_matrices,
+    random_instance,
+    random_unit_channel,
+)
 
 
 def conv_stream(F, sN, N):
@@ -218,9 +220,19 @@ class TestBuildK:
     def test_linearity_in_taps(self):
         rng = np.random.default_rng(10)
         cfg, pre, h, _ = random_instance(rng)
-        K1 = composite_channel_matrix(pre.F, h, cfg.N)
-        K2 = composite_channel_matrix(pre.F, (2 - 1j) * h, cfg.N)
+        K1, _ = build_K(cfg, pre, h)
+        K2, _ = build_K(cfg, pre, (2 - 1j) * h)
         np.testing.assert_allclose(K2, (2 - 1j) * K1, atol=1e-12)
+
+    def test_factors_are_read_only_views_of_one_block_precoder(self):
+        rng = np.random.default_rng(11)
+        cfg, pre, h, _ = random_instance(rng, M=4, L=2, N=3)
+        _, K_list = build_K(cfg, pre, h)
+        for Kl in K_list[1:]:
+            assert np.shares_memory(K_list[0], Kl)
+        for Kl in K_list:
+            with pytest.raises(ValueError, match="read-only"):
+                Kl[0, 0] = 1
 
     def test_rejects_wrong_tap_count(self):
         cfg = SystemConfig(M=4, L=2, N=3)
