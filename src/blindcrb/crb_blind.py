@@ -12,11 +12,15 @@ known. Two routes to the same L x L bound over the remaining taps:
 * crb_fast rewrites the Schur complement through the left null space of K:
   entry (i, k) of the reduced information D is
   v_i^H (I - K pinv(K)) v_k / sigma2 where v_k = K_k s_N is a lag-k
-  window of the transmitted stream x_N = (I_N kron F) s_N. The orthogonal
-  projector is applied through the Q factor of a reduced QR decomposition
-  (I - K pinv(K) = I - Q Q^H = Utilde Utilde^H), so D accumulates from
-  L+1 projected correlations without the full left-singular basis or the
-  selection matrices.
+  window of the transmitted stream x_N = (I_N kron F) s_N. It never forms
+  K: every column block of K is the same (P+L) x M block
+  B = T(h) F, and consecutive blocks overlap in L rows, so a block
+  Householder sweep (a banded QR) over N windows of at most M+2L rows
+  triangularizes K one block at a time. The rows each step leaves with
+  zeros in every remaining column span the left null space, and D
+  accumulates from the windows v_k carried through the same rotations.
+  Cost: O(N M^3) time and O(NP) memory, against O((NM)^3) and
+  O((NM)^2) for a dense QR of K.
 
 Both routes reject ill-conditioned inversions instead of returning noise,
 so Monte Carlo callers can count and exclude pathological draws.
@@ -26,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .crb_core import RANK_RTOL, fix_column_phases, _hermitize
 from .errors import IllConditioned, RankDeficient
-from .model import Precoder, SystemConfig, build_K, build_channel_toeplitz
+from .model import Precoder, SystemConfig, build_channel_toeplitz
 
 COND_LIMIT = 1e12
 
@@ -116,21 +121,24 @@ def _delete_anchor(D: np.ndarray, d: int) -> np.ndarray:
     return np.delete(np.delete(D, d, axis=0), d, axis=1)
 
 
+def _require_conditioned(A: np.ndarray, name: str):
+    """Raise IllConditioned unless cond(A) is finite and below COND_LIMIT."""
+    cond = np.linalg.cond(A)
+    if not np.isfinite(cond) or cond >= COND_LIMIT:
+        raise IllConditioned(name, float(cond))
+
+
 def _invert_reduced(D: np.ndarray, d: int, path: str) -> CrbResult:
     """Delete the anchor row/column of the reduced information and invert."""
     Dd = _delete_anchor(D, d)
-    cond = np.linalg.cond(Dd)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
-        raise IllConditioned("anchor-reduced information E_d D E_d^H", float(cond))
+    _require_conditioned(Dd, "anchor-reduced information E_d D E_d^H")
     C = _hermitize(np.linalg.inv(Dd))
     return CrbResult(C=C, trace=float(np.real(np.trace(C))), d=d, path=path)
 
 
 def _schur_reduce(blocks: FimBlocks) -> np.ndarray:
     """J00 - J01 inv(J11) J01^H, rejecting ill-conditioned symbol blocks."""
-    cond = np.linalg.cond(blocks.J11)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
-        raise IllConditioned("symbol information block J11", float(cond))
+    _require_conditioned(blocks.J11, "symbol information block J11")
     X = np.linalg.solve(blocks.J11, blocks.J01.conj().T)
     return _hermitize(blocks.J00 - blocks.J01 @ X)
 
@@ -166,23 +174,6 @@ def left_null_basis(K: np.ndarray, L: int) -> NullSpaceBasis:
     return NullSpaceBasis(utilde=utilde, ghu=ghu)
 
 
-def _range_basis(K: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of range(K) from a reduced QR decomposition.
-
-    The rank gate works on |diag(R)|: the smallest singular value of R
-    never exceeds the smallest diagonal magnitude, so a collapsed diagonal
-    proves rank deficiency. Draws that slip past it are still caught by
-    the conditioning gate on the reduced information.
-    """
-    Q, R = np.linalg.qr(K, mode="reduced")
-    diag = np.abs(np.diagonal(R))
-    if diag.min() <= RANK_RTOL * diag.max():
-        raise RankDeficient(
-            f"K is column-rank-deficient (diag ratio {diag.min() / diag.max():.3e})"
-        )
-    return Q
-
-
 def crb_fast(
     h: np.ndarray,
     sN: np.ndarray,
@@ -193,10 +184,24 @@ def crb_fast(
 ) -> CrbResult:
     """Bound over the non-anchor taps via the left-null-space route.
 
-    Builds K for the frame and accumulates the reduced information from
-    lag windows of the transmitted stream projected onto the orthogonal
-    complement of range(K). Agrees with crb_direct to numerical precision
-    at a fraction of the cost for long frames.
+    Sweeps the column blocks of K in order. Step n stacks the L rows
+    carried from step n-1 over the P new rows of block n, appends L marker
+    columns (the identity on the window's last L rows, which block n+1
+    also touches) and the window's rows of V^T, V^T[r, k] = x[L+r-k], and
+    takes the R factor of that window. Rows 0..M-1 of R close block n;
+    rows M..M+L-1 carry on, their block n+1 entries read off the markers;
+    the last L rows are zero in every later column, so they are finished
+    left-null-space rows whose V^T part fin adds fin^H fin to D. Step 0
+    has no carry and the last step no markers; (N-1)L rows finish in all.
+
+    The rank gate works on |diag(R)| of the K columns, the distance of
+    each column of K from the span of the ones before it, which is the
+    same for any QR of K: the smallest singular value never exceeds the
+    smallest diagonal magnitude, so a collapsed diagonal proves rank
+    deficiency. Draws that slip past it are still caught by the
+    conditioning gate on the reduced information.
+
+    O(N M^3) time and O(NP) memory; neither K nor I_N kron F is formed.
     """
     h = np.asarray(h, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
@@ -208,16 +213,37 @@ def crb_fast(
         )
     if sN.shape != (N * M,):
         raise ValueError(f"expected {N * M} symbols, got shape {sN.shape}")
-    config = SystemConfig(M=M, L=L, N=N, sigma2=sigma2)
-    NP = N * P
-    K, _ = build_K(config, precoder, h)
-    Q = _range_basis(K)
+    # Validates N and sigma2 the way every frame-level entry point does.
+    SystemConfig(M=M, L=L, N=N, sigma2=sigma2)
+    B = build_channel_toeplitz(h, P + L, P) @ precoder.F
     x = (sN.reshape(N, M) @ precoder.F.T).ravel()
-    # Row k is v_k = K_k s_N, a lag-k window of the stream.
-    V = np.stack([x[L - k: NP - k] for k in range(L + 1)])
-    projected = V.T - Q @ (Q.conj().T @ V.T)
-    D = _hermitize(V.conj() @ projected) / sigma2
-    return _invert_reduced(D, d, "fast")
+    Vt = sliding_window_view(x, L + 1)[:, ::-1]
+    # The window of a middle step: columns [K block | markers | V^T],
+    # rows [carry; new]. Only the carry rows and the new V^T rows change
+    # from step to step.
+    W = np.zeros((M + 2 * L, M + 2 * L + 1), dtype=np.complex128)
+    W[L:, :M] = B[L:]
+    W[M + L:, M: M + L] = np.eye(L)
+    diag = np.empty((N, M))
+    fins = []
+    for n in range(N - 1):
+        W[L:, M + L:] = Vt[n * P: (n + 1) * P]
+        R = np.linalg.qr(W if n else W[L:], mode="r")
+        diag[n] = np.abs(R.diagonal()[:M])
+        fins.append(R[M + L:, M + L:])  # no rows at step 0
+        W[:L, :M] = R[M: M + L, M: M + L] @ B[:L]
+        W[:L, M + L:] = R[M: M + L, M + L:]
+    # The last step: the carry over the M rows left, and no markers.
+    W[L: L + M, M + L:] = Vt[(N - 1) * P:]
+    R = np.linalg.qr(np.delete(W[: L + M], np.s_[M: M + L], axis=1), mode="r")
+    diag[N - 1] = np.abs(R.diagonal()[:M])
+    fins.append(R[M:, M:])
+    if diag.min() <= RANK_RTOL * diag.max():
+        raise RankDeficient(
+            f"K is column-rank-deficient (diag ratio {diag.min() / diag.max():.3e})"
+        )
+    fin = np.vstack(fins)
+    return _invert_reduced(_hermitize(fin.conj().T @ fin) / sigma2, d, "fast")
 
 
 def crb_zp_per_block(
@@ -237,7 +263,9 @@ def crb_zp_per_block(
     matrix; nothing is discarded, unlike the frame model which drops the
     first L samples. The result is never above the frame bound in the
     positive semidefinite order. Callers must ensure the system actually
-    uses zero padding; Ftilde is the square inner precoder only.
+    uses zero padding; Ftilde is the square inner precoder only. One
+    M x M solve serves all N blocks; neither the NM x NM symbol block nor
+    any Kronecker product is formed.
     """
     h = np.asarray(h, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
@@ -251,11 +279,22 @@ def crb_zp_per_block(
         )
     if sN.shape != (N * M,):
         raise ValueError(f"expected {N * M} symbols, got shape {sN.shape}")
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     P = M + L
-    T_list = [np.eye(P, M, k=-l) for l in range(L + 1)]
-    eye_N = np.eye(N)
-    T = build_channel_toeplitz(h, P, M)
-    K = np.kron(eye_N, T @ Ftilde)
-    K_list = [np.kron(eye_N, Tl @ Ftilde) for Tl in T_list]
-    blocks = fim_blocks(K, K_list, sN, sigma2)
-    return _invert_reduced(_schur_reduce(blocks), d, "zp_per_block")
+    # J11 = I_N kron A^H A / sigma2 and row l of J01 holds the blocks
+    # (T_l z_n)^H A / sigma2, so the Schur complement is a sum of N
+    # per-block terms against the one M x M Gram A^H A.
+    A = build_channel_toeplitz(h, P, M) @ Ftilde
+    gram = A.conj().T @ A
+    _require_conditioned(gram, "symbol information block J11")
+    z = sN.reshape(N, M) @ Ftilde.T
+    # U[:, n, l] = T_l z_n: block n's inner-precoded symbols delayed by l.
+    U = np.zeros((P, N, L + 1), dtype=np.complex128)
+    for l in range(L + 1):
+        U[l: l + M, :, l] = z.T
+    Y = (A.conj().T @ U.reshape(P, -1)).reshape(M, N, L + 1)
+    X = np.linalg.solve(gram, Y.reshape(M, -1)).reshape(M, N, L + 1)
+    D = (np.einsum("pni,pnk->ik", U.conj(), U)
+         - np.einsum("mni,mnk->ik", Y.conj(), X))
+    return _invert_reduced(_hermitize(D) / sigma2, d, "zp_per_block")

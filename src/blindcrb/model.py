@@ -308,6 +308,9 @@ def synthesize_observation(
 ) -> Observation:
     """Simulate one received frame y_N = K s_N + e_N.
 
+    K s_N is computed as a convolution of the taps with the precoded
+    stream, in O(NPL) time without forming K.
+
     sigma2 overrides the configured noise variance when given; passing 0
     yields the noiseless frame (the config itself must keep sigma2 > 0).
     """
@@ -319,8 +322,13 @@ def synthesize_observation(
     var = config.sigma2 if sigma2 is None else sigma2
     if var < 0:
         raise ValueError(f"noise variance must be nonnegative, got {var}")
-    K, _ = build_K(config, precoder, h)
-    y = K @ sN
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 1 or h.size != config.L + 1:
+        raise ValueError(f"expected {config.L + 1} taps, got shape {np.shape(h)}")
+    # K s_N is the full convolution of h with the precoded stream x_N
+    # minus its first and last L samples.
+    x = (sN.reshape(config.N, config.M) @ precoder.F.T).ravel()
+    y = np.convolve(h, x)[config.L: config.N * config.P]
     if var > 0:
         gen = _as_rng(rng)
         noise = gen.standard_normal(y.size) + 1j * gen.standard_normal(y.size)

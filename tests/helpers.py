@@ -1,13 +1,20 @@
-"""Shared builders for randomized test instances, and the explicit
-selection-matrix oracles that build_K's factors are checked against."""
+"""Shared builders for randomized test instances, the explicit
+selection-matrix oracles that build_K's factors are checked against, and
+the dense routes that the banded bounds are checked against."""
 
 import numpy as np
 
 from blindcrb import (
+    RankDeficient,
     SystemConfig,
+    build_channel_toeplitz,
+    build_K,
+    crb_direct,
+    fim_blocks,
     generate_symbols,
     make_precoder,
 )
+from blindcrb.crb_core import RANK_RTOL
 
 
 def random_unit_channel(L, rng):
@@ -74,3 +81,35 @@ def build_selection_matrices(N, P, L):
 def block_diag_precoder(F, N):
     """The frame-level precoder I_N kron F mapping s_N to x_N."""
     return np.kron(np.eye(N), F)
+
+
+def crb_fast_dense(h, sN, precoder, d, sigma2, N):
+    """The left-null-space bound from a dense QR of the whole of K.
+
+    Same reduced information as crb_fast, D = V^* (I - Q Q^H) V^T / sigma2
+    with Q the reduced Q factor of K, and the same rank gate on
+    |diag(R)|; returns the inverse of D with the anchor deleted.
+    O((NM)^3) time and O((NM)^2) memory.
+    """
+    P, M = precoder.F.shape
+    L = len(h) - 1
+    config = SystemConfig(M=M, L=L, N=N, sigma2=sigma2)
+    K, _ = build_K(config, precoder, h)
+    Q, R = np.linalg.qr(K, mode="reduced")
+    diag = np.abs(np.diagonal(R))
+    if diag.min() <= RANK_RTOL * diag.max():
+        raise RankDeficient(f"K is column-rank-deficient ({diag.min() / diag.max():.3e})")
+    x = block_diag_precoder(precoder.F, N) @ sN
+    V = np.stack([x[L - k: N * P - k] for k in range(L + 1)])
+    D = V.conj() @ (V.T - Q @ (Q.conj().T @ V.T)) / sigma2
+    return np.linalg.inv(np.delete(np.delete(D, d, 0), d, 1))
+
+
+def crb_zp_kron(h, sN, Ftilde, d, sigma2, M, L, N):
+    """The zero-padding reference bound through fim_blocks and crb_direct
+    on the full NP x NM block-diagonal model I_N kron T(h) Ftilde."""
+    P = M + L
+    eye_N = np.eye(N)
+    K = np.kron(eye_N, build_channel_toeplitz(h, P, M) @ Ftilde)
+    K_list = [np.kron(eye_N, np.eye(P, M, k=-l) @ Ftilde) for l in range(L + 1)]
+    return crb_direct(fim_blocks(K, K_list, sN, sigma2), d).C

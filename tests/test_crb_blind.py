@@ -7,6 +7,8 @@ Fisher matrix with the anchor row/column deleted and (b) an elementwise
 reconstruction of the reduced information from explicit selection and
 shift matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,14 @@ from blindcrb import (
     hankel_rearrange,
     left_null_basis,
     make_precoder,
+    synthesize_observation,
 )
 from helpers import (
     assert_psd,
     block_diag_precoder,
     build_selection_matrices,
+    crb_fast_dense,
+    crb_zp_kron,
     random_instance,
     random_unit_channel,
 )
@@ -328,6 +333,85 @@ class TestCrbFast:
             crb_fast(h, s, pre, 0, 0.0, cfg.N)
 
 
+class TestCrbFastSweep:
+    """The banded sweep against the dense QR of the whole of K."""
+
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
+    def test_matches_dense_qr_oracle(self, kind, inner):
+        rng = np.random.default_rng(47)
+        M, L = 6, 2
+        for N in (2, 3, 8, 60):
+            custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
+            cfg = SystemConfig(
+                M=M, L=L, N=N, sigma2=0.3, redundancy_kind=kind, inner_kind=inner,
+                custom_redundancy=custom if kind == "custom" else None,
+            )
+            pre = make_precoder(cfg)
+            h = random_unit_channel(L, rng)
+            s = generate_symbols("qpsk", M, N, rng).sN
+            d = default_anchor(h)
+            fast = crb_fast(h, s, pre, d, cfg.sigma2, N).C
+            dense = crb_fast_dense(h, s, pre, d, cfg.sigma2, N)
+            rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
+            assert rel <= 1e-12, f"sweep and dense QR differ ({rel:.2e}) at N={N}"
+
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("eps,rejected", [(0.0, True), (1e-12, True),
+                                              (1e-6, False), (1e-3, False)])
+    def test_rank_gate_matches_dense_oracle(self, inner, eps, rejected):
+        # A channel zero on the DFT grid makes K rank-deficient under CP.
+        M, L, N = 8, 2, 6
+        cfg = SystemConfig(M=M, L=L, N=N, sigma2=0.01, inner_kind=inner)
+        pre = make_precoder(cfg)
+        h = np.poly([np.exp(2j * np.pi / M) * (1 + eps), 0.5 + 0.3j])
+        s = generate_symbols("qpsk", M, N, 3).sN
+        d = default_anchor(h)
+        routes = (crb_fast, crb_fast_dense)
+        if rejected:
+            for route in routes:
+                with pytest.raises(RankDeficient):
+                    route(h, s, pre, d, cfg.sigma2, N)
+        else:
+            fast = crb_fast(h, s, pre, d, cfg.sigma2, N)
+            dense = crb_fast_dense(h, s, pre, d, cfg.sigma2, N)
+            assert np.isfinite(fast.trace) and np.all(np.isfinite(dense))
+
+    def test_long_frame_memory_scaling_and_monotonicity(self):
+        # A dense K at this size would take 3.1 GB.
+        M, L, N = 12, 4, 1000
+        pre = make_precoder(SystemConfig(M=M, L=L, N=N))
+        h = random_unit_channel(L, np.random.default_rng(48))
+        s = generate_symbols("qpsk", M, N, 49).sN
+        d = default_anchor(h)
+        tracemalloc.start()
+        try:
+            c1 = crb_fast(h, s, pre, d, 1.0, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+        c4 = crb_fast(h, s, pre, d, 4.0, N)
+        assert c4.trace == pytest.approx(4 * c1.trace, rel=1e-12)
+        # A longer frame that extends the same one never raises the bound.
+        short, longer = (crb_fast(h, s[: n * M], pre, d, 1.0, n) for n in (200, 400))
+        assert longer.trace <= short.trace
+
+    def test_forms_no_kron(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        cfg, pre, h, s = random_instance(rng, redundancy_kind="zp")
+
+        def no_kron(*args):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(AssertionError):
+            build_K(cfg, pre, h)
+        crb_fast(h, s, pre, default_anchor(h), cfg.sigma2, cfg.N)
+        crb_zp_per_block(h, s, pre.Ftilde, 0, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+        synthesize_observation(cfg, pre, h, s, rng=0)
+
+
 class TestZpPerBlock:
     def make_zp(self, rng, M=6, L=2, N=4, inner="identity"):
         return random_instance(
@@ -389,6 +473,23 @@ class TestZpPerBlock:
         Jd = np.delete(np.delete(J, d, axis=0), d, axis=1)
         C_full = np.linalg.inv(Jd)[: cfg.L, : cfg.L]
         np.testing.assert_allclose(full.C, C_full, atol=1e-9 * np.linalg.norm(C_full))
+
+    def test_matches_kron_oracle_long_frame(self):
+        rng = np.random.default_rng(51)
+        for inner in ("identity", "idft"):
+            cfg, pre, h, s = self.make_zp(rng, M=6, L=2, N=25, inner=inner)
+            d = default_anchor(h)
+            full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+            oracle = crb_zp_kron(h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+            np.testing.assert_allclose(full.C, oracle, atol=1e-12 * np.linalg.norm(oracle))
+
+    def test_singular_inner_precoder_rejected(self):
+        rng = np.random.default_rng(52)
+        cfg, pre, h, s = self.make_zp(rng)
+        Ftilde = np.diag([1.0] * (cfg.M - 1) + [0.0]).astype(complex)
+        with pytest.raises(IllConditioned) as exc:
+            crb_zp_per_block(h, s, Ftilde, 0, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+        assert "J11" in exc.value.matrix_name
 
     def test_rejects_composite_precoder(self):
         rng = np.random.default_rng(44)

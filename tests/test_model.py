@@ -286,6 +286,29 @@ class TestSynthesize:
         obs = synthesize_observation(cfg, pre, h, s, rng=0, sigma2=0.0)
         np.testing.assert_allclose(obs.yN, conv_observe(pre.F, h, s, 4), atol=1e-13)
 
+    @pytest.mark.parametrize("N", [2, 25])
+    @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
+    def test_noiseless_frame_matches_dense_K(self, kind, N):
+        rng = np.random.default_rng(14)
+        M, L = 6, 2
+        custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
+        cfg = SystemConfig(
+            M=M, L=L, N=N, redundancy_kind=kind, inner_kind="idft",
+            custom_redundancy=custom if kind == "custom" else None,
+        )
+        pre = make_precoder(cfg)
+        h = random_unit_channel(L, rng)
+        s = generate_symbols("qpsk", M, N, rng).sN
+        y = synthesize_observation(cfg, pre, h, s, rng=0, sigma2=0.0).yN
+        ref = build_K(cfg, pre, h)[0] @ s
+        assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_rejects_wrong_tap_count(self):
+        cfg = SystemConfig(M=4, L=2, N=3)
+        s = generate_symbols("qpsk", 4, 3, 0).sN
+        with pytest.raises(ValueError, match="taps"):
+            synthesize_observation(cfg, make_precoder(cfg), np.ones(2), s, rng=0)
+
     def test_observation_length(self):
         for M, L, N in [(4, 2, 3), (12, 4, 8), (5, 1, 2)]:
             cfg = SystemConfig(M=M, L=L, N=N)
