@@ -83,7 +83,6 @@ _KEY_SPECS = {
     "n_trials": (int, str),
     "master_seed": (int, str),
     "window_blocks": (int, str),
-    "shrinkage": (float, _fmt_float),
     "compute_zp_reference": (_parse_bool, lambda v: "true" if v else "false"),
     "h": (_parse_complex_list, _fmt_complex_list),
     "s_n": (_parse_complex_list, _fmt_complex_list),
@@ -91,20 +90,22 @@ _KEY_SPECS = {
     "seed": (int, str),
 }
 
-_SYSTEM_KEYS = ("M", "L", "N", "sigma2", "redundancy_kind", "inner_kind")
+# run takes no sigma2: run_cell sets it per cell from the SNR grid.
+_FRAME_KEYS = ("M", "L", "N", "redundancy_kind", "inner_kind")
 
-_RUN_KEYS = _SYSTEM_KEYS + (
+_RUN_KEYS = _FRAME_KEYS + (
     "snr_db_grid", "n_channels", "n_trials", "master_seed", "window_blocks",
-    "shrinkage", "compute_zp_reference",
+    "compute_zp_reference",
 )
 
-_CRB_KEYS = _SYSTEM_KEYS + ("h", "s_n", "d", "seed")
+_CRB_KEYS = _FRAME_KEYS + ("sigma2", "h", "s_n", "d", "seed")
 
+# N = 25 gives the default window_blocks = 2 enough windows,
+# N - w + 1 >= w M, for a well-defined noise subspace.
 _RUN_DEFAULTS = {
     "M": 12,
     "L": 4,
-    "N": 8,
-    "sigma2": 1.0,
+    "N": 25,
     "redundancy_kind": "cp",
     "inner_kind": "identity",
     "snr_db_grid": (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
@@ -112,11 +113,12 @@ _RUN_DEFAULTS = {
     "n_trials": 5,
     "master_seed": 0,
     "window_blocks": 2,
-    "shrinkage": 0.0,
     "compute_zp_reference": False,
 }
 
-_CRB_DEFAULTS = {**{k: _RUN_DEFAULTS[k] for k in _SYSTEM_KEYS}, "seed": 0}
+_CRB_DEFAULTS = {
+    **{k: _RUN_DEFAULTS[k] for k in _FRAME_KEYS}, "sigma2": 1.0, "seed": 0,
+}
 
 
 def _parse_entries(entries, allowed, values: dict) -> dict:
@@ -164,8 +166,9 @@ def _dump_config(values: dict, keys) -> str:
 
 
 def _config_from_values(values: dict) -> SystemConfig:
+    keys = (*_FRAME_KEYS, "sigma2")  # run values carry no sigma2
     try:
-        return SystemConfig(**{key: values[key] for key in _SYSTEM_KEYS})
+        return SystemConfig(**{k: values[k] for k in keys if k in values})
     except ValueError as err:
         raise _UsageError(str(err)) from None
 
@@ -179,10 +182,7 @@ def _plan_from_values(values: dict) -> ExperimentPlan:
             n_channels=values["n_channels"],
             n_trials=values["n_trials"],
             master_seed=values["master_seed"],
-            estimator_settings=EstimatorSettings(
-                window_blocks=values["window_blocks"],
-                shrinkage=values["shrinkage"],
-            ),
+            estimator_settings=EstimatorSettings(values["window_blocks"]),
             compute_zp_reference=values["compute_zp_reference"],
         )
     except ValueError as err:

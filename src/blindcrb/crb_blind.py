@@ -58,7 +58,6 @@ class FimBlocks:
     J00: np.ndarray
     J01: np.ndarray
     J11: np.ndarray
-    sigma2: float
 
     def assembled(self) -> np.ndarray:
         """The full (L+1+NM) x (L+1+NM) Fisher information matrix."""
@@ -112,7 +111,7 @@ def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlock
     J00 = (W.conj() @ W.T) / sigma2
     J01 = (W.conj() @ K) / sigma2
     J11 = (K.conj().T @ K) / sigma2
-    return FimBlocks(J00=_hermitize(J00), J01=J01, J11=_hermitize(J11), sigma2=sigma2)
+    return FimBlocks(J00=_hermitize(J00), J01=J01, J11=_hermitize(J11))
 
 
 def _delete_anchor(D: np.ndarray, d: int) -> np.ndarray:
@@ -252,9 +251,6 @@ def crb_zp_per_block(
     Ftilde: np.ndarray,
     d: int,
     sigma2: float,
-    M: int,
-    L: int,
-    N: int,
 ) -> CrbResult:
     """Reference bound for zero padding keeping all NP received samples.
 
@@ -263,24 +259,30 @@ def crb_zp_per_block(
     matrix; nothing is discarded, unlike the frame model which drops the
     first L samples. The result is never above the frame bound in the
     positive semidefinite order. Callers must ensure the system actually
-    uses zero padding; Ftilde is the square inner precoder only. One
-    M x M solve serves all N blocks; neither the NM x NM symbol block nor
-    any Kronecker product is formed.
+    uses zero padding; Ftilde is the square inner precoder only. The
+    dimensions come from the inputs: L from the taps, M from Ftilde and N
+    from the length of sN. One M x M solve serves all N blocks; neither
+    the NM x NM symbol block nor any Kronecker product is formed.
     """
     h = np.asarray(h, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     Ftilde = np.asarray(Ftilde, dtype=np.complex128)
-    if h.size != L + 1:
-        raise ValueError(f"expected {L + 1} taps, got {h.size}")
-    if Ftilde.shape != (M, M):
+    if h.ndim != 1 or h.size < 2:
+        raise ValueError(f"need a 1-D array of at least 2 taps, got shape {h.shape}")
+    if Ftilde.ndim != 2 or Ftilde.shape[0] != Ftilde.shape[1]:
         raise ValueError(
-            f"inner precoder must be {M}x{M}, got {Ftilde.shape}; "
+            f"inner precoder must be square, got shape {Ftilde.shape}; "
             "pass the square inner precoder, not the composite"
         )
-    if sN.shape != (N * M,):
-        raise ValueError(f"expected {N * M} symbols, got shape {sN.shape}")
+    M = Ftilde.shape[0]
+    N, rem = divmod(sN.size, M)
+    if sN.ndim != 1 or rem or N < 1:
+        raise ValueError(
+            f"expected whole blocks of {M} symbols, got shape {sN.shape}"
+        )
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    L = h.size - 1
     P = M + L
     # J11 = I_N kron A^H A / sigma2 and row l of J01 holds the blocks
     # (T_l z_n)^H A / sigma2, so the Schur complement is a sum of N

@@ -36,32 +36,28 @@ ANCHOR_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    """Knobs of the subspace estimator.
+    """Settings of the subspace estimator.
 
     window_blocks is the number of consecutive blocks per window (at least
-    2, at most the frame's N, checked at use). shrinkage adds a
-    nonnegative diagonal load to the sample covariance.
+    2, at most the frame's N, checked at use). There is no diagonal load:
+    it would shift every eigenvalue equally and leave the estimate as is.
     """
 
     window_blocks: int = 2
-    shrinkage: float = 0.0
 
     def __post_init__(self):
         if self.window_blocks < 2:
             raise ValueError(
                 f"need at least 2 blocks per window, got {self.window_blocks}"
             )
-        if self.shrinkage < 0:
-            raise ValueError(f"shrinkage must be nonnegative, got {self.shrinkage}")
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelEstimate:
-    """Estimated taps h_hat (length L+1) and whether the blind scale has
-    been resolved against a known anchor tap."""
+    """Estimated taps h_hat (length L+1). subspace_estimate returns them
+    up to the blind complex scale; resolve_ambiguity fixes that scale."""
 
     h_hat: np.ndarray
-    resolved: bool = False
 
 
 def hankel_rearrange(U: np.ndarray, P: int, L: int) -> np.ndarray:
@@ -132,6 +128,12 @@ def subspace_estimate(
     known anchor tap to fix the blind scale. Raises InsufficientData when
     the frame cannot supply the required windows and SolverDegenerate when
     the penalty minimizer is not isolated.
+
+    The noise subspace is well defined only when the N - w + 1 windows
+    can span the wM-dimensional signal subspace, N - w + 1 >= wM. With
+    fewer windows the sample covariance has a degenerate zero eigenspace,
+    the kept eigenvectors are chosen by rounding, and the estimate is not
+    reproducible under one-ulp changes of yN. This is not checked.
     """
     yN = np.asarray(yN, dtype=np.complex128)
     M, L, N, P = config.M, config.L, config.N, config.P
@@ -146,14 +148,12 @@ def subspace_estimate(
     for n in range(n_windows):
         Z[:, n] = yN[n * P: n * P + dim]
     cov = Z @ Z.conj().T / n_windows
-    if settings.shrinkage > 0:
-        cov = cov + settings.shrinkage * np.eye(dim)
     if np.real(np.trace(cov)) <= 0:
         raise InsufficientData("sample covariance carries no energy")
     n_noise = (w - 1) * L  # dim minus the model rank wM
     _, vecs = np.linalg.eigh(cov)
     h_hat = channel_from_noise_subspace(vecs[:, :n_noise], precoder.F, L)
-    return ChannelEstimate(h_hat=h_hat, resolved=False)
+    return ChannelEstimate(h_hat=h_hat)
 
 
 def resolve_ambiguity(estimate: ChannelEstimate, d: int, hd0: complex) -> ChannelEstimate:
@@ -171,4 +171,4 @@ def resolve_ambiguity(estimate: ChannelEstimate, d: int, hd0: complex) -> Channe
         )
     scaled = (hd0 / h[d]) * h
     scaled[d] = hd0  # exact, not up to rounding of the division
-    return ChannelEstimate(h_hat=scaled, resolved=True)
+    return ChannelEstimate(h_hat=scaled)

@@ -3,9 +3,9 @@
 Protocol per cell (one SNR point): draw n_channels unit-norm channels; for
 each channel run n_trials independent trials drawing a fresh QPSK frame and
 noise realization. Every trial estimates the channel blindly, resolves the
-scale against the true anchor tap, and accumulates the squared error; the
-bound trace is evaluated at the same (channel, frame, anchor) via the fast
-route. Averages over all included trials give mse_avg and crb_avg.
+scale against the true anchor tap h[d], and accumulates the squared error;
+the bound trace is evaluated at the same (channel, frame, anchor) via the
+fast route. Averages over all included trials give mse_avg and crb_avg.
 
 SNR convention: symbols have unit power and channels unit norm, so
 snr_db = 10 log10(1 / sigma2).
@@ -161,20 +161,13 @@ def run_cell(plan: ExperimentPlan, snr_db: float, estimate_fn=None) -> ResultRec
                 est = estimate_fn(
                     obs.yN, config, precoder, plan.estimator_settings
                 )
-                est = resolve_ambiguity(est, channel.d, channel.hd0)
+                est = resolve_ambiguity(est, channel.d, channel.h[channel.d])
                 bound = crb_fast(
                     channel.h, frame.sN, precoder, channel.d, sigma2, config.N
                 )
                 if plan.compute_zp_reference:
                     ref = crb_zp_per_block(
-                        channel.h,
-                        frame.sN,
-                        precoder.Ftilde,
-                        channel.d,
-                        sigma2,
-                        config.M,
-                        config.L,
-                        config.N,
+                        channel.h, frame.sN, precoder.Ftilde, channel.d, sigma2
                     )
                     zp_sum += ref.trace
             except NumericalError:

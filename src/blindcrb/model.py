@@ -101,10 +101,9 @@ class SystemConfig:
 
 @dataclass(frozen=True, eq=False)
 class Precoder:
-    """Redundancy matrix R (P x M), inner precoder Ftilde (M x M), and
-    their composite F = R @ Ftilde (P x M, full column rank)."""
+    """Inner precoder Ftilde (M x M) and the composite F = R @ Ftilde
+    (P x M, full column rank) with the redundancy matrix R."""
 
-    R: np.ndarray
     Ftilde: np.ndarray
     F: np.ndarray
 
@@ -113,14 +112,12 @@ class Precoder:
 class Channel:
     """FIR channel taps with the anchor tap used to fix the blind scale.
 
-    h has L+1 taps, d indexes the anchor tap (h[d] must be nonzero), and
-    hd0 records the anchor value handed to the ambiguity resolution. hd0
-    is metadata only; no bound computation reads it.
+    h has L+1 taps and d indexes the anchor tap, which must be nonzero;
+    h[d] is the known value the ambiguity resolution pins.
     """
 
     h: np.ndarray
     d: int
-    hd0: complex = None  # type: ignore[assignment]
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.complex128)
@@ -131,16 +128,13 @@ class Channel:
         if h[self.d] == 0:
             raise ValueError("anchor tap must be nonzero")
         object.__setattr__(self, "h", h)
-        if self.hd0 is None:
-            object.__setattr__(self, "hd0", complex(h[self.d]))
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolFrame:
-    """One frame of NM transmitted symbols and the constellation name."""
+    """One frame of NM transmitted symbols."""
 
     sN: np.ndarray
-    modulation: str = "qpsk"
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,38 +212,28 @@ def make_precoder(config: SystemConfig) -> Precoder:
         Ftilde = build_inner_precoder(config.inner_kind, config.M)
     F = R @ Ftilde
     _require_full_column_rank(F, "composite precoder")
-    return Precoder(R=R, Ftilde=Ftilde, F=F)
+    return Precoder(Ftilde=Ftilde, F=F)
 
 
 def build_channel_toeplitz(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Build a banded Toeplitz convolution matrix from the taps h.
+    """Build the tall banded Toeplitz convolution matrix of the taps h.
 
-    Two shapes are supported for taps h of order L = len(h) - 1:
-
-    * tall, rows = cols + L: entry (i, j) = h[i - j] for 0 <= i - j <= L.
-      Applying it to a length-cols sequence yields the full convolution.
-    * fat, cols = rows + L: entry (i, j) = h[L - (j - i)] for
-      0 <= j - i <= L, i.e. each row reads [h_L ... h_1 h_0] shifted one
-      step right per row. This is the tall form with its first and last L
-      rows cut.
+    For taps of order L = len(h) - 1, rows must equal cols + L; entry
+    (i, j) = h[i - j] for 0 <= i - j <= L, so applying it to a length-cols
+    sequence yields the full convolution.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.size < 1:
         raise ValueError("taps must form a nonempty 1-D array")
     L = h.size - 1
-    T = np.zeros((rows, cols), dtype=np.complex128)
-    if rows - cols == L:
-        for l in range(L + 1):
-            idx = np.arange(cols)
-            T[idx + l, idx] = h[l]
-    elif cols - rows == L:
-        for l in range(L + 1):
-            idx = np.arange(rows)
-            T[idx, idx + L - l] = h[l]
-    else:
+    if rows - cols != L:
         raise ValueError(
             f"shape {rows}x{cols} inconsistent with channel order {L}"
         )
+    T = np.zeros((rows, cols), dtype=np.complex128)
+    idx = np.arange(cols)
+    for l in range(L + 1):
+        T[idx + l, idx] = h[l]
     return T
 
 
@@ -295,7 +279,7 @@ def generate_symbols(modulation: str, M: int, N: int, rng) -> SymbolFrame:
     gen = _as_rng(rng)
     bits = gen.integers(0, 2, size=(2, N * M))
     sN = ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2)
-    return SymbolFrame(sN=sN.astype(np.complex128), modulation=modulation)
+    return SymbolFrame(sN=sN.astype(np.complex128))
 
 
 def synthesize_observation(

@@ -92,6 +92,15 @@ class TestRun:
         assert "L = 4" in out
         assert "snr_db_grid = 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0" in out
 
+    def test_default_plan_has_enough_windows(self, capsys):
+        # the estimator's noise subspace is well defined only when the
+        # N - w + 1 windows can span the w M signal dimensions
+        main(["run", "--dump-config"])
+        lines = capsys.readouterr().out.splitlines()
+        values = dict(line.split(" = ", 1) for line in lines)
+        M, N, w = (int(values[k]) for k in ("M", "N", "window_blocks"))
+        assert N - w + 1 >= w * M
+
 
 class TestRunErrors:
     def test_unknown_key(self, tmp_path, capsys):
@@ -131,6 +140,14 @@ class TestRunErrors:
             main(["run", "--config", str(run_config), "--override", "h=1"])
             == EXIT_USAGE
         )
+
+    @pytest.mark.parametrize("key", ["sigma2", "shrinkage"])
+    def test_keys_that_change_nothing_are_unknown(self, run_config, key, capsys):
+        # run_cell sets sigma2 from the SNR grid, and a diagonal load
+        # leaves the estimate unchanged, so run takes neither
+        code = main(["run", "--config", str(run_config), "--override", f"{key}=0.5"])
+        assert code == EXIT_USAGE
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 class TestCrb:

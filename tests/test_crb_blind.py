@@ -165,7 +165,7 @@ class TestCrbDirect:
 
     def test_singular_symbol_block_is_rejected(self):
         blocks = FimBlocks(
-            J00=np.eye(3), J01=np.zeros((3, 4)), J11=np.ones((4, 4)), sigma2=1.0
+            J00=np.eye(3), J01=np.zeros((3, 4)), J11=np.ones((4, 4))
         )
         with pytest.raises(IllConditioned) as exc:
             crb_direct(blocks, 0)
@@ -176,7 +176,6 @@ class TestCrbDirect:
             J00=np.diag([1.0, 1.0, 0.0]).astype(complex),
             J01=np.zeros((3, 4)),
             J11=np.eye(4),
-            sigma2=1.0,
         )
         with pytest.raises(IllConditioned) as exc:
             crb_direct(blocks, 0)
@@ -184,7 +183,7 @@ class TestCrbDirect:
 
     def test_rejects_anchor_out_of_range(self):
         blocks = FimBlocks(
-            J00=np.eye(3), J01=np.zeros((3, 4)), J11=np.eye(4), sigma2=1.0
+            J00=np.eye(3), J01=np.zeros((3, 4)), J11=np.eye(4)
         )
         with pytest.raises(ValueError, match="anchor"):
             crb_direct(blocks, 3)
@@ -408,7 +407,7 @@ class TestCrbFastSweep:
         with pytest.raises(AssertionError):
             build_K(cfg, pre, h)
         crb_fast(h, s, pre, default_anchor(h), cfg.sigma2, cfg.N)
-        crb_zp_per_block(h, s, pre.Ftilde, 0, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+        crb_zp_per_block(h, s, pre.Ftilde, 0, cfg.sigma2)
         synthesize_observation(cfg, pre, h, s, rng=0)
 
 
@@ -424,9 +423,7 @@ class TestZpPerBlock:
             cfg, pre, h, s = self.make_zp(rng, inner=inner)
             d = default_anchor(h)
             frame = crb_fast(h, s, pre, d, cfg.sigma2, cfg.N)
-            full = crb_zp_per_block(
-                h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N
-            )
+            full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
             assert_psd(
                 frame.C - full.C,
                 scale_tol=1e-10,
@@ -445,9 +442,7 @@ class TestZpPerBlock:
             s = generate_symbols("qpsk", 6, N, 11).sN
             d = default_anchor(h)
             frame = crb_fast(h, s, pre, d, cfg.sigma2, cfg.N)
-            full = crb_zp_per_block(
-                h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N
-            )
+            full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
             margins.append(10 * np.log10(frame.trace / full.trace))
         assert all(m > 0 for m in margins)
         assert margins[2] < margins[0]
@@ -458,7 +453,7 @@ class TestZpPerBlock:
         rng = np.random.default_rng(43)
         cfg, pre, h, s = self.make_zp(rng, M=4, L=2, N=3)
         d = default_anchor(h)
-        full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+        full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
 
         from blindcrb import build_channel_toeplitz
 
@@ -479,7 +474,7 @@ class TestZpPerBlock:
         for inner in ("identity", "idft"):
             cfg, pre, h, s = self.make_zp(rng, M=6, L=2, N=25, inner=inner)
             d = default_anchor(h)
-            full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+            full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
             oracle = crb_zp_kron(h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
             np.testing.assert_allclose(full.C, oracle, atol=1e-12 * np.linalg.norm(oracle))
 
@@ -488,20 +483,28 @@ class TestZpPerBlock:
         cfg, pre, h, s = self.make_zp(rng)
         Ftilde = np.diag([1.0] * (cfg.M - 1) + [0.0]).astype(complex)
         with pytest.raises(IllConditioned) as exc:
-            crb_zp_per_block(h, s, Ftilde, 0, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+            crb_zp_per_block(h, s, Ftilde, 0, cfg.sigma2)
         assert "J11" in exc.value.matrix_name
 
     def test_rejects_composite_precoder(self):
         rng = np.random.default_rng(44)
         cfg, pre, h, s = self.make_zp(rng)
         with pytest.raises(ValueError, match="square inner"):
-            crb_zp_per_block(h, s, pre.F, 0, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+            crb_zp_per_block(h, s, pre.F, 0, cfg.sigma2)
+
+    def test_rejects_partial_block(self):
+        rng = np.random.default_rng(47)
+        cfg, pre, h, s = self.make_zp(rng)
+        with pytest.raises(ValueError, match="whole blocks"):
+            crb_zp_per_block(h, s[:-1], pre.Ftilde, 0, cfg.sigma2)
 
     def test_rejects_wrong_tap_count(self):
+        # L comes from the taps, so only a tap vector with no non-anchor
+        # tap is left to reject
         rng = np.random.default_rng(45)
         cfg, pre, h, s = self.make_zp(rng)
         with pytest.raises(ValueError, match="taps"):
-            crb_zp_per_block(h[:-1], s, pre.Ftilde, 0, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+            crb_zp_per_block(h[:1], s, pre.Ftilde, 0, cfg.sigma2)
 
 
 class TestPrecoderInsensitivity:
