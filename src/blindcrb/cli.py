@@ -90,7 +90,7 @@ _KEY_SPECS = {
     "seed": (int, str),
 }
 
-# run takes no sigma2: run_cell sets it per cell from the SNR grid.
+# run takes no sigma2: the harness sets it per cell from the SNR grid.
 _FRAME_KEYS = ("M", "L", "N", "redundancy_kind", "inner_kind")
 
 _RUN_KEYS = _FRAME_KEYS + (

@@ -22,6 +22,11 @@ known. Two routes to the same L x L bound over the remaining taps:
   Cost: O(N M^3) time and O(NP) memory, against O((NM)^3) and
   O((NM)^2) for a dense QR of K.
 
+The bound scales exactly as sigma2: fast_information and zp_information
+return the reduced information with the noise factored out,
+D0 = sigma2 D, which depends only on the channel and the frame, so a caller that sweeps the
+noise level computes it once and inverts D0 / sigma2 per level.
+
 Both routes reject ill-conditioned inversions instead of returning noise,
 so Monte Carlo callers can count and exclude pathological draws.
 """
@@ -100,8 +105,7 @@ def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlock
     is evaluated at. Entries: J00[i,j] = s^H K_i^H K_j s / sigma2,
     J01[i,:] = s^H K_i^H K / sigma2, J11 = K^H K / sigma2.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    _require_positive_sigma2(sigma2)
     K = np.asarray(K, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     if sN.shape != (K.shape[1],):
@@ -112,6 +116,11 @@ def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlock
     J01 = (W.conj() @ K) / sigma2
     J11 = (K.conj().T @ K) / sigma2
     return FimBlocks(J00=_hermitize(J00), J01=J01, J11=_hermitize(J11))
+
+
+def _require_positive_sigma2(sigma2: float):
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
 
 
 def _delete_anchor(D: np.ndarray, d: int) -> np.ndarray:
@@ -181,7 +190,22 @@ def crb_fast(
     sigma2: float,
     N: int,
 ) -> CrbResult:
-    """Bound over the non-anchor taps via the left-null-space route.
+    """Bound over the non-anchor taps via the left-null-space route:
+    the sweep of fast_information, scaled by 1/sigma2 and inverted."""
+    _require_positive_sigma2(sigma2)
+    return _invert_reduced(fast_information(h, sN, precoder, N) / sigma2, d, "fast")
+
+
+def fast_information(
+    h: np.ndarray,
+    sN: np.ndarray,
+    precoder: Precoder,
+    N: int,
+) -> np.ndarray:
+    """The reduced information of the fast route times sigma2, D0 = sigma2 D.
+
+    The bound is the anchor-reduced inverse of D0 / sigma2, so D0 depends
+    only on the channel and the frame and serves every noise level.
 
     Sweeps the column blocks of K in order. Step n stacks the L rows
     carried from step n-1 over the P new rows of block n, appends L marker
@@ -190,7 +214,7 @@ def crb_fast(
     takes the R factor of that window. Rows 0..M-1 of R close block n;
     rows M..M+L-1 carry on, their block n+1 entries read off the markers;
     the last L rows are zero in every later column, so they are finished
-    left-null-space rows whose V^T part fin adds fin^H fin to D. Step 0
+    left-null-space rows whose V^T part fin adds fin^H fin to D0. Step 0
     has no carry and the last step no markers; (N-1)L rows finish in all.
 
     The rank gate works on |diag(R)| of the K columns, the distance of
@@ -212,8 +236,8 @@ def crb_fast(
         )
     if sN.shape != (N * M,):
         raise ValueError(f"expected {N * M} symbols, got shape {sN.shape}")
-    # Validates N and sigma2 the way every frame-level entry point does.
-    SystemConfig(M=M, L=L, N=N, sigma2=sigma2)
+    # Validates N the way every frame-level entry point does.
+    SystemConfig(M=M, L=L, N=N)
     B = build_channel_toeplitz(h, P + L, P) @ precoder.F
     x = (sN.reshape(N, M) @ precoder.F.T).ravel()
     Vt = sliding_window_view(x, L + 1)[:, ::-1]
@@ -242,7 +266,7 @@ def crb_fast(
             f"K is column-rank-deficient (diag ratio {diag.min() / diag.max():.3e})"
         )
     fin = np.vstack(fins)
-    return _invert_reduced(_hermitize(fin.conj().T @ fin) / sigma2, d, "fast")
+    return _hermitize(fin.conj().T @ fin)
 
 
 def crb_zp_per_block(
@@ -264,6 +288,16 @@ def crb_zp_per_block(
     from the length of sN. One M x M solve serves all N blocks; neither
     the NM x NM symbol block nor any Kronecker product is formed.
     """
+    _require_positive_sigma2(sigma2)
+    return _invert_reduced(zp_information(h, sN, Ftilde) / sigma2, d, "zp_per_block")
+
+
+def zp_information(h: np.ndarray, sN: np.ndarray, Ftilde: np.ndarray) -> np.ndarray:
+    """The reduced information of crb_zp_per_block times sigma2.
+
+    Like fast_information, it depends only on the channel and the frame;
+    the bound is the anchor-reduced inverse of the result over sigma2.
+    """
     h = np.asarray(h, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     Ftilde = np.asarray(Ftilde, dtype=np.complex128)
@@ -280,13 +314,11 @@ def crb_zp_per_block(
         raise ValueError(
             f"expected whole blocks of {M} symbols, got shape {sN.shape}"
         )
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     L = h.size - 1
     P = M + L
-    # J11 = I_N kron A^H A / sigma2 and row l of J01 holds the blocks
-    # (T_l z_n)^H A / sigma2, so the Schur complement is a sum of N
-    # per-block terms against the one M x M Gram A^H A.
+    # sigma2 J11 = I_N kron A^H A and row l of sigma2 J01 holds the blocks
+    # (T_l z_n)^H A, so the Schur complement is a sum of N per-block terms
+    # against the one M x M Gram A^H A.
     A = build_channel_toeplitz(h, P, M) @ Ftilde
     gram = A.conj().T @ A
     _require_conditioned(gram, "symbol information block J11")
@@ -299,4 +331,4 @@ def crb_zp_per_block(
     X = np.linalg.solve(gram, Y.reshape(M, -1)).reshape(M, N, L + 1)
     D = (np.einsum("pni,pnk->ik", U.conj(), U)
          - np.einsum("mni,mnk->ik", Y.conj(), X))
-    return _invert_reduced(_hermitize(D) / sigma2, d, "zp_per_block")
+    return _hermitize(D)

@@ -314,10 +314,15 @@ def synthesize_observation(
     x = (sN.reshape(config.N, config.M) @ precoder.F.T).ravel()
     y = np.convolve(h, x)[config.L: config.N * config.P]
     if var > 0:
-        gen = _as_rng(rng)
-        noise = gen.standard_normal(y.size) + 1j * gen.standard_normal(y.size)
-        y = y + np.sqrt(var / 2) * noise
+        y = y + np.sqrt(var / 2) * draw_noise(y.size, rng)
     return Observation(yN=y)
+
+
+def draw_noise(size: int, rng) -> np.ndarray:
+    """Circular complex Gaussian noise with unit-variance real and
+    imaginary parts; scaled by sqrt(sigma2/2) it has variance sigma2."""
+    gen = _as_rng(rng)
+    return gen.standard_normal(size) + 1j * gen.standard_normal(size)
 
 
 def loglik_gradients(

@@ -143,7 +143,7 @@ class TestRunErrors:
 
     @pytest.mark.parametrize("key", ["sigma2", "shrinkage"])
     def test_keys_that_change_nothing_are_unknown(self, run_config, key, capsys):
-        # run_cell sets sigma2 from the SNR grid, and a diagonal load
+        # the harness sets sigma2 from the SNR grid, and a diagonal load
         # leaves the estimate unchanged, so run takes neither
         code = main(["run", "--config", str(run_config), "--override", f"{key}=0.5"])
         assert code == EXIT_USAGE

@@ -9,12 +9,14 @@ complex scale: after ambiguity resolution the cell's mse_avg must vanish.
 import numpy as np
 import pytest
 
+from blindcrb import harness
 from blindcrb import (
     CSV_HEADER,
     ChannelEstimate,
     ExclusionBudgetExceeded,
     ExperimentPlan,
     IllConditioned,
+    RankDeficient,
     ResultRecord,
     SystemConfig,
     draw_channel,
@@ -38,21 +40,27 @@ def channel_sequence(plan):
     ]
 
 
-def oracle_estimator(plan, fail_calls=()):
-    """Estimator stub returning the true channel scaled by 2+1j; raises a
-    numerical error on the per-cell call indices in fail_calls. The call
-    counter wraps at one cell's worth of trials so a single stub can serve
-    a whole experiment."""
+def oracle_estimator(plan, fail_trials=(), n_snr=None):
+    """Estimator stub returning the true channel scaled by 2+1j.
+
+    Calls arrive in the documented order (channel i, then trial j, then
+    SNR point), so call k serves trial t = k // n_snr, whose channel is
+    t // n_trials. n_snr is the number of SNR points each trial runs at:
+    the plan's grid (the default) for run_experiment, 1 for run_cell. The
+    stub raises a numerical error for the trials t in fail_trials, at
+    every SNR point. The trial counter wraps at one cell's worth of
+    trials so a single stub can serve repeated runs."""
     channels = channel_sequence(plan)
     per_cell = plan.n_channels * plan.n_trials
+    n_snr = len(plan.snr_db_grid) if n_snr is None else n_snr
     state = {"call": 0}
 
     def estimate(yN, config, precoder, settings):
-        k = state["call"] % per_cell
+        t = (state["call"] // n_snr) % per_cell
         state["call"] += 1
-        if k in fail_calls:
+        if t in fail_trials:
             raise IllConditioned("stub", float("inf"))
-        return ChannelEstimate(h_hat=(2 + 1j) * channels[k // plan.n_trials].h)
+        return ChannelEstimate(h_hat=(2 + 1j) * channels[t // plan.n_trials].h)
 
     return estimate
 
@@ -146,7 +154,7 @@ class TestResultRecordValidation:
 class TestRunCell:
     def test_oracle_estimator_gives_zero_mse(self):
         plan = small_plan()
-        record = run_cell(plan, 20.0, estimate_fn=oracle_estimator(plan))
+        record = run_cell(plan, 20.0, estimate_fn=oracle_estimator(plan, n_snr=1))
         assert record.mse_avg <= 1e-25
         assert record.crb_avg > 0
         assert record.excluded_trials == 0
@@ -173,7 +181,9 @@ class TestRunCell:
 
     def test_exclusions_under_budget_are_counted(self):
         plan = small_plan(n_channels=1, n_trials=101)
-        record = run_cell(plan, 20.0, estimate_fn=oracle_estimator(plan, fail_calls={0}))
+        record = run_cell(
+            plan, 20.0, estimate_fn=oracle_estimator(plan, fail_trials={0}, n_snr=1)
+        )
         assert record.excluded_trials == 1
         assert record.mse_avg <= 1e-25
 
@@ -212,6 +222,150 @@ class TestRunExperiment:
         plan = small_plan(snr_db_grid=(0.0, 20.0), n_channels=2, n_trials=1)
         lo, hi = run_experiment(plan, estimate_fn=oracle_estimator(plan))
         assert hi.crb_avg < lo.crb_avg
+        assert lo.mse_avg <= 1e-25 and hi.mse_avg <= 1e-25
+
+
+def idft_plan(**overrides):
+    return small_plan(
+        config=SystemConfig(M=4, L=2, N=14, inner_kind="idft"), **overrides
+    )
+
+
+def zp_plan(**overrides):
+    return small_plan(
+        config=SystemConfig(M=4, L=2, N=14, redundancy_kind="zp"),
+        compute_zp_reference=True,
+        **overrides,
+    )
+
+
+def custom_plan(**overrides):
+    rng = np.random.default_rng(3)
+    custom = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    return small_plan(
+        config=SystemConfig(
+            M=4, L=2, N=14, redundancy_kind="custom", custom_redundancy=custom
+        ),
+        **overrides,
+    )
+
+
+def counting(fn, calls, fail_at=()):
+    """Wrap fn to append each call's index to calls; the calls whose index
+    is in fail_at raise RankDeficient instead."""
+
+    def wrapped(*args, **kwargs):
+        calls.append(len(calls))
+        if calls[-1] in fail_at:
+            raise RankDeficient("stub")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestSnrSharing:
+    """Each (channel, trial) is drawn and its bound information computed
+    once and then evaluated at every SNR point; the cells must come out as
+    if each were run alone."""
+
+    grid = (10.0, 20.0, 30.0)
+
+    @pytest.mark.parametrize(
+        "make_plan",
+        [small_plan, idft_plan, custom_plan, zp_plan],
+        ids=["cp-identity", "cp-idft", "custom", "zp-reference"],
+    )
+    def test_experiment_equals_cells_run_alone(self, make_plan):
+        plan = make_plan(snr_db_grid=self.grid)
+        together = format_csv(run_experiment(plan))
+        alone = format_csv([run_cell(plan, snr) for snr in plan.snr_db_grid])
+        assert together == alone
+
+    @pytest.mark.parametrize("make_plan", [small_plan, zp_plan])
+    def test_bound_information_once_per_trial(self, make_plan, monkeypatch):
+        plan = make_plan(snr_db_grid=self.grid, n_channels=2, n_trials=3)
+        fast, zp, estimates = [], [], []
+        monkeypatch.setattr(
+            harness, "fast_information", counting(harness.fast_information, fast)
+        )
+        monkeypatch.setattr(
+            harness, "zp_information", counting(harness.zp_information, zp)
+        )
+        monkeypatch.setattr(
+            harness,
+            "subspace_estimate",
+            counting(harness.subspace_estimate, estimates),
+        )
+        records = run_experiment(plan)
+        trials = plan.n_channels * plan.n_trials
+        assert len(fast) == trials
+        assert len(zp) == (trials if plan.compute_zp_reference else 0)
+        assert len(estimates) == len(self.grid) * trials
+        assert all(r.excluded_trials == 0 for r in records)
+
+    def test_rank_deficient_trial_excluded_in_every_cell(self, monkeypatch):
+        plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
+        channel = channel_sequence(plan)[0]
+        fast, estimates = [], []
+        monkeypatch.setattr(
+            harness,
+            "fast_information",
+            counting(harness.fast_information, fast, fail_at={1}),
+        )
+
+        def estimate(yN, config, precoder, settings):
+            estimates.append(config.sigma2)
+            return ChannelEstimate(h_hat=(2 + 1j) * channel.h)
+
+        records = run_experiment(plan, estimate_fn=estimate)
+        assert [r.excluded_trials for r in records] == [1, 1, 1]
+        assert all(r.mse_avg <= 1e-25 for r in records)
+        assert len(fast) == 101
+        # the excluded trial makes no estimator calls
+        assert len(estimates) == 3 * 100
+
+    def test_estimator_failure_excluded_in_its_own_cell_only(self):
+        plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
+        channel = channel_sequence(plan)[0]
+        target = sigma2_from_snr_db(20.0)
+        seen = []
+
+        def estimate(yN, config, precoder, settings):
+            if config.sigma2 == target:
+                seen.append(yN)
+                if len(seen) == 1:
+                    raise IllConditioned("stub", float("inf"))
+            return ChannelEstimate(h_hat=(2 + 1j) * channel.h)
+
+        records = run_experiment(plan, estimate_fn=estimate)
+        assert [r.excluded_trials for r in records] == [0, 1, 0]
+        assert len(seen) == 101
+        assert all(r.mse_avg <= 1e-25 for r in records)
+
+    def test_first_cell_over_budget_is_named(self):
+        plan = small_plan(snr_db_grid=self.grid)
+        channels = channel_sequence(plan)
+        fails = {sigma2_from_snr_db(20.0): 1, sigma2_from_snr_db(30.0): 4}
+        calls = {}
+
+        def estimate(yN, config, precoder, settings):
+            k = calls[config.sigma2] = calls.get(config.sigma2, -1) + 1
+            if k < fails.get(config.sigma2, 0):
+                raise IllConditioned("stub", float("inf"))
+            return ChannelEstimate(h_hat=channels[k // plan.n_trials].h)
+
+        with pytest.raises(
+            ExclusionBudgetExceeded, match=r"^1 of 4 trials excluded at 20\.0 dB$"
+        ):
+            run_experiment(plan, estimate_fn=estimate)
+
+    def test_template_sigma2_is_never_read(self):
+        plans = [
+            small_plan(config=SystemConfig(M=4, L=2, N=14, sigma2=sigma2))
+            for sigma2 in (1.0, 7.5)
+        ]
+        csvs = [format_csv(run_experiment(plan)) for plan in plans]
+        assert csvs[0] == csvs[1]
 
 
 class TestCsv:
