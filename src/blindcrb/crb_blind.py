@@ -24,8 +24,14 @@ known. Two routes to the same L x L bound over the remaining taps:
 
 The bound scales exactly as sigma2: fast_information and zp_information
 return the reduced information with the noise factored out,
-D0 = sigma2 D, which depends only on the channel and the frame, so a caller that sweeps the
-noise level computes it once and inverts D0 / sigma2 per level.
+D0 = sigma2 D, which depends only on the channel and the frame, so a
+caller that sweeps the noise level computes it once and inverts
+D0 / sigma2 per level. Both take a batch of T frames sent over one
+channel and return T matrices D0. Only the windows v_k depend on the
+frame, so one sweep serves the batch: its rotations, carried rows and
+rank gate are the channel's, and the frames' windows ride along side by
+side, in O(NP + N L T(L+1)) memory. crb_fast and crb_zp_per_block are
+batches of one.
 
 Both routes reject ill-conditioned inversions instead of returning noise,
 so Monte Carlo callers can count and exclude pathological draws.
@@ -191,82 +197,107 @@ def crb_fast(
     N: int,
 ) -> CrbResult:
     """Bound over the non-anchor taps via the left-null-space route:
-    the sweep of fast_information, scaled by 1/sigma2 and inverted."""
+    the sweep of fast_information on a batch of one frame, scaled by
+    1/sigma2 and inverted."""
     _require_positive_sigma2(sigma2)
-    return _invert_reduced(fast_information(h, sN, precoder, N) / sigma2, d, "fast")
+    sN = np.asarray(sN, dtype=np.complex128)
+    D0 = fast_information(h, sN[None], precoder, N)[0]
+    return _invert_reduced(D0 / sigma2, d, "fast")
 
 
 def fast_information(
     h: np.ndarray,
-    sN: np.ndarray,
+    sNs: np.ndarray,
     precoder: Precoder,
     N: int,
 ) -> np.ndarray:
-    """The reduced information of the fast route times sigma2, D0 = sigma2 D.
+    """The reduced information of the fast route times sigma2, D0 = sigma2 D,
+    for a batch of frames sent over one channel.
 
-    The bound is the anchor-reduced inverse of D0 / sigma2, so D0 depends
-    only on the channel and the frame and serves every noise level.
+    sNs is a (T, NM) stack of T frames; the result is the (T, L+1, L+1)
+    stack of their D0. The bound of frame t is the anchor-reduced inverse
+    of D0[t] / sigma2, so D0 depends only on the channel and the frame and
+    serves every noise level.
 
     Sweeps the column blocks of K in order. Step n stacks the L rows
     carried from step n-1 over the P new rows of block n, appends L marker
     columns (the identity on the window's last L rows, which block n+1
-    also touches) and the window's rows of V^T, V^T[r, k] = x[L+r-k], and
-    takes the R factor of that window. Rows 0..M-1 of R close block n;
-    rows M..M+L-1 carry on, their block n+1 entries read off the markers;
-    the last L rows are zero in every later column, so they are finished
-    left-null-space rows whose V^T part fin adds fin^H fin to D0. Step 0
-    has no carry and the last step no markers; (N-1)L rows finish in all.
+    also touches) and then, side by side, each frame's rows of V^T,
+    V^T[r, k] = x[L+r-k], and takes the R factor of that window. Rows
+    0..M-1 of R close block n; rows M..M+L-1 carry on, their block n+1
+    entries read off the markers; the last L rows are zero in every later
+    column, so they are finished left-null-space rows, and frame t's
+    columns of them, fin_t, add fin_t^H fin_t to D0[t]. Step 0 has no
+    carry and the last step no markers; (N-1)L rows finish in all.
+
+    Only the V^T columns depend on the frame. The reflectors that
+    triangularize the K and marker columns come first, so they, the carry
+    and the rank gate are the same for every frame of the batch. The
+    reflectors the later frame columns bring in act on the finished rows
+    alone; they rotate those rows, which leaves the Gram of each frame's
+    columns, and so each D0[t], unchanged.
 
     The rank gate works on |diag(R)| of the K columns, the distance of
     each column of K from the span of the ones before it, which is the
     same for any QR of K: the smallest singular value never exceeds the
     smallest diagonal magnitude, so a collapsed diagonal proves rank
-    deficiency. Draws that slip past it are still caught by the
+    deficiency. It reads only the channel, so it rejects every frame of
+    the batch or none. Draws that slip past it are still caught by the
     conditioning gate on the reduced information.
 
-    O(N M^3) time and O(NP) memory; neither K nor I_N kron F is formed.
+    O(N M^2 (M + T(L+1))) time and O(NP + N L T(L+1)) memory: V^T is a
+    strided view of the transmitted streams, and neither K nor
+    I_N kron F is formed.
     """
     h = np.asarray(h, dtype=np.complex128)
-    sN = np.asarray(sN, dtype=np.complex128)
+    sNs = np.asarray(sNs, dtype=np.complex128)
     P, M = precoder.F.shape
     L = h.size - 1
     if P != M + L:
         raise ValueError(
             f"channel order {L} inconsistent with precoder shape {P}x{M}"
         )
-    if sN.shape != (N * M,):
-        raise ValueError(f"expected {N * M} symbols, got shape {sN.shape}")
+    if sNs.ndim != 2 or sNs.shape[0] < 1 or sNs.shape[1] != N * M:
+        raise ValueError(
+            f"expected a stack of frames of {N * M} symbols, got shape {sNs.shape}"
+        )
     # Validates N the way every frame-level entry point does.
     SystemConfig(M=M, L=L, N=N)
+    T = sNs.shape[0]
     B = build_channel_toeplitz(h, P + L, P) @ precoder.F
-    x = (sN.reshape(N, M) @ precoder.F.T).ravel()
-    Vt = sliding_window_view(x, L + 1)[:, ::-1]
-    # The window of a middle step: columns [K block | markers | V^T],
-    # rows [carry; new]. Only the carry rows and the new V^T rows change
-    # from step to step.
-    W = np.zeros((M + 2 * L, M + 2 * L + 1), dtype=np.complex128)
+    x = (sNs.reshape(T, N, M) @ precoder.F.T).reshape(T, N * P)
+    # Vt[t, r] is row r of frame t's V^T; a view of x, never copied whole.
+    Vt = sliding_window_view(x, L + 1, axis=1)[:, :, ::-1]
+    # The window of a middle step: columns [K block | markers | V^T of
+    # frame 0 | ... | V^T of frame T-1], rows [carry; new]. Only the carry
+    # rows and the new V^T rows change from step to step.
+    W = np.zeros((M + 2 * L, M + L + T * (L + 1)), dtype=np.complex128)
     W[L:, :M] = B[L:]
     W[M + L:, M: M + L] = np.eye(L)
+    new_v = W[L:, M + L:].reshape(P, T, L + 1)
     diag = np.empty((N, M))
-    fins = []
+    # fin[t] holds frame t's columns of the finished rows, step by step.
+    fin = np.empty((T, (N - 1) * L, L + 1), dtype=np.complex128)
     for n in range(N - 1):
-        W[L:, M + L:] = Vt[n * P: (n + 1) * P]
+        new_v[...] = Vt[:, n * P: (n + 1) * P].transpose(1, 0, 2)
         R = np.linalg.qr(W if n else W[L:], mode="r")
         diag[n] = np.abs(R.diagonal()[:M])
-        fins.append(R[M + L:, M + L:])  # no rows at step 0
+        if n:  # no rows finish at step 0
+            fin[:, (n - 1) * L: n * L] = (
+                R[M + L:, M + L:].reshape(L, T, L + 1).transpose(1, 0, 2)
+            )
         W[:L, :M] = R[M: M + L, M: M + L] @ B[:L]
         W[:L, M + L:] = R[M: M + L, M + L:]
     # The last step: the carry over the M rows left, and no markers.
-    W[L: L + M, M + L:] = Vt[(N - 1) * P:]
+    new_v[:M] = Vt[:, (N - 1) * P:].transpose(1, 0, 2)
     R = np.linalg.qr(np.delete(W[: L + M], np.s_[M: M + L], axis=1), mode="r")
     diag[N - 1] = np.abs(R.diagonal()[:M])
-    fins.append(R[M:, M:])
+    fin[:, (N - 2) * L:] = R[M:, M:].reshape(L, T, L + 1).transpose(1, 0, 2)
     if diag.min() <= RANK_RTOL * diag.max():
         raise RankDeficient(
             f"K is column-rank-deficient (diag ratio {diag.min() / diag.max():.3e})"
         )
-    fin = np.vstack(fins)
-    return _hermitize(fin.conj().T @ fin)
+    return np.stack([_hermitize(f.conj().T @ f) for f in fin])
 
 
 def crb_zp_per_block(
@@ -289,17 +320,23 @@ def crb_zp_per_block(
     the NM x NM symbol block nor any Kronecker product is formed.
     """
     _require_positive_sigma2(sigma2)
-    return _invert_reduced(zp_information(h, sN, Ftilde) / sigma2, d, "zp_per_block")
+    sN = np.asarray(sN, dtype=np.complex128)
+    D0 = zp_information(h, sN[None], Ftilde)[0]
+    return _invert_reduced(D0 / sigma2, d, "zp_per_block")
 
 
-def zp_information(h: np.ndarray, sN: np.ndarray, Ftilde: np.ndarray) -> np.ndarray:
-    """The reduced information of crb_zp_per_block times sigma2.
+def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.ndarray:
+    """The reduced information of crb_zp_per_block times sigma2, for a
+    (T, NM) stack of frames sent over one channel; returns the
+    (T, L+1, L+1) stack.
 
     Like fast_information, it depends only on the channel and the frame;
-    the bound is the anchor-reduced inverse of the result over sigma2.
+    the bound of frame t is the anchor-reduced inverse of the result's
+    [t] over sigma2. The Gram A^H A, its conditioning gate and its one
+    solve serve every frame of the batch.
     """
     h = np.asarray(h, dtype=np.complex128)
-    sN = np.asarray(sN, dtype=np.complex128)
+    sNs = np.asarray(sNs, dtype=np.complex128)
     Ftilde = np.asarray(Ftilde, dtype=np.complex128)
     if h.ndim != 1 or h.size < 2:
         raise ValueError(f"need a 1-D array of at least 2 taps, got shape {h.shape}")
@@ -309,10 +346,13 @@ def zp_information(h: np.ndarray, sN: np.ndarray, Ftilde: np.ndarray) -> np.ndar
             "pass the square inner precoder, not the composite"
         )
     M = Ftilde.shape[0]
-    N, rem = divmod(sN.size, M)
-    if sN.ndim != 1 or rem or N < 1:
+    if sNs.ndim != 2 or sNs.shape[0] < 1:
+        raise ValueError(f"expected a stack of frames, got shape {sNs.shape}")
+    T = sNs.shape[0]
+    N, rem = divmod(sNs.shape[1], M)
+    if rem or N < 1:
         raise ValueError(
-            f"expected whole blocks of {M} symbols, got shape {sN.shape}"
+            f"expected whole blocks of {M} symbols, got shape {sNs.shape}"
         )
     L = h.size - 1
     P = M + L
@@ -322,13 +362,20 @@ def zp_information(h: np.ndarray, sN: np.ndarray, Ftilde: np.ndarray) -> np.ndar
     A = build_channel_toeplitz(h, P, M) @ Ftilde
     gram = A.conj().T @ A
     _require_conditioned(gram, "symbol information block J11")
-    z = sN.reshape(N, M) @ Ftilde.T
-    # U[:, n, l] = T_l z_n: block n's inner-precoded symbols delayed by l.
-    U = np.zeros((P, N, L + 1), dtype=np.complex128)
+    z = sNs.reshape(T, N, M) @ Ftilde.T
+    # U[t, :, n, l] = T_l z_n of frame t: block n's inner-precoded symbols
+    # delayed by l.
+    U = np.zeros((T, P, N, L + 1), dtype=np.complex128)
     for l in range(L + 1):
-        U[l: l + M, :, l] = z.T
-    Y = (A.conj().T @ U.reshape(P, -1)).reshape(M, N, L + 1)
-    X = np.linalg.solve(gram, Y.reshape(M, -1)).reshape(M, N, L + 1)
-    D = (np.einsum("pni,pnk->ik", U.conj(), U)
-         - np.einsum("mni,mnk->ik", Y.conj(), X))
-    return _hermitize(D)
+        U[:, l: l + M, :, l] = z.transpose(0, 2, 1)
+    Y = A.conj().T @ U.reshape(T, P, -1)
+    # One solve for every frame: the right-hand sides side by side.
+    X = np.linalg.solve(gram, Y.transpose(1, 0, 2).reshape(M, -1))
+    X = X.reshape(M, T, -1).transpose(1, 0, 2)
+    return np.stack([
+        _hermitize(np.einsum("pni,pnk->ik", u.conj(), u)
+                   - np.einsum("mni,mnk->ik", y.conj(), x))
+        for u, y, x in zip(
+            U, Y.reshape(T, M, N, L + 1), X.reshape(T, M, N, L + 1)
+        )
+    ])

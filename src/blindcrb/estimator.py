@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
 from .model import Precoder, SystemConfig
@@ -144,9 +145,8 @@ def subspace_estimate(
         raise InsufficientData(f"windows of {w} blocks do not fit in {N} blocks")
     dim = w * P - L
     n_windows = N - w + 1
-    Z = np.empty((dim, n_windows), dtype=np.complex128)
-    for n in range(n_windows):
-        Z[:, n] = yN[n * P: n * P + dim]
+    # Column n is the window yN[nP: nP + dim].
+    Z = np.ascontiguousarray(sliding_window_view(yN, dim)[::P][:n_windows].T)
     cov = Z @ Z.conj().T / n_windows
     if np.real(np.trace(cov)) <= 0:
         raise InsufficientData("sample covariance carries no energy")

@@ -11,15 +11,16 @@ fast route. Averages over the included trials of a cell give its mse_avg
 and crb_avg.
 
 Loop order: channel, then trial, then SNR point in ascending order. What
-does not depend on the noise level is computed once per (channel, trial)
-and shared by every SNR point: the channel, the frame, the noiseless
-received frame, the unit noise draw, and the bound's reduced information
-with the noise factored out, D0 (and the zero-padding reference's D0 when
-the plan asks for it). Per SNR point three steps remain: y = clean +
-sqrt(sigma2/2) * noise, the estimator with resolve_ambiguity, and the
-inversion of D0 / sigma2. These are the floating-point operations of a
-cell-by-cell run, so a cell's record does not depend on which other
-cells run with it.
+does not depend on the noise level is computed before the SNR points and
+shared by all of them. Per channel: the channel is drawn, then every
+trial's frame, noiseless received frame and unit noise draw, and then
+one call per D0 function gives the bound's reduced information with the
+noise factored out, D0, for all of the channel's trials at once (and the
+zero-padding reference's D0 when the plan asks for it). Per SNR point
+three steps remain: y = clean + sqrt(sigma2/2) * noise, the estimator
+with resolve_ambiguity, and the inversion of D0 / sigma2. These are the
+floating-point operations of a cell-by-cell run, so a cell's record does
+not depend on which other cells run with it.
 
 SNR convention: symbols have unit power and channels unit norm, so
 snr_db = 10 log10(1 / sigma2).
@@ -27,11 +28,13 @@ snr_db = 10 log10(1 / sigma2).
 Randomness is reproducible: a master seed fans out through
 numpy SeedSequence([master_seed, stream, indices...]) with stream tags
 0 = channel draw (per channel index), 1 = symbol frame and 2 = noise
-(per channel and trial index). Trials that raise a NumericalError are
-excluded and counted per cell: a failure of D0 (a rank-deficient K, an
-ill-conditioned zero-padding symbol block) excludes the trial from every
-cell, a failure of the estimator or of the inversion from its own cell
-only. Once every trial has run, the cells are checked in ascending SNR
+(per channel and trial index); drawing a channel's frames ahead of its
+trials changes no draw. Trials that raise a NumericalError are excluded
+and counted per cell. A failure of D0 (a rank-deficient K, an
+ill-conditioned zero-padding symbol block) depends on the channel alone,
+so it excludes all of that channel's trials from every cell; a failure
+of the estimator or of the inversion excludes one trial from its own
+cell only. Once every trial has run, the cells are checked in ascending SNR
 order and the first whose exclusions reach 1% of its trials fails.
 """
 
@@ -162,12 +165,13 @@ def run_cell(plan: ExperimentPlan, snr_db: float, estimate_fn=None) -> ResultRec
 def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     """Run every cell of the plan; one record per SNR point, ascending.
 
-    Each (channel, trial) is drawn and its bound information computed
-    once, then evaluated at every SNR point, so estimate_fn is called in
-    the order channel i, trial j, SNR point s: call number
-    (i * n_trials + j) * len(grid) + s, with the config of that point
-    (its sigma2 set from the grid). A trial whose bound information
-    raises makes no estimator calls. Each record equals
+    The frames of each channel are drawn and their bound information
+    computed once per channel, then each trial is evaluated at every SNR
+    point, so estimate_fn is called in the order channel i, trial j, SNR
+    point s: call number (i * n_trials + j) * len(grid) + s, with the
+    config of that point (its sigma2 set from the grid). A channel whose
+    bound information raises makes no estimator calls and takes no call
+    numbers. Each record equals
     run_cell(plan, snr_db, estimate_fn) for its point.
     """
     return _run_grid(plan, plan.snr_db_grid, estimate_fn)
@@ -199,6 +203,7 @@ def _run_grid(plan: ExperimentPlan, grid, estimate_fn) -> list:
             config.L, _stream_rng(plan.master_seed, _STREAM_CHANNEL, i)
         )
         h, d = channel.h, channel.d
+        frames, cleans, noises = [], [], []
         for j in range(plan.n_trials):
             sN = generate_symbols(
                 "qpsk",
@@ -209,17 +214,21 @@ def _run_grid(plan: ExperimentPlan, grid, estimate_fn) -> list:
             clean = synthesize_observation(
                 config, precoder, h, sN, None, sigma2=0.0
             ).yN
-            noise = draw_noise(
+            frames.append(sN)
+            cleans.append(clean)
+            noises.append(draw_noise(
                 clean.size, _stream_rng(plan.master_seed, _STREAM_NOISE, i, j)
-            )
-            try:
-                D0 = fast_information(h, sN, precoder, config.N)
-                if plan.compute_zp_reference:
-                    D0_zp = zp_information(h, sN, precoder.Ftilde)
-            except NumericalError:
-                for cell in cells:
-                    cell.excluded += 1
-                continue
+            ))
+        sNs = np.stack(frames)
+        try:
+            D0s = fast_information(h, sNs, precoder, config.N)
+            if plan.compute_zp_reference:
+                D0s_zp = zp_information(h, sNs, precoder.Ftilde)
+        except NumericalError:
+            for cell in cells:
+                cell.excluded += plan.n_trials
+            continue
+        for j, (clean, noise) in enumerate(zip(cleans, noises)):
             for cell in cells:
                 sigma2 = cell.config.sigma2
                 yN = clean + np.sqrt(sigma2 / 2) * noise
@@ -228,9 +237,9 @@ def _run_grid(plan: ExperimentPlan, grid, estimate_fn) -> list:
                         yN, cell.config, precoder, plan.estimator_settings
                     )
                     est = resolve_ambiguity(est, d, h[d])
-                    bound = _invert_reduced(D0 / sigma2, d, "fast")
+                    bound = _invert_reduced(D0s[j] / sigma2, d, "fast")
                     if plan.compute_zp_reference:
-                        ref = _invert_reduced(D0_zp / sigma2, d, "zp_per_block")
+                        ref = _invert_reduced(D0s_zp[j] / sigma2, d, "zp_per_block")
                         cell.zp += ref.trace
                 except NumericalError:
                     cell.excluded += 1

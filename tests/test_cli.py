@@ -2,12 +2,14 @@
 can be asserted directly. One subprocess test covers the installed
 console-script wiring."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import blindcrb
 from blindcrb import (
     SystemConfig,
     crb_fast,
@@ -255,10 +257,14 @@ class TestParsing:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
+        # The child imports the same package as the tests, installed or not.
+        src = os.path.dirname(os.path.dirname(blindcrb.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "blindcrb.cli", "selftest"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert "all checks passed" in proc.stdout

@@ -30,6 +30,7 @@ from blindcrb import (
     make_precoder,
     synthesize_observation,
 )
+from blindcrb.crb_blind import _invert_reduced, fast_information, zp_information
 from helpers import (
     assert_psd,
     block_diag_precoder,
@@ -348,12 +349,20 @@ class TestCrbFastSweep:
             )
             pre = make_precoder(cfg)
             h = random_unit_channel(L, rng)
-            s = generate_symbols("qpsk", M, N, rng).sN
+            frames = np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in range(3)])
             d = default_anchor(h)
-            fast = crb_fast(h, s, pre, d, cfg.sigma2, N).C
-            dense = crb_fast_dense(h, s, pre, d, cfg.sigma2, N)
-            rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
-            assert rel <= 1e-12, f"sweep and dense QR differ ({rel:.2e}) at N={N}"
+            batch = fast_information(h, frames, pre, N)
+            assert batch.shape == (3, L + 1, L + 1)
+            for s, D0 in zip(frames, batch):
+                dense = crb_fast_dense(h, s, pre, d, cfg.sigma2, N)
+                fast = crb_fast(h, s, pre, d, cfg.sigma2, N).C
+                single = fast_information(h, s[None], pre, N)[0]
+                np.testing.assert_array_equal(
+                    fast, _invert_reduced(single / cfg.sigma2, d, "fast").C
+                )
+                for C in (fast, _invert_reduced(D0 / cfg.sigma2, d, "fast").C):
+                    rel = np.linalg.norm(C - dense) / np.linalg.norm(dense)
+                    assert rel <= 1e-12, f"sweep and dense QR differ ({rel:.2e}) at N={N}"
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     @pytest.mark.parametrize("eps,rejected", [(0.0, True), (1e-12, True),
@@ -365,16 +374,20 @@ class TestCrbFastSweep:
         pre = make_precoder(cfg)
         h = np.poly([np.exp(2j * np.pi / M) * (1 + eps), 0.5 + 0.3j])
         s = generate_symbols("qpsk", M, N, 3).sN
+        frames = np.stack([s] + [generate_symbols("qpsk", M, N, k).sN for k in (4, 5)])
         d = default_anchor(h)
         routes = (crb_fast, crb_fast_dense)
         if rejected:
             for route in routes:
                 with pytest.raises(RankDeficient):
                     route(h, s, pre, d, cfg.sigma2, N)
+            with pytest.raises(RankDeficient):
+                fast_information(h, frames, pre, N)
         else:
             fast = crb_fast(h, s, pre, d, cfg.sigma2, N)
             dense = crb_fast_dense(h, s, pre, d, cfg.sigma2, N)
             assert np.isfinite(fast.trace) and np.all(np.isfinite(dense))
+            assert np.all(np.isfinite(fast_information(h, frames, pre, N)))
 
     def test_long_frame_memory_scaling_and_monotonicity(self):
         # A dense K at this size would take 3.1 GB.
@@ -395,6 +408,22 @@ class TestCrbFastSweep:
         # A longer frame that extends the same one never raises the bound.
         short, longer = (crb_fast(h, s[: n * M], pre, d, 1.0, n) for n in (200, 400))
         assert longer.trace <= short.trace
+
+    def test_long_frame_batch_memory(self):
+        # V^T of the batch is read through a view of the streams, never
+        # copied whole: a copy alone would take 6.4 MB here.
+        M, L, N, T = 12, 4, 1000, 5
+        pre = make_precoder(SystemConfig(M=M, L=L, N=N))
+        h = random_unit_channel(L, np.random.default_rng(48))
+        frames = np.stack([generate_symbols("qpsk", M, N, 49 + t).sN for t in range(T)])
+        tracemalloc.start()
+        try:
+            batch = fast_information(h, frames, pre, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+        assert batch.shape == (T, L + 1, L + 1)
 
     def test_forms_no_kron(self, monkeypatch):
         rng = np.random.default_rng(50)
@@ -477,6 +506,12 @@ class TestZpPerBlock:
             full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
             oracle = crb_zp_kron(h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
             np.testing.assert_allclose(full.C, oracle, atol=1e-12 * np.linalg.norm(oracle))
+            frames = np.stack([s] + [generate_symbols("qpsk", 6, 25, rng).sN for _ in range(2)])
+            batch = zp_information(h, frames, pre.Ftilde)
+            for f, D0 in zip(frames, batch):
+                oracle = crb_zp_kron(h, f, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
+                C = _invert_reduced(D0 / cfg.sigma2, d, "zp_per_block").C
+                np.testing.assert_allclose(C, oracle, atol=1e-12 * np.linalg.norm(oracle))
 
     def test_singular_inner_precoder_rejected(self):
         rng = np.random.default_rng(52)

@@ -264,9 +264,10 @@ def counting(fn, calls, fail_at=()):
 
 
 class TestSnrSharing:
-    """Each (channel, trial) is drawn and its bound information computed
-    once and then evaluated at every SNR point; the cells must come out as
-    if each were run alone."""
+    """Each (channel, trial) is drawn once, the bound information of all
+    of a channel's trials is computed in one call, and every trial is then
+    evaluated at every SNR point; the cells must come out as if each were
+    run alone."""
 
     grid = (10.0, 20.0, 30.0)
 
@@ -282,7 +283,7 @@ class TestSnrSharing:
         assert together == alone
 
     @pytest.mark.parametrize("make_plan", [small_plan, zp_plan])
-    def test_bound_information_once_per_trial(self, make_plan, monkeypatch):
+    def test_bound_information_once_per_channel(self, make_plan, monkeypatch):
         plan = make_plan(snr_db_grid=self.grid, n_channels=2, n_trials=3)
         fast, zp, estimates = [], [], []
         monkeypatch.setattr(
@@ -298,14 +299,14 @@ class TestSnrSharing:
         )
         records = run_experiment(plan)
         trials = plan.n_channels * plan.n_trials
-        assert len(fast) == trials
-        assert len(zp) == (trials if plan.compute_zp_reference else 0)
+        assert len(fast) == plan.n_channels
+        assert len(zp) == (plan.n_channels if plan.compute_zp_reference else 0)
         assert len(estimates) == len(self.grid) * trials
         assert all(r.excluded_trials == 0 for r in records)
 
-    def test_rank_deficient_trial_excluded_in_every_cell(self, monkeypatch):
-        plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
-        channel = channel_sequence(plan)[0]
+    def test_rank_deficient_channel_excluded_in_every_cell(self, monkeypatch):
+        plan = small_plan(snr_db_grid=self.grid, n_channels=101, n_trials=2)
+        kept = [c for i, c in enumerate(channel_sequence(plan)) if i != 1]
         fast, estimates = [], []
         monkeypatch.setattr(
             harness,
@@ -314,15 +315,16 @@ class TestSnrSharing:
         )
 
         def estimate(yN, config, precoder, settings):
+            t = len(estimates) // len(self.grid)
             estimates.append(config.sigma2)
-            return ChannelEstimate(h_hat=(2 + 1j) * channel.h)
+            return ChannelEstimate(h_hat=(2 + 1j) * kept[t // plan.n_trials].h)
 
         records = run_experiment(plan, estimate_fn=estimate)
-        assert [r.excluded_trials for r in records] == [1, 1, 1]
+        assert [r.excluded_trials for r in records] == [2, 2, 2]
         assert all(r.mse_avg <= 1e-25 for r in records)
         assert len(fast) == 101
-        # the excluded trial makes no estimator calls
-        assert len(estimates) == 3 * 100
+        # the excluded channel's trials make no estimator calls
+        assert len(estimates) == 3 * 200
 
     def test_estimator_failure_excluded_in_its_own_cell_only(self):
         plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
