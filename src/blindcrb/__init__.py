@@ -42,13 +42,11 @@ from .crb_core import (
 from .crb_blind import (
     CrbResult,
     FimBlocks,
-    NullSpaceBasis,
     crb_direct,
     crb_fast,
     crb_zp_per_block,
     default_anchor,
     fim_blocks,
-    left_null_basis,
 )
 from .estimator import (
     ChannelEstimate,
@@ -64,7 +62,6 @@ from .harness import (
     ResultRecord,
     draw_channel,
     format_csv,
-    run_cell,
     run_experiment,
     sigma2_from_snr_db,
     write_csv,
@@ -83,7 +80,6 @@ __all__ = [
     "FimBlocks",
     "IllConditioned",
     "InsufficientData",
-    "NullSpaceBasis",
     "NumericalError",
     "Observation",
     "Precoder",
@@ -110,12 +106,10 @@ __all__ = [
     "format_csv",
     "generate_symbols",
     "hankel_rearrange",
-    "left_null_basis",
     "loglik_gradients",
     "make_precoder",
     "orthonormal_nullspace",
     "resolve_ambiguity",
-    "run_cell",
     "run_experiment",
     "schur_cov_bound",
     "sigma2_from_snr_db",

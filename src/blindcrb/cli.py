@@ -158,7 +158,7 @@ def _collect(args, allowed, defaults) -> dict:
 def _dump_config(values: dict, keys) -> str:
     lines = []
     for key in keys:
-        if key not in values or values[key] is None:
+        if key not in values:
             continue
         fmt = _KEY_SPECS[key][1]
         lines.append(f"{key} = {fmt(values[key])}")

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .crb_core import RANK_RTOL, fix_column_phases, _hermitize
+from .crb_core import RANK_RTOL, _hermitize
 from .errors import IllConditioned, RankDeficient
 from .model import Precoder, SystemConfig, build_channel_toeplitz
 
@@ -70,38 +70,16 @@ class FimBlocks:
     J01: np.ndarray
     J11: np.ndarray
 
-    def assembled(self) -> np.ndarray:
-        """The full (L+1+NM) x (L+1+NM) Fisher information matrix."""
-        top = np.hstack([self.J00, self.J01])
-        bottom = np.hstack([self.J01.conj().T, self.J11])
-        return np.vstack([top, bottom])
-
-
-@dataclass(frozen=True, eq=False)
-class NullSpaceBasis:
-    """Left null space of K and its zero padding.
-
-    utilde: (NP-L) x (N-1)L orthonormal basis with K^H utilde = 0.
-    ghu: utilde zero-padded by L rows top and bottom ((NP+L) x (N-1)L).
-    """
-
-    utilde: np.ndarray
-    ghu: np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class CrbResult:
     """An L x L bound over the non-anchor taps.
 
-    C is Hermitian positive semidefinite, trace its (real) trace, d the
-    anchor index that was deleted, path one of "direct", "fast",
-    "zp_per_block".
+    C is Hermitian positive semidefinite and trace its (real) trace.
     """
 
     C: np.ndarray
     trace: float
-    d: int
-    path: str
 
 
 def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlocks:
@@ -142,12 +120,12 @@ def _require_conditioned(A: np.ndarray, name: str):
         raise IllConditioned(name, float(cond))
 
 
-def _invert_reduced(D: np.ndarray, d: int, path: str) -> CrbResult:
+def _invert_reduced(D: np.ndarray, d: int) -> CrbResult:
     """Delete the anchor row/column of the reduced information and invert."""
     Dd = _delete_anchor(D, d)
     _require_conditioned(Dd, "anchor-reduced information E_d D E_d^H")
     C = _hermitize(np.linalg.inv(Dd))
-    return CrbResult(C=C, trace=float(np.real(np.trace(C))), d=d, path=path)
+    return CrbResult(C=C, trace=float(np.real(np.trace(C))))
 
 
 def _schur_reduce(blocks: FimBlocks) -> np.ndarray:
@@ -159,33 +137,7 @@ def _schur_reduce(blocks: FimBlocks) -> np.ndarray:
 
 def crb_direct(blocks: FimBlocks, d: int) -> CrbResult:
     """Bound over the non-anchor taps via the explicit Schur reduction."""
-    return _invert_reduced(_schur_reduce(blocks), d, "direct")
-
-
-def left_null_basis(K: np.ndarray, L: int) -> NullSpaceBasis:
-    """Orthonormal basis of the left null space of K, with its padding.
-
-    K must be tall with full column rank; the basis has
-    rows(K) - cols(K) columns (which equals (N-1)L for the frame model),
-    ordered by the SVD's descending singular values with column phases
-    fixed as in crb_core. ghu pads L zero rows above and below, which is
-    exactly G^H applied to the basis.
-    """
-    K = np.asarray(K, dtype=np.complex128)
-    if K.ndim != 2 or K.shape[0] <= K.shape[1]:
-        raise ValueError(f"K must be strictly tall, got shape {K.shape}")
-    if L < 1:
-        raise ValueError(f"channel order must be at least 1, got {L}")
-    rows, cols = K.shape
-    U, s, _ = np.linalg.svd(K, full_matrices=True)
-    if s[cols - 1] <= RANK_RTOL * s[0]:
-        raise RankDeficient(
-            f"K is column-rank-deficient (sv ratio {s[cols - 1] / s[0]:.3e})"
-        )
-    utilde = fix_column_phases(U[:, cols:])
-    ghu = np.zeros((rows + 2 * L, rows - cols), dtype=np.complex128)
-    ghu[L: L + rows] = utilde
-    return NullSpaceBasis(utilde=utilde, ghu=ghu)
+    return _invert_reduced(_schur_reduce(blocks), d)
 
 
 def crb_fast(
@@ -202,7 +154,7 @@ def crb_fast(
     _require_positive_sigma2(sigma2)
     sN = np.asarray(sN, dtype=np.complex128)
     D0 = fast_information(h, sN[None], precoder, N)[0]
-    return _invert_reduced(D0 / sigma2, d, "fast")
+    return _invert_reduced(D0 / sigma2, d)
 
 
 def fast_information(
@@ -322,7 +274,7 @@ def crb_zp_per_block(
     _require_positive_sigma2(sigma2)
     sN = np.asarray(sN, dtype=np.complex128)
     D0 = zp_information(h, sN[None], Ftilde)[0]
-    return _invert_reduced(D0 / sigma2, d, "zp_per_block")
+    return _invert_reduced(D0 / sigma2, d)
 
 
 def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.ndarray:

@@ -152,31 +152,6 @@ class ResultRecord:
             raise ValueError(f"mse_avg must be nonnegative, got {self.mse_avg}")
 
 
-def run_cell(plan: ExperimentPlan, snr_db: float, estimate_fn=None) -> ResultRecord:
-    """Run every trial of one SNR cell and average.
-
-    estimate_fn replaces the subspace estimator when given (for oracle
-    tests); it receives (yN, config, precoder, settings) and returns an
-    unresolved ChannelEstimate.
-    """
-    return _run_grid(plan, (snr_db,), estimate_fn)[0]
-
-
-def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
-    """Run every cell of the plan; one record per SNR point, ascending.
-
-    The frames of each channel are drawn and their bound information
-    computed once per channel, then each trial is evaluated at every SNR
-    point, so estimate_fn is called in the order channel i, trial j, SNR
-    point s: call number (i * n_trials + j) * len(grid) + s, with the
-    config of that point (its sigma2 set from the grid). A channel whose
-    bound information raises makes no estimator calls and takes no call
-    numbers. Each record equals
-    run_cell(plan, snr_db, estimate_fn) for its point.
-    """
-    return _run_grid(plan, plan.snr_db_grid, estimate_fn)
-
-
 @dataclass
 class _Cell:
     """Running sums of one SNR point."""
@@ -190,14 +165,28 @@ class _Cell:
     excluded: int = 0
 
 
-def _run_grid(plan: ExperimentPlan, grid, estimate_fn) -> list:
-    """One record per SNR point of grid, in the loop order of the module
-    docstring."""
+def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
+    """Run every cell of the plan; one record per SNR point, ascending.
+
+    estimate_fn replaces the subspace estimator when given (for oracle
+    tests); it receives (yN, config, precoder, settings) and returns an
+    unresolved ChannelEstimate. The frames of each channel are drawn and
+    their bound information computed once per channel, then each trial is
+    evaluated at every SNR point, so estimate_fn is called in the order
+    channel i, trial j, SNR point s: call number
+    (i * n_trials + j) * len(plan.snr_db_grid) + s, with the config of that
+    point (its sigma2 set from the grid). A channel whose bound information
+    raises makes no estimator calls and takes no call numbers. A record
+    does not depend on which other points share the grid.
+    """
     if estimate_fn is None:
         estimate_fn = subspace_estimate
     config = plan.config
     precoder = make_precoder(config)
-    cells = [_Cell(s, replace(config, sigma2=sigma2_from_snr_db(s))) for s in grid]
+    cells = [
+        _Cell(s, replace(config, sigma2=sigma2_from_snr_db(s)))
+        for s in plan.snr_db_grid
+    ]
     for i in range(plan.n_channels):
         channel = draw_channel(
             config.L, _stream_rng(plan.master_seed, _STREAM_CHANNEL, i)
@@ -237,9 +226,9 @@ def _run_grid(plan: ExperimentPlan, grid, estimate_fn) -> list:
                         yN, cell.config, precoder, plan.estimator_settings
                     )
                     est = resolve_ambiguity(est, d, h[d])
-                    bound = _invert_reduced(D0s[j] / sigma2, d, "fast")
+                    bound = _invert_reduced(D0s[j] / sigma2, d)
                     if plan.compute_zp_reference:
-                        ref = _invert_reduced(D0s_zp[j] / sigma2, d, "zp_per_block")
+                        ref = _invert_reduced(D0s_zp[j] / sigma2, d)
                         cell.zp += ref.trace
                 except NumericalError:
                     cell.excluded += 1

@@ -340,8 +340,6 @@ def loglik_gradients(
 
     Returns (grad_h, grad_s) of lengths L+1 and NM.
     """
-    if not config.sigma2 > 0:
-        raise ValueError("gradients need strictly positive noise variance")
     yN = np.asarray(yN, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     K, K_list = build_K(config, precoder, h)

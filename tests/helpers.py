@@ -1,6 +1,9 @@
 """Shared builders for randomized test instances, the explicit
-selection-matrix oracles that build_K's factors are checked against, and
-the dense routes that the banded bounds are checked against."""
+selection-matrix oracles that build_K's factors are checked against, the
+dense routes and bases that the banded bounds are checked against, and a
+one-point run of an experiment plan."""
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -11,8 +14,10 @@ from blindcrb import (
     build_K,
     crb_direct,
     fim_blocks,
+    fix_column_phases,
     generate_symbols,
     make_precoder,
+    run_experiment,
 )
 from blindcrb.crb_core import RANK_RTOL
 
@@ -44,6 +49,12 @@ def random_instance(
     h = random_unit_channel(L, rng)
     sN = generate_symbols("qpsk", M, N, rng).sN
     return config, precoder, h, sN
+
+
+def run_cell(plan, snr_db, estimate_fn=None):
+    """The record of one SNR point: the plan run with that point as its
+    only grid point."""
+    return run_experiment(replace(plan, snr_db_grid=(snr_db,)), estimate_fn)[0]
 
 
 def random_psd(n, rng, rank=None):
@@ -113,3 +124,49 @@ def crb_zp_kron(h, sN, Ftilde, d, sigma2, M, L, N):
     K = np.kron(eye_N, build_channel_toeplitz(h, P, M) @ Ftilde)
     K_list = [np.kron(eye_N, np.eye(P, M, k=-l) @ Ftilde) for l in range(L + 1)]
     return crb_direct(fim_blocks(K, K_list, sN, sigma2), d).C
+
+
+def assembled_fim(blocks):
+    """The full (L+1+NM) x (L+1+NM) Fisher information matrix
+    [[J00, J01], [J01^H, J11]] of a FimBlocks."""
+    top = np.hstack([blocks.J00, blocks.J01])
+    bottom = np.hstack([blocks.J01.conj().T, blocks.J11])
+    return np.vstack([top, bottom])
+
+
+@dataclass(frozen=True, eq=False)
+class NullSpaceBasis:
+    """Left null space of K and its zero padding.
+
+    utilde: (NP-L) x (N-1)L orthonormal basis with K^H utilde = 0.
+    ghu: utilde zero-padded by L rows top and bottom ((NP+L) x (N-1)L).
+    """
+
+    utilde: np.ndarray
+    ghu: np.ndarray
+
+
+def left_null_basis(K: np.ndarray, L: int) -> NullSpaceBasis:
+    """Orthonormal basis of the left null space of K, with its padding.
+
+    K must be tall with full column rank; the basis has
+    rows(K) - cols(K) columns (which equals (N-1)L for the frame model),
+    ordered by the SVD's descending singular values with column phases
+    fixed as in crb_core. ghu pads L zero rows above and below, which is
+    exactly G^H applied to the basis.
+    """
+    K = np.asarray(K, dtype=np.complex128)
+    if K.ndim != 2 or K.shape[0] <= K.shape[1]:
+        raise ValueError(f"K must be strictly tall, got shape {K.shape}")
+    if L < 1:
+        raise ValueError(f"channel order must be at least 1, got {L}")
+    rows, cols = K.shape
+    U, s, _ = np.linalg.svd(K, full_matrices=True)
+    if s[cols - 1] <= RANK_RTOL * s[0]:
+        raise RankDeficient(
+            f"K is column-rank-deficient (sv ratio {s[cols - 1] / s[0]:.3e})"
+        )
+    utilde = fix_column_phases(U[:, cols:])
+    ghu = np.zeros((rows + 2 * L, rows - cols), dtype=np.complex128)
+    ghu[L: L + rows] = utilde
+    return NullSpaceBasis(utilde=utilde, ghu=ghu)

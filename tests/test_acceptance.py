@@ -24,17 +24,15 @@ from blindcrb import (
     default_anchor,
     fim_blocks,
     generate_symbols,
-    left_null_basis,
     loglik_gradients,
     make_precoder,
     resolve_ambiguity,
-    run_cell,
     run_experiment,
     schur_cov_bound,
     subspace_estimate,
     synthesize_observation,
 )
-from helpers import random_psd
+from helpers import assembled_fim, left_null_basis, random_psd, run_cell
 
 
 @contextmanager
@@ -166,7 +164,7 @@ def test_criterion_3_fisher_information_properties():
             h = unit_channel(L, rng)
             s = generate_symbols("qpsk", M, N, rng).sN
             K, K_list = build_K(cfg, pre, h)
-            J = fim_blocks(K, K_list, s, cfg.sigma2).assembled()
+            J = assembled_fim(fim_blocks(K, K_list, s, cfg.sigma2))
             scale = np.linalg.norm(J)
             assert np.linalg.norm(J - J.conj().T) <= 1e-12 * scale, "not Hermitian"
             eigs = np.linalg.eigvalsh(J)

@@ -19,13 +19,12 @@ from blindcrb import (
     channel_from_noise_subspace,
     default_anchor,
     generate_symbols,
-    left_null_basis,
     make_precoder,
     resolve_ambiguity,
     subspace_estimate,
     synthesize_observation,
 )
-from helpers import random_unit_channel
+from helpers import left_null_basis, random_unit_channel
 
 
 def estimate_resolved(cfg, pre, h, yN, settings=EstimatorSettings()):

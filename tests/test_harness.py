@@ -21,11 +21,11 @@ from blindcrb import (
     SystemConfig,
     draw_channel,
     format_csv,
-    run_cell,
     run_experiment,
     sigma2_from_snr_db,
     write_csv,
 )
+from helpers import run_cell
 
 
 def channel_sequence(plan):

@@ -19,6 +19,7 @@ from blindcrb import (
     make_precoder,
     synthesize_observation,
 )
+from blindcrb.model import draw_noise
 from helpers import (
     block_diag_precoder,
     build_selection_matrices,
@@ -332,6 +333,25 @@ class TestSynthesize:
         y1 = synthesize_observation(cfg, pre, h, s, rng=77).yN
         y2 = synthesize_observation(cfg, pre, h, s, rng=77).yN
         np.testing.assert_array_equal(y1, y2)
+
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_scaled_unit_noise_is_the_noisy_frame(self, kind, inner):
+        # The harness draws each frame's unit noise once and scales it per
+        # SNR point; that must be the frame synthesize_observation draws.
+        rng = np.random.default_rng(15)
+        for sigma2 in (1e-3, 0.7):
+            cfg, pre, h, s = random_instance(
+                rng, M=5, L=2, N=4, sigma2=sigma2,
+                redundancy_kind=kind, inner_kind=inner,
+            )
+            clean = synthesize_observation(cfg, pre, h, s, None, sigma2=0.0).yN
+            seed = np.random.SeedSequence([3, 2, 1, 0])
+            noise = draw_noise(clean.size, np.random.default_rng(seed))
+            noisy = synthesize_observation(
+                cfg, pre, h, s, np.random.default_rng(seed)
+            ).yN
+            assert np.array_equal(clean + np.sqrt(sigma2 / 2) * noise, noisy)
 
 
 class TestGradients:
