@@ -19,7 +19,6 @@ from .errors import (
 )
 from .model import (
     Channel,
-    Observation,
     Precoder,
     SymbolFrame,
     SystemConfig,
@@ -49,7 +48,6 @@ from .crb_blind import (
     fim_blocks,
 )
 from .estimator import (
-    ChannelEstimate,
     EstimatorSettings,
     channel_from_noise_subspace,
     hankel_rearrange,
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CSV_HEADER",
     "Channel",
-    "ChannelEstimate",
     "CrbResult",
     "EstimatorSettings",
     "ExclusionBudgetExceeded",
@@ -81,7 +78,6 @@ __all__ = [
     "IllConditioned",
     "InsufficientData",
     "NumericalError",
-    "Observation",
     "Precoder",
     "RankDeficient",
     "ResultRecord",

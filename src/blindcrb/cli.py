@@ -166,9 +166,8 @@ def _dump_config(values: dict, keys) -> str:
 
 
 def _config_from_values(values: dict) -> SystemConfig:
-    keys = (*_FRAME_KEYS, "sigma2")  # run values carry no sigma2
     try:
-        return SystemConfig(**{k: values[k] for k in keys if k in values})
+        return SystemConfig(**{k: values[k] for k in _FRAME_KEYS})
     except ValueError as err:
         raise _UsageError(str(err)) from None
 
@@ -212,6 +211,8 @@ def _cmd_crb(args) -> int:
     if "h" not in values:
         raise _UsageError("the crb command needs channel taps (key 'h')")
     config = _config_from_values(values)  # validate before dumping
+    if not values["sigma2"] > 0:
+        raise _UsageError(f"sigma2 must be positive, got {values['sigma2']}")
     h = np.asarray(values["h"], dtype=np.complex128)
     if h.size != config.L + 1:
         raise _UsageError(f"h must have L+1 = {config.L + 1} taps, got {h.size}")
@@ -230,7 +231,7 @@ def _cmd_crb(args) -> int:
         sys.stdout.write(_dump_config(values, _CRB_KEYS))
         return EXIT_OK
     precoder = make_precoder(config)
-    result = crb_fast(h, sN, precoder, d, config.sigma2, config.N)
+    result = crb_fast(h, sN, precoder, d, values["sigma2"], config.N)
     print(f"trace = {result.trace:.12g}")
     with np.printoptions(precision=6, suppress=False, linewidth=120):
         print(result.C)
@@ -239,6 +240,7 @@ def _cmd_crb(args) -> int:
 
 def _selftest_two_path() -> list:
     failures = []
+    sigma2 = 0.25
     cases = [
         ("cp", "identity", 4, 2, 4),
         ("zp", "identity", 4, 1, 5),
@@ -248,8 +250,7 @@ def _selftest_two_path() -> list:
     for idx, (redundancy, inner, M, L, N) in enumerate(cases):
         rng = np.random.default_rng(1000 + idx)
         config = SystemConfig(
-            M=M, L=L, N=N, sigma2=0.25,
-            redundancy_kind=redundancy, inner_kind=inner,
+            M=M, L=L, N=N, redundancy_kind=redundancy, inner_kind=inner
         )
         precoder = make_precoder(config)
         h = (rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1)) / np.sqrt(2)
@@ -257,8 +258,8 @@ def _selftest_two_path() -> list:
         sN = generate_symbols("qpsk", M, N, rng).sN
         d = default_anchor(h)
         K, K_list = build_K(config, precoder, h)
-        direct = crb_direct(fim_blocks(K, K_list, sN, config.sigma2), d)
-        fast = crb_fast(h, sN, precoder, d, config.sigma2, config.N)
+        direct = crb_direct(fim_blocks(K, K_list, sN, sigma2), d)
+        fast = crb_fast(h, sN, precoder, d, sigma2, config.N)
         rel = np.linalg.norm(fast.C - direct.C) / np.linalg.norm(direct.C)
         label = f"two-path {redundancy}/{inner} M={M} L={L} N={N}"
         if rel <= 1e-8:
@@ -272,7 +273,8 @@ def _selftest_two_path() -> list:
 def _selftest_gradients() -> list:
     failures = []
     rng = np.random.default_rng(7)
-    config = SystemConfig(M=4, L=2, N=3, sigma2=0.5)
+    sigma2 = 0.5
+    config = SystemConfig(M=4, L=2, N=3)
     precoder = make_precoder(config)
     h = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
     sN = generate_symbols("qpsk", config.M, config.N, rng).sN
@@ -282,9 +284,9 @@ def _selftest_gradients() -> list:
     def loglik(taps):
         K, _ = build_K(config, precoder, taps)
         e = y - K @ sN
-        return -float(np.real(np.vdot(e, e))) / config.sigma2
+        return -float(np.real(np.vdot(e, e))) / sigma2
 
-    grad_h, _ = loglik_gradients(y, config, precoder, h, sN)
+    grad_h, _ = loglik_gradients(y, config, precoder, h, sN, sigma2)
     eps = 1e-6
     worst = 0.0
     for l in range(h.size):

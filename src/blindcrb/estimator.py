@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
-from .model import Precoder, SystemConfig
+from .model import Precoder
 
 # Relative eigenvalue-gap floor below which the minimizer is ambiguous.
 DEGENERACY_RTOL = 1e-10
@@ -51,14 +51,6 @@ class EstimatorSettings:
             raise ValueError(
                 f"need at least 2 blocks per window, got {self.window_blocks}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelEstimate:
-    """Estimated taps h_hat (length L+1). subspace_estimate returns them
-    up to the blind complex scale; resolve_ambiguity fixes that scale."""
-
-    h_hat: np.ndarray
 
 
 def hankel_rearrange(U: np.ndarray, P: int, L: int) -> np.ndarray:
@@ -119,16 +111,16 @@ def channel_from_noise_subspace(
 
 def subspace_estimate(
     yN: np.ndarray,
-    config: SystemConfig,
     precoder: Precoder,
     settings: EstimatorSettings = EstimatorSettings(),
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Estimate the channel direction from one received frame.
 
-    Returns an unresolved ChannelEstimate; apply resolve_ambiguity with a
-    known anchor tap to fix the blind scale. Raises InsufficientData when
-    the frame cannot supply the required windows and SolverDegenerate when
-    the penalty minimizer is not isolated.
+    N is read off the frame length NP - L. Returns the L+1 taps up to the
+    blind complex scale; resolve_ambiguity with a known anchor tap fixes
+    it. Raises InsufficientData when the frame cannot supply the required
+    windows and SolverDegenerate when the penalty minimizer is not
+    isolated.
 
     The noise subspace is well defined only when the N - w + 1 windows
     can span the wM-dimensional signal subspace, N - w + 1 >= wM. With
@@ -137,9 +129,11 @@ def subspace_estimate(
     reproducible under one-ulp changes of yN. This is not checked.
     """
     yN = np.asarray(yN, dtype=np.complex128)
-    M, L, N, P = config.M, config.L, config.N, config.P
-    if yN.shape != (N * P - L,):
-        raise ValueError(f"expected {N * P - L} samples, got shape {yN.shape}")
+    P, M = precoder.F.shape
+    L = P - M
+    N, rem = divmod(yN.size + L, P)
+    if yN.ndim != 1 or rem != 0:
+        raise ValueError(f"expected NP - L samples for a whole N, got shape {yN.shape}")
     w = settings.window_blocks
     if w > N:
         raise InsufficientData(f"windows of {w} blocks do not fit in {N} blocks")
@@ -152,17 +146,16 @@ def subspace_estimate(
         raise InsufficientData("sample covariance carries no energy")
     n_noise = (w - 1) * L  # dim minus the model rank wM
     _, vecs = np.linalg.eigh(cov)
-    h_hat = channel_from_noise_subspace(vecs[:, :n_noise], precoder.F, L)
-    return ChannelEstimate(h_hat=h_hat)
+    return channel_from_noise_subspace(vecs[:, :n_noise], precoder.F, L)
 
 
-def resolve_ambiguity(estimate: ChannelEstimate, d: int, hd0: complex) -> ChannelEstimate:
-    """Rescale an estimate so its anchor tap equals the known value hd0.
+def resolve_ambiguity(h_hat: np.ndarray, d: int, hd0: complex) -> np.ndarray:
+    """Rescale estimated taps so the anchor tap equals the known value hd0.
 
     Raises ZeroAnchorTap when the estimated anchor tap is below 1e-12 in
-    magnitude. The returned estimate has h_hat[d] == hd0 exactly.
+    magnitude. The returned taps have [d] == hd0 exactly.
     """
-    h = np.asarray(estimate.h_hat, dtype=np.complex128)
+    h = np.asarray(h_hat, dtype=np.complex128)
     if not 0 <= d < h.size:
         raise ValueError(f"anchor index {d} outside 0..{h.size - 1}")
     if abs(h[d]) < ANCHOR_FLOOR:
@@ -171,4 +164,4 @@ def resolve_ambiguity(estimate: ChannelEstimate, d: int, hd0: complex) -> Channe
         )
     scaled = (hd0 / h[d]) * h
     scaled[d] = hd0  # exact, not up to rounding of the division
-    return ChannelEstimate(h_hat=scaled)
+    return scaled

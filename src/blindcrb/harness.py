@@ -18,9 +18,9 @@ one call per D0 function gives the bound's reduced information with the
 noise factored out, D0, for all of the channel's trials at once (and the
 zero-padding reference's D0 when the plan asks for it). Per SNR point
 three steps remain: y = clean + sqrt(sigma2/2) * noise, the estimator
-with resolve_ambiguity, and the inversion of D0 / sigma2. These are the
-floating-point operations of a cell-by-cell run, so a cell's record does
-not depend on which other cells run with it.
+(given no sigma2) with resolve_ambiguity, and the inversion of D0 / sigma2.
+These are the floating-point operations of a cell-by-cell run, so a
+cell's record does not depend on which other cells run with it.
 
 SNR convention: symbols have unit power and channels unit norm, so
 snr_db = 10 log10(1 / sigma2).
@@ -41,7 +41,8 @@ order and the first whose exclusions reach 1% of its trials fails.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 import numpy as np
 
 # crb_fast and crb_zp_per_block are not called here; they stay bound because
@@ -102,10 +103,11 @@ def draw_channel(L: int, rng) -> Channel:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One experiment: a configuration template swept over an SNR grid.
+    """One experiment: a frame configuration swept over an SNR grid.
 
-    The template's sigma2 is never read: each cell sets sigma2 from its
-    SNR point. The grid must be nonempty and strictly increasing.
+    The config's sigma2 is never read: each SNR point gives its cell's
+    noise variance, which must be positive and finite. The grid must be
+    nonempty and strictly increasing, and window_blocks at most N.
     """
 
     config: SystemConfig
@@ -122,6 +124,13 @@ class ExperimentPlan:
             raise ValueError("SNR grid must not be empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("SNR grid must be strictly increasing")
+        for snr_db in grid:
+            try:
+                sigma2 = sigma2_from_snr_db(snr_db)
+            except OverflowError:
+                sigma2 = math.inf
+            if not 0 < sigma2 < math.inf:
+                raise ValueError(f"SNR point {snr_db} dB has no positive finite sigma2")
         object.__setattr__(self, "snr_db_grid", grid)
         if self.n_channels < 1 or self.n_trials < 1:
             raise ValueError("need at least one channel and one trial per cell")
@@ -129,6 +138,8 @@ class ExperimentPlan:
             raise ValueError("master seed must be nonnegative")
         if self.compute_zp_reference and self.config.redundancy_kind != "zp":
             raise ValueError("the per-block reference bound applies to zero padding only")
+        if self.estimator_settings.window_blocks > self.config.N:
+            raise ValueError("window_blocks must not exceed the frame's N blocks")
 
 
 @dataclass(frozen=True)
@@ -157,7 +168,7 @@ class _Cell:
     """Running sums of one SNR point."""
 
     snr_db: float
-    config: SystemConfig
+    sigma2: float
     mse: float = 0.0
     crb: float = 0.0
     zp: float = 0.0
@@ -169,24 +180,21 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     """Run every cell of the plan; one record per SNR point, ascending.
 
     estimate_fn replaces the subspace estimator when given (for oracle
-    tests); it receives (yN, config, precoder, settings) and returns an
-    unresolved ChannelEstimate. The frames of each channel are drawn and
+    tests); it receives (yN, precoder, settings), no noise variance, and
+    returns the unresolved taps. The frames of each channel are drawn and
     their bound information computed once per channel, then each trial is
     evaluated at every SNR point, so estimate_fn is called in the order
     channel i, trial j, SNR point s: call number
-    (i * n_trials + j) * len(plan.snr_db_grid) + s, with the config of that
-    point (its sigma2 set from the grid). A channel whose bound information
-    raises makes no estimator calls and takes no call numbers. A record
-    does not depend on which other points share the grid.
+    k = (i * n_trials + j) * len(plan.snr_db_grid) + s, so k % len(grid) is
+    the SNR index. A channel whose bound information raises makes no
+    estimator calls and takes no call numbers. A record does not depend on
+    which other points share the grid.
     """
     if estimate_fn is None:
         estimate_fn = subspace_estimate
     config = plan.config
     precoder = make_precoder(config)
-    cells = [
-        _Cell(s, replace(config, sigma2=sigma2_from_snr_db(s)))
-        for s in plan.snr_db_grid
-    ]
+    cells = [_Cell(s, sigma2_from_snr_db(s)) for s in plan.snr_db_grid]
     for i in range(plan.n_channels):
         channel = draw_channel(
             config.L, _stream_rng(plan.master_seed, _STREAM_CHANNEL, i)
@@ -200,9 +208,7 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
                 config.N,
                 _stream_rng(plan.master_seed, _STREAM_SYMBOLS, i, j),
             ).sN
-            clean = synthesize_observation(
-                config, precoder, h, sN, None, sigma2=0.0
-            ).yN
+            clean = synthesize_observation(precoder, h, sN, 0.0, None)
             frames.append(sN)
             cleans.append(clean)
             noises.append(draw_noise(
@@ -219,21 +225,18 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
             continue
         for j, (clean, noise) in enumerate(zip(cleans, noises)):
             for cell in cells:
-                sigma2 = cell.config.sigma2
-                yN = clean + np.sqrt(sigma2 / 2) * noise
+                yN = clean + np.sqrt(cell.sigma2 / 2) * noise
                 try:
-                    est = estimate_fn(
-                        yN, cell.config, precoder, plan.estimator_settings
-                    )
-                    est = resolve_ambiguity(est, d, h[d])
-                    bound = _invert_reduced(D0s[j] / sigma2, d)
+                    h_hat = estimate_fn(yN, precoder, plan.estimator_settings)
+                    h_hat = resolve_ambiguity(h_hat, d, h[d])
+                    bound = _invert_reduced(D0s[j] / cell.sigma2, d)
                     if plan.compute_zp_reference:
-                        ref = _invert_reduced(D0s_zp[j] / sigma2, d)
+                        ref = _invert_reduced(D0s_zp[j] / cell.sigma2, d)
                         cell.zp += ref.trace
                 except NumericalError:
                     cell.excluded += 1
                     continue
-                cell.mse += float(np.sum(np.abs(est.h_hat - h) ** 2))
+                cell.mse += float(np.sum(np.abs(h_hat - h) ** 2))
                 cell.crb += bound.trace
                 cell.included += 1
     total = plan.n_channels * plan.n_trials

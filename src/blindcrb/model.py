@@ -56,7 +56,8 @@ class SystemConfig:
     N : int
         Blocks per frame, at least 2.
     sigma2 : float
-        Noise variance per received sample, strictly positive.
+        Strictly positive, and read nowhere in the package: functions that
+        need a noise variance take it as an argument.
     redundancy_kind : str
         One of "cp", "zp", "custom".
     inner_kind : str
@@ -135,13 +136,6 @@ class SymbolFrame:
     """One frame of NM transmitted symbols."""
 
     sN: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """Received frame y_N of length NP - L."""
-
-    yN: np.ndarray
 
 
 def build_redundancy(kind: str, M: int, L: int) -> np.ndarray:
@@ -283,39 +277,37 @@ def generate_symbols(modulation: str, M: int, N: int, rng) -> SymbolFrame:
 
 
 def synthesize_observation(
-    config: SystemConfig,
     precoder: Precoder,
     h: np.ndarray,
     sN: np.ndarray,
+    sigma2: float,
     rng,
-    sigma2: float | None = None,
-) -> Observation:
-    """Simulate one received frame y_N = K s_N + e_N.
+) -> np.ndarray:
+    """Simulate one received frame y_N = K s_N + e_N of length NP - L.
 
-    K s_N is computed as a convolution of the taps with the precoded
-    stream, in O(NPL) time without forming K.
-
-    sigma2 overrides the configured noise variance when given; passing 0
-    yields the noiseless frame (the config itself must keep sigma2 > 0).
+    P and M are read off precoder.F, L = P - M must match the taps, and N
+    is read off the symbol count. K s_N is computed as a convolution of the taps with the
+    precoded stream, in O(NPL) time without forming K. sigma2 = 0 yields
+    the noiseless frame and draws nothing from rng.
     """
-    sN = np.asarray(sN, dtype=np.complex128)
-    if sN.shape != (config.N * config.M,):
-        raise ValueError(
-            f"expected {config.N * config.M} symbols, got shape {sN.shape}"
-        )
-    var = config.sigma2 if sigma2 is None else sigma2
-    if var < 0:
-        raise ValueError(f"noise variance must be nonnegative, got {var}")
+    if not sigma2 >= 0:
+        raise ValueError(f"noise variance must be nonnegative, got {sigma2}")
+    P, M = precoder.F.shape
+    L = P - M
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 1 or h.size != config.L + 1:
-        raise ValueError(f"expected {config.L + 1} taps, got shape {np.shape(h)}")
+    if h.ndim != 1 or h.size != L + 1:
+        raise ValueError(f"expected {L + 1} taps, got shape {np.shape(h)}")
+    sN = np.asarray(sN, dtype=np.complex128)
+    N, rem = divmod(sN.size, M)
+    if sN.ndim != 1 or rem != 0 or N < 1:
+        raise ValueError(f"expected whole blocks of {M} symbols, got {sN.shape}")
     # K s_N is the full convolution of h with the precoded stream x_N
     # minus its first and last L samples.
-    x = (sN.reshape(config.N, config.M) @ precoder.F.T).ravel()
-    y = np.convolve(h, x)[config.L: config.N * config.P]
-    if var > 0:
-        y = y + np.sqrt(var / 2) * draw_noise(y.size, rng)
-    return Observation(yN=y)
+    x = (sN.reshape(N, M) @ precoder.F.T).ravel()
+    y = np.convolve(h, x)[L: N * P]
+    if sigma2 > 0:
+        y = y + np.sqrt(sigma2 / 2) * draw_noise(y.size, rng)
+    return y
 
 
 def draw_noise(size: int, rng) -> np.ndarray:
@@ -331,8 +323,9 @@ def loglik_gradients(
     precoder: Precoder,
     h: np.ndarray,
     sN: np.ndarray,
+    sigma2: float,
 ):
-    """Conjugate Wirtinger gradients of the log-likelihood.
+    """Conjugate Wirtinger gradients of the log-likelihood at variance sigma2.
 
     With residual e = y_N - K s_N, the derivative with respect to the
     conjugated tap l is s_N^H K_l^H e / sigma2 and with respect to the
@@ -340,12 +333,14 @@ def loglik_gradients(
 
     Returns (grad_h, grad_s) of lengths L+1 and NM.
     """
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     yN = np.asarray(yN, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     K, K_list = build_K(config, precoder, h)
     if yN.shape != (K.shape[0],):
         raise ValueError(f"expected {K.shape[0]} samples, got shape {yN.shape}")
     e = yN - K @ sN
-    grad_h = np.array([np.vdot(Kl @ sN, e) for Kl in K_list]) / config.sigma2
-    grad_s = K.conj().T @ e / config.sigma2
+    grad_h = np.array([np.vdot(Kl @ sN, e) for Kl in K_list]) / sigma2
+    grad_s = K.conj().T @ e / sigma2
     return grad_h, grad_s

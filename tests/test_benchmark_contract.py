@@ -1,7 +1,8 @@
 """The benchmark's use of the package, checked without running the
 benchmark: every name perfbench/spans.py traces must still exist where it
-looks for it, and each workload's one-channel plan must pass the
-benchmark's correctness gate against its stored reference.
+looks for it, each workload's one-channel plan must pass the benchmark's
+correctness gate against its stored reference, and tracing a plan must
+leave its CSV and, once restored, the package's bindings as they were.
 
 A cleanup that drops a binding the tracer reads, or a change that moves
 a gated number, fails here rather than only when the benchmark runs.
@@ -54,3 +55,28 @@ def test_direct_and_fast_routes_agree(name):
         workloads.WORKLOADS[name], workloads.DEFAULT_SEED
     )
     assert problems == []
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_traced_run_matches_untraced(name, tmp_path):
+    runner = workloads.Runner(
+        workloads.WORKLOADS[name].tiny(), workloads.DEFAULT_SEED, tmp_path
+    )
+    untraced = runner.run_once()
+    originals = [getattr(module, attr) for module, attr, _ in spans.TRACED]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = runner.run_once()
+    finally:
+        tracer.restore()
+    assert traced == untraced
+    calls = {span: m["calls"] for span, m in tracer.layer_metrics().items()}
+    for span in (
+        "estimator.subspace_estimate",
+        "estimator.resolve_ambiguity",
+        "model.synthesize_observation",
+    ):
+        assert calls.get(span, 0) >= 1, span
+    restored = [getattr(module, attr) for module, attr, _ in spans.TRACED]
+    assert all(a is b for a, b in zip(restored, originals))

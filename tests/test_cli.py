@@ -128,6 +128,25 @@ class TestRunErrors:
         assert main(["run", "--override", "L=12", "--dump-config"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]])
+    def test_snr_point_without_finite_noise_variance(self, dump, capsys):
+        code = main(["run", "--override", "snr_db_grid=10,nan", *dump])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "SNR point" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]])
+    def test_windows_longer_than_frame(self, dump, capsys):
+        # rejected as configuration before any trial runs, not excluded
+        # trial by trial into a numerical failure
+        code = main(["run", "--override", "window_blocks=30", *dump])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "window_blocks" in captured.err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
@@ -212,6 +231,19 @@ class TestCrb:
         )
         assert code == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("sigma2", ["0", "-1", "nan"])
+    def test_nonpositive_sigma2_rejected_before_dump(self, sigma2, capsys):
+        code = main(
+            [
+                "crb", "--override", "h=1,2,3,4,5",
+                "--override", f"sigma2={sigma2}", "--dump-config",
+            ]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: sigma2 must be positive, got {float(sigma2)}" in captured.err
 
     def test_out_flag_not_accepted(self, tmp_path):
         out = tmp_path / "x"

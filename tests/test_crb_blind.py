@@ -435,7 +435,7 @@ class TestCrbFastSweep:
             build_K(cfg, pre, h)
         crb_fast(h, s, pre, default_anchor(h), cfg.sigma2, cfg.N)
         crb_zp_per_block(h, s, pre.Ftilde, 0, cfg.sigma2)
-        synthesize_observation(cfg, pre, h, s, rng=0)
+        synthesize_observation(pre, h, s, cfg.sigma2, 0)
 
 
 class TestZpPerBlock:

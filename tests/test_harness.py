@@ -12,7 +12,7 @@ import pytest
 from blindcrb import harness
 from blindcrb import (
     CSV_HEADER,
-    ChannelEstimate,
+    EstimatorSettings,
     ExclusionBudgetExceeded,
     ExperimentPlan,
     IllConditioned,
@@ -55,12 +55,12 @@ def oracle_estimator(plan, fail_trials=(), n_snr=None):
     n_snr = len(plan.snr_db_grid) if n_snr is None else n_snr
     state = {"call": 0}
 
-    def estimate(yN, config, precoder, settings):
+    def estimate(yN, precoder, settings):
         t = (state["call"] // n_snr) % per_cell
         state["call"] += 1
         if t in fail_trials:
             raise IllConditioned("stub", float("inf"))
-        return ChannelEstimate(h_hat=(2 + 1j) * channels[t // plan.n_trials].h)
+        return (2 + 1j) * channels[t // plan.n_trials].h
 
     return estimate
 
@@ -122,6 +122,18 @@ class TestPlanValidation:
     def test_rejects_bad_plans(self, overrides):
         with pytest.raises(ValueError):
             small_plan(**overrides)
+
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, 4000.0, -4000.0])
+    def test_rejects_snr_without_positive_finite_sigma2(self, snr):
+        # 4000 dB underflows sigma2 to 0; -4000 dB overflows it
+        with pytest.raises(ValueError, match="SNR point"):
+            small_plan(snr_db_grid=(snr,))
+
+    def test_windows_must_fit_in_the_frame(self):
+        with pytest.raises(ValueError, match="window_blocks"):
+            small_plan(estimator_settings=EstimatorSettings(window_blocks=15))
+        plan = small_plan(estimator_settings=EstimatorSettings(window_blocks=14))
+        assert plan.estimator_settings.window_blocks == plan.config.N
 
     def test_zp_reference_needs_zero_padding(self):
         with pytest.raises(ValueError, match="zero padding"):
@@ -190,7 +202,7 @@ class TestRunCell:
     def test_budget_breach_raises(self):
         plan = small_plan()
 
-        def always_fails(yN, config, precoder, settings):
+        def always_fails(yN, precoder, settings):
             raise IllConditioned("stub", float("inf"))
 
         with pytest.raises(ExclusionBudgetExceeded, match="excluded"):
@@ -314,10 +326,10 @@ class TestSnrSharing:
             counting(harness.fast_information, fast, fail_at={1}),
         )
 
-        def estimate(yN, config, precoder, settings):
+        def estimate(yN, precoder, settings):
             t = len(estimates) // len(self.grid)
-            estimates.append(config.sigma2)
-            return ChannelEstimate(h_hat=(2 + 1j) * kept[t // plan.n_trials].h)
+            estimates.append(yN)
+            return (2 + 1j) * kept[t // plan.n_trials].h
 
         records = run_experiment(plan, estimate_fn=estimate)
         assert [r.excluded_trials for r in records] == [2, 2, 2]
@@ -329,15 +341,16 @@ class TestSnrSharing:
     def test_estimator_failure_excluded_in_its_own_cell_only(self):
         plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
         channel = channel_sequence(plan)[0]
-        target = sigma2_from_snr_db(20.0)
-        seen = []
+        calls, seen = [], []
 
-        def estimate(yN, config, precoder, settings):
-            if config.sigma2 == target:
+        def estimate(yN, precoder, settings):
+            s = len(calls) % len(self.grid)  # SNR index of this call
+            calls.append(yN)
+            if s == 1:  # the 20 dB point
                 seen.append(yN)
                 if len(seen) == 1:
                     raise IllConditioned("stub", float("inf"))
-            return ChannelEstimate(h_hat=(2 + 1j) * channel.h)
+            return (2 + 1j) * channel.h
 
         records = run_experiment(plan, estimate_fn=estimate)
         assert [r.excluded_trials for r in records] == [0, 1, 0]
@@ -347,14 +360,16 @@ class TestSnrSharing:
     def test_first_cell_over_budget_is_named(self):
         plan = small_plan(snr_db_grid=self.grid)
         channels = channel_sequence(plan)
-        fails = {sigma2_from_snr_db(20.0): 1, sigma2_from_snr_db(30.0): 4}
-        calls = {}
+        # SNR index -> how many of its first trials fail: 1 at 20 dB, 4 at 30 dB
+        fails = {1: 1, 2: 4}
+        calls = []
 
-        def estimate(yN, config, precoder, settings):
-            k = calls[config.sigma2] = calls.get(config.sigma2, -1) + 1
-            if k < fails.get(config.sigma2, 0):
+        def estimate(yN, precoder, settings):
+            k, s = divmod(len(calls), len(self.grid))  # trial number, SNR index
+            calls.append(yN)
+            if k < fails.get(s, 0):
                 raise IllConditioned("stub", float("inf"))
-            return ChannelEstimate(h_hat=channels[k // plan.n_trials].h)
+            return channels[k // plan.n_trials].h
 
         with pytest.raises(
             ExclusionBudgetExceeded, match=r"^1 of 4 trials excluded at 20\.0 dB$"

@@ -259,10 +259,8 @@ class TestSynthesize:
     def test_frozen_noiseless_example(self):
         cfg = SystemConfig(M=2, L=1, N=2, redundancy_kind="zp")
         pre = make_precoder(cfg)
-        obs = synthesize_observation(
-            cfg, pre, np.array([1.0, 2.0]), np.ones(4), rng=0, sigma2=0.0
-        )
-        np.testing.assert_allclose(obs.yN, [3, 2, 1, 3, 2], atol=1e-15)
+        y = synthesize_observation(pre, np.array([1.0, 2.0]), np.ones(4), 0.0, 0)
+        np.testing.assert_allclose(y, [3, 2, 1, 3, 2], atol=1e-15)
 
     @pytest.mark.parametrize("kind,inner", [("cp", "identity"), ("cp", "idft"), ("zp", "idft")])
     def test_convolution_oracle(self, kind, inner):
@@ -270,8 +268,8 @@ class TestSynthesize:
         cfg, pre, h, s = random_instance(
             rng, M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner
         )
-        obs = synthesize_observation(cfg, pre, h, s, rng=0, sigma2=0.0)
-        np.testing.assert_allclose(obs.yN, conv_observe(pre.F, h, s, 4), atol=1e-13)
+        y = synthesize_observation(pre, h, s, 0.0, 0)
+        np.testing.assert_allclose(y, conv_observe(pre.F, h, s, 4), atol=1e-13)
 
     @pytest.mark.parametrize("N", [2, 25])
     @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
@@ -286,7 +284,7 @@ class TestSynthesize:
         pre = make_precoder(cfg)
         h = random_unit_channel(L, rng)
         s = generate_symbols("qpsk", M, N, rng).sN
-        y = synthesize_observation(cfg, pre, h, s, rng=0, sigma2=0.0).yN
+        y = synthesize_observation(pre, h, s, 0.0, 0)
         ref = build_K(cfg, pre, h)[0] @ s
         assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -294,34 +292,47 @@ class TestSynthesize:
         cfg = SystemConfig(M=4, L=2, N=3)
         s = generate_symbols("qpsk", 4, 3, 0).sN
         with pytest.raises(ValueError, match="taps"):
-            synthesize_observation(cfg, make_precoder(cfg), np.ones(2), s, rng=0)
+            synthesize_observation(make_precoder(cfg), np.ones(2), s, 1.0, 0)
+
+    def test_rejects_partial_block(self):
+        cfg = SystemConfig(M=4, L=2, N=3)
+        with pytest.raises(ValueError, match="whole blocks"):
+            synthesize_observation(make_precoder(cfg), np.ones(3), np.ones(10), 1.0, 0)
+
+    @pytest.mark.parametrize("sigma2", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_noise_variance(self, sigma2):
+        # NaN fails every comparison, so a `< 0` test would let it through
+        # and return the noiseless frame.
+        rng = np.random.default_rng(18)
+        _, pre, h, s = random_instance(rng)
+        with pytest.raises(ValueError, match="noise variance"):
+            synthesize_observation(pre, h, s, sigma2, 0)
 
     def test_observation_length(self):
         for M, L, N in [(4, 2, 3), (12, 4, 8), (5, 1, 2)]:
             cfg = SystemConfig(M=M, L=L, N=N)
             pre = make_precoder(cfg)
             s = generate_symbols("qpsk", M, N, 0).sN
-            obs = synthesize_observation(cfg, pre, random_unit_channel(L, np.random.default_rng(0)), s, rng=1)
-            assert obs.yN.shape == (N * (M + L) - L,)
+            y = synthesize_observation(pre, random_unit_channel(L, np.random.default_rng(0)), s, 1.0, 1)
+            assert y.shape == (N * (M + L) - L,)
 
     def test_scalar_ambiguity_invariance(self):
         rng = np.random.default_rng(13)
         cfg, pre, h, s = random_instance(rng, M=4, L=2, N=3)
         c = 2 + 1j
-        y1 = synthesize_observation(cfg, pre, h, s, rng=0, sigma2=0.0).yN
-        y2 = synthesize_observation(cfg, pre, h / c, c * s, rng=0, sigma2=0.0).yN
+        y1 = synthesize_observation(pre, h, s, 0.0, 0)
+        y2 = synthesize_observation(pre, h / c, c * s, 0.0, 0)
         np.testing.assert_allclose(y1, y2, atol=1e-12)
 
     def test_noise_variance_calibration(self):
-        cfg = SystemConfig(M=4, L=2, N=4, sigma2=0.25)
-        pre = make_precoder(cfg)
+        pre = make_precoder(SystemConfig(M=4, L=2, N=4))
         h = np.zeros(3, dtype=complex)
         h[0] = 1.0
         s = np.zeros(16, dtype=complex)
         rng = np.random.default_rng(99)
         power = np.mean(
             [
-                np.mean(np.abs(synthesize_observation(cfg, pre, h, s, rng=rng).yN) ** 2)
+                np.mean(np.abs(synthesize_observation(pre, h, s, 0.25, rng)) ** 2)
                 for _ in range(200)
             ]
         )
@@ -330,8 +341,8 @@ class TestSynthesize:
     def test_noise_seed_determinism(self):
         rng = np.random.default_rng(14)
         cfg, pre, h, s = random_instance(rng)
-        y1 = synthesize_observation(cfg, pre, h, s, rng=77).yN
-        y2 = synthesize_observation(cfg, pre, h, s, rng=77).yN
+        y1 = synthesize_observation(pre, h, s, 0.5, 77)
+        y2 = synthesize_observation(pre, h, s, 0.5, 77)
         np.testing.assert_array_equal(y1, y2)
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
@@ -341,16 +352,15 @@ class TestSynthesize:
         # SNR point; that must be the frame synthesize_observation draws.
         rng = np.random.default_rng(15)
         for sigma2 in (1e-3, 0.7):
-            cfg, pre, h, s = random_instance(
-                rng, M=5, L=2, N=4, sigma2=sigma2,
-                redundancy_kind=kind, inner_kind=inner,
+            _, pre, h, s = random_instance(
+                rng, M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner,
             )
-            clean = synthesize_observation(cfg, pre, h, s, None, sigma2=0.0).yN
+            clean = synthesize_observation(pre, h, s, 0.0, None)
             seed = np.random.SeedSequence([3, 2, 1, 0])
             noise = draw_noise(clean.size, np.random.default_rng(seed))
             noisy = synthesize_observation(
-                cfg, pre, h, s, np.random.default_rng(seed)
-            ).yN
+                pre, h, s, sigma2, np.random.default_rng(seed)
+            )
             assert np.array_equal(clean + np.sqrt(sigma2 / 2) * noise, noisy)
 
 
@@ -358,36 +368,44 @@ class TestGradients:
     def test_zero_residual_gives_zero_gradients(self):
         rng = np.random.default_rng(15)
         cfg, pre, h, s = random_instance(rng)
-        y = synthesize_observation(cfg, pre, h, s, rng=0, sigma2=0.0).yN
-        grad_h, grad_s = loglik_gradients(y, cfg, pre, h, s)
+        y = synthesize_observation(pre, h, s, 0.0, 0)
+        grad_h, grad_s = loglik_gradients(y, cfg, pre, h, s, 0.5)
         np.testing.assert_allclose(grad_h, 0, atol=1e-12)
         np.testing.assert_allclose(grad_s, 0, atol=1e-12)
 
     def test_symbol_gradient_closed_form(self):
         rng = np.random.default_rng(16)
-        cfg, pre, h, s = random_instance(rng, sigma2=0.3)
-        y = synthesize_observation(cfg, pre, h, s, rng=1).yN
-        _, grad_s = loglik_gradients(y, cfg, pre, h, s)
+        sigma2 = 0.3
+        cfg, pre, h, s = random_instance(rng)
+        y = synthesize_observation(pre, h, s, sigma2, 1)
+        _, grad_s = loglik_gradients(y, cfg, pre, h, s, sigma2)
         K, _ = build_K(cfg, pre, h)
-        np.testing.assert_array_equal(grad_s, K.conj().T @ (y - K @ s) / cfg.sigma2)
+        np.testing.assert_array_equal(grad_s, K.conj().T @ (y - K @ s) / sigma2)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -0.5, np.nan])
+    def test_rejects_nonpositive_or_nan_sigma2(self, sigma2):
+        rng = np.random.default_rng(19)
+        cfg, pre, h, s = random_instance(rng)
+        y = synthesize_observation(pre, h, s, 0.0, None)
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            loglik_gradients(y, cfg, pre, h, s, sigma2)
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(17)
-        eps = 1e-6
+        eps, sigma2 = 1e-6, 0.5
         for trial in range(10):
             kind = ("cp", "zp")[trial % 2]
             inner = ("identity", "idft")[(trial // 2) % 2]
             cfg, pre, h, s = random_instance(
-                rng, M=4, L=2, N=3, sigma2=0.5,
-                redundancy_kind=kind, inner_kind=inner,
+                rng, M=4, L=2, N=3, redundancy_kind=kind, inner_kind=inner,
             )
-            y = synthesize_observation(cfg, pre, h, s, rng=trial).yN
+            y = synthesize_observation(pre, h, s, sigma2, trial)
 
             def loglik(taps, frame):
                 e = y - conv_observe(pre.F, taps, frame, cfg.N)
-                return -float(np.real(np.vdot(e, e))) / cfg.sigma2
+                return -float(np.real(np.vdot(e, e))) / sigma2
 
-            grad_h, grad_s = loglik_gradients(y, cfg, pre, h, s)
+            grad_h, grad_s = loglik_gradients(y, cfg, pre, h, s, sigma2)
             scale_h = np.max(np.abs(grad_h))
             for l in range(cfg.L + 1):
                 delta = np.zeros_like(h)

@@ -3,7 +3,9 @@ names that the package no longer carries."""
 
 import blindcrb
 
-REMOVED = ("NullSpaceBasis", "left_null_basis", "run_cell")
+REMOVED = (
+    "ChannelEstimate", "NullSpaceBasis", "Observation", "left_null_basis", "run_cell",
+)
 
 
 def test_all_is_sorted_without_duplicates():
