@@ -75,11 +75,13 @@ class FimBlocks:
 class CrbResult:
     """An L x L bound over the non-anchor taps.
 
-    C is Hermitian positive semidefinite and trace its (real) trace.
+    C is Hermitian positive semidefinite and trace its (real) trace. From
+    a stack of informations, C is the (..., L, L) stack of bounds and
+    trace the array of their traces, NaN where the inversion was refused.
     """
 
     C: np.ndarray
-    trace: float
+    trace: float | np.ndarray
 
 
 def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlocks:
@@ -108,24 +110,42 @@ def _require_positive_sigma2(sigma2: float):
 
 
 def _delete_anchor(D: np.ndarray, d: int) -> np.ndarray:
-    if not 0 <= d < D.shape[0]:
-        raise ValueError(f"anchor index {d} outside 0..{D.shape[0] - 1}")
-    return np.delete(np.delete(D, d, axis=0), d, axis=1)
+    if not 0 <= d < D.shape[-1]:
+        raise ValueError(f"anchor index {d} outside 0..{D.shape[-1] - 1}")
+    return np.delete(np.delete(D, d, axis=-2), d, axis=-1)
+
+
+def _conditioned(A: np.ndarray):
+    """cond(A) of a matrix or of each matrix of a stack, and whether it is
+    finite and below COND_LIMIT."""
+    cond = np.linalg.cond(A)
+    return cond, np.isfinite(cond) & (cond < COND_LIMIT)
 
 
 def _require_conditioned(A: np.ndarray, name: str):
     """Raise IllConditioned unless cond(A) is finite and below COND_LIMIT."""
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
+    cond, ok = _conditioned(A)
+    if not ok:
         raise IllConditioned(name, float(cond))
 
 
 def _invert_reduced(D: np.ndarray, d: int) -> CrbResult:
-    """Delete the anchor row/column of the reduced information and invert."""
-    Dd = _delete_anchor(D, d)
-    _require_conditioned(Dd, "anchor-reduced information E_d D E_d^H")
-    C = _hermitize(np.linalg.inv(Dd))
-    return CrbResult(C=C, trace=float(np.real(np.trace(C))))
+    """Delete the anchor row/column of the reduced information and invert.
+
+    D is one (L+1) x (L+1) information, which raises IllConditioned when
+    its anchor-reduced part is ill-conditioned, or a (..., L+1, L+1)
+    stack, whose ill-conditioned members get a NaN bound and trace.
+    """
+    Dd = _delete_anchor(np.asarray(D), d)
+    if Dd.ndim == 2:
+        _require_conditioned(Dd, "anchor-reduced information E_d D E_d^H")
+        C = _hermitize(np.linalg.inv(Dd))
+        return CrbResult(C=C, trace=float(np.real(np.trace(C))))
+    _, ok = _conditioned(Dd)
+    C = np.full(Dd.shape, np.nan, dtype=np.complex128)
+    # Only the accepted members: a singular one would fail inv for all.
+    C[ok] = _hermitize(np.linalg.inv(Dd[ok]))
+    return CrbResult(C=C, trace=np.real(np.trace(C, axis1=-2, axis2=-1)))
 
 
 def _schur_reduce(blocks: FimBlocks) -> np.ndarray:

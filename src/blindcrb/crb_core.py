@@ -41,8 +41,9 @@ def _require_hermitian(J: np.ndarray, name: str = "J") -> np.ndarray:
 
 
 def _hermitize(A: np.ndarray) -> np.ndarray:
-    """Symmetrize away the rounding skew of a nominally Hermitian product."""
-    return (A + A.conj().T) / 2
+    """Symmetrize away the rounding skew of a nominally Hermitian product,
+    or of each matrix of a (..., n, n) stack."""
+    return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
 def fix_column_phases(U: np.ndarray) -> np.ndarray:

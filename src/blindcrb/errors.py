@@ -35,7 +35,8 @@ class SolverDegenerate(NumericalError):
 
 
 class ZeroAnchorTap(NumericalError):
-    """The anchor tap of a channel estimate is too small to divide by."""
+    """The anchor tap of a channel estimate is too small to divide by, or
+    not finite."""
 
 
 class ExclusionBudgetExceeded(NumericalError):

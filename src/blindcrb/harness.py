@@ -10,17 +10,23 @@ bound trace is evaluated at the same (channel, frame, anchor) via the
 fast route. Averages over the included trials of a cell give its mse_avg
 and crb_avg.
 
-Loop order: channel, then trial, then SNR point in ascending order. What
-does not depend on the noise level is computed before the SNR points and
-shared by all of them. Per channel: the channel is drawn, then every
-trial's frame, noiseless received frame and unit noise draw, and then
-one call per D0 function gives the bound's reduced information with the
-noise factored out, D0, for all of the channel's trials at once (and the
-zero-padding reference's D0 when the plan asks for it). Per SNR point
-three steps remain: y = clean + sqrt(sigma2/2) * noise, the estimator
-(given no sigma2) with resolve_ambiguity, and the inversion of D0 / sigma2.
-These are the floating-point operations of a cell-by-cell run, so a
-cell's record does not depend on which other cells run with it.
+Loop order: channel, then trial; a trial's SNR points are evaluated
+together. What does not depend on the noise level is computed before the
+SNR points and shared by all of them. Per channel: the channel is drawn,
+then every trial's frame, noiseless received frame and unit noise draw,
+and then one call per D0 function gives the bound's reduced information
+with the noise factored out, D0, for all of the channel's trials at once
+(and the zero-padding reference's D0 when the plan asks for it). The
+channel's (trial, SNR point) stack of D0 / sigma2 is inverted in one
+stacked call. Per trial, y = clean + sqrt(sigma2/2) * noise is formed at
+every SNR point, and the stack of frames goes to the estimator (given no
+sigma2) in one stacked call; then each SNR point resolves its row's
+ambiguity and adds to its cell, in ascending order. numpy's stacked
+operations do on each member what they do on one matrix or frame, so
+these are the floating-point operations of a cell-by-cell run, and a
+cell's record does not depend on which other cells run with it. Batching
+per trial, not per channel, keeps the estimator's working set at one
+trial's n_snr frames and their windows.
 
 SNR convention: symbols have unit power and channels unit norm, so
 snr_db = 10 log10(1 / sigma2).
@@ -29,13 +35,15 @@ Randomness is reproducible: a master seed fans out through
 numpy SeedSequence([master_seed, stream, indices...]) with stream tags
 0 = channel draw (per channel index), 1 = symbol frame and 2 = noise
 (per channel and trial index); drawing a channel's frames ahead of its
-trials changes no draw. Trials that raise a NumericalError are excluded
-and counted per cell. A failure of D0 (a rank-deficient K, an
-ill-conditioned zero-padding symbol block) depends on the channel alone,
-so it excludes all of that channel's trials from every cell; a failure
-of the estimator or of the inversion excludes one trial from its own
-cell only. Once every trial has run, the cells are checked in ascending SNR
-order and the first whose exclusions reach 1% of its trials fails.
+trials changes no draw. Trials that fail numerically are excluded and
+counted per cell. A failure of D0 (a rank-deficient K, an ill-conditioned
+zero-padding symbol block) depends on the channel alone, so it excludes
+all of that channel's trials from every cell. The stacked estimator and
+inversion mark a failed member NaN instead of raising, so a failed
+estimate, a refused inversion or a failed ambiguity resolution excludes
+one trial from its own cell only. Once every trial has run, the cells are
+checked in ascending SNR order and the first whose exclusions reach 1% of
+its trials fails.
 """
 
 from __future__ import annotations
@@ -144,7 +152,9 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """Averaged outcome of one (SNR, configuration) cell."""
+    """Averaged outcome of one (SNR, configuration) cell. The averages
+    must be finite: a NaN that reached one would mean a failed trial was
+    averaged in instead of excluded."""
 
     snr_db: float
     crb_avg: float
@@ -157,10 +167,16 @@ class ResultRecord:
     excluded_trials: int
 
     def __post_init__(self):
-        if not self.crb_avg > 0:
-            raise ValueError(f"crb_avg must be positive, got {self.crb_avg}")
-        if self.mse_avg < 0:
-            raise ValueError(f"mse_avg must be nonnegative, got {self.mse_avg}")
+        if not (self.crb_avg > 0 and math.isfinite(self.crb_avg)):
+            raise ValueError(f"crb_avg must be finite and positive, got {self.crb_avg}")
+        if not (self.mse_avg >= 0 and math.isfinite(self.mse_avg)):
+            raise ValueError(f"mse_avg must be finite and nonnegative, got {self.mse_avg}")
+        if self.crb_zp_ref_avg is not None and not (
+            self.crb_zp_ref_avg > 0 and math.isfinite(self.crb_zp_ref_avg)
+        ):
+            raise ValueError(
+                f"crb_zp_ref_avg must be finite and positive, got {self.crb_zp_ref_avg}"
+            )
 
 
 @dataclass
@@ -180,14 +196,16 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     """Run every cell of the plan; one record per SNR point, ascending.
 
     estimate_fn replaces the subspace estimator when given (for oracle
-    tests); it receives (yN, precoder, settings), no noise variance, and
-    returns the unresolved taps. The frames of each channel are drawn and
-    their bound information computed once per channel, then each trial is
-    evaluated at every SNR point, so estimate_fn is called in the order
-    channel i, trial j, SNR point s: call number
-    k = (i * n_trials + j) * len(plan.snr_db_grid) + s, so k % len(grid) is
-    the SNR index. A channel whose bound information raises makes no
-    estimator calls and takes no call numbers. A record does not depend on
+    tests). It is called once per trial, with the trial's frame at every
+    SNR point: it receives (Y, precoder, settings), where Y is the
+    (len(grid), NP - L) stack whose row s is the frame at grid point s,
+    and no noise variance, and returns the (len(grid), L+1) unresolved
+    taps. A row with a non-finite entry is a failed estimate and excludes
+    the trial from that point's cell only; a NumericalError raised by the
+    call excludes the trial from every cell. Calls come in the order
+    channel i, trial j: call number k = i * n_trials + j. A channel whose
+    bound information raises makes no estimator calls and takes no call
+    numbers, so the calls after it move up. A record does not depend on
     which other points share the grid.
     """
     if estimate_fn is None:
@@ -195,6 +213,9 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     config = plan.config
     precoder = make_precoder(config)
     cells = [_Cell(s, sigma2_from_snr_db(s)) for s in plan.snr_db_grid]
+    sigma2s = np.array([cell.sigma2 for cell in cells])
+    # Row s scales a unit noise draw to the variance of SNR point s.
+    noise_scales = np.sqrt(sigma2s / 2)[:, None]
     for i in range(plan.n_channels):
         channel = draw_channel(
             config.L, _stream_rng(plan.master_seed, _STREAM_CHANNEL, i)
@@ -223,21 +244,39 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
             for cell in cells:
                 cell.excluded += plan.n_trials
             continue
-        for j, (clean, noise) in enumerate(zip(cleans, noises)):
-            for cell in cells:
-                yN = clean + np.sqrt(cell.sigma2 / 2) * noise
+        # (n_trials, n_snr) traces, NaN where an inversion was refused.
+        bounds = _invert_reduced(D0s[:, None] / sigma2s[:, None, None], d).trace
+        refs = (
+            _invert_reduced(D0s_zp[:, None] / sigma2s[:, None, None], d).trace
+            if plan.compute_zp_reference else np.zeros_like(bounds)
+        )
+        for clean, noise, bound, ref in zip(cleans, noises, bounds, refs):
+            try:
+                h_hats = estimate_fn(
+                    clean + noise_scales * noise, precoder, plan.estimator_settings
+                )
+            except NumericalError:
+                for cell in cells:
+                    cell.excluded += 1
+                continue
+            if np.shape(h_hats) != (len(cells), config.L + 1):
+                raise ValueError(
+                    f"estimate_fn returned shape {np.shape(h_hats)}, "
+                    f"expected {(len(cells), config.L + 1)}"
+                )
+            ok = np.isfinite(h_hats).all(axis=-1) & np.isfinite(bound + ref)
+            for s, cell in enumerate(cells):
+                if not ok[s]:
+                    cell.excluded += 1
+                    continue
                 try:
-                    h_hat = estimate_fn(yN, precoder, plan.estimator_settings)
-                    h_hat = resolve_ambiguity(h_hat, d, h[d])
-                    bound = _invert_reduced(D0s[j] / cell.sigma2, d)
-                    if plan.compute_zp_reference:
-                        ref = _invert_reduced(D0s_zp[j] / cell.sigma2, d)
-                        cell.zp += ref.trace
+                    h_hat = resolve_ambiguity(h_hats[s], d, h[d])
                 except NumericalError:
                     cell.excluded += 1
                     continue
                 cell.mse += float(np.sum(np.abs(h_hat - h) ** 2))
-                cell.crb += bound.trace
+                cell.crb += float(bound[s])
+                cell.zp += float(ref[s])
                 cell.included += 1
     total = plan.n_channels * plan.n_trials
     for cell in cells:

@@ -1,25 +1,37 @@
 """Shared builders for randomized test instances, the explicit
 selection-matrix oracles that build_K's factors are checked against, the
-dense routes and bases that the banded bounds are checked against, and a
-one-point run of an experiment plan."""
+dense routes and bases that the banded bounds are checked against, a
+one-point run of an experiment plan, and the frame-by-frame run that the
+stacked harness is checked against."""
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from blindcrb import (
+    ExclusionBudgetExceeded,
+    NumericalError,
     RankDeficient,
+    ResultRecord,
     SystemConfig,
     build_channel_toeplitz,
     build_K,
     crb_direct,
+    draw_channel,
     fim_blocks,
     fix_column_phases,
     generate_symbols,
     make_precoder,
+    resolve_ambiguity,
     run_experiment,
+    sigma2_from_snr_db,
+    subspace_estimate,
+    synthesize_observation,
 )
+from blindcrb.crb_blind import _invert_reduced, fast_information, zp_information
 from blindcrb.crb_core import RANK_RTOL
+from blindcrb.harness import EXCLUSION_BUDGET
+from blindcrb.model import draw_noise
 
 
 def random_unit_channel(L, rng):
@@ -55,6 +67,74 @@ def run_cell(plan, snr_db, estimate_fn=None):
     """The record of one SNR point: the plan run with that point as its
     only grid point."""
     return run_experiment(replace(plan, snr_db_grid=(snr_db,)), estimate_fn)[0]
+
+
+def run_experiment_per_frame(plan):
+    """run_experiment as a loop over channel, trial and SNR point, with one
+    subspace_estimate call per 1-D frame and one _invert_reduced call per
+    2-D matrix: the same draws, operations and exclusions, one item at a
+    time. run_experiment's stacked calls must give the same records."""
+    config = plan.config
+    precoder = make_precoder(config)
+    sigma2s = [sigma2_from_snr_db(s) for s in plan.snr_db_grid]
+    n_snr = len(sigma2s)
+    mse, crb, zp = [0.0] * n_snr, [0.0] * n_snr, [0.0] * n_snr
+    included, excluded = [0] * n_snr, [0] * n_snr
+
+    def stream(*indices):
+        seq = np.random.SeedSequence([plan.master_seed, *indices])
+        return np.random.default_rng(seq)
+
+    for i in range(plan.n_channels):
+        channel = draw_channel(config.L, stream(0, i))
+        h, d = channel.h, channel.d
+        frames, cleans, noises = [], [], []
+        for j in range(plan.n_trials):
+            sN = generate_symbols("qpsk", config.M, config.N, stream(1, i, j)).sN
+            clean = synthesize_observation(precoder, h, sN, 0.0, None)
+            frames.append(sN)
+            cleans.append(clean)
+            noises.append(draw_noise(clean.size, stream(2, i, j)))
+        try:
+            D0s = fast_information(h, np.stack(frames), precoder, config.N)
+            if plan.compute_zp_reference:
+                D0s_zp = zp_information(h, np.stack(frames), precoder.Ftilde)
+        except NumericalError:
+            excluded = [e + plan.n_trials for e in excluded]
+            continue
+        for j, (clean, noise) in enumerate(zip(cleans, noises)):
+            for s, sigma2 in enumerate(sigma2s):
+                yN = clean + np.sqrt(sigma2 / 2) * noise
+                try:
+                    h_hat = subspace_estimate(yN, precoder, plan.estimator_settings)
+                    h_hat = resolve_ambiguity(h_hat, d, h[d])
+                    bound = _invert_reduced(D0s[j] / sigma2, d)
+                    if plan.compute_zp_reference:
+                        zp[s] += _invert_reduced(D0s_zp[j] / sigma2, d).trace
+                except NumericalError:
+                    excluded[s] += 1
+                    continue
+                mse[s] += float(np.sum(np.abs(h_hat - h) ** 2))
+                crb[s] += bound.trace
+                included[s] += 1
+    total = plan.n_channels * plan.n_trials
+    for snr_db, e in zip(plan.snr_db_grid, excluded):
+        if e / total >= EXCLUSION_BUDGET:
+            raise ExclusionBudgetExceeded(f"{e} of {total} trials excluded at {snr_db} dB")
+    return [
+        ResultRecord(
+            snr_db=snr_db,
+            crb_avg=crb[s] / included[s],
+            mse_avg=mse[s] / included[s],
+            crb_zp_ref_avg=zp[s] / included[s] if plan.compute_zp_reference else None,
+            n_blocks=config.N,
+            redundancy_kind=config.redundancy_kind,
+            inner_kind=config.inner_kind,
+            seed=plan.master_seed,
+            excluded_trials=excluded[s],
+        )
+        for s, snr_db in enumerate(plan.snr_db_grid)
+    ]
 
 
 def random_psd(n, rng, rank=None):

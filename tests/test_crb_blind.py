@@ -438,6 +438,50 @@ class TestCrbFastSweep:
         synthesize_observation(pre, h, s, cfg.sigma2, 0)
 
 
+class TestInvertReducedStack:
+    """The anchor-reduced inversion of a (trial, SNR) stack, member by
+    member, against one matrix at a time."""
+
+    @pytest.mark.parametrize("N", [8, 25])
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
+    def test_stack_equals_items(self, kind, inner, N):
+        rng = np.random.default_rng(80)
+        M, L = 4, 2
+        custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
+        pre = make_precoder(SystemConfig(
+            M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
+            custom_redundancy=custom if kind == "custom" else None,
+        ))
+        h = random_unit_channel(L, rng)
+        d = default_anchor(h)
+        frames = np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in range(3)])
+        sigma2s = np.logspace(0, -4, 5)
+        stack = fast_information(h, frames, pre, N)[:, None] / sigma2s[:, None, None]
+        result = _invert_reduced(stack, d)
+        assert result.C.shape == (3, 5, L, L) and result.trace.shape == (3, 5)
+        for t in range(3):
+            for s in range(5):
+                one = _invert_reduced(stack[t, s], d)
+                assert np.array_equal(result.C[t, s], one.C)
+                assert result.trace[t, s] == one.trace
+
+    def test_ill_conditioned_member_gives_nan_alone(self):
+        good = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]], dtype=complex)
+        singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        stack = np.stack([good, singular, 2 * good])
+        result = _invert_reduced(stack, 0)
+        assert np.isnan(result.C[1]).all() and np.isnan(result.trace[1])
+        for k in (0, 2):
+            one = _invert_reduced(stack[k], 0)
+            assert np.array_equal(result.C[k], one.C)
+            assert result.trace[k] == one.trace
+        with pytest.raises(IllConditioned, match="anchor-reduced"):
+            _invert_reduced(singular, 0)
+        refused = _invert_reduced(singular[None], 0)
+        assert np.isnan(refused.trace).all()
+
+
 class TestZpPerBlock:
     def make_zp(self, rng, M=6, L=2, N=4, inner="identity"):
         return random_instance(

@@ -23,6 +23,7 @@ from blindcrb import (
     subspace_estimate,
     synthesize_observation,
 )
+from blindcrb.model import draw_noise
 from helpers import left_null_basis, random_unit_channel
 
 
@@ -145,6 +146,72 @@ class TestFailureModes:
             channel_from_noise_subspace(np.zeros((14, 1)), pre.F, 2)
 
 
+def noisy_stack(kind, inner, N, S=4, seed=70):
+    """An M=4, L=2 precoder and one frame's (S, NP - L) stack of noisy
+    copies, noise variances 1e-1 down to 1e-4."""
+    rng = np.random.default_rng(seed)
+    M, L = 4, 2
+    custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
+    cfg = SystemConfig(
+        M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
+        custom_redundancy=custom if kind == "custom" else None,
+    )
+    pre = make_precoder(cfg)
+    h = random_unit_channel(L, rng)
+    clean = synthesize_observation(pre, h, generate_symbols("qpsk", M, N, rng).sN, 0.0, None)
+    noise = draw_noise(clean.size, rng)
+    return pre, clean + np.sqrt(np.logspace(-1, -4, S) / 2)[:, None] * noise
+
+
+class TestStacks:
+    """A stack gives, member by member, what one item gives, and a failed
+    member gives NaN without touching the others."""
+
+    @pytest.mark.parametrize("w", [2, 3])
+    @pytest.mark.parametrize("N", [8, 25])
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
+    def test_stack_equals_items(self, kind, inner, N, w):
+        pre, Y = noisy_stack(kind, inner, N)
+        settings = EstimatorSettings(window_blocks=w)
+        H = subspace_estimate(Y, pre, settings)
+        assert H.shape == (len(Y), 3)
+        for y, row in zip(Y, H):
+            assert np.array_equal(subspace_estimate(y, pre, settings), row)
+        rng = np.random.default_rng(N + w)
+        shape = (3, w * pre.F.shape[0] - 2, 2)
+        bases = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked = channel_from_noise_subspace(bases, pre.F, 2)
+        for basis, row in zip(bases, stacked):
+            assert np.array_equal(channel_from_noise_subspace(basis, pre.F, 2), row)
+
+    def test_zero_frame_gives_nan_row_alone(self):
+        pre, Y = noisy_stack("cp", "idft", 25)
+        Y[1] = 0
+        H = subspace_estimate(Y, pre)
+        assert np.isnan(H[1]).all()
+        for s in (0, 2, 3):
+            assert np.array_equal(subspace_estimate(Y[s], pre), H[s])
+
+    def test_degenerate_basis_gives_nan_row_alone(self):
+        pre = make_precoder(SystemConfig(M=6, L=2, N=8))
+        bases = np.random.default_rng(71).standard_normal((3, 14, 2)) + 0j
+        bases[2] = 0
+        H = channel_from_noise_subspace(bases, pre.F, 2)
+        assert np.isnan(H[2]).all()
+        for s in (0, 1):
+            assert np.array_equal(channel_from_noise_subspace(bases[s], pre.F, 2), H[s])
+
+    def test_batch_failures_raise(self):
+        pre = make_precoder(SystemConfig(M=6, L=2, N=3))
+        with pytest.raises(InsufficientData, match="blocks"):
+            subspace_estimate(np.ones((2, 22), dtype=complex), pre, EstimatorSettings(4))
+        with pytest.raises(ValueError, match="samples"):
+            subspace_estimate(np.ones((2, 2, 22), dtype=complex), pre)
+        with pytest.raises(ValueError, match="samples"):
+            subspace_estimate(np.ones((2, 21), dtype=complex), pre)
+
+
 class TestSettings:
     def test_defaults(self):
         s = EstimatorSettings()
@@ -175,6 +242,13 @@ class TestResolveAmbiguity:
     def test_zero_anchor_rejected(self):
         with pytest.raises(ZeroAnchorTap):
             resolve_ambiguity(np.array([0.0, 1.0], dtype=complex), 0, 1.0)
+
+    @pytest.mark.parametrize(
+        "anchor", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 1)]
+    )
+    def test_nonfinite_anchor_rejected(self, anchor):
+        with pytest.raises(ZeroAnchorTap, match="not finite"):
+            resolve_ambiguity(np.array([anchor, 1.0], dtype=complex), 0, 1.0)
 
     def test_anchor_index_validated(self):
         with pytest.raises(ValueError, match="anchor"):

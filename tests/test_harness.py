@@ -6,6 +6,8 @@ true channel (reconstructed from the documented seed fan-out) up to a
 complex scale: after ambiguity resolution the cell's mse_avg must vanish.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from blindcrb import (
     sigma2_from_snr_db,
     write_csv,
 )
-from helpers import run_cell
+from helpers import run_cell, run_experiment_per_frame
 
 
 def channel_sequence(plan):
@@ -40,27 +42,26 @@ def channel_sequence(plan):
     ]
 
 
-def oracle_estimator(plan, fail_trials=(), n_snr=None):
-    """Estimator stub returning the true channel scaled by 2+1j.
+def oracle_estimator(plan, fail_trials=()):
+    """Estimator stub returning the true channel scaled by 2+1j at every
+    SNR point of the stack it is given.
 
-    Calls arrive in the documented order (channel i, then trial j, then
-    SNR point), so call k serves trial t = k // n_snr, whose channel is
-    t // n_trials. n_snr is the number of SNR points each trial runs at:
-    the plan's grid (the default) for run_experiment, 1 for run_cell. The
-    stub raises a numerical error for the trials t in fail_trials, at
-    every SNR point. The trial counter wraps at one cell's worth of
-    trials so a single stub can serve repeated runs."""
+    Calls arrive in the documented order (channel i, then trial j), one
+    per trial, so call k serves trial t = k, whose channel is
+    t // n_trials. The stub raises a numerical error for the trials t in
+    fail_trials, which excludes them from every cell. The trial counter
+    wraps at one cell's worth of trials so a single stub can serve
+    repeated runs."""
     channels = channel_sequence(plan)
     per_cell = plan.n_channels * plan.n_trials
-    n_snr = len(plan.snr_db_grid) if n_snr is None else n_snr
     state = {"call": 0}
 
     def estimate(yN, precoder, settings):
-        t = (state["call"] // n_snr) % per_cell
+        t = state["call"] % per_cell
         state["call"] += 1
         if t in fail_trials:
             raise IllConditioned("stub", float("inf"))
-        return (2 + 1j) * channels[t // plan.n_trials].h
+        return np.tile((2 + 1j) * channels[t // plan.n_trials].h, (len(yN), 1))
 
     return estimate
 
@@ -163,10 +164,40 @@ class TestResultRecordValidation:
             )
 
 
+    @staticmethod
+    def record(**overrides):
+        kwargs = dict(
+            snr_db=10.0, crb_avg=1.0, mse_avg=0.0, crb_zp_ref_avg=0.5,
+            n_blocks=8, redundancy_kind="zp", inner_kind="identity",
+            seed=0, excluded_trials=0,
+        )
+        kwargs.update(overrides)
+        return ResultRecord(**kwargs)
+
+    def test_accepts_finite_averages(self):
+        assert self.record().crb_zp_ref_avg == 0.5
+        assert self.record(crb_zp_ref_avg=None).crb_zp_ref_avg is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_crb(self, value):
+        with pytest.raises(ValueError, match="crb_avg"):
+            self.record(crb_avg=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_mse(self, value):
+        with pytest.raises(ValueError, match="mse_avg"):
+            self.record(mse_avg=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_zp_reference(self, value):
+        with pytest.raises(ValueError, match="crb_zp_ref_avg"):
+            self.record(crb_zp_ref_avg=value)
+
+
 class TestRunCell:
     def test_oracle_estimator_gives_zero_mse(self):
         plan = small_plan()
-        record = run_cell(plan, 20.0, estimate_fn=oracle_estimator(plan, n_snr=1))
+        record = run_cell(plan, 20.0, estimate_fn=oracle_estimator(plan))
         assert record.mse_avg <= 1e-25
         assert record.crb_avg > 0
         assert record.excluded_trials == 0
@@ -194,7 +225,7 @@ class TestRunCell:
     def test_exclusions_under_budget_are_counted(self):
         plan = small_plan(n_channels=1, n_trials=101)
         record = run_cell(
-            plan, 20.0, estimate_fn=oracle_estimator(plan, fail_trials={0}, n_snr=1)
+            plan, 20.0, estimate_fn=oracle_estimator(plan, fail_trials={0})
         )
         assert record.excluded_trials == 1
         assert record.mse_avg <= 1e-25
@@ -203,7 +234,7 @@ class TestRunCell:
         plan = small_plan()
 
         def always_fails(yN, precoder, settings):
-            raise IllConditioned("stub", float("inf"))
+            return np.full((len(yN), plan.config.L + 1), np.nan + 0j)
 
         with pytest.raises(ExclusionBudgetExceeded, match="excluded"):
             run_cell(plan, 20.0, estimate_fn=always_fails)
@@ -229,6 +260,12 @@ class TestRunExperiment:
         plan = small_plan(snr_db_grid=(5.0, 15.0, 25.0), n_channels=1, n_trials=1)
         records = run_experiment(plan, estimate_fn=oracle_estimator(plan))
         assert [r.snr_db for r in records] == [5.0, 15.0, 25.0]
+
+    def test_estimate_of_wrong_shape_rejected(self):
+        plan = small_plan()
+        channel = channel_sequence(plan)[0]
+        with pytest.raises(ValueError, match="shape"):
+            run_experiment(plan, estimate_fn=lambda yN, p, s: channel.h)
 
     def test_crb_decreases_with_snr(self):
         plan = small_plan(snr_db_grid=(0.0, 20.0), n_channels=2, n_trials=1)
@@ -275,6 +312,51 @@ def counting(fn, calls, fail_at=()):
     return wrapped
 
 
+def rounding_plan(**overrides):
+    # N - w + 1 < wM: the estimate depends on rounding, so any change in
+    # the floating-point operations shows in mse_avg
+    return small_plan(
+        config=SystemConfig(M=12, L=4, N=8, inner_kind="idft"), **overrides
+    )
+
+
+class TestStackedMatchesPerFrame:
+    """run_experiment estimates all SNR points of a trial in one stacked
+    call and inverts all of a channel's bounds in another; its records
+    must match the frame-by-frame loop byte for byte."""
+
+    @pytest.mark.parametrize(
+        "make_plan",
+        [small_plan, idft_plan, custom_plan, zp_plan, rounding_plan],
+        ids=["cp-identity", "cp-idft", "custom", "zp-reference", "M12-N8-idft"],
+    )
+    def test_csv_equals_per_frame_run(self, make_plan):
+        plan = make_plan(
+            snr_db_grid=(0.0, 10.0, 20.0, 30.0, 40.0), n_channels=3, n_trials=3
+        )
+        stacked = format_csv(run_experiment(plan))
+        assert stacked == format_csv(run_experiment_per_frame(plan))
+
+    def test_long_frame_peak_memory(self):
+        # One trial's 7 frames and their windows at a time peaks near
+        # 13 MB; stacking the channel's whole 5 x 7 grid peaks near 45 MB.
+        plan = ExperimentPlan(
+            config=SystemConfig(M=12, L=4, N=1000),
+            snr_db_grid=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
+            n_channels=1,
+            n_trials=5,
+            master_seed=0,
+        )
+        tracemalloc.start()
+        try:
+            records = run_experiment(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+        assert all(r.excluded_trials == 0 for r in records)
+
+
 class TestSnrSharing:
     """Each (channel, trial) is drawn once, the bound information of all
     of a channel's trials is computed in one call, and every trial is then
@@ -304,16 +386,19 @@ class TestSnrSharing:
         monkeypatch.setattr(
             harness, "zp_information", counting(harness.zp_information, zp)
         )
-        monkeypatch.setattr(
-            harness,
-            "subspace_estimate",
-            counting(harness.subspace_estimate, estimates),
-        )
+        subspace_estimate = harness.subspace_estimate
+
+        def estimate(yN, precoder, settings):
+            estimates.append(len(yN))
+            return subspace_estimate(yN, precoder, settings)
+
+        monkeypatch.setattr(harness, "subspace_estimate", estimate)
         records = run_experiment(plan)
         trials = plan.n_channels * plan.n_trials
         assert len(fast) == plan.n_channels
         assert len(zp) == (plan.n_channels if plan.compute_zp_reference else 0)
-        assert len(estimates) == len(self.grid) * trials
+        # one stacked call per trial, one row per SNR point
+        assert estimates == [len(self.grid)] * trials
         assert all(r.excluded_trials == 0 for r in records)
 
     def test_rank_deficient_channel_excluded_in_every_cell(self, monkeypatch):
@@ -327,34 +412,40 @@ class TestSnrSharing:
         )
 
         def estimate(yN, precoder, settings):
-            t = len(estimates) // len(self.grid)
+            t = len(estimates)
             estimates.append(yN)
-            return (2 + 1j) * kept[t // plan.n_trials].h
+            return np.tile((2 + 1j) * kept[t // plan.n_trials].h, (len(yN), 1))
 
         records = run_experiment(plan, estimate_fn=estimate)
         assert [r.excluded_trials for r in records] == [2, 2, 2]
         assert all(r.mse_avg <= 1e-25 for r in records)
         assert len(fast) == 101
         # the excluded channel's trials make no estimator calls
-        assert len(estimates) == 3 * 200
+        assert len(estimates) == 200
+        assert all(len(yN) == len(self.grid) for yN in estimates)
 
     def test_estimator_failure_excluded_in_its_own_cell_only(self):
         plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
         channel = channel_sequence(plan)[0]
-        calls, seen = [], []
+        calls = []
 
         def estimate(yN, precoder, settings):
-            s = len(calls) % len(self.grid)  # SNR index of this call
             calls.append(yN)
-            if s == 1:  # the 20 dB point
-                seen.append(yN)
-                if len(seen) == 1:
-                    raise IllConditioned("stub", float("inf"))
-            return (2 + 1j) * channel.h
+            h_hats = np.tile((2 + 1j) * channel.h, (len(yN), 1))
+            if len(calls) == 1:
+                h_hats[1] = np.nan  # the first trial's 20 dB point fails
+            return h_hats
 
         records = run_experiment(plan, estimate_fn=estimate)
         assert [r.excluded_trials for r in records] == [0, 1, 0]
-        assert len(seen) == 101
+        assert len(calls) == 101
+        assert all(len(yN) == len(self.grid) for yN in calls)
+        assert all(r.mse_avg <= 1e-25 for r in records)
+
+    def test_estimator_raise_excluded_in_every_cell(self):
+        plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
+        records = run_experiment(plan, estimate_fn=oracle_estimator(plan, {5}))
+        assert [r.excluded_trials for r in records] == [1, 1, 1]
         assert all(r.mse_avg <= 1e-25 for r in records)
 
     def test_first_cell_over_budget_is_named(self):
@@ -365,11 +456,13 @@ class TestSnrSharing:
         calls = []
 
         def estimate(yN, precoder, settings):
-            k, s = divmod(len(calls), len(self.grid))  # trial number, SNR index
+            k = len(calls)  # trial number
             calls.append(yN)
-            if k < fails.get(s, 0):
-                raise IllConditioned("stub", float("inf"))
-            return channels[k // plan.n_trials].h
+            h_hats = np.tile(channels[k // plan.n_trials].h, (len(yN), 1))
+            for s, n_failing in fails.items():
+                if k < n_failing:
+                    h_hats[s] = np.nan
+            return h_hats
 
         with pytest.raises(
             ExclusionBudgetExceeded, match=r"^1 of 4 trials excluded at 20\.0 dB$"
