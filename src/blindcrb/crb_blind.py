@@ -137,15 +137,14 @@ def _invert_reduced(D: np.ndarray, d: int) -> CrbResult:
     stack, whose ill-conditioned members get a NaN bound and trace.
     """
     Dd = _delete_anchor(np.asarray(D), d)
-    if Dd.ndim == 2:
-        _require_conditioned(Dd, "anchor-reduced information E_d D E_d^H")
-        C = _hermitize(np.linalg.inv(Dd))
-        return CrbResult(C=C, trace=float(np.real(np.trace(C))))
-    _, ok = _conditioned(Dd)
+    cond, ok = _conditioned(Dd)
+    if Dd.ndim == 2 and not ok:
+        raise IllConditioned("anchor-reduced information E_d D E_d^H", float(cond))
     C = np.full(Dd.shape, np.nan, dtype=np.complex128)
     # Only the accepted members: a singular one would fail inv for all.
     C[ok] = _hermitize(np.linalg.inv(Dd[ok]))
-    return CrbResult(C=C, trace=np.real(np.trace(C, axis1=-2, axis2=-1)))
+    trace = np.real(np.trace(C, axis1=-2, axis2=-1))
+    return CrbResult(C=C, trace=float(trace) if Dd.ndim == 2 else trace)
 
 
 def _schur_reduce(blocks: FimBlocks) -> np.ndarray:
