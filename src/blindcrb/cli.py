@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import numpy as np
 
@@ -211,8 +212,11 @@ def _cmd_crb(args) -> int:
     if "h" not in values:
         raise _UsageError("the crb command needs channel taps (key 'h')")
     config = _config_from_values(values)  # validate before dumping
-    if not values["sigma2"] > 0:
-        raise _UsageError(f"sigma2 must be positive, got {values['sigma2']}")
+    if not 0 < values["sigma2"] < math.inf:
+        raise _UsageError(f"sigma2 must be positive and finite, got {values['sigma2']}")
+    for key in ("h", "s_n"):
+        if key in values and not np.isfinite(values[key]).all():
+            raise _UsageError(f"{key} must be finite, got a non-finite entry")
     h = np.asarray(values["h"], dtype=np.complex128)
     if h.size != config.L + 1:
         raise _UsageError(f"h must have L+1 = {config.L + 1} taps, got {h.size}")

@@ -117,9 +117,12 @@ def _delete_anchor(D: np.ndarray, d: int) -> np.ndarray:
 
 def _conditioned(A: np.ndarray):
     """cond(A) of a matrix or of each matrix of a stack, and whether it is
-    finite and below COND_LIMIT."""
-    cond = np.linalg.cond(A)
-    return cond, np.isfinite(cond) & (cond < COND_LIMIT)
+    below COND_LIMIT. A matrix with a non-finite entry has cond inf: only
+    the finite ones go to the SVD, which would fail for the whole stack."""
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    cond = np.full(finite.shape, np.inf)
+    cond[finite] = np.linalg.cond(A[finite])
+    return cond, cond < COND_LIMIT
 
 
 def _require_conditioned(A: np.ndarray, name: str):
@@ -268,7 +271,7 @@ def fast_information(
         raise RankDeficient(
             f"K is column-rank-deficient (diag ratio {diag.min() / diag.max():.3e})"
         )
-    return np.stack([_hermitize(f.conj().T @ f) for f in fin])
+    return _hermitize(fin.conj().swapaxes(-1, -2) @ fin)
 
 
 def crb_zp_per_block(
@@ -343,10 +346,7 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     # One solve for every frame: the right-hand sides side by side.
     X = np.linalg.solve(gram, Y.transpose(1, 0, 2).reshape(M, -1))
     X = X.reshape(M, T, -1).transpose(1, 0, 2)
-    return np.stack([
-        _hermitize(np.einsum("pni,pnk->ik", u.conj(), u)
-                   - np.einsum("mni,mnk->ik", y.conj(), x))
-        for u, y, x in zip(
-            U, Y.reshape(T, M, N, L + 1), X.reshape(T, M, N, L + 1)
-        )
-    ])
+    Y = Y.reshape(T, M, N, L + 1)
+    X = X.reshape(T, M, N, L + 1)
+    return _hermitize(np.einsum("tpni,tpnk->tik", U.conj(), U)
+                      - np.einsum("tmni,tmnk->tik", Y.conj(), X))

@@ -19,15 +19,16 @@ estimate is the unit-norm minimizer (smallest eigenvector) of the
 accumulated penalty Q; it carries the inherent blind scale ambiguity until
 resolve_ambiguity pins the anchor tap.
 
-Batches: subspace_estimate, channel_from_noise_subspace and
-hankel_rearrange take one item or a stack of them along leading axes, and
-run each numpy step once for the whole stack; numpy's stacked matmul,
-einsum and eigh do on each member what they do on one item, so a member's
-result does not depend on the stack it came in. A numerical failure of
-one member (a frame without energy, a penalty without an isolated
-minimum) makes that member's taps NaN and leaves the others; a failure
-of the whole batch (a bad shape, windows wider than the frame) raises.
-Given a single item, each raises the typed error it always has.
+Batches: subspace_estimate, channel_from_noise_subspace,
+resolve_ambiguity and hankel_rearrange take one item or a stack of them
+along leading axes, and run each numpy step once for the whole stack;
+numpy's stacked matmul, einsum and eigh do on each member what they do on
+one item, so a member's result does not depend on the stack it came in. A
+numerical failure of one member (a frame without energy, a penalty
+without an isolated minimum, an anchor tap too small or not finite)
+makes that member's taps NaN and leaves the others; a failure of the
+whole batch (a bad shape, windows wider than the frame) raises. Given a
+single item, each raises the typed error it always has.
 """
 
 from __future__ import annotations
@@ -175,19 +176,25 @@ def subspace_estimate(
 def resolve_ambiguity(h_hat: np.ndarray, d: int, hd0: complex) -> np.ndarray:
     """Rescale estimated taps so the anchor tap equals the known value hd0.
 
-    Raises ZeroAnchorTap when the estimated anchor tap is below 1e-12 in
-    magnitude or not finite. The returned taps have [d] == hd0 exactly.
+    h_hat is (L+1,) or a stack (..., L+1). Given one row, raises
+    ZeroAnchorTap when its anchor tap is below 1e-12 in magnitude or not
+    finite; in a stack, such a row comes back NaN. The returned taps have
+    [..., d] == hd0 exactly.
     """
     h = np.asarray(h_hat, dtype=np.complex128)
-    if not 0 <= d < h.size:
-        raise ValueError(f"anchor index {d} outside 0..{h.size - 1}")
-    mag = abs(h[d])
-    if not math.isfinite(mag):
-        raise ZeroAnchorTap(f"estimated anchor tap {h[d]} is not finite")
-    if mag < ANCHOR_FLOOR:
+    if not 0 <= d < h.shape[-1]:
+        raise ValueError(f"anchor index {d} outside 0..{h.shape[-1] - 1}")
+    anchor = h[..., d]
+    mag = np.abs(anchor)
+    if h.ndim == 1 and not math.isfinite(mag):
+        raise ZeroAnchorTap(f"estimated anchor tap {anchor} is not finite")
+    if h.ndim == 1 and mag < ANCHOR_FLOOR:
         raise ZeroAnchorTap(
             f"estimated anchor tap magnitude {mag:.3e} below {ANCHOR_FLOOR:g}"
         )
-    scaled = (hd0 / h[d]) * h
-    scaled[d] = hd0  # exact, not up to rounding of the division
+    failed = ~(np.isfinite(mag) & (mag >= ANCHOR_FLOOR))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = (hd0 / anchor)[..., None] * h
+    scaled[..., d] = hd0  # exact, not up to rounding of the division
+    scaled[failed] = np.nan
     return scaled

@@ -19,12 +19,13 @@ with the noise factored out, D0, for all of the channel's trials at once
 (and the zero-padding reference's D0 when the plan asks for it). The
 channel's (trial, SNR point) stack of D0 / sigma2 is inverted in one
 stacked call. Per trial, y = clean + sqrt(sigma2/2) * noise is formed at
-every SNR point, and the stack of frames goes to the estimator (given no
-sigma2) in one stacked call; then each SNR point resolves its row's
-ambiguity and adds to its cell, in ascending order. numpy's stacked
-operations do on each member what they do on one matrix or frame, so
-these are the floating-point operations of a cell-by-cell run, and a
-cell's record does not depend on which other cells run with it. Batching
+every SNR point, the stack of frames goes to the estimator (given no
+sigma2) in one stacked call, the rows' ambiguity is resolved in another,
+and each SNR point's squared error and bound are added to its running
+sums. numpy's stacked operations do on each member what they do on one
+matrix or frame, and every sum takes its terms in trial order, so these
+are the floating-point operations of a cell-by-cell run, and a cell's
+record does not depend on which other cells run with it. Batching
 per trial, not per channel, keeps the estimator's working set at one
 trial's n_snr frames and their windows.
 
@@ -36,14 +37,16 @@ numpy SeedSequence([master_seed, stream, indices...]) with stream tags
 0 = channel draw (per channel index), 1 = symbol frame and 2 = noise
 (per channel and trial index); drawing a channel's frames ahead of its
 trials changes no draw. Trials that fail numerically are excluded and
-counted per cell. A failure of D0 (a rank-deficient K, an ill-conditioned
-zero-padding symbol block) depends on the channel alone, so it excludes
-all of that channel's trials from every cell. The stacked estimator and
-inversion mark a failed member NaN instead of raising, so a failed
-estimate, a refused inversion or a failed ambiguity resolution excludes
-one trial from its own cell only. Once every trial has run, the cells are
-checked in ascending SNR order and the first whose exclusions reach 1% of
-its trials fails.
+counted per cell, by one rule: a raise excludes a trial from every cell,
+a non-finite number from its own cell only. A NumericalError of D0 (a
+rank-deficient K, an ill-conditioned zero-padding symbol block) depends
+on the channel alone, so it excludes all of that channel's trials; one
+raised by the estimator excludes that trial. The stacked estimator,
+ambiguity resolution and inversion mark a failed member NaN instead of
+raising, so a trial is included in a cell exactly when its estimate,
+anchor tap and bounds there are finite. Once every trial has run, the
+cells are checked in ascending SNR order and the first whose exclusions
+reach 1% of its trials fails.
 """
 
 from __future__ import annotations
@@ -179,19 +182,6 @@ class ResultRecord:
             )
 
 
-@dataclass
-class _Cell:
-    """Running sums of one SNR point."""
-
-    snr_db: float
-    sigma2: float
-    mse: float = 0.0
-    crb: float = 0.0
-    zp: float = 0.0
-    included: int = 0
-    excluded: int = 0
-
-
 def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     """Run every cell of the plan; one record per SNR point, ascending.
 
@@ -200,22 +190,25 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     SNR point: it receives (Y, precoder, settings), where Y is the
     (len(grid), NP - L) stack whose row s is the frame at grid point s,
     and no noise variance, and returns the (len(grid), L+1) unresolved
-    taps. A row with a non-finite entry is a failed estimate and excludes
-    the trial from that point's cell only; a NumericalError raised by the
-    call excludes the trial from every cell. Calls come in the order
-    channel i, trial j: call number k = i * n_trials + j. A channel whose
-    bound information raises makes no estimator calls and takes no call
-    numbers, so the calls after it move up. A record does not depend on
-    which other points share the grid.
+    taps. A NumericalError raised by the call excludes the trial from
+    every cell; a row that is not finite, or whose anchor tap is too small
+    to resolve, excludes it from that point's cell only. Calls come in the
+    order channel i, trial j: call number k = i * n_trials + j. A channel
+    whose bound information raises makes no estimator calls and takes no
+    call numbers, so the calls after it move up. A record does not depend
+    on which other points share the grid.
     """
     if estimate_fn is None:
         estimate_fn = subspace_estimate
     config = plan.config
     precoder = make_precoder(config)
-    cells = [_Cell(s, sigma2_from_snr_db(s)) for s in plan.snr_db_grid]
-    sigma2s = np.array([cell.sigma2 for cell in cells])
+    n_snr = len(plan.snr_db_grid)
+    sigma2s = np.array([sigma2_from_snr_db(s) for s in plan.snr_db_grid])
     # Row s scales a unit noise draw to the variance of SNR point s.
     noise_scales = np.sqrt(sigma2s / 2)[:, None]
+    # Per SNR point: sums over the included trials, and the excluded count.
+    mse, crb, zp = np.zeros((3, n_snr))
+    excluded = np.zeros(n_snr, dtype=int)
     for i in range(plan.n_channels):
         channel = draw_channel(
             config.L, _stream_rng(plan.master_seed, _STREAM_CHANNEL, i)
@@ -241,8 +234,7 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
             if plan.compute_zp_reference:
                 D0s_zp = zp_information(h, sNs, precoder.Ftilde)
         except NumericalError:
-            for cell in cells:
-                cell.excluded += plan.n_trials
+            excluded += plan.n_trials
             continue
         # (n_trials, n_snr) traces, NaN where an inversion was refused.
         bounds = _invert_reduced(D0s[:, None] / sigma2s[:, None, None], d).trace
@@ -256,49 +248,42 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
                     clean + noise_scales * noise, precoder, plan.estimator_settings
                 )
             except NumericalError:
-                for cell in cells:
-                    cell.excluded += 1
+                excluded += 1
                 continue
-            if np.shape(h_hats) != (len(cells), config.L + 1):
+            if np.shape(h_hats) != (n_snr, config.L + 1):
                 raise ValueError(
                     f"estimate_fn returned shape {np.shape(h_hats)}, "
-                    f"expected {(len(cells), config.L + 1)}"
+                    f"expected {(n_snr, config.L + 1)}"
                 )
-            ok = np.isfinite(h_hats).all(axis=-1) & np.isfinite(bound + ref)
-            for s, cell in enumerate(cells):
-                if not ok[s]:
-                    cell.excluded += 1
-                    continue
-                try:
-                    h_hat = resolve_ambiguity(h_hats[s], d, h[d])
-                except NumericalError:
-                    cell.excluded += 1
-                    continue
-                cell.mse += float(np.sum(np.abs(h_hat - h) ** 2))
-                cell.crb += float(bound[s])
-                cell.zp += float(ref[s])
-                cell.included += 1
+            err = np.sum(np.abs(resolve_ambiguity(h_hats, d, h[d]) - h) ** 2, axis=-1)
+            # Not finite where the estimate, its anchor tap or an inversion failed.
+            ok = np.isfinite(err + bound + ref)
+            mse += np.where(ok, err, 0.0)
+            crb += np.where(ok, bound, 0.0)
+            zp += np.where(ok, ref, 0.0)
+            excluded += ~ok
     total = plan.n_channels * plan.n_trials
-    for cell in cells:
-        if cell.excluded / total >= EXCLUSION_BUDGET:
+    for snr_db, n_excluded in zip(plan.snr_db_grid, excluded):
+        if n_excluded / total >= EXCLUSION_BUDGET:
             raise ExclusionBudgetExceeded(
-                f"{cell.excluded} of {total} trials excluded at {cell.snr_db} dB"
+                f"{n_excluded} of {total} trials excluded at {snr_db} dB"
             )
+    included = total - excluded
     return [
         ResultRecord(
-            snr_db=float(cell.snr_db),
-            crb_avg=cell.crb / cell.included,
-            mse_avg=cell.mse / cell.included,
+            snr_db=plan.snr_db_grid[s],
+            crb_avg=float(crb[s] / included[s]),
+            mse_avg=float(mse[s] / included[s]),
             crb_zp_ref_avg=(
-                cell.zp / cell.included if plan.compute_zp_reference else None
+                float(zp[s] / included[s]) if plan.compute_zp_reference else None
             ),
             n_blocks=config.N,
             redundancy_kind=config.redundancy_kind,
             inner_kind=config.inner_kind,
             seed=plan.master_seed,
-            excluded_trials=cell.excluded,
+            excluded_trials=int(excluded[s]),
         )
-        for cell in cells
+        for s in range(n_snr)
     ]
 
 

@@ -232,8 +232,10 @@ class TestCrb:
         assert code == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("sigma2", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("sigma2", ["0", "-1", "nan", "inf", "1e400"])
     def test_nonpositive_sigma2_rejected_before_dump(self, sigma2, capsys):
+        # an infinite sigma2 is a configuration error too, not a
+        # numerical failure of the bound
         code = main(
             [
                 "crb", "--override", "h=1,2,3,4,5",
@@ -243,7 +245,32 @@ class TestCrb:
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: sigma2 must be positive, got {float(sigma2)}" in captured.err
+        assert (
+            f"error: sigma2 must be positive and finite, got {float(sigma2)}"
+            in captured.err
+        )
+
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("h", "1, nan, -0.1j"),
+            ("h", "1, inf, -0.1j"),
+            ("s_n", "1, 1, 1, 1, 1, nan, 1, 1, 1, 1, 1, 1"),
+        ],
+    )
+    def test_nonfinite_numbers_rejected(self, key, value, dump, capsys):
+        code = main(
+            [
+                "crb", "--override", "M=4", "--override", "L=2",
+                "--override", "N=3", "--override", "h=1, 0.5, 0.25",
+                "--override", f"{key}={value}", *dump,
+            ]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} must be finite, got a non-finite entry\n"
 
     def test_out_flag_not_accepted(self, tmp_path):
         out = tmp_path / "x"

@@ -481,6 +481,39 @@ class TestInvertReducedStack:
         refused = _invert_reduced(singular[None], 0)
         assert np.isnan(refused.trace).all()
 
+    def test_nonfinite_member_gives_nan_alone(self):
+        # cond of a NaN matrix would fail the SVD of the whole stack
+        good = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]], dtype=complex)
+        broken = good.copy()
+        broken[1, 2] = np.nan
+        stack = np.stack([good, broken, 2 * good, np.full((3, 3), np.inf + 0j)])
+        result = _invert_reduced(stack, 0)
+        assert np.isnan(result.C[[1, 3]]).all() and np.isnan(result.trace[[1, 3]]).all()
+        for k in (0, 2):
+            one = _invert_reduced(stack[k], 0)
+            assert np.array_equal(result.C[k], one.C)
+            assert result.trace[k] == one.trace
+        with pytest.raises(IllConditioned, match="anchor-reduced"):
+            _invert_reduced(broken, 0)
+
+
+@pytest.mark.parametrize("kind", ["cp", "zp"])
+def test_nan_tap_rejected_alike_by_every_route(kind):
+    # a NaN tap must end in the package's typed error on all three routes,
+    # not in numpy's LinAlgError from the SVD of a NaN matrix
+    cfg = SystemConfig(M=4, L=2, N=5, redundancy_kind=kind)
+    pre = make_precoder(cfg)
+    h = np.array([1.0, np.nan, -0.1j])
+    s = generate_symbols("qpsk", cfg.M, cfg.N, 0).sN
+    routes = (
+        lambda: crb_direct(make_blocks(cfg, pre, h, s)[0], 0),
+        lambda: crb_fast(h, s, pre, 0, 1.0, cfg.N),
+        lambda: crb_zp_per_block(h, s, pre.Ftilde, 0, 1.0),
+    )
+    for route in routes:
+        with pytest.raises(IllConditioned):
+            route()
+
 
 class TestZpPerBlock:
     def make_zp(self, rng, M=6, L=2, N=4, inner="identity"):

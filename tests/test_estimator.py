@@ -5,6 +5,8 @@ sample covariance's noise subspace is exact, so the estimate must match
 the true channel to numerical precision once the blind scale is resolved.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,45 @@ class TestResolveAmbiguity:
     def test_anchor_index_validated(self):
         with pytest.raises(ValueError, match="anchor"):
             resolve_ambiguity(np.ones(3, dtype=complex), 3, 1.0)
+
+    @pytest.mark.parametrize(
+        "anchor,message",
+        [
+            (0.0, "estimated anchor tap magnitude 0.000e+00 below 1e-12"),
+            (1e-13, "estimated anchor tap magnitude 1.000e-13 below 1e-12"),
+            (np.nan, "estimated anchor tap (nan+0j) is not finite"),
+            (complex(0, np.inf), "estimated anchor tap infj is not finite"),
+        ],
+    )
+    def test_row_messages(self, anchor, message):
+        with pytest.raises(ZeroAnchorTap) as exc:
+            resolve_ambiguity(np.array([1.0, anchor], dtype=complex), 1, 1.0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("hd0", [0.4 - 0.3j, np.complex128(-1.2j), 0.7])
+    def test_stack_equals_rows(self, hd0):
+        rng = np.random.default_rng(31)
+        stack = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
+        stack *= 10.0 ** rng.uniform(-6, 6, (2, 5, 1))
+        out = resolve_ambiguity(stack, 2, hd0)
+        rows = np.array([[resolve_ambiguity(r, 2, hd0) for r in s] for s in stack])
+        assert np.array_equal(out, rows)
+        assert (out[..., 2] == hd0).all()
+
+    @pytest.mark.parametrize(
+        "anchor", [0.0, 1e-13, np.nan, np.inf, complex(0, np.nan)]
+    )
+    def test_failed_anchor_gives_nan_row_alone(self, anchor):
+        h = np.array([0.3 + 0.1j, -0.9, 0.2j])
+        stack = np.stack([2.0 * h, h, -1j * h])
+        stack[1, 1] = anchor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by the bad anchor
+            out = resolve_ambiguity(stack, 1, h[1])
+        assert np.isnan(out[1]).all()
+        for k in (0, 2):
+            assert np.array_equal(out[k], resolve_ambiguity(stack[k], 1, h[1]))
+
+    def test_stack_anchor_index_validated(self):
+        with pytest.raises(ValueError, match="anchor"):
+            resolve_ambiguity(np.ones((2, 3), dtype=complex), 3, 1.0)

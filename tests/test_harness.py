@@ -442,6 +442,24 @@ class TestSnrSharing:
         assert all(len(yN) == len(self.grid) for yN in calls)
         assert all(r.mse_avg <= 1e-25 for r in records)
 
+    def test_zero_anchor_excluded_in_its_own_cell_only(self):
+        # a finite row that cannot be resolved fails like a NaN row
+        plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
+        channel = channel_sequence(plan)[0]
+        calls = []
+
+        def estimate(yN, precoder, settings):
+            calls.append(yN)
+            h_hats = np.tile((2 + 1j) * channel.h, (len(yN), 1))
+            if len(calls) == 3:
+                h_hats[2, channel.d] = 0.0  # the third trial's 30 dB point
+            return h_hats
+
+        records = run_experiment(plan, estimate_fn=estimate)
+        assert [r.excluded_trials for r in records] == [0, 0, 1]
+        assert len(calls) == 101
+        assert all(r.mse_avg <= 1e-25 for r in records)
+
     def test_estimator_raise_excluded_in_every_cell(self):
         plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
         records = run_experiment(plan, estimate_fn=oracle_estimator(plan, {5}))
