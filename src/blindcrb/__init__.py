@@ -50,7 +50,6 @@ from .crb_blind import (
 from .estimator import (
     EstimatorSettings,
     channel_from_noise_subspace,
-    hankel_rearrange,
     resolve_ambiguity,
     subspace_estimate,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "fix_column_phases",
     "format_csv",
     "generate_symbols",
-    "hankel_rearrange",
     "loglik_gradients",
     "make_precoder",
     "orthonormal_nullspace",

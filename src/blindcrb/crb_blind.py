@@ -39,6 +39,7 @@ so Monte Carlo callers can count and exclude pathological draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -105,8 +106,8 @@ def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlock
 
 
 def _require_positive_sigma2(sigma2: float):
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
 def _delete_anchor(D: np.ndarray, d: int) -> np.ndarray:

@@ -8,27 +8,26 @@ the windows therefore splits into a rank-wM signal subspace plus a noise
 subspace of dimension (w-1)L, fixed from the model, never from eigenvalue
 gaps.
 
-A noise eigenvector u satisfies u^H K_w = u^H G H (I_w kron F) = 0, and
-through the Hankel rearrangement of its zero-padded lift that condition is
-linear in the taps: the row u^H G H equals the conjugated Hankel matrix of
-the lift applied to h. Because only the product with the block precoder
-vanishes, each eigenvector contributes the penalty
-|u^H G H(h) (I_w kron F)|^2, a Hankel quadratic form weighted by the
-precoder Gram I_w kron F F^H, which the true channel annihilates. The
-estimate is the unit-norm minimizer (smallest eigenvector) of the
-accumulated penalty Q; it carries the inherent blind scale ambiguity until
+A noise eigenvector u satisfies u^H K_w(h) = 0, and K_w(h) is linear in
+the taps: K_w(h) = sum_l h_l K_{w,l} with the model's per-tap factors for
+a w-block frame (model.build_K's K_l). So u^H K_w(h) = sum_l h_l
+u^H K_{w,l}, and with row l of A the vector (K_{w,l}^H u)^T, each
+eigenvector contributes the penalty |u^H K_w(h)|^2 = h^H A A^H h, which
+the true channel annihilates. The estimate is the unit-norm minimizer
+(smallest eigenvector) of the accumulated penalty Q = sum over u of
+A A^H; it carries the inherent blind scale ambiguity until
 resolve_ambiguity pins the anchor tap.
 
-Batches: subspace_estimate, channel_from_noise_subspace,
-resolve_ambiguity and hankel_rearrange take one item or a stack of them
-along leading axes, and run each numpy step once for the whole stack;
-numpy's stacked matmul, einsum and eigh do on each member what they do on
-one item, so a member's result does not depend on the stack it came in. A
-numerical failure of one member (a frame without energy, a penalty
-without an isolated minimum, an anchor tap too small or not finite)
-makes that member's taps NaN and leaves the others; a failure of the
-whole batch (a bad shape, windows wider than the frame) raises. Given a
-single item, each raises the typed error it always has.
+Batches: subspace_estimate, channel_from_noise_subspace and
+resolve_ambiguity take one item or a stack of them along leading axes,
+and run each numpy step once for the whole stack; numpy's stacked matmul
+and eigh do on each member what they do on one item, so a member's
+result does not depend on the stack it came in. A numerical failure of
+one member (a frame without energy, a penalty without an isolated
+minimum, an anchor tap too small or not finite) makes that member's taps
+NaN and leaves the others; a failure of the whole batch (a bad shape,
+windows wider than the frame) raises. Given a single item, each raises
+the typed error it always has.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
-from .model import Precoder
+from .model import Precoder, _tap_factors
 
 # Relative eigenvalue-gap floor below which the minimizer is ambiguous.
 DEGENERACY_RTOL = 1e-10
@@ -64,28 +63,6 @@ class EstimatorSettings:
             )
 
 
-def hankel_rearrange(U: np.ndarray, P: int, L: int) -> np.ndarray:
-    """Hankel rearrangement of the zero-padded columns of U.
-
-    U is (..., wP - L, n): wP - L rows for a whole number w >= 1 of blocks
-    of P samples. Its columns are padded with L zero rows top and bottom
-    (the lift G^H U), and column j becomes the wP x (L+1) Hankel matrix
-    with constant anti-diagonals. Returns the (..., wP, L+1, n) stack with
-    entry [..., r, c, j] = pad(U)[..., r + c, j].
-    """
-    U = np.asarray(U, dtype=np.complex128)
-    rows = U.shape[-2] + L  # Hankel row count, wP
-    w, rem = divmod(rows, P)
-    if rem != 0 or w < 1:
-        raise ValueError(
-            f"basis rows {U.shape[-2]} do not match whole blocks of {P}"
-        )
-    padded = np.zeros(U.shape[:-2] + (rows + L, U.shape[-1]), dtype=np.complex128)
-    padded[..., L: L + U.shape[-2], :] = U
-    idx = np.arange(rows)[:, None] + np.arange(L + 1)[None, :]
-    return padded[..., idx, :]
-
-
 def channel_from_noise_subspace(
     noise_basis: np.ndarray, F: np.ndarray, L: int
 ) -> np.ndarray:
@@ -95,24 +72,28 @@ def channel_from_noise_subspace(
     noise_basis is (wP - L, n) or a stack (..., wP - L, n), with P taken
     from the composite precoder F (P x M); columns need not be
     orthonormal, only to span the noise subspace. Returns the unit-norm
-    smallest eigenvector of the accumulated precoder-weighted Hankel
-    penalty, (L+1,) or (..., L+1). A basis whose penalty has no isolated
-    minimum raises SolverDegenerate, or gives a NaN row in a stack.
+    smallest eigenvector of Q, (L+1,) or (..., L+1), where h^H Q h is the
+    sum over the basis vectors u of |u^H K_w(h)|^2 and
+    u^H K_w(h) = sum_l h_l u^H K_{w,l} with the model's per-tap factors
+    of a w-block frame. A basis whose penalty has no isolated minimum
+    raises SolverDegenerate, or gives a NaN row in a stack.
     """
     noise_basis = np.asarray(noise_basis, dtype=np.complex128)
     F = np.asarray(F, dtype=np.complex128)
     if noise_basis.ndim < 2 or noise_basis.shape[-1] == 0:
         raise InsufficientData("noise subspace is empty")
-    P, M = F.shape
+    P = F.shape[0]
     batch = noise_basis.shape[:-2]
-    hankels = hankel_rearrange(noise_basis, P, L)
-    w = hankels.shape[-3] // P
-    n_vecs = noise_basis.shape[-1]
-    # Fold the precoder in: (I_w kron F^H) applied down each Hankel column
-    # turns the penalty into sum over vectors of |u^H G H(h) (I kron F)|^2.
-    blocks = hankels.reshape(batch + (w, P, (L + 1) * n_vecs))
-    folded = (F.conj().T @ blocks).reshape(batch + (w * M, L + 1, n_vecs))
-    Q = np.einsum("...mak,...mbk->...ab", folded, folded.conj())
+    w, rem = divmod(noise_basis.shape[-2] + L, P)
+    if rem != 0 or w < 1:
+        raise ValueError(
+            f"basis rows {noise_basis.shape[-2]} do not match whole blocks of {P}"
+        )
+    # Row l of A holds K_l^H u for every noise vector u, so
+    # h^H Q h = sum over u of |u^H K_w(h)|^2.
+    KH = np.concatenate([Kl.conj().T for Kl in _tap_factors(F, L, w)])
+    A = (KH @ noise_basis).reshape(batch + (L + 1, -1))
+    Q = A @ A.conj().swapaxes(-1, -2)
     vals, vecs = np.linalg.eigh(Q)
     scale = np.maximum(vals[..., -1], 1e-300)
     degenerate = vals[..., 1] - vals[..., 0] <= DEGENERACY_RTOL * scale
@@ -132,10 +113,10 @@ def subspace_estimate(
     settings: EstimatorSettings = EstimatorSettings(),
 ) -> np.ndarray:
     """Estimate the channel direction from one received frame, or from
-    each frame of an (S, NP - L) stack.
+    each frame of a (..., NP - L) stack.
 
     N is read off the frame length NP - L. Returns the L+1 taps up to the
-    blind complex scale, (L+1,) or (S, L+1); resolve_ambiguity with a
+    blind complex scale, (L+1,) or (..., L+1); resolve_ambiguity with a
     known anchor tap fixes it. Raises InsufficientData when the frame
     cannot supply the required windows. A frame whose sample covariance
     carries no energy raises InsufficientData and one whose penalty
@@ -151,7 +132,7 @@ def subspace_estimate(
     yN = np.asarray(yN, dtype=np.complex128)
     P, M = precoder.F.shape
     L = P - M
-    if yN.ndim not in (1, 2) or (yN.shape[-1] + L) % P != 0:
+    if yN.ndim == 0 or (yN.shape[-1] + L) % P != 0:
         raise ValueError(f"expected NP - L samples for a whole N, got shape {yN.shape}")
     N = (yN.shape[-1] + L) // P
     w = settings.window_blocks

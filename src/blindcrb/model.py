@@ -26,6 +26,7 @@ they are pure 0/1 selection patterns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -231,12 +232,25 @@ def build_channel_toeplitz(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return T
 
 
+def _tap_factors(F: np.ndarray, L: int, N: int) -> list:
+    """The L+1 per-tap factors K_l = X[L-l : NP-l, :] of an N-block frame,
+    read-only views into one X = I_N kron F (block diagonal, assigned
+    block by block)."""
+    P, M = F.shape
+    X = np.zeros((N * P, N * M), dtype=np.complex128)
+    blocks = np.arange(N)
+    X.reshape(N, P, N, M)[blocks, :, blocks, :] = F
+    X.flags.writeable = False
+    return [X[L - l: N * P - l, :] for l in range(L + 1)]
+
+
 def build_K(config: SystemConfig, precoder: Precoder, h: np.ndarray):
     """Build the composite matrix K and its per-tap factors K_l.
 
-    Uses the identity K_l = X[L-l : NP-l, :] with X = I_N kron F (rows of
-    the block precoder shifted by the tap lag), so no (NP+L)-sized
-    intermediates are formed. Only the dimensions of config are read.
+    The factors come from _tap_factors: K_l = X[L-l : NP-l, :] with
+    X = I_N kron F (rows of the block precoder shifted by the tap lag), so
+    no (NP+L)-sized intermediates are formed. Only the dimensions of
+    config are read.
 
     Returns
     -------
@@ -248,12 +262,8 @@ def build_K(config: SystemConfig, precoder: Precoder, h: np.ndarray):
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.size != config.L + 1:
         raise ValueError(f"expected {config.L + 1} taps, got shape {np.shape(h)}")
-    L = config.L
-    NP = config.N * config.P
-    X = np.kron(np.eye(config.N), precoder.F)
-    X.flags.writeable = False
-    K_list = [X[L - l: NP - l, :] for l in range(L + 1)]
-    K = np.zeros((NP - L, config.N * config.M), dtype=np.complex128)
+    K_list = _tap_factors(precoder.F, config.L, config.N)
+    K = np.zeros(K_list[0].shape, dtype=np.complex128)
     for hl, Kl in zip(h, K_list):
         K += hl * Kl
     return K, K_list
@@ -290,8 +300,10 @@ def synthesize_observation(
     precoded stream, in O(NPL) time without forming K. sigma2 = 0 yields
     the noiseless frame and draws nothing from rng.
     """
-    if not sigma2 >= 0:
-        raise ValueError(f"noise variance must be nonnegative, got {sigma2}")
+    if not 0 <= sigma2 < math.inf:
+        raise ValueError(
+            f"noise variance must be nonnegative and finite, got {sigma2}"
+        )
     P, M = precoder.F.shape
     L = P - M
     h = np.asarray(h, dtype=np.complex128)
@@ -333,8 +345,8 @@ def loglik_gradients(
 
     Returns (grad_h, grad_s) of lengths L+1 and NM.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     yN = np.asarray(yN, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     K, K_list = build_K(config, precoder, h)

@@ -25,8 +25,8 @@ from blindcrb import (
     default_anchor,
     fim_blocks,
     generate_symbols,
-    hankel_rearrange,
     make_precoder,
+    subspace_estimate,
     synthesize_observation,
 )
 from blindcrb.crb_blind import _invert_reduced, fast_information, zp_information
@@ -105,8 +105,9 @@ class TestFimBlocks:
         rng = np.random.default_rng(24)
         cfg, pre, h, s = random_instance(rng)
         K, K_list = build_K(cfg, pre, h)
-        with pytest.raises(ValueError, match="sigma2"):
-            fim_blocks(K, K_list, s, 0.0)
+        for sigma2 in (0.0, np.inf):
+            with pytest.raises(ValueError, match="sigma2"):
+                fim_blocks(K, K_list, s, sigma2)
         with pytest.raises(ValueError, match="symbols"):
             fim_blocks(K, K_list, s[:-1], cfg.sigma2)
 
@@ -242,30 +243,6 @@ class TestLeftNullBasis:
             left_null_basis(np.eye(3), 1)
 
 
-class TestHankelRearrange:
-    def test_antidiagonals_constant_and_complete(self):
-        rng = np.random.default_rng(34)
-        cfg, pre, h, _ = random_instance(rng, M=4, L=2, N=3)
-        K, _ = build_K(cfg, pre, h)
-        basis = left_null_basis(K, cfg.L)
-        hankels = hankel_rearrange(basis.utilde, cfg.P, cfg.L)
-        PN = cfg.P * cfg.N
-        for j in range(basis.ghu.shape[1]):
-            Hj = hankels[:, :, j]
-            assert Hj.shape == (PN, cfg.L + 1)
-            for r in range(PN):
-                for c in range(cfg.L + 1):
-                    assert Hj[r, c] == basis.ghu[r + c, j]
-
-    def test_rejects_wrong_padding(self):
-        rng = np.random.default_rng(36)
-        cfg, pre, h, _ = random_instance(rng)
-        K, _ = build_K(cfg, pre, h)
-        basis = left_null_basis(K, cfg.L)
-        with pytest.raises(ValueError, match="rows"):
-            hankel_rearrange(basis.ghu, cfg.P, cfg.L)
-
-
 class TestCrbFast:
     def test_agrees_with_direct_across_configs(self):
         rng = np.random.default_rng(37)
@@ -327,8 +304,9 @@ class TestCrbFast:
             crb_fast(np.ones(2), s, pre, 0, 1.0, cfg.N)
         with pytest.raises(ValueError, match="symbols"):
             crb_fast(h, s[:-1], pre, 0, 1.0, cfg.N)
-        with pytest.raises(ValueError, match="sigma2"):
-            crb_fast(h, s, pre, 0, 0.0, cfg.N)
+        for sigma2 in (0.0, np.inf):
+            with pytest.raises(ValueError, match="sigma2"):
+                crb_fast(h, s, pre, 0, sigma2, cfg.N)
 
 
 class TestCrbFastSweep:
@@ -432,10 +410,12 @@ class TestCrbFastSweep:
 
         monkeypatch.setattr(np, "kron", no_kron)
         with pytest.raises(AssertionError):
-            build_K(cfg, pre, h)
+            np.kron(np.eye(2), pre.F)
+        build_K(cfg, pre, h)
         crb_fast(h, s, pre, default_anchor(h), cfg.sigma2, cfg.N)
         crb_zp_per_block(h, s, pre.Ftilde, 0, cfg.sigma2)
-        synthesize_observation(pre, h, s, cfg.sigma2, 0)
+        y = synthesize_observation(pre, h, s, cfg.sigma2, 0)
+        subspace_estimate(y, pre)
 
 
 class TestInvertReducedStack:
@@ -614,6 +594,13 @@ class TestZpPerBlock:
         cfg, pre, h, s = self.make_zp(rng)
         with pytest.raises(ValueError, match="taps"):
             crb_zp_per_block(h[:1], s, pre.Ftilde, 0, cfg.sigma2)
+
+    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan])
+    def test_rejects_bad_sigma2(self, sigma2):
+        rng = np.random.default_rng(46)
+        cfg, pre, h, s = self.make_zp(rng)
+        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+            crb_zp_per_block(h, s, pre.Ftilde, 0, sigma2)
 
 
 class TestPrecoderInsensitivity:

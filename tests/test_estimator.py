@@ -26,7 +26,12 @@ from blindcrb import (
     synthesize_observation,
 )
 from blindcrb.model import draw_noise
-from helpers import left_null_basis, random_unit_channel
+from helpers import (
+    block_diag_precoder,
+    build_selection_matrices,
+    left_null_basis,
+    random_unit_channel,
+)
 
 
 def estimate_resolved(pre, h, yN, settings=EstimatorSettings()):
@@ -165,6 +170,33 @@ def noisy_stack(kind, inner, N, S=4, seed=70):
     return pre, clean + np.sqrt(np.logspace(-1, -4, S) / 2)[:, None] * noise
 
 
+class TestPenalty:
+    """channel_from_noise_subspace on a basis that is not a null space,
+    against the dense penalty sum_u |u^H K_w(h)|^2 built from explicit
+    selection, shift and block-precoder matrices."""
+
+    @pytest.mark.parametrize("w", [2, 3])
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_smallest_eigenvector_of_dense_penalty(self, kind, inner, w):
+        M, L = 4, 2
+        cfg = SystemConfig(M=M, L=L, N=w, redundancy_kind=kind, inner_kind=inner)
+        pre = make_precoder(cfg)
+        P = cfg.P
+        G, J = build_selection_matrices(w, P, L)
+        X = block_diag_precoder(pre.F, w)
+        rng = np.random.default_rng(10 * w + len(kind + inner))
+        U = rng.standard_normal((w * P - L, 3)) + 1j * rng.standard_normal((w * P - L, 3))
+        # row l of A stacks K_l^H u over the basis vectors u
+        A = np.stack([((G @ Jl @ X).conj().T @ U).ravel() for Jl in J])
+        vals, vecs = np.linalg.eigh(A @ A.conj().T)
+        assert vals[1] - vals[0] > 1e-3 * vals[-1]
+        ref = vecs[:, 0]
+        h = channel_from_noise_subspace(U, pre.F, L)
+        phase = np.vdot(h, ref)
+        assert np.linalg.norm(h * phase / abs(phase) - ref) < 1e-10
+
+
 class TestStacks:
     """A stack gives, member by member, what one item gives, and a failed
     member gives NaN without touching the others."""
@@ -209,9 +241,15 @@ class TestStacks:
         with pytest.raises(InsufficientData, match="blocks"):
             subspace_estimate(np.ones((2, 22), dtype=complex), pre, EstimatorSettings(4))
         with pytest.raises(ValueError, match="samples"):
-            subspace_estimate(np.ones((2, 2, 22), dtype=complex), pre)
+            subspace_estimate(np.ones((2, 2, 21), dtype=complex), pre)
         with pytest.raises(ValueError, match="samples"):
             subspace_estimate(np.ones((2, 21), dtype=complex), pre)
+
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_any_leading_axes(self, kind):
+        pre, Y = noisy_stack(kind, "idft", 25, S=6)
+        H = subspace_estimate(Y.reshape(2, 3, -1), pre)
+        assert np.array_equal(H, subspace_estimate(Y, pre).reshape(2, 3, -1))
 
 
 class TestSettings:

@@ -1,0 +1,78 @@
+"""Golden CSV files: small plans whose exact CSV text is kept under
+tests/golden/, so that any change that moves a printed digit shows up as a
+diff of those files.
+
+Each plan runs 5 channels x 2 trials at M=12, L=4 over the default 7-point
+SNR grid: cp and zp, identity and IDFT inner precoders, N in {8, 25}
+(zero padding with the per-block reference bound), one zero-padding plan
+with 3-block windows, and the seed-3 zp/IDFT plan whose exclusions exceed
+the budget, kept as the text of its ExclusionBudgetExceeded message.
+
+The files pin the output of one numpy/BLAS build. When a change is meant
+to move digits, regenerate them from the repository root with
+
+    PYTHONPATH=src python tests/test_golden_csv.py
+
+and commit the diff with the change, saying in CHANGES.md which digits
+moved and by how much.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from blindcrb import (
+    EstimatorSettings,
+    ExclusionBudgetExceeded,
+    ExperimentPlan,
+    SystemConfig,
+    format_csv,
+    run_experiment,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SNR_DB_GRID = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+
+
+def plan(kind, inner, N, seed=0, channels=5, trials=2, window_blocks=2):
+    return ExperimentPlan(
+        config=SystemConfig(M=12, L=4, N=N, redundancy_kind=kind, inner_kind=inner),
+        snr_db_grid=SNR_DB_GRID,
+        n_channels=channels,
+        n_trials=trials,
+        master_seed=seed,
+        estimator_settings=EstimatorSettings(window_blocks),
+        compute_zp_reference=kind == "zp",
+    )
+
+
+PLANS = {
+    f"{kind}-{inner}-N{N}.csv": plan(kind, inner, N)
+    for kind in ("cp", "zp")
+    for inner in ("identity", "idft")
+    for N in (8, 25)
+}
+PLANS["zp-identity-N40-w3.csv"] = plan("zp", "identity", 40, window_blocks=3)
+PLANS["zp-idft-N25-seed3-20x5.txt"] = plan(
+    "zp", "idft", 25, seed=3, channels=20, trials=5
+)
+
+
+def render(p: ExperimentPlan) -> str:
+    """The plan's CSV text, or its budget message when it raises one."""
+    try:
+        return format_csv(run_experiment(p))
+    except ExclusionBudgetExceeded as err:
+        return f"ExclusionBudgetExceeded: {err}\n"
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_output_matches_golden_file(name):
+    assert render(PLANS[name]) == (GOLDEN / name).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, p in PLANS.items():
+        (GOLDEN / name).write_text(render(p))
+        print(f"wrote {GOLDEN / name}")

@@ -299,10 +299,11 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="whole blocks"):
             synthesize_observation(make_precoder(cfg), np.ones(3), np.ones(10), 1.0, 0)
 
-    @pytest.mark.parametrize("sigma2", [np.nan, -1.0])
+    @pytest.mark.parametrize("sigma2", [np.nan, -1.0, np.inf])
     def test_rejects_nan_or_negative_noise_variance(self, sigma2):
         # NaN fails every comparison, so a `< 0` test would let it through
-        # and return the noiseless frame.
+        # and return the noiseless frame; an infinite variance would give
+        # a frame of infinities.
         rng = np.random.default_rng(18)
         _, pre, h, s = random_instance(rng)
         with pytest.raises(ValueError, match="noise variance"):
@@ -382,7 +383,7 @@ class TestGradients:
         K, _ = build_K(cfg, pre, h)
         np.testing.assert_array_equal(grad_s, K.conj().T @ (y - K @ s) / sigma2)
 
-    @pytest.mark.parametrize("sigma2", [0.0, -0.5, np.nan])
+    @pytest.mark.parametrize("sigma2", [0.0, -0.5, np.nan, np.inf])
     def test_rejects_nonpositive_or_nan_sigma2(self, sigma2):
         rng = np.random.default_rng(19)
         cfg, pre, h, s = random_instance(rng)

@@ -4,7 +4,8 @@ names that the package no longer carries."""
 import blindcrb
 
 REMOVED = (
-    "ChannelEstimate", "NullSpaceBasis", "Observation", "left_null_basis", "run_cell",
+    "ChannelEstimate", "NullSpaceBasis", "Observation", "hankel_rearrange",
+    "left_null_basis", "run_cell",
 )
 
 
