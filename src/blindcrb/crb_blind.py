@@ -19,8 +19,13 @@ known. Two routes to the same L x L bound over the remaining taps:
   triangularizes K one block at a time. The rows each step leaves with
   zeros in every remaining column span the left null space, and D
   accumulates from the windows v_k carried through the same rotations.
-  Cost: O(N M^3) time and O(NP) memory, against O((NM)^3) and
-  O((NM)^2) for a dense QR of K.
+  The L rows carried from step to step follow a Riccati recursion towards
+  a fixed point. Scaled by the signs of their diagonal, they repeat once
+  it is reached, and so do the rotations: from then on each step applies
+  one fixed matrix to the windows v_k instead of a QR. With n* QR steps
+  (n* = N when the carry never repeats) the cost is
+  O(n* M^2 (M + T(L+1)) + (N - n*) L (M+2L) T(L+1)) time for T frames
+  and O(NP) memory, against O((NM)^3) and O((NM)^2) for a dense QR of K.
 
 The bound scales exactly as sigma2: fast_information and zp_information
 return the reduced information with the noise factored out,
@@ -49,6 +54,11 @@ from .errors import IllConditioned, RankDeficient
 from .model import Precoder, SystemConfig, build_channel_toeplitz
 
 COND_LIMIT = 1e12
+# The sweep switches to its steady-state map once the sign-normalised
+# carried K block moves by at most this much, relative to its Frobenius
+# norm, from one step to the next; once settled it moves by less than
+# 1e-15 (M=12, L=4, cp and zp, 32 channels each).
+_STEADY_RTOL = 1e-14
 
 
 def default_anchor(h: np.ndarray) -> int:
@@ -205,6 +215,22 @@ def fast_information(
     columns of them, fin_t, add fin_t^H fin_t to D0[t]. Step 0 has no
     carry and the last step no markers; (N-1)L rows finish in all.
 
+    The sweep has two phases. LAPACK leaves the diagonal of R real but of
+    either sign, so after each QR step the carried rows are scaled by the
+    signs of their L x L K-block diagonal; the scaling is exact, and
+    without it the carry can flip sign from step to step and never repeat.
+    Once that K block matches the previous step's within _STEADY_RTOL,
+    every later middle window has the same K and marker columns, hence
+    the same reflectors. Rows M.. of the Q^H of one complete QR of those
+    columns, G, with its carry rows sign-scaled the same way, then map
+    the [carried; new] V^T rows of each remaining middle step to the next
+    carry and the finished rows: one (2L) x (M+2L) product per step. Those
+    finished rows differ from a QR step's only by a rotation, which D0
+    does not see, and the steady window's |diag(R)| fills the rank gate's
+    remaining rows. The last step is a QR again. A channel whose carry
+    does not repeat within the frame (a zero close to the unit circle can
+    keep it moving) keeps a QR at every step.
+
     Only the V^T columns depend on the frame. The reflectors that
     triangularize the K and marker columns come first, so they, the carry
     and the rank gate are the same for every frame of the batch. The
@@ -220,9 +246,9 @@ def fast_information(
     the batch or none. Draws that slip past it are still caught by the
     conditioning gate on the reduced information.
 
-    O(N M^2 (M + T(L+1))) time and O(NP + N L T(L+1)) memory: V^T is a
-    strided view of the transmitted streams, and neither K nor
-    I_N kron F is formed.
+    O(n* M^2 (M + T(L+1)) + (N - n*) L (M+2L) T(L+1)) time, for n* QR
+    steps out of N, and O(NP + N L T(L+1)) memory: V^T is a strided view
+    of the transmitted streams, and neither K nor I_N kron F is formed.
     """
     h = np.asarray(h, dtype=np.complex128)
     sNs = np.asarray(sNs, dtype=np.complex128)
@@ -249,30 +275,64 @@ def fast_information(
     W = np.zeros((M + 2 * L, M + L + T * (L + 1)), dtype=np.complex128)
     W[L:, :M] = B[L:]
     W[M + L:, M: M + L] = np.eye(L)
-    new_v = W[L:, M + L:].reshape(P, T, L + 1)
+    V = W[:, M + L:]
+    new_v = V[L:].reshape(P, T, L + 1)
     diag = np.empty((N, M))
-    # fin[t] holds frame t's columns of the finished rows, step by step.
-    fin = np.empty((T, (N - 1) * L, L + 1), dtype=np.complex128)
+    # Row block n-1 of fin holds the rows step n finishes, frames side by side.
+    fin = np.empty(((N - 1) * L, T * (L + 1)), dtype=np.complex128)
+    out = np.empty((2 * L, V.shape[1]), dtype=np.complex128)
+    G = carry = None
     for n in range(N - 1):
         new_v[...] = Vt[:, n * P: (n + 1) * P].transpose(1, 0, 2)
+        if G is not None:
+            np.matmul(G, V, out=out)
+            V[:L] = out[:L]
+            fin[(n - 1) * L: n * L] = out[L:]
+            continue
         R = np.linalg.qr(W if n else W[L:], mode="r")
         diag[n] = np.abs(R.diagonal()[:M])
         if n:  # no rows finish at step 0
-            fin[:, (n - 1) * L: n * L] = (
-                R[M + L:, M + L:].reshape(L, T, L + 1).transpose(1, 0, 2)
-            )
-        W[:L, :M] = R[M: M + L, M: M + L] @ B[:L]
-        W[:L, M + L:] = R[M: M + L, M + L:]
+            fin[(n - 1) * L: n * L] = R[M + L:, M + L:]
+        sign = _carry_signs(R, M, L)
+        previous, carry = carry, sign * R[M: M + L, M: M + L]
+        W[:L, :M] = carry @ B[:L]
+        np.multiply(sign, R[M: M + L, M + L:], out=V[:L])
+        if n + 2 < N and previous is not None and _repeats(carry, previous):
+            # Every later middle window has the K and marker columns of
+            # the next one, so rows M.. of their Q^H map its [carry; new]
+            # V^T rows to the next carry and the finished rows.
+            Q, R = np.linalg.qr(W[:, : M + L], mode="complete")
+            G = Q[:, M:].conj().T
+            G[:L] *= _carry_signs(R, M, L)
+            diag[n + 1: N - 1] = np.abs(R.diagonal()[:M])
     # The last step: the carry over the M rows left, and no markers.
     new_v[:M] = Vt[:, (N - 1) * P:].transpose(1, 0, 2)
     R = np.linalg.qr(np.delete(W[: L + M], np.s_[M: M + L], axis=1), mode="r")
     diag[N - 1] = np.abs(R.diagonal()[:M])
-    fin[:, (N - 2) * L:] = R[M:, M:].reshape(L, T, L + 1).transpose(1, 0, 2)
+    fin[(N - 2) * L:] = R[M:, M:]
     if diag.min() <= RANK_RTOL * diag.max():
         raise RankDeficient(
             f"K is column-rank-deficient (diag ratio {diag.min() / diag.max():.3e})"
         )
+    fin = fin.reshape(-1, T, L + 1).transpose(1, 0, 2)
     return _hermitize(fin.conj().swapaxes(-1, -2) @ fin)
+
+
+def _repeats(carry: np.ndarray, previous: np.ndarray) -> bool:
+    """Whether the carried K block moved by at most _STEADY_RTOL of its
+    Frobenius norm since the previous step."""
+    d = carry - previous
+    return np.vdot(d, d).real <= _STEADY_RTOL ** 2 * np.vdot(carry, carry).real
+
+
+def _carry_signs(R: np.ndarray, M: int, L: int) -> np.ndarray:
+    """The signs of the carried rows' K-block diagonal as an (L, 1) column.
+
+    LAPACK leaves the diagonal of R real but of either sign; scaling the
+    carried rows by these signs is exact and makes that diagonal positive,
+    so a carry that has stopped changing also stops changing sign.
+    """
+    return np.copysign(1.0, R.diagonal()[M: M + L].real)[:, None]
 
 
 def crb_zp_per_block(

@@ -365,6 +365,68 @@ class TestCrbFastSweep:
             assert np.isfinite(fast.trace) and np.all(np.isfinite(dense))
             assert np.all(np.isfinite(fast_information(h, frames, pre, N)))
 
+    @staticmethod
+    def count_qr(monkeypatch):
+        """Count the np.linalg.qr calls made from here on."""
+        calls = []
+        qr = np.linalg.qr
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind,most", [("zp", 4), ("cp", 40)])
+    def test_steady_state_engages(self, monkeypatch, kind, most):
+        # Once the carry repeats, the middle steps are products, not QRs:
+        # zero padding settles after one step (step 0, step 1, the steady
+        # window and the last step), cyclic prefixing after tens of steps.
+        M, L, N = 12, 4, 1000
+        pre = make_precoder(SystemConfig(M=M, L=L, N=N, redundancy_kind=kind))
+        h = random_unit_channel(L, np.random.default_rng(48))
+        s = generate_symbols("qpsk", M, N, 49).sN
+        calls = self.count_qr(monkeypatch)
+        fast_information(h, s[None], pre, N)
+        assert len(calls) <= most, f"{len(calls)} QR calls for N={N}"
+
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    def test_carry_that_never_settles_keeps_qr_steps(self, monkeypatch, inner):
+        # A zero 1e-3 outside the unit circle on the DFT grid: the carry
+        # is still moving at the end of the frame.
+        M, L, N = 8, 2, 60
+        cfg = SystemConfig(M=M, L=L, N=N, sigma2=0.01, inner_kind=inner)
+        pre = make_precoder(cfg)
+        h = np.poly([np.exp(2j * np.pi / M) * (1 + 1e-3), 0.5 + 0.3j])
+        s = generate_symbols("qpsk", M, N, 3).sN
+        d = default_anchor(h)
+        dense = crb_fast_dense(h, s, pre, d, cfg.sigma2, N)
+        calls = self.count_qr(monkeypatch)
+        fast = crb_fast(h, s, pre, d, cfg.sigma2, N).C
+        assert len(calls) == N
+        rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
+        assert rel <= 1e-12, f"sweep and dense QR differ ({rel:.2e})"
+
+    @pytest.mark.parametrize("N", [60, 200])
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("eps,rejected", [(0.0, True), (1e-12, True),
+                                              (1e-6, False), (1e-3, False)])
+    def test_rank_gate_on_long_frames(self, inner, eps, rejected, N):
+        # The decisions of test_rank_gate_matches_dense_oracle at N=6 hold
+        # on long frames. The eps=0 carry settles within 10 steps, so the
+        # gate also reads the steady window's diagonal; the others keep a
+        # QR per step.
+        M, L = 8, 2
+        pre = make_precoder(SystemConfig(M=M, L=L, N=N, inner_kind=inner))
+        h = np.poly([np.exp(2j * np.pi / M) * (1 + eps), 0.5 + 0.3j])
+        frames = np.stack([generate_symbols("qpsk", M, N, k).sN for k in (3, 4)])
+        if rejected:
+            with pytest.raises(RankDeficient):
+                fast_information(h, frames, pre, N)
+        else:
+            assert np.all(np.isfinite(fast_information(h, frames, pre, N)))
+
     def test_long_frame_memory_scaling_and_monotonicity(self):
         # A dense K at this size would take 3.1 GB.
         M, L, N = 12, 4, 1000
