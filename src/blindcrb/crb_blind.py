@@ -35,8 +35,9 @@ D0 / sigma2 per level. Both take a batch of T frames sent over one
 channel and return T matrices D0. Only the windows v_k depend on the
 frame, so one sweep serves the batch: its rotations, carried rows and
 rank gate are the channel's, and the frames' windows ride along side by
-side, in O(NP + N L T(L+1)) memory. crb_fast and crb_zp_per_block are
-batches of one.
+side, in O(NP + N L T(L+1)) memory. zp_information likewise takes one QR
+of its P x M block per batch. crb_fast and crb_zp_per_block are batches of
+one.
 
 Both routes reject ill-conditioned inversions instead of returning noise,
 so Monte Carlo callers can count and exclude pathological draws.
@@ -351,8 +352,10 @@ def crb_zp_per_block(
     positive semidefinite order. Callers must ensure the system actually
     uses zero padding; Ftilde is the square inner precoder only. The
     dimensions come from the inputs: L from the taps, M from Ftilde and N
-    from the length of sN. One M x M solve serves all N blocks; neither
-    the NM x NM symbol block nor any Kronecker product is formed.
+    from the length of sN. The reduced information is the Gram of the
+    blocks' coordinates in the L-dimensional left null space of the one
+    P x M block T(h) Ftilde (see zp_information); neither the NM x NM
+    symbol block nor any Kronecker product is formed.
     """
     _require_positive_sigma2(sigma2)
     sN = np.asarray(sN, dtype=np.complex128)
@@ -367,8 +370,13 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
 
     Like fast_information, it depends only on the channel and the frame;
     the bound of frame t is the anchor-reduced inverse of the result's
-    [t] over sigma2. The Gram A^H A, its conditioning gate and its one
-    solve serve every frame of the batch.
+    [t] over sigma2. The symbol block is I_N kron A^H A, A = T(h) Ftilde,
+    so D0 sums N terms U_n^H (I - A pinv(A)) U_n, column l of U_n being
+    block n's inner-precoded symbols delayed by l. The projector is
+    Qp Qp^H, Qp the last L columns of A's complete Q, so D0 is the Gram of
+    the coordinates Qp^H U_n: PSD by construction, with no cancellation.
+    The gate on A^H A and the QR of A serve the batch; O(M^3 + N M L(L+1) T)
+    time.
     """
     h = np.asarray(h, dtype=np.complex128)
     sNs = np.asarray(sNs, dtype=np.complex128)
@@ -390,24 +398,12 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
             f"expected whole blocks of {M} symbols, got shape {sNs.shape}"
         )
     L = h.size - 1
-    P = M + L
-    # sigma2 J11 = I_N kron A^H A and row l of sigma2 J01 holds the blocks
-    # (T_l z_n)^H A, so the Schur complement is a sum of N per-block terms
-    # against the one M x M Gram A^H A.
-    A = build_channel_toeplitz(h, P, M) @ Ftilde
-    gram = A.conj().T @ A
-    _require_conditioned(gram, "symbol information block J11")
-    z = sNs.reshape(T, N, M) @ Ftilde.T
-    # U[t, :, n, l] = T_l z_n of frame t: block n's inner-precoded symbols
-    # delayed by l.
-    U = np.zeros((T, P, N, L + 1), dtype=np.complex128)
-    for l in range(L + 1):
-        U[:, l: l + M, :, l] = z.transpose(0, 2, 1)
-    Y = A.conj().T @ U.reshape(T, P, -1)
-    # One solve for every frame: the right-hand sides side by side.
-    X = np.linalg.solve(gram, Y.transpose(1, 0, 2).reshape(M, -1))
-    X = X.reshape(M, T, -1).transpose(1, 0, 2)
-    Y = Y.reshape(T, M, N, L + 1)
-    X = X.reshape(T, M, N, L + 1)
-    return _hermitize(np.einsum("tpni,tpnk->tik", U.conj(), U)
-                      - np.einsum("tmni,tmnk->tik", Y.conj(), X))
+    A = build_channel_toeplitz(h, M + L, M) @ Ftilde
+    _require_conditioned(A.conj().T @ A, "symbol information block J11")
+    Qp = np.linalg.qr(A, mode="complete")[0][:, M:]
+    # lags[m, j, l] = conj(Qp[l + m, j]): lag l reads rows l..l+M-1 of Qp,
+    # so s_n^T Ftilde^T lags is Qp^H U_n, block n's L rows of W.
+    lags = sliding_window_view(Qp.conj(), M, axis=0).transpose(2, 1, 0)
+    W = sNs.reshape(T, N, M) @ (Ftilde.T @ lags.reshape(M, -1))
+    W = W.reshape(T, N * L, L + 1)
+    return _hermitize(W.conj().swapaxes(-1, -2) @ W)

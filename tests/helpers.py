@@ -137,6 +137,12 @@ def run_experiment_per_frame(plan):
     ]
 
 
+def frame_energy(pre, frames):
+    """||x_t||^2 of each frame's transmitted stream, as a (T, 1, 1) array."""
+    x = frames.reshape(frames.shape[0], -1, pre.F.shape[1]) @ pre.F.T
+    return np.sum(np.abs(x) ** 2, axis=(1, 2))[:, None, None]
+
+
 def random_psd(n, rng, rank=None):
     """Random Hermitian PSD matrix B^H B, optionally rank-limited."""
     r = n if rank is None else rank

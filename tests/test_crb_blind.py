@@ -463,6 +463,23 @@ class TestCrbFastSweep:
         assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
         assert batch.shape == (T, L + 1, L + 1)
 
+    def test_long_frame_zp_reference_batch_memory(self):
+        # Only the L null-space coordinates of each delayed block are
+        # formed: the (T, P, N, L+1) delayed blocks with a Schur complement
+        # built from them peak at 24 MB at this size.
+        M, L, N, T = 12, 4, 1000, 5
+        pre = make_precoder(SystemConfig(M=M, L=L, N=N, redundancy_kind="zp"))
+        h = random_unit_channel(L, np.random.default_rng(48))
+        frames = np.stack([generate_symbols("qpsk", M, N, 49 + t).sN for t in range(T)])
+        tracemalloc.start()
+        try:
+            batch = zp_information(h, frames, pre.Ftilde)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+        assert batch.shape == (T, L + 1, L + 1)
+
     def test_forms_no_kron(self, monkeypatch):
         rng = np.random.default_rng(50)
         cfg, pre, h, s = random_instance(rng, redundancy_kind="zp")

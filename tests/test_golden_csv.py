@@ -5,7 +5,8 @@ diff of those files.
 Each plan runs 5 channels x 2 trials at M=12, L=4 over the default 7-point
 SNR grid: cp and zp, identity and IDFT inner precoders, N in {8, 25}
 (zero padding with the per-block reference bound), one zero-padding plan
-with 3-block windows, and the seed-3 zp/IDFT plan whose exclusions exceed
+with 3-block windows, one long zp/IDFT frame (N=100, 3 channels x 2
+trials), and the seed-3 zp/IDFT plan whose exclusions exceed
 the budget, kept as the text of its ExclusionBudgetExceeded message.
 
 The files pin the output of one numpy/BLAS build. When a change is meant
@@ -56,6 +57,7 @@ PLANS["zp-identity-N40-w3.csv"] = plan("zp", "identity", 40, window_blocks=3)
 PLANS["zp-idft-N25-seed3-20x5.txt"] = plan(
     "zp", "idft", 25, seed=3, channels=20, trials=5
 )
+PLANS["zp-idft-N100.csv"] = plan("zp", "idft", 100, channels=3)
 
 
 def render(p: ExperimentPlan) -> str:
