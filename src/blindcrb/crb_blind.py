@@ -12,20 +12,10 @@ known. Two routes to the same L x L bound over the remaining taps:
 * crb_fast rewrites the Schur complement through the left null space of K:
   entry (i, k) of the reduced information D is
   v_i^H (I - K pinv(K)) v_k / sigma2 where v_k = K_k s_N is a lag-k
-  window of the transmitted stream x_N = (I_N kron F) s_N. It never forms
-  K: every column block of K is the same (P+L) x M block
-  B = T(h) F, and consecutive blocks overlap in L rows, so a block
-  Householder sweep (a banded QR) over N windows of at most M+2L rows
-  triangularizes K one block at a time. The rows each step leaves with
-  zeros in every remaining column span the left null space, and D
-  accumulates from the windows v_k carried through the same rotations.
-  The L rows carried from step to step follow a Riccati recursion towards
-  a fixed point. Scaled by the signs of their diagonal, they repeat once
-  it is reached, and so do the rotations: from then on each step applies
-  one fixed matrix to the windows v_k instead of a QR. With n* QR steps
-  (n* = N when the carry never repeats) the cost is
-  O(n* M^2 (M + T(L+1)) + (N - n*) L (M+2L) T(L+1)) time for T frames
-  and O(NP) memory, against O((NM)^3) and O((NM)^2) for a dense QR of K.
+  window of the transmitted stream x_N = (I_N kron F) s_N, so D is the
+  Gram of the windows' coordinates in that null space. _sweep finds them
+  by a banded QR that never forms K; its docstring gives the algorithm
+  and its cost.
 
 The bound scales exactly as sigma2: fast_information and zp_information
 return the reduced information with the noise factored out,
@@ -35,9 +25,8 @@ D0 / sigma2 per level. Both take a batch of T frames sent over one
 channel and return T matrices D0. Only the windows v_k depend on the
 frame, so one sweep serves the batch: its rotations, carried rows and
 rank gate are the channel's, and the frames' windows ride along side by
-side, in O(NP + N L T(L+1)) memory. zp_information likewise takes one QR
-of its P x M block per batch. crb_fast and crb_zp_per_block are batches of
-one.
+side. zp_information likewise takes one QR of its P x M block per batch.
+crb_fast and crb_zp_per_block are batches of one.
 
 Both routes reject ill-conditioned inversions instead of returning noise,
 so Monte Carlo callers can count and exclude pathological draws.
@@ -52,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .crb_core import RANK_RTOL, _hermitize
 from .errors import IllConditioned, RankDeficient
-from .model import Precoder, SystemConfig, build_channel_toeplitz
+from .model import Precoder, build_channel_toeplitz
 
 COND_LIMIT = 1e12
 # The sweep switches to its steady-state map once the sign-normalised
@@ -187,104 +176,116 @@ def crb_fast(
     1/sigma2 and inverted."""
     _require_positive_sigma2(sigma2)
     sN = np.asarray(sN, dtype=np.complex128)
-    D0 = fast_information(h, sN[None], precoder, N)[0]
+    M = precoder.F.shape[1]
+    if sN.shape != (N * M,):
+        raise ValueError(f"expected {N * M} symbols, got shape {sN.shape}")
+    D0 = fast_information(h, sN[None], precoder)[0]
     return _invert_reduced(D0 / sigma2, d)
 
 
-def fast_information(
-    h: np.ndarray,
-    sNs: np.ndarray,
-    precoder: Precoder,
-    N: int,
-) -> np.ndarray:
+def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.ndarray:
     """The reduced information of the fast route times sigma2, D0 = sigma2 D,
     for a batch of frames sent over one channel.
 
-    sNs is a (T, NM) stack of T frames; the result is the (T, L+1, L+1)
-    stack of their D0. The bound of frame t is the anchor-reduced inverse
-    of D0[t] / sigma2, so D0 depends only on the channel and the frame and
-    serves every noise level.
-
-    Sweeps the column blocks of K in order. Step n stacks the L rows
-    carried from step n-1 over the P new rows of block n, appends L marker
-    columns (the identity on the window's last L rows, which block n+1
-    also touches) and then, side by side, each frame's rows of V^T,
-    V^T[r, k] = x[L+r-k], and takes the R factor of that window. Rows
-    0..M-1 of R close block n; rows M..M+L-1 carry on, their block n+1
-    entries read off the markers; the last L rows are zero in every later
-    column, so they are finished left-null-space rows, and frame t's
-    columns of them, fin_t, add fin_t^H fin_t to D0[t]. Step 0 has no
-    carry and the last step no markers; (N-1)L rows finish in all.
-
-    The sweep has two phases. LAPACK leaves the diagonal of R real but of
-    either sign, so after each QR step the carried rows are scaled by the
-    signs of their L x L K-block diagonal; the scaling is exact, and
-    without it the carry can flip sign from step to step and never repeat.
-    Once that K block matches the previous step's within _STEADY_RTOL,
-    every later middle window has the same K and marker columns, hence
-    the same reflectors. Rows M.. of the Q^H of one complete QR of those
-    columns, G, with its carry rows sign-scaled the same way, then map
-    the [carried; new] V^T rows of each remaining middle step to the next
-    carry and the finished rows: one (2L) x (M+2L) product per step. Those
-    finished rows differ from a QR step's only by a rotation, which D0
-    does not see, and the steady window's |diag(R)| fills the rank gate's
-    remaining rows. The last step is a QR again. A channel whose carry
-    does not repeat within the frame (a zero close to the unit circle can
-    keep it moving) keeps a QR at every step.
-
-    Only the V^T columns depend on the frame. The reflectors that
-    triangularize the K and marker columns come first, so they, the carry
-    and the rank gate are the same for every frame of the batch. The
-    reflectors the later frame columns bring in act on the finished rows
-    alone; they rotate those rows, which leaves the Gram of each frame's
-    columns, and so each D0[t], unchanged.
-
-    The rank gate works on |diag(R)| of the K columns, the distance of
-    each column of K from the span of the ones before it, which is the
-    same for any QR of K: the smallest singular value never exceeds the
-    smallest diagonal magnitude, so a collapsed diagonal proves rank
-    deficiency. It reads only the channel, so it rejects every frame of
-    the batch or none. Draws that slip past it are still caught by the
-    conditioning gate on the reduced information.
-
-    O(n* M^2 (M + T(L+1)) + (N - n*) L (M+2L) T(L+1)) time, for n* QR
-    steps out of N, and O(NP + N L T(L+1)) memory: V^T is a strided view
-    of the transmitted streams, and neither K nor I_N kron F is formed.
+    sNs is a (T, NM) stack of frames of N >= 2 blocks; the result is the
+    (T, L+1, L+1) stack of their D0, the Gram of each frame's windows
+    V^T[r, k] = x[L+r-k] in the left null space of K (see _sweep). D0
+    depends only on the channel and the frame: the bound of frame t at any
+    noise level is the anchor-reduced inverse of D0[t] / sigma2. A
+    rank-deficient K raises RankDeficient for the whole batch.
     """
     h = np.asarray(h, dtype=np.complex128)
     sNs = np.asarray(sNs, dtype=np.complex128)
     P, M = precoder.F.shape
     L = h.size - 1
-    if P != M + L:
+    if not 1 <= L < M or P != M + L:
+        raise ValueError(f"channel order {L} inconsistent with precoder shape {P}x{M}")
+    if sNs.ndim != 2 or sNs.shape[0] < 1 or sNs.shape[1] % M or sNs.shape[1] < 2 * M:
         raise ValueError(
-            f"channel order {L} inconsistent with precoder shape {P}x{M}"
+            f"expected a stack of frames of at least 2 whole blocks of {M} "
+            f"symbols, got shape {sNs.shape}"
         )
-    if sNs.ndim != 2 or sNs.shape[0] < 1 or sNs.shape[1] != N * M:
-        raise ValueError(
-            f"expected a stack of frames of {N * M} symbols, got shape {sNs.shape}"
-        )
-    # Validates N the way every frame-level entry point does.
-    SystemConfig(M=M, L=L, N=N)
-    T = sNs.shape[0]
+    T, N = sNs.shape[0], sNs.shape[1] // M
     B = build_channel_toeplitz(h, P + L, P) @ precoder.F
     x = (sNs.reshape(T, N, M) @ precoder.F.T).reshape(T, N * P)
-    # Vt[t, r] is row r of frame t's V^T; a view of x, never copied whole.
-    Vt = sliding_window_view(x, L + 1, axis=1)[:, :, ::-1]
-    # The window of a middle step: columns [K block | markers | V^T of
-    # frame 0 | ... | V^T of frame T-1], rows [carry; new]. Only the carry
-    # rows and the new V^T rows change from step to step.
-    W = np.zeros((M + 2 * L, M + L + T * (L + 1)), dtype=np.complex128)
+    # Row r holds row r of every frame's V^T: a view of x, never copied.
+    Vt = sliding_window_view(x, L + 1, axis=1)[:, :, ::-1].transpose(1, 0, 2)
+    fin = _sweep(B, Vt).transpose(1, 0, 2)
+    return _hermitize(fin.conj().swapaxes(-1, -2) @ fin)
+
+
+def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The coordinates of cols in the left null space of K, from a banded
+    QR of K that never forms it.
+
+    B is the (P+L) x M block T(h) F that repeats down K, P rows lower in
+    each column block, so consecutive blocks overlap in L rows. cols is
+    any (NP-L, ...) array aligned with K's rows, a strided view say, whose
+    trailing axes are the window columns. The result C is ((N-1)L, ...),
+    with C^H C = cols^H (I - K pinv(K)) cols over the flattened columns.
+    M and L are read off B, N off cols.
+
+    Step n stacks the L rows carried from step n-1 over the P new rows of
+    block n, appends L marker columns (the identity on the window's last L
+    rows, which block n+1 also touches) and the rows of cols, and takes
+    the R factor of that window. Rows 0..M-1 of R close block n; rows
+    M..M+L-1 carry on, their block n+1 entries read off the markers; the
+    last L rows are zero in every later column of K, so their cols part is
+    a finished row block of C (zero below R when cols has fewer than L
+    columns). Step 0 has no carry and the last step no markers.
+
+    The sweep has two phases. LAPACK leaves the diagonal of R real but of
+    either sign, so after each QR step the carried rows are scaled by the
+    signs of their L x L K-block diagonal; the scaling is exact, and
+    without it the carry can flip sign from step to step and never repeat.
+    The carry follows a Riccati recursion to a fixed point. Once its K
+    block matches the previous step's within _STEADY_RTOL, every later
+    middle window has the same K and marker columns, hence the same
+    reflectors, and rows M.. of the Q^H of one complete QR of those
+    columns, G (carry rows sign-scaled the same way), map each remaining
+    middle step's [carried; new] rows of cols to the next carry and the
+    finished rows in one (2L) x (M+2L) product. The steady window's
+    |diag(R)| fills the rank gate's remaining rows, and the last step is a
+    QR again. A carry that does not repeat within the frame (a zero close
+    to the unit circle can keep it moving) keeps a QR at every step.
+
+    The reflectors of the K and marker columns come first, so they, the
+    carry and the rank gate do not depend on cols. The reflectors the
+    later columns bring in, and G in place of a QR step, only rotate the
+    finished rows, which C^H C does not see: the frames of a batch ride
+    side by side, each getting the block of C^H C its own sweep would.
+
+    The rank gate raises RankDeficient when the smallest |diag(R)| of the
+    K columns collapses. Each is the distance of a column of K from the
+    span of the ones before it, the same for any QR of K, and the smallest
+    singular value never exceeds it, so a collapse proves rank deficiency.
+    Draws that slip past it are still caught by the conditioning gate on
+    the reduced information.
+
+    With c columns and n* QR steps out of N (n* = N when the carry never
+    repeats), O(n* M^2 (M + c) + (N - n*) L (M+2L) c) time and
+    O(NP + N L c) memory besides cols, against O((NM)^3) and O((NM)^2)
+    for a dense QR of K; a batch of T frames has c = T(L+1).
+    """
+    M, L = B.shape[1], (B.shape[0] - B.shape[1]) // 2
+    P = M + L
+    N = (len(cols) + L) // P
+    # The window of a middle step: columns [K block | markers | cols], rows
+    # [carry; new]. Only the carry and the new rows of cols change.
+    W = np.zeros((M + 2 * L, M + L + math.prod(cols.shape[1:])), dtype=np.complex128)
     W[L:, :M] = B[L:]
     W[M + L:, M: M + L] = np.eye(L)
     V = W[:, M + L:]
-    new_v = V[L:].reshape(P, T, L + 1)
+    new_v = V[L:].reshape((P,) + cols.shape[1:])
     diag = np.empty((N, M))
-    # Row block n-1 of fin holds the rows step n finishes, frames side by side.
-    fin = np.empty(((N - 1) * L, T * (L + 1)), dtype=np.complex128)
+    # Row block n-1 of fin holds the rows step n finishes, of which a QR
+    # step leaves min(L, c) and the rest zero.
+    fin = np.zeros(((N - 1) * L, V.shape[1]), dtype=np.complex128)
+    k = min(L, V.shape[1])
     out = np.empty((2 * L, V.shape[1]), dtype=np.complex128)
     G = carry = None
     for n in range(N - 1):
-        new_v[...] = Vt[:, n * P: (n + 1) * P].transpose(1, 0, 2)
+        new_v[...] = cols[n * P: (n + 1) * P]
         if G is not None:
             np.matmul(G, V, out=out)
             V[:L] = out[:L]
@@ -293,7 +294,7 @@ def fast_information(
         R = np.linalg.qr(W if n else W[L:], mode="r")
         diag[n] = np.abs(R.diagonal()[:M])
         if n:  # no rows finish at step 0
-            fin[(n - 1) * L: n * L] = R[M + L:, M + L:]
+            fin[(n - 1) * L: (n - 1) * L + k] = R[M + L:, M + L:]
         sign = _carry_signs(R, M, L)
         previous, carry = carry, sign * R[M: M + L, M: M + L]
         W[:L, :M] = carry @ B[:L]
@@ -301,22 +302,21 @@ def fast_information(
         if n + 2 < N and previous is not None and _repeats(carry, previous):
             # Every later middle window has the K and marker columns of
             # the next one, so rows M.. of their Q^H map its [carry; new]
-            # V^T rows to the next carry and the finished rows.
+            # rows of cols to the next carry and the finished rows.
             Q, R = np.linalg.qr(W[:, : M + L], mode="complete")
             G = Q[:, M:].conj().T
             G[:L] *= _carry_signs(R, M, L)
             diag[n + 1: N - 1] = np.abs(R.diagonal()[:M])
     # The last step: the carry over the M rows left, and no markers.
-    new_v[:M] = Vt[:, (N - 1) * P:].transpose(1, 0, 2)
+    new_v[:M] = cols[(N - 1) * P:]
     R = np.linalg.qr(np.delete(W[: L + M], np.s_[M: M + L], axis=1), mode="r")
     diag[N - 1] = np.abs(R.diagonal()[:M])
-    fin[(N - 2) * L:] = R[M:, M:]
+    fin[(N - 2) * L: (N - 2) * L + k] = R[M:, M:]
     if diag.min() <= RANK_RTOL * diag.max():
         raise RankDeficient(
             f"K is column-rank-deficient (diag ratio {diag.min() / diag.max():.3e})"
         )
-    fin = fin.reshape(-1, T, L + 1).transpose(1, 0, 2)
-    return _hermitize(fin.conj().swapaxes(-1, -2) @ fin)
+    return fin.reshape(fin.shape[:1] + cols.shape[1:])
 
 
 def _repeats(carry: np.ndarray, previous: np.ndarray) -> bool:

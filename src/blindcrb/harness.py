@@ -230,7 +230,7 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
             ))
         sNs = np.stack(frames)
         try:
-            D0s = fast_information(h, sNs, precoder, config.N)
+            D0s = fast_information(h, sNs, precoder)
             if plan.compute_zp_reference:
                 D0s_zp = zp_information(h, sNs, precoder.Ftilde)
         except NumericalError:

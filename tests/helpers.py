@@ -96,7 +96,7 @@ def run_experiment_per_frame(plan):
             cleans.append(clean)
             noises.append(draw_noise(clean.size, stream(2, i, j)))
         try:
-            D0s = fast_information(h, np.stack(frames), precoder, config.N)
+            D0s = fast_information(h, np.stack(frames), precoder)
             if plan.compute_zp_reference:
                 D0s_zp = zp_information(h, np.stack(frames), precoder.Ftilde)
         except NumericalError:

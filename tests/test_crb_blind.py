@@ -15,21 +15,24 @@ import pytest
 from blindcrb import (
     FimBlocks,
     IllConditioned,
+    NumericalError,
     RankDeficient,
     SystemConfig,
+    build_channel_toeplitz,
     build_K,
     crb_constrained,
     crb_direct,
     crb_fast,
     crb_zp_per_block,
     default_anchor,
+    draw_channel,
     fim_blocks,
     generate_symbols,
     make_precoder,
     subspace_estimate,
     synthesize_observation,
 )
-from blindcrb.crb_blind import _invert_reduced, fast_information, zp_information
+from blindcrb.crb_blind import _invert_reduced, _sweep, fast_information, zp_information
 from helpers import (
     assembled_fim,
     assert_psd,
@@ -307,6 +310,12 @@ class TestCrbFast:
         for sigma2 in (0.0, np.inf):
             with pytest.raises(ValueError, match="sigma2"):
                 crb_fast(h, s, pre, 0, sigma2, cfg.N)
+        # Whole blocks, but not N of them.
+        with pytest.raises(ValueError, match="symbols"):
+            crb_fast(h, s, pre, 0, 1.0, cfg.N + 1)
+        # fast_information reads N off the frames, and one block is too few.
+        with pytest.raises(ValueError):
+            fast_information(h, s[None, : cfg.M], pre)
 
 
 class TestCrbFastSweep:
@@ -327,12 +336,12 @@ class TestCrbFastSweep:
             h = random_unit_channel(L, rng)
             frames = np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in range(3)])
             d = default_anchor(h)
-            batch = fast_information(h, frames, pre, N)
+            batch = fast_information(h, frames, pre)
             assert batch.shape == (3, L + 1, L + 1)
             for s, D0 in zip(frames, batch):
                 dense = crb_fast_dense(h, s, pre, d, cfg.sigma2, N)
                 fast = crb_fast(h, s, pre, d, cfg.sigma2, N).C
-                single = fast_information(h, s[None], pre, N)[0]
+                single = fast_information(h, s[None], pre)[0]
                 np.testing.assert_array_equal(
                     fast, _invert_reduced(single / cfg.sigma2, d).C
                 )
@@ -358,12 +367,12 @@ class TestCrbFastSweep:
                 with pytest.raises(RankDeficient):
                     route(h, s, pre, d, cfg.sigma2, N)
             with pytest.raises(RankDeficient):
-                fast_information(h, frames, pre, N)
+                fast_information(h, frames, pre)
         else:
             fast = crb_fast(h, s, pre, d, cfg.sigma2, N)
             dense = crb_fast_dense(h, s, pre, d, cfg.sigma2, N)
             assert np.isfinite(fast.trace) and np.all(np.isfinite(dense))
-            assert np.all(np.isfinite(fast_information(h, frames, pre, N)))
+            assert np.all(np.isfinite(fast_information(h, frames, pre)))
 
     @staticmethod
     def count_qr(monkeypatch):
@@ -388,7 +397,7 @@ class TestCrbFastSweep:
         h = random_unit_channel(L, np.random.default_rng(48))
         s = generate_symbols("qpsk", M, N, 49).sN
         calls = self.count_qr(monkeypatch)
-        fast_information(h, s[None], pre, N)
+        fast_information(h, s[None], pre)
         assert len(calls) <= most, f"{len(calls)} QR calls for N={N}"
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
@@ -408,6 +417,40 @@ class TestCrbFastSweep:
         rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
         assert rel <= 1e-12, f"sweep and dense QR differ ({rel:.2e})"
 
+    @pytest.mark.parametrize("settles", [True, False])
+    def test_engine_carries_any_columns(self, monkeypatch, settles):
+        # _sweep on columns that are not stream windows: a random block
+        # and a received frame, whose one column is fewer than L. The Gram
+        # of the coordinates it returns is the dense-QR projection
+        # C^H (I - K pinv(K)) C, on a channel whose carry settles within
+        # the frame and on the one of test_carry_that_never_settles_keeps_qr_steps.
+        M, L, N = 8, 2, 60
+        P = M + L
+        cfg = SystemConfig(M=M, L=L, N=N)
+        pre = make_precoder(cfg)
+        rng = np.random.default_rng(51)
+        zero = 0.9 if settles else np.exp(2j * np.pi / M) * (1 + 1e-3)
+        h = np.poly([zero, 0.5 + 0.3j])
+        B = build_channel_toeplitz(h, P + L, P) @ pre.F
+        Q = np.linalg.qr(build_K(cfg, pre, h)[0])[0]
+        block = rng.standard_normal((N * P - L, 3)) + 1j * rng.standard_normal((N * P - L, 3))
+        y = synthesize_observation(pre, h, generate_symbols("qpsk", M, N, rng).sN, 0.1, rng)
+        for cols in (block, y):
+            calls = self.count_qr(monkeypatch)
+            coords = _sweep(B, cols)
+            assert (len(calls) < N) == settles
+            assert coords.shape == ((N - 1) * L,) + cols.shape[1:]
+            C = cols.reshape(len(cols), -1)
+            X = coords.reshape(len(coords), -1)
+            projected = C.conj().T @ (C - Q @ (Q.conj().T @ C))
+            np.testing.assert_allclose(
+                X.conj().T @ X, projected, rtol=0, atol=1e-10 * np.linalg.norm(C) ** 2
+            )
+        # A zero on the DFT grid makes K rank-deficient under CP.
+        h = np.poly([np.exp(2j * np.pi / M), 0.5 + 0.3j])
+        with pytest.raises(RankDeficient):
+            _sweep(build_channel_toeplitz(h, P + L, P) @ pre.F, block)
+
     @pytest.mark.parametrize("N", [60, 200])
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     @pytest.mark.parametrize("eps,rejected", [(0.0, True), (1e-12, True),
@@ -423,9 +466,9 @@ class TestCrbFastSweep:
         frames = np.stack([generate_symbols("qpsk", M, N, k).sN for k in (3, 4)])
         if rejected:
             with pytest.raises(RankDeficient):
-                fast_information(h, frames, pre, N)
+                fast_information(h, frames, pre)
         else:
-            assert np.all(np.isfinite(fast_information(h, frames, pre, N)))
+            assert np.all(np.isfinite(fast_information(h, frames, pre)))
 
     def test_long_frame_memory_scaling_and_monotonicity(self):
         # A dense K at this size would take 3.1 GB.
@@ -456,7 +499,7 @@ class TestCrbFastSweep:
         frames = np.stack([generate_symbols("qpsk", M, N, 49 + t).sN for t in range(T)])
         tracemalloc.start()
         try:
-            batch = fast_information(h, frames, pre, N)
+            batch = fast_information(h, frames, pre)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,7 +559,7 @@ class TestInvertReducedStack:
         d = default_anchor(h)
         frames = np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in range(3)])
         sigma2s = np.logspace(0, -4, 5)
-        stack = fast_information(h, frames, pre, N)[:, None] / sigma2s[:, None, None]
+        stack = fast_information(h, frames, pre)[:, None] / sigma2s[:, None, None]
         result = _invert_reduced(stack, d)
         assert result.C.shape == (3, 5, L, L) and result.trace.shape == (3, 5)
         for t in range(3):
@@ -572,6 +615,24 @@ def test_nan_tap_rejected_alike_by_every_route(kind):
     for route in routes:
         with pytest.raises(IllConditioned):
             route()
+
+
+@pytest.mark.xfail(reason="no gate rejects an uninformative frame when L=1")
+@pytest.mark.parametrize("route", ["direct", "fast"])
+def test_uninformative_frame_rejected_when_L_is_1(route):
+    # A constant frame says nothing about the taps, so D0 is rounding
+    # noise (5e-32 here), but the 1 x 1 anchor-reduced information always
+    # has cond 1 and passes every gate: crb_fast returns a trace of 2e31
+    # and crb_direct one of -1e15.
+    cfg = SystemConfig(M=2, L=1, N=2)
+    pre = make_precoder(cfg)
+    channel = draw_channel(1, 1)
+    s = generate_symbols("qpsk", 2, 2, 15).sN
+    with pytest.raises(NumericalError):
+        if route == "fast":
+            crb_fast(channel.h, s, pre, channel.d, 1.0, cfg.N)
+        else:
+            crb_direct(make_blocks(cfg, pre, channel.h, s)[0], channel.d)
 
 
 class TestZpPerBlock:

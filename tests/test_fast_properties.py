@@ -48,7 +48,7 @@ def instances(draw):
 @given(instances())
 def test_hermitian_psd(instance):
     pre, h, frames, N = instance
-    D0 = fast_information(h, frames, pre, N)
+    D0 = fast_information(h, frames, pre)
     np.testing.assert_array_equal(D0, D0.conj().swapaxes(-1, -2))
     assert np.all(np.linalg.eigvalsh(D0)[:, :1] >= -1e-12 * frame_energy(pre, frames)[:, 0])
 
@@ -58,8 +58,8 @@ def test_hermitian_psd(instance):
 def test_blind_scale_invariance(instance, magnitude, phase):
     # K(c h) = c K(h) has the same left null space, so D0 cannot move.
     pre, h, frames, N = instance
-    D0 = fast_information(h, frames, pre, N)
-    scaled = fast_information(magnitude * np.exp(1j * phase) * h, frames, pre, N)
+    D0 = fast_information(h, frames, pre)
+    scaled = fast_information(magnitude * np.exp(1j * phase) * h, frames, pre)
     assert np.all(np.abs(scaled - D0) <= 1e-12 * frame_energy(pre, frames))
 
 
@@ -67,8 +67,8 @@ def test_blind_scale_invariance(instance, magnitude, phase):
 @given(instances())
 def test_batch_member_equals_batch_of_one(instance):
     pre, h, frames, N = instance
-    batch = fast_information(h, frames, pre, N)
-    singles = np.concatenate([fast_information(h, frame[None], pre, N) for frame in frames])
+    batch = fast_information(h, frames, pre)
+    singles = np.concatenate([fast_information(h, frame[None], pre) for frame in frames])
     assert np.all(np.abs(singles - batch) <= 1e-13 * frame_energy(pre, frames))
 
 
