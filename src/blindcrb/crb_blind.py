@@ -26,7 +26,12 @@ channel and return T matrices D0. Only the windows v_k depend on the
 frame, so one sweep serves the batch: its rotations, carried rows and
 rank gate are the channel's, and the frames' windows ride along side by
 side. zp_information likewise takes one QR of its P x M block per batch.
-crb_fast and crb_zp_per_block are batches of one.
+Both also take a stack of C channels, (C, L+1) taps with (C, T, NM)
+frames, and return (C, T, L+1, L+1): one sweep, or one stacked QR, runs
+every channel at once, and each member gets the bytes it would get
+alone. A single channel that fails a gate raises; in a channel stack the
+failed member comes back NaN and the others are unchanged. crb_fast and
+crb_zp_per_block are batches of one.
 
 Both routes reject ill-conditioned inversions instead of returning noise,
 so Monte Carlo callers can count and exclude pathological draws.
@@ -110,10 +115,17 @@ def _require_positive_sigma2(sigma2: float):
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
-def _delete_anchor(D: np.ndarray, d: int) -> np.ndarray:
-    if not 0 <= d < D.shape[-1]:
-        raise ValueError(f"anchor index {d} outside 0..{D.shape[-1] - 1}")
-    return np.delete(np.delete(D, d, axis=-2), d, axis=-1)
+def _delete_anchor(D: np.ndarray, d) -> np.ndarray:
+    """D without its anchor row and column; d is an int or an integer
+    array broadcast over the stack's leading axes, one anchor per member."""
+    n = D.shape[-1]
+    d = np.asarray(d)
+    bad = d[(d < 0) | (d >= n)]
+    if bad.size:
+        raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
+    keep = np.arange(n) != d[..., None]
+    keep = np.broadcast_to(keep[..., :, None] & keep[..., None, :], D.shape)
+    return D[keep].reshape(D.shape[:-2] + (n - 1, n - 1))
 
 
 def _conditioned(A: np.ndarray):
@@ -133,12 +145,14 @@ def _require_conditioned(A: np.ndarray, name: str):
         raise IllConditioned(name, float(cond))
 
 
-def _invert_reduced(D: np.ndarray, d: int) -> CrbResult:
+def _invert_reduced(D: np.ndarray, d) -> CrbResult:
     """Delete the anchor row/column of the reduced information and invert.
 
     D is one (L+1) x (L+1) information, which raises IllConditioned when
     its anchor-reduced part is ill-conditioned, or a (..., L+1, L+1)
-    stack, whose ill-conditioned members get a NaN bound and trace.
+    stack, whose ill-conditioned members get a NaN bound and trace. d is
+    the anchor index, an int or an integer array broadcast over the
+    stack's leading axes.
     """
     Dd = _delete_anchor(np.asarray(D), d)
     cond, ok = _conditioned(Dd)
@@ -183,35 +197,61 @@ def crb_fast(
     return _invert_reduced(D0 / sigma2, d)
 
 
-def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.ndarray:
-    """The reduced information of the fast route times sigma2, D0 = sigma2 D,
-    for a batch of frames sent over one channel.
-
-    sNs is a (T, NM) stack of frames of N >= 2 blocks; the result is the
-    (T, L+1, L+1) stack of their D0, the Gram of each frame's windows
-    V^T[r, k] = x[L+r-k] in the left null space of K (see _sweep). D0
-    depends only on the channel and the frame: the bound of frame t at any
-    noise level is the anchor-reduced inverse of D0[t] / sigma2. A
-    rank-deficient K raises RankDeficient for the whole batch.
-    """
+def _channel_stack(h, sNs, M: int, min_blocks: int):
+    """Taps and frames as a (C, L+1) stack of channels with their
+    (C, T, NM) frames, and whether they were one channel's (L+1,) taps
+    with its (T, NM) frames. The frames must hold at least min_blocks
+    whole blocks of M symbols."""
     h = np.asarray(h, dtype=np.complex128)
     sNs = np.asarray(sNs, dtype=np.complex128)
-    P, M = precoder.F.shape
-    L = h.size - 1
-    if not 1 <= L < M or P != M + L:
-        raise ValueError(f"channel order {L} inconsistent with precoder shape {P}x{M}")
-    if sNs.ndim != 2 or sNs.shape[0] < 1 or sNs.shape[1] % M or sNs.shape[1] < 2 * M:
+    if h.ndim not in (1, 2) or h.shape[-1] < 2:
         raise ValueError(
-            f"expected a stack of frames of at least 2 whole blocks of {M} "
-            f"symbols, got shape {sNs.shape}"
+            f"need (L+1,) taps or a (C, L+1) stack of them, L >= 1, got shape {h.shape}"
         )
-    T, N = sNs.shape[0], sNs.shape[1] // M
-    B = build_channel_toeplitz(h, P + L, P) @ precoder.F
-    x = (sNs.reshape(T, N, M) @ precoder.F.T).reshape(T, N * P)
-    # Row r holds row r of every frame's V^T: a view of x, never copied.
-    Vt = sliding_window_view(x, L + 1, axis=1)[:, :, ::-1].transpose(1, 0, 2)
-    fin = _sweep(B, Vt).transpose(1, 0, 2)
-    return _hermitize(fin.conj().swapaxes(-1, -2) @ fin)
+    if (
+        sNs.ndim != h.ndim + 1 or sNs.shape[:-2] != h.shape[:-1] or sNs.shape[-2] < 1
+        or sNs.shape[-1] % M or sNs.shape[-1] < min_blocks * M
+    ):
+        raise ValueError(
+            f"expected a stack of frames of at least {min_blocks} whole blocks "
+            f"of {M} symbols per channel, got shape {sNs.shape} for taps {h.shape}"
+        )
+    single = h.ndim == 1
+    return (h[None], sNs[None], True) if single else (h, sNs, False)
+
+
+def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.ndarray:
+    """The reduced information of the fast route times sigma2, D0 = sigma2 D,
+    for a batch of frames sent over one channel, or for a stack of channels.
+
+    h is one channel's (L+1,) taps and sNs a (T, NM) stack of frames of
+    N >= 2 blocks; the result is the (T, L+1, L+1) stack of their D0, the
+    Gram of each frame's windows V^T[r, k] = x[L+r-k] in the left null
+    space of K (see _sweep). D0 depends only on the channel and the frame:
+    the bound of frame t at any noise level is the anchor-reduced inverse
+    of D0[t] / sigma2. A rank-deficient K raises RankDeficient for the
+    whole batch. With (C, L+1) taps and (C, T, NM) frames, one sweep runs
+    every channel and the result is (C, T, L+1, L+1); each member equals
+    its channel's result alone, and a channel whose K fails the rank gate
+    comes back NaN instead of raising.
+    """
+    P, M = precoder.F.shape
+    h, sNs, single = _channel_stack(h, sNs, M, 2)
+    C, T = sNs.shape[:2]
+    L, N = h.shape[1] - 1, sNs.shape[2] // M
+    if not L < M or P != M + L:
+        raise ValueError(f"channel order {L} inconsistent with precoder shape {P}x{M}")
+    B = np.stack([build_channel_toeplitz(taps, P + L, P) for taps in h]) @ precoder.F
+    x = (sNs.reshape(C, T, N, M) @ precoder.F.T).reshape(C, T, N * P)
+    # Row r of member c holds row r of its frames' V^T: a view of x, never
+    # copied.
+    Vt = sliding_window_view(x, L + 1, axis=2)[..., ::-1].transpose(0, 2, 1, 3)
+    fins = _sweep(B[0], Vt[0])[None] if single else _sweep(B, Vt)
+    D0 = np.empty((C, T, L + 1, L + 1), dtype=np.complex128)
+    for D0_c, fin in zip(D0, fins):  # one channel's conj at a time
+        fin = fin.transpose(1, 0, 2)
+        D0_c[...] = _hermitize(fin.conj().swapaxes(-1, -2) @ fin)
+    return D0[0] if single else D0
 
 
 def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -223,7 +263,9 @@ def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
     any (NP-L, ...) array aligned with K's rows, a strided view say, whose
     trailing axes are the window columns. The result C is ((N-1)L, ...),
     with C^H C = cols^H (I - K pinv(K)) cols over the flattened columns.
-    M and L are read off B, N off cols.
+    M and L are read off B, N off cols. B may also be a (C, P+L, M) stack
+    of channels' blocks, with cols (C, NP-L, ...) and a (C, (N-1)L, ...)
+    result; one sweep runs them all.
 
     Step n stacks the L rows carried from step n-1 over the P new rows of
     block n, appends L marker columns (the identity on the window's last L
@@ -249,6 +291,14 @@ def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
     QR again. A carry that does not repeat within the frame (a zero close
     to the unit circle can keep it moving) keeps a QR at every step.
 
+    In a stack each member switches to its own G at the step where its
+    own carry repeats. A step takes one stacked QR of the members still
+    factoring and, once any member has switched, one stacked product of
+    the whole stack, whose rows for a member still factoring (G is zero
+    there) its QR step replaces. Every stacked call does on each member
+    what it does on one matrix, so a member's coordinates do not depend
+    on the stack.
+
     The reflectors of the K and marker columns come first, so they, the
     carry and the rank gate do not depend on cols. The reflectors the
     later columns bring in, and G in place of a QR step, only rotate the
@@ -256,67 +306,100 @@ def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
     side by side, each getting the block of C^H C its own sweep would.
 
     The rank gate raises RankDeficient when the smallest |diag(R)| of the
-    K columns collapses. Each is the distance of a column of K from the
-    span of the ones before it, the same for any QR of K, and the smallest
-    singular value never exceeds it, so a collapse proves rank deficiency.
-    Draws that slip past it are still caught by the conditioning gate on
-    the reduced information.
+    K columns collapses; in a stack the member's coordinates come back NaN
+    instead. Each is the distance of a column of K from the span of the
+    ones before it, the same for any QR of K, and the smallest singular
+    value never exceeds it, so a collapse proves rank deficiency. Draws
+    that slip past it are still caught by the conditioning gate on the
+    reduced information.
 
     With c columns and n* QR steps out of N (n* = N when the carry never
     repeats), O(n* M^2 (M + c) + (N - n*) L (M+2L) c) time and
     O(NP + N L c) memory besides cols, against O((NM)^3) and O((NM)^2)
-    for a dense QR of K; a batch of T frames has c = T(L+1).
+    for a dense QR of K; a batch of T frames has c = T(L+1). A stack
+    takes C times as much.
     """
-    M, L = B.shape[1], (B.shape[0] - B.shape[1]) // 2
+    single = B.ndim == 2
+    if single:
+        B, cols = B[None], cols[None]
+    C, M = B.shape[0], B.shape[2]
+    L = (B.shape[1] - M) // 2
     P = M + L
-    N = (len(cols) + L) // P
+    N = (cols.shape[1] + L) // P
+    shape = cols.shape[2:]
     # The window of a middle step: columns [K block | markers | cols], rows
     # [carry; new]. Only the carry and the new rows of cols change.
-    W = np.zeros((M + 2 * L, M + L + math.prod(cols.shape[1:])), dtype=np.complex128)
-    W[L:, :M] = B[L:]
-    W[M + L:, M: M + L] = np.eye(L)
-    V = W[:, M + L:]
-    new_v = V[L:].reshape((P,) + cols.shape[1:])
-    diag = np.empty((N, M))
+    W = np.zeros((C, M + 2 * L, M + L + math.prod(shape)), dtype=np.complex128)
+    W[:, L:, :M] = B[:, L:]
+    W[:, M + L:, M: M + L] = np.eye(L)
+    V = W[:, :, M + L:]
+    new_v = V[:, L:].reshape((C, P) + shape)
+    c = V.shape[2]
+    diag = np.empty((C, N, M))
     # Row block n-1 of fin holds the rows step n finishes, of which a QR
     # step leaves min(L, c) and the rest zero.
-    fin = np.zeros(((N - 1) * L, V.shape[1]), dtype=np.complex128)
-    k = min(L, V.shape[1])
-    out = np.empty((2 * L, V.shape[1]), dtype=np.complex128)
-    G = carry = None
+    fin = np.zeros((C, (N - 1) * L, c), dtype=np.complex128)
+    k = min(L, c)
+    out = np.empty((C, 2 * L, c), dtype=np.complex128)
+    # Zero until a member settles, so the stacked product leaves finite
+    # rows, which its QR step then replaces, for a member still factoring.
+    G = np.zeros((C, 2 * L, M + 2 * L), dtype=np.complex128)
+    carry = np.empty((C, L, L), dtype=np.complex128)
+    steady = np.zeros(C, dtype=bool)
+    members = np.arange(C)  # the members still taking QR steps
     for n in range(N - 1):
-        new_v[...] = cols[n * P: (n + 1) * P]
-        if G is not None:
+        new_v[...] = cols[:, n * P: (n + 1) * P]
+        done = (n - 1) * L
+        if len(members):
+            # A slice while the members are consecutive: views, not copies.
+            q = members
+            if members[-1] - members[0] == len(members) - 1:
+                q = slice(members[0], members[-1] + 1)
+            R = np.linalg.qr(W[q] if n else W[q, L:], mode="r")
+        if len(members) < C:
             np.matmul(G, V, out=out)
-            V[:L] = out[:L]
-            fin[(n - 1) * L: n * L] = out[L:]
+            V[:, :L] = out[:, :L]
+            fin[:, done: done + L] = out[:, L:]
+        if not len(members):
             continue
-        R = np.linalg.qr(W if n else W[L:], mode="r")
-        diag[n] = np.abs(R.diagonal()[:M])
+        diag[q, n] = np.abs(R.diagonal(axis1=-2, axis2=-1)[:, :M])
         if n:  # no rows finish at step 0
-            fin[(n - 1) * L: (n - 1) * L + k] = R[M + L:, M + L:]
+            fin[q, done: done + k] = R[:, M + L:, M + L:]
         sign = _carry_signs(R, M, L)
-        previous, carry = carry, sign * R[M: M + L, M: M + L]
-        W[:L, :M] = carry @ B[:L]
-        np.multiply(sign, R[M: M + L, M + L:], out=V[:L])
-        if n + 2 < N and previous is not None and _repeats(carry, previous):
-            # Every later middle window has the K and marker columns of
-            # the next one, so rows M.. of their Q^H map its [carry; new]
-            # rows of cols to the next carry and the finished rows.
-            Q, R = np.linalg.qr(W[:, : M + L], mode="complete")
-            G = Q[:, M:].conj().T
-            G[:L] *= _carry_signs(R, M, L)
-            diag[n + 1: N - 1] = np.abs(R.diagonal()[:M])
+        previous = carry[q].copy()  # carry[q] is a view when q is a slice
+        carry[q] = sign * R[:, M: M + L, M: M + L]
+        W[q, :L, :M] = carry[q] @ B[q, :L]
+        V[q, :L] = sign * R[:, M: M + L, M + L:]
+        if not 0 < n < N - 2:
+            continue
+        settled = [i for i, p in zip(members, previous) if _repeats(carry[i], p)]
+        if settled:
+            # Every later middle window of these members has the K and
+            # marker columns of the next one, so rows M.. of their Q^H map
+            # its [carry; new] rows of cols to the next carry and the
+            # finished rows.
+            Q, R = np.linalg.qr(W[settled, :, : M + L], mode="complete")
+            G[settled] = Q[:, :, M:].conj().swapaxes(-1, -2)
+            G[settled, :L] *= _carry_signs(R, M, L)
+            diag[settled, n + 1: N - 1] = np.abs(
+                R.diagonal(axis1=-2, axis2=-1)[:, None, :M]
+            )
+            steady[settled] = True
+            members = np.flatnonzero(~steady)
     # The last step: the carry over the M rows left, and no markers.
-    new_v[:M] = cols[(N - 1) * P:]
-    R = np.linalg.qr(np.delete(W[: L + M], np.s_[M: M + L], axis=1), mode="r")
-    diag[N - 1] = np.abs(R.diagonal()[:M])
-    fin[(N - 2) * L: (N - 2) * L + k] = R[M:, M:]
-    if diag.min() <= RANK_RTOL * diag.max():
+    new_v[:, :M] = cols[:, (N - 1) * P:]
+    R = np.linalg.qr(np.delete(W[:, : L + M], np.s_[M: M + L], axis=2), mode="r")
+    diag[:, N - 1] = np.abs(R.diagonal(axis1=-2, axis2=-1)[:, :M])
+    fin[:, (N - 2) * L: (N - 2) * L + k] = R[:, M:, M:]
+    low, high = diag.min(axis=(1, 2)), diag.max(axis=(1, 2))
+    failed = low <= RANK_RTOL * high
+    if single and failed[0]:
         raise RankDeficient(
-            f"K is column-rank-deficient (diag ratio {diag.min() / diag.max():.3e})"
+            f"K is column-rank-deficient (diag ratio {low[0] / high[0]:.3e})"
         )
-    return fin.reshape(fin.shape[:1] + cols.shape[1:])
+    fin[failed] = np.nan
+    fin = fin.reshape(fin.shape[:2] + shape)
+    return fin[0] if single else fin
 
 
 def _repeats(carry: np.ndarray, previous: np.ndarray) -> bool:
@@ -327,13 +410,15 @@ def _repeats(carry: np.ndarray, previous: np.ndarray) -> bool:
 
 
 def _carry_signs(R: np.ndarray, M: int, L: int) -> np.ndarray:
-    """The signs of the carried rows' K-block diagonal as an (L, 1) column.
+    """The signs of the carried rows' K-block diagonal as an (L, 1) column,
+    or a (..., L, 1) stack of them for a stack of R.
 
     LAPACK leaves the diagonal of R real but of either sign; scaling the
     carried rows by these signs is exact and makes that diagonal positive,
     so a carry that has stopped changing also stops changing sign.
     """
-    return np.copysign(1.0, R.diagonal()[M: M + L].real)[:, None]
+    diagonal = R.diagonal(axis1=-2, axis2=-1)
+    return np.copysign(1.0, diagonal[..., M: M + L].real)[..., None]
 
 
 def crb_zp_per_block(
@@ -366,7 +451,10 @@ def crb_zp_per_block(
 def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.ndarray:
     """The reduced information of crb_zp_per_block times sigma2, for a
     (T, NM) stack of frames sent over one channel; returns the
-    (T, L+1, L+1) stack.
+    (T, L+1, L+1) stack. With (C, L+1) taps and (C, T, NM) frames it
+    returns (C, T, L+1, L+1), each member equal to its channel's result
+    alone; a channel that fails the J11 gate comes back NaN there instead
+    of raising IllConditioned.
 
     Like fast_information, it depends only on the channel and the frame;
     the bound of frame t is the anchor-reduced inverse of the result's
@@ -375,35 +463,32 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     block n's inner-precoded symbols delayed by l. The projector is
     Qp Qp^H, Qp the last L columns of A's complete Q, so D0 is the Gram of
     the coordinates Qp^H U_n: PSD by construction, with no cancellation.
-    The gate on A^H A and the QR of A serve the batch; O(M^3 + N M L(L+1) T)
-    time.
+    The gate on A^H A and the QR of A serve the batch, and one stacked QR
+    serves a stack of channels; O(M^3 + N M L(L+1) T) time per channel.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    sNs = np.asarray(sNs, dtype=np.complex128)
     Ftilde = np.asarray(Ftilde, dtype=np.complex128)
-    if h.ndim != 1 or h.size < 2:
-        raise ValueError(f"need a 1-D array of at least 2 taps, got shape {h.shape}")
     if Ftilde.ndim != 2 or Ftilde.shape[0] != Ftilde.shape[1]:
         raise ValueError(
             f"inner precoder must be square, got shape {Ftilde.shape}; "
             "pass the square inner precoder, not the composite"
         )
     M = Ftilde.shape[0]
-    if sNs.ndim != 2 or sNs.shape[0] < 1:
-        raise ValueError(f"expected a stack of frames, got shape {sNs.shape}")
-    T = sNs.shape[0]
-    N, rem = divmod(sNs.shape[1], M)
-    if rem or N < 1:
-        raise ValueError(
-            f"expected whole blocks of {M} symbols, got shape {sNs.shape}"
-        )
-    L = h.size - 1
-    A = build_channel_toeplitz(h, M + L, M) @ Ftilde
-    _require_conditioned(A.conj().T @ A, "symbol information block J11")
-    Qp = np.linalg.qr(A, mode="complete")[0][:, M:]
-    # lags[m, j, l] = conj(Qp[l + m, j]): lag l reads rows l..l+M-1 of Qp,
-    # so s_n^T Ftilde^T lags is Qp^H U_n, block n's L rows of W.
-    lags = sliding_window_view(Qp.conj(), M, axis=0).transpose(2, 1, 0)
-    W = sNs.reshape(T, N, M) @ (Ftilde.T @ lags.reshape(M, -1))
-    W = W.reshape(T, N * L, L + 1)
-    return _hermitize(W.conj().swapaxes(-1, -2) @ W)
+    h, sNs, single = _channel_stack(h, sNs, M, 1)
+    C, T = sNs.shape[:2]
+    L, N = h.shape[1] - 1, sNs.shape[2] // M
+    A = np.stack([build_channel_toeplitz(taps, M + L, M) for taps in h]) @ Ftilde
+    cond, ok = _conditioned(A.conj().swapaxes(-1, -2) @ A)
+    if single and not ok[0]:
+        raise IllConditioned("symbol information block J11", float(cond[0]))
+    Qp = np.linalg.qr(A[ok], mode="complete")[0][:, :, M:]
+    # lags[c, m, j, l] = conj(Qp[c, l + m, j]): lag l reads rows l..l+M-1
+    # of Qp, so s_n^T Ftilde^T lags[c] is Qp^H U_n, block n's L rows of W.
+    lags = sliding_window_view(Qp.conj(), M, axis=1).transpose(0, 3, 2, 1)
+    kept = len(Qp)
+    lags = lags.reshape(kept, 1, M, L * (L + 1))
+    W = sNs[ok].reshape(kept, T, N, M) @ (Ftilde.T @ lags)
+    W = W.reshape(kept, T, N * L, L + 1)
+    D0 = np.full((C, T, L + 1, L + 1), np.nan, dtype=np.complex128)
+    for c, W_c in zip(np.flatnonzero(ok), W):  # one channel's conj at a time
+        D0[c] = _hermitize(W_c.conj().swapaxes(-1, -2) @ W_c)
+    return D0[0] if single else D0

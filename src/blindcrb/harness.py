@@ -10,24 +10,30 @@ bound trace is evaluated at the same (channel, frame, anchor) via the
 fast route. Averages over the included trials of a cell give its mse_avg
 and crb_avg.
 
-Loop order: channel, then trial; a trial's SNR points are evaluated
-together. What does not depend on the noise level is computed before the
-SNR points and shared by all of them. Per channel: the channel is drawn,
-then every trial's frame, noiseless received frame and unit noise draw,
-and then one call per D0 function gives the bound's reduced information
-with the noise factored out, D0, for all of the channel's trials at once
+Loop order: groups of channels, then channel, then trial; a trial's SNR
+points are evaluated together. What does not depend on the noise level
+is computed before the SNR points and shared by all of them. The
+channels go in groups, as many per group as keep its frames, precoded
+streams and null-space coordinates within one byte budget (_GROUP_BYTES),
+so a desk-scale plan is one group and a long-frame channel a group of its
+own. Per group: the channels are drawn, then every trial's frame, and
+one call per D0 function gives the bound's reduced information with the
+noise factored out, D0, for every (channel, trial) of the group at once
 (and the zero-padding reference's D0 when the plan asks for it). The
-channel's (trial, SNR point) stack of D0 / sigma2 is inverted in one
-stacked call. Per trial, y = clean + sqrt(sigma2/2) * noise is formed at
-every SNR point, the stack of frames goes to the estimator (given no
-sigma2) in one stacked call, the rows' ambiguity is resolved in another,
-and each SNR point's squared error and bound are added to its running
-sums. numpy's stacked operations do on each member what they do on one
-matrix or frame, and every sum takes its terms in trial order, so these
-are the floating-point operations of a cell-by-cell run, and a cell's
-record does not depend on which other cells run with it. Batching
-per trial, not per channel, keeps the estimator's working set at one
-trial's n_snr frames and their windows.
+group's (channel, trial, SNR point) stack of D0 / sigma2 is inverted in
+one stacked call, each channel at its own anchor. Then per channel and
+trial, the noiseless frame is synthesised and the unit noise drawn,
+y = clean + sqrt(sigma2/2) * noise is formed at every SNR point, the
+stack of frames goes to the estimator (given no sigma2) in one stacked
+call, the rows' ambiguity is resolved in another, and each SNR point's
+squared error and bound are added to its running sums. numpy's stacked
+operations do on each member what they do on one matrix or frame, each
+channel of a stacked sweep switches to its steady map at its own step,
+and every sum takes its terms in trial order, so these are the
+floating-point operations of a cell-by-cell run, and a cell's record
+depends neither on which other cells run with it nor on the grouping.
+Batching per trial, not per channel, keeps the estimator's working set
+at one trial's n_snr frames and their windows.
 
 SNR convention: symbols have unit power and channels unit norm, so
 snr_db = 10 log10(1 / sigma2).
@@ -35,18 +41,18 @@ snr_db = 10 log10(1 / sigma2).
 Randomness is reproducible: a master seed fans out through
 numpy SeedSequence([master_seed, stream, indices...]) with stream tags
 0 = channel draw (per channel index), 1 = symbol frame and 2 = noise
-(per channel and trial index); drawing a channel's frames ahead of its
-trials changes no draw. Trials that fail numerically are excluded and
-counted per cell, by one rule: a raise excludes a trial from every cell,
-a non-finite number from its own cell only. A NumericalError of D0 (a
+(per channel and trial index); every stream is independent, so drawing a
+group's frames ahead of its trials changes no draw. Trials that fail
+numerically are excluded and counted per cell. A failed gate of D0 (a
 rank-deficient K, an ill-conditioned zero-padding symbol block) depends
-on the channel alone, so it excludes all of that channel's trials; one
-raised by the estimator excludes that trial. The stacked estimator,
-ambiguity resolution and inversion mark a failed member NaN instead of
-raising, so a trial is included in a cell exactly when its estimate,
-anchor tap and bounds there are finite. Once every trial has run, the
-cells are checked in ascending SNR order and the first whose exclusions
-reach 1% of its trials fails.
+on the channel alone: its member of the stacked D0 is NaN, and all of
+that channel's trials are excluded from every cell without an estimator
+call. A NumericalError raised by the estimator excludes that trial from
+every cell. The stacked estimator, ambiguity resolution and inversion
+mark a failed member NaN instead of raising, so a trial is included in a
+cell exactly when its estimate, anchor tap and bounds there are finite.
+Once every trial has run, the cells are checked in ascending SNR order
+and the first whose exclusions reach 1% of its trials fails.
 """
 
 from __future__ import annotations
@@ -81,6 +87,12 @@ from .model import (
 _STREAM_CHANNEL = 0
 _STREAM_SYMBOLS = 1
 _STREAM_NOISE = 2
+
+# Bytes that one group of channels may hold in frames, precoded streams
+# and null-space coordinates at once (see _group_size). At M=12, L=4, 10
+# channels x 5 trials of N=25 blocks fit in one group (1.4 MB), and an
+# N=1000 channel of 5 trials (5.4 MB) is a group of its own.
+_GROUP_BYTES = 2 << 20
 
 # Largest tolerated fraction of excluded trials per cell.
 EXCLUSION_BUDGET = 0.01
@@ -182,6 +194,16 @@ class ResultRecord:
             )
 
 
+def _group_size(config: SystemConfig, n_trials: int) -> int:
+    """Channels per group: as many as fit _GROUP_BYTES, at about
+    16 T N (M + P + 2 L (L+1)) bytes a channel for its frames, their
+    precoded streams and their null-space coordinates (twice, for the
+    zero-padding reference), and at least one."""
+    M, L = config.M, config.L
+    per_channel = 16 * n_trials * config.N * (2 * M + L + 2 * L * (L + 1))
+    return max(1, _GROUP_BYTES // per_channel)
+
+
 def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     """Run every cell of the plan; one record per SNR point, ascending.
 
@@ -194,8 +216,8 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     every cell; a row that is not finite, or whose anchor tap is too small
     to resolve, excludes it from that point's cell only. Calls come in the
     order channel i, trial j: call number k = i * n_trials + j. A channel
-    whose bound information raises makes no estimator calls and takes no
-    call numbers, so the calls after it move up. A record does not depend
+    whose bound information fails a gate makes no estimator calls and
+    takes no call numbers, so the calls after it move up. A record does not depend
     on which other points share the grid.
     """
     if estimate_fn is None:
@@ -209,59 +231,73 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     # Per SNR point: sums over the included trials, and the excluded count.
     mse, crb, zp = np.zeros((3, n_snr))
     excluded = np.zeros(n_snr, dtype=int)
-    for i in range(plan.n_channels):
-        channel = draw_channel(
-            config.L, _stream_rng(plan.master_seed, _STREAM_CHANNEL, i)
-        )
-        h, d = channel.h, channel.d
-        frames, cleans, noises = [], [], []
-        for j in range(plan.n_trials):
-            sN = generate_symbols(
-                "qpsk",
-                config.M,
-                config.N,
-                _stream_rng(plan.master_seed, _STREAM_SYMBOLS, i, j),
-            ).sN
-            clean = synthesize_observation(precoder, h, sN, 0.0, None)
-            frames.append(sN)
-            cleans.append(clean)
-            noises.append(draw_noise(
-                clean.size, _stream_rng(plan.master_seed, _STREAM_NOISE, i, j)
-            ))
-        sNs = np.stack(frames)
-        try:
-            D0s = fast_information(h, sNs, precoder)
-            if plan.compute_zp_reference:
-                D0s_zp = zp_information(h, sNs, precoder.Ftilde)
-        except NumericalError:
-            excluded += plan.n_trials
-            continue
-        # (n_trials, n_snr) traces, NaN where an inversion was refused.
-        bounds = _invert_reduced(D0s[:, None] / sigma2s[:, None, None], d).trace
-        refs = (
-            _invert_reduced(D0s_zp[:, None] / sigma2s[:, None, None], d).trace
-            if plan.compute_zp_reference else np.zeros_like(bounds)
-        )
-        for clean, noise, bound, ref in zip(cleans, noises, bounds, refs):
-            try:
-                h_hats = estimate_fn(
-                    clean + noise_scales * noise, precoder, plan.estimator_settings
-                )
-            except NumericalError:
-                excluded += 1
+    group_size = _group_size(config, plan.n_trials)
+    for first in range(0, plan.n_channels, group_size):
+        group = range(first, min(first + group_size, plan.n_channels))
+        channels = [
+            draw_channel(config.L, _stream_rng(plan.master_seed, _STREAM_CHANNEL, i))
+            for i in group
+        ]
+        sNs = np.array([
+            [
+                generate_symbols(
+                    "qpsk",
+                    config.M,
+                    config.N,
+                    _stream_rng(plan.master_seed, _STREAM_SYMBOLS, i, j),
+                ).sN
+                for j in range(plan.n_trials)
+            ]
+            for i in group
+        ])
+        hs = np.array([channel.h for channel in channels])
+        # (1 or 2, channels, trials, L+1, L+1): D0 of the bound and of the
+        # zero-padding reference. A channel that fails a gate comes back
+        # NaN, row 0 for the rank gate and row 1 for the J11 gate.
+        D0s = [fast_information(hs, sNs, precoder)]
+        if plan.compute_zp_reference:
+            D0s.append(zp_information(hs, sNs, precoder.Ftilde))
+        D0s = np.stack(D0s)
+        failed = np.isnan(D0s).any(axis=(0, 2, 3, 4))
+        # (1 or 2, channels, trials, SNR points) traces, NaN where an
+        # inversion was refused.
+        anchors = np.array([channel.d for channel in channels])
+        traces = _invert_reduced(
+            D0s[:, :, :, None] / sigma2s[:, None, None], anchors[:, None, None]
+        ).trace
+        bounds = traces[0]
+        refs = traces[1] if plan.compute_zp_reference else np.zeros_like(bounds)
+        for i, channel, frames, bounds_i, refs_i, failed_i in zip(
+            group, channels, sNs, bounds, refs, failed
+        ):
+            if failed_i:
+                excluded += plan.n_trials
                 continue
-            if np.shape(h_hats) != (n_snr, config.L + 1):
-                raise ValueError(
-                    f"estimate_fn returned shape {np.shape(h_hats)}, "
-                    f"expected {(n_snr, config.L + 1)}"
+            h, d = channel.h, channel.d
+            for j, (sN, bound, ref) in enumerate(zip(frames, bounds_i, refs_i)):
+                clean = synthesize_observation(precoder, h, sN, 0.0, None)
+                noise = draw_noise(
+                    clean.size, _stream_rng(plan.master_seed, _STREAM_NOISE, i, j)
                 )
-            err = np.sum(np.abs(resolve_ambiguity(h_hats, d, h[d]) - h) ** 2, axis=-1)
-            # Not finite where the estimate, its anchor tap or an inversion failed.
-            ok = np.isfinite(err + bound + ref)
-            mse += np.where(ok, err, 0.0)
-            crb += np.where(ok, bound, 0.0)
-            zp += np.where(ok, ref, 0.0)
-            excluded += ~ok
+                try:
+                    h_hats = estimate_fn(
+                        clean + noise_scales * noise, precoder, plan.estimator_settings
+                    )
+                except NumericalError:
+                    excluded += 1
+                    continue
+                if np.shape(h_hats) != (n_snr, config.L + 1):
+                    raise ValueError(
+                        f"estimate_fn returned shape {np.shape(h_hats)}, "
+                        f"expected {(n_snr, config.L + 1)}"
+                    )
+                err = np.sum(np.abs(resolve_ambiguity(h_hats, d, h[d]) - h) ** 2, axis=-1)
+                # Not finite where the estimate, its anchor tap or an inversion failed.
+                ok = np.isfinite(err + bound + ref)
+                mse += np.where(ok, err, 0.0)
+                crb += np.where(ok, bound, 0.0)
+                zp += np.where(ok, ref, 0.0)
+                excluded += ~ok
     total = plan.n_channels * plan.n_trials
     for snr_db, n_excluded in zip(plan.snr_db_grid, excluded):
         if n_excluded / total >= EXCLUSION_BUDGET:

@@ -599,6 +599,131 @@ class TestInvertReducedStack:
             _invert_reduced(broken, 0)
 
 
+    def test_per_member_anchors(self):
+        # One anchor per channel, broadcast over its (trial, SNR) members.
+        rng = np.random.default_rng(81)
+        C, T, S, n = 4, 3, 2, 4
+        A = rng.standard_normal((C, T, S, n, n)) + 1j * rng.standard_normal((C, T, S, n, n))
+        stack = A @ A.conj().swapaxes(-1, -2) + 0.1 * np.eye(n)
+        stack[2, 1, 0] = np.diag([1.0, 1.0, 1.0, 0.0])  # singular at any anchor but 3
+        d = np.array([0, 3, 1, 2])
+        result = _invert_reduced(stack, d[:, None, None])
+        assert result.C.shape == (C, T, S, n - 1, n - 1)
+        for c in range(C):
+            for t in range(T):
+                for s in range(S):
+                    if (c, t, s) == (2, 1, 0):
+                        assert np.isnan(result.C[c, t, s]).all()
+                        assert np.isnan(result.trace[c, t, s])
+                        with pytest.raises(IllConditioned, match="anchor-reduced"):
+                            _invert_reduced(stack[c, t, s], d[c])
+                        continue
+                    one = _invert_reduced(stack[c, t, s], d[c])
+                    assert np.array_equal(result.C[c, t, s], one.C)
+                    assert result.trace[c, t, s] == one.trace
+        with pytest.raises(ValueError, match="anchor index 4"):
+            _invert_reduced(stack, np.array([0, 4, 1, 2])[:, None, None])
+
+
+class TestChannelStack:
+    """fast_information and zp_information on a stack of channels against
+    each channel alone: the same bytes, and a failed member NaN alone."""
+
+    @staticmethod
+    def stack_instance(kind, inner, N, M=6, L=2, C=4, T=3, seed=90):
+        rng = np.random.default_rng(seed)
+        custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
+        pre = make_precoder(SystemConfig(
+            M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
+            custom_redundancy=custom if kind == "custom" else None,
+        ))
+        hs = np.stack([random_unit_channel(L, rng) for _ in range(C)])
+        frames = np.stack([
+            [generate_symbols("qpsk", M, N, rng).sN for _ in range(T)] for _ in range(C)
+        ])
+        return pre, hs, frames
+
+    @staticmethod
+    def assert_members_alone(info, hs, frames):
+        stack = info(hs, frames)
+        assert stack.shape == frames.shape[:2] + (hs.shape[1],) * 2
+        for h, f, member in zip(hs, frames, stack):
+            assert np.array_equal(member, info(h, f))
+        return stack
+
+    @pytest.mark.parametrize("N", [2, 8, 25, 100])
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
+    def test_members_equal_channels_alone(self, kind, inner, N):
+        pre, hs, frames = self.stack_instance(kind, inner, N)
+        self.assert_members_alone(lambda h, f: fast_information(h, f, pre), hs, frames)
+        if kind == "zp":
+            self.assert_members_alone(
+                lambda h, f: zp_information(h, f, pre.Ftilde), hs, frames
+            )
+
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    def test_members_settle_at_their_own_steps(self, monkeypatch, inner):
+        # Channels whose carries settle at different steps, next to the
+        # one of test_carry_that_never_settles_keeps_qr_steps: each member
+        # switches to its steady map at its own step.
+        M, L, N = 8, 2, 60
+        pre = make_precoder(SystemConfig(M=M, L=L, N=N, inner_kind=inner))
+        zeros = (0.9, 0.5j, np.exp(2j * np.pi / M) * (1 + 1e-3), -0.8)
+        hs = np.stack([np.poly([z, 0.5 + 0.3j]) for z in zeros])
+        frames = np.stack([
+            [generate_symbols("qpsk", M, N, 10 * c + t).sN for t in range(2)]
+            for c in range(len(zeros))
+        ])
+        qr_calls = []
+        for h, f in zip(hs, frames):
+            calls = TestCrbFastSweep.count_qr(monkeypatch)
+            fast_information(h, f, pre)
+            qr_calls.append(len(calls))
+        monkeypatch.undo()
+        assert qr_calls[2] == N and len(set(qr_calls)) == len(zeros)
+        self.assert_members_alone(lambda h, f: fast_information(h, f, pre), hs, frames)
+
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    def test_rank_deficient_member_is_nan_alone(self, inner):
+        # A zero on the DFT grid makes K rank-deficient under CP.
+        M, L, N = 8, 2, 60
+        pre, hs, frames = self.stack_instance("cp", inner, N, M=M, L=L)
+        hs[1] = np.poly([np.exp(2j * np.pi / M), 0.5 + 0.3j])
+        stack = fast_information(hs, frames, pre)
+        assert np.isnan(stack[1]).all()
+        for c in (0, 2, 3):
+            assert np.array_equal(stack[c], fast_information(hs[c], frames[c], pre))
+        with pytest.raises(RankDeficient, match=r"column-rank-deficient \(diag ratio"):
+            fast_information(hs[1], frames[1], pre)
+        assert np.isnan(fast_information(hs[1:2], frames[1:2], pre)).all()
+
+    def test_ill_conditioned_zp_member_is_nan_alone(self):
+        # A NaN tap fails the J11 gate, alone or in a stack.
+        pre, hs, frames = self.stack_instance("zp", "idft", 25)
+        hs[2, 1] = np.nan
+        stack = zp_information(hs, frames, pre.Ftilde)
+        assert np.isnan(stack[2]).all()
+        for c in (0, 1, 3):
+            assert np.array_equal(stack[c], zp_information(hs[c], frames[c], pre.Ftilde))
+        with pytest.raises(IllConditioned, match="J11"):
+            zp_information(hs[2], frames[2], pre.Ftilde)
+        assert np.isnan(zp_information(hs[2:3], frames[2:3], pre.Ftilde)).all()
+
+    def test_rejects_mismatched_stacks(self):
+        pre, hs, frames = self.stack_instance("zp", "identity", 8)
+        for info in (
+            lambda h, f: fast_information(h, f, pre),
+            lambda h, f: zp_information(h, f, pre.Ftilde),
+        ):
+            with pytest.raises(ValueError, match="frames"):
+                info(hs, frames[:3])  # three channels' frames for four channels
+            with pytest.raises(ValueError, match="frames"):
+                info(hs, frames[0])  # one channel's frames for a stack
+            with pytest.raises(ValueError, match="taps"):
+                info(hs[None], frames[None])
+
+
 @pytest.mark.parametrize("kind", ["cp", "zp"])
 def test_nan_tap_rejected_alike_by_every_route(kind):
     # a NaN tap must end in the package's typed error on all three routes,

@@ -73,6 +73,24 @@ def test_batch_member_equals_batch_of_one(instance):
 
 
 @PROPERTY_SETTINGS
+@given(instances(), st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_channel_stack_member_equals_channel_alone(instance, seed, C):
+    # The same in a stack of channels as alone, byte for byte: each member
+    # switches to its steady map at its own step.
+    pre, h, frames, N = instance
+    rng = np.random.default_rng(seed)
+    M = pre.F.shape[1]
+    hs = np.stack([h] + [random_unit_channel(h.size - 1, rng) for _ in range(C - 1)])
+    stack = np.stack([frames] + [
+        np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in frames])
+        for _ in range(C - 1)
+    ])
+    D0 = fast_information(hs, stack, pre)
+    for h_c, f, member in zip(hs, stack, D0):
+        np.testing.assert_array_equal(member, fast_information(h_c, f, pre))
+
+
+@PROPERTY_SETTINGS
 @given(instances())
 def test_bound_matches_dense_qr_oracle(instance):
     pre, h, frames, N = instance

@@ -18,7 +18,6 @@ from blindcrb import (
     ExclusionBudgetExceeded,
     ExperimentPlan,
     IllConditioned,
-    RankDeficient,
     ResultRecord,
     SystemConfig,
     draw_channel,
@@ -300,14 +299,15 @@ def custom_plan(**overrides):
 
 
 def counting(fn, calls, fail_at=()):
-    """Wrap fn to append each call's index to calls; the calls whose index
-    is in fail_at raise RankDeficient instead."""
+    """Wrap a stacked D0 function to append each call's index to calls;
+    the members of its channel stack whose index is in fail_at come back
+    NaN, as a channel that fails a gate does."""
 
     def wrapped(*args, **kwargs):
         calls.append(len(calls))
-        if calls[-1] in fail_at:
-            raise RankDeficient("stub")
-        return fn(*args, **kwargs)
+        D0 = fn(*args, **kwargs)
+        D0[list(fail_at)] = np.nan
+        return D0
 
     return wrapped
 
@@ -356,6 +356,26 @@ class TestStackedMatchesPerFrame:
         assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
         assert all(r.excluded_trials == 0 for r in records)
 
+    def test_long_frame_plan_peak_memory(self):
+        # Channels are grouped by a byte budget: N=1000 channels go one per
+        # group, which peaks near 8 MB here; one group of all six peaks
+        # near 25 MB.
+        plan = ExperimentPlan(
+            config=SystemConfig(M=12, L=4, N=1000),
+            snr_db_grid=(20.0,),
+            n_channels=6,
+            n_trials=5,
+            master_seed=0,
+        )
+        tracemalloc.start()
+        try:
+            records = run_experiment(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+        assert records[0].excluded_trials == 0
+
 
 class TestSnrSharing:
     """Each (channel, trial) is drawn once, the bound information of all
@@ -377,7 +397,7 @@ class TestSnrSharing:
         assert together == alone
 
     @pytest.mark.parametrize("make_plan", [small_plan, zp_plan])
-    def test_bound_information_once_per_channel(self, make_plan, monkeypatch):
+    def test_bound_information_once_per_group(self, make_plan, monkeypatch):
         plan = make_plan(snr_db_grid=self.grid, n_channels=2, n_trials=3)
         fast, zp, estimates = [], [], []
         monkeypatch.setattr(
@@ -395,8 +415,9 @@ class TestSnrSharing:
         monkeypatch.setattr(harness, "subspace_estimate", estimate)
         records = run_experiment(plan)
         trials = plan.n_channels * plan.n_trials
-        assert len(fast) == plan.n_channels
-        assert len(zp) == (plan.n_channels if plan.compute_zp_reference else 0)
+        # both channels fit in one group
+        assert len(fast) == 1
+        assert len(zp) == (1 if plan.compute_zp_reference else 0)
         # one stacked call per trial, one row per SNR point
         assert estimates == [len(self.grid)] * trials
         assert all(r.excluded_trials == 0 for r in records)
@@ -419,10 +440,28 @@ class TestSnrSharing:
         records = run_experiment(plan, estimate_fn=estimate)
         assert [r.excluded_trials for r in records] == [2, 2, 2]
         assert all(r.mse_avg <= 1e-25 for r in records)
-        assert len(fast) == 101
+        # all 101 channels fit in one group, whose member 1 comes back NaN
+        assert len(fast) == 1
         # the excluded channel's trials make no estimator calls
         assert len(estimates) == 200
         assert all(len(yN) == len(self.grid) for yN in estimates)
+
+    @pytest.mark.parametrize(
+        "make_plan", [small_plan, zp_plan, rounding_plan],
+        ids=["cp-identity", "zp-reference", "M12-N8-idft"],
+    )
+    def test_one_channel_groups_give_same_csv(self, make_plan, monkeypatch):
+        plan = make_plan(snr_db_grid=self.grid, n_channels=5, n_trials=3)
+        calls = []
+        monkeypatch.setattr(
+            harness, "fast_information", counting(harness.fast_information, calls)
+        )
+        grouped = format_csv(run_experiment(plan))
+        assert len(calls) == 1
+        monkeypatch.setattr(harness, "_GROUP_BYTES", 1)
+        alone = format_csv(run_experiment(plan))
+        assert len(calls) == 1 + plan.n_channels
+        assert alone == grouped
 
     def test_estimator_failure_excluded_in_its_own_cell_only(self):
         plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)

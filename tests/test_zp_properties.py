@@ -44,6 +44,22 @@ def instances(draw):
 
 
 @PROPERTY_SETTINGS
+@given(instances(), st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_channel_stack_member_equals_channel_alone(instance, seed, C):
+    pre, h, frames, N = instance
+    rng = np.random.default_rng(seed)
+    M = pre.Ftilde.shape[0]
+    hs = np.stack([h] + [random_unit_channel(h.size - 1, rng) for _ in range(C - 1)])
+    stack = np.stack([frames] + [
+        np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in frames])
+        for _ in range(C - 1)
+    ])
+    D0 = zp_information(hs, stack, pre.Ftilde)
+    for h_c, f, member in zip(hs, stack, D0):
+        np.testing.assert_array_equal(member, zp_information(h_c, f, pre.Ftilde))
+
+
+@PROPERTY_SETTINGS
 @given(instances())
 def test_hermitian_psd(instance):
     pre, h, frames, N = instance
