@@ -14,8 +14,10 @@ known. Two routes to the same L x L bound over the remaining taps:
   v_i^H (I - K pinv(K)) v_k / sigma2 where v_k = K_k s_N is a lag-k
   window of the transmitted stream x_N = (I_N kron F) s_N, so D is the
   Gram of the windows' coordinates in that null space. _sweep finds them
-  by a banded QR that never forms K; its docstring gives the algorithm
-  and its cost.
+  by a banded QR that never forms K. Each of its N steps applies a step
+  map, rows of the Q^H of a small window of K, to every column at once;
+  the map is refreshed until the window stops changing and once more at
+  the last step. Its docstring gives the algorithm and its cost.
 
 The bound scales exactly as sigma2: fast_information and zp_information
 return the reduced information with the noise factored out,
@@ -23,9 +25,10 @@ D0 = sigma2 D, which depends only on the channel and the frame, so a
 caller that sweeps the noise level computes it once and inverts
 D0 / sigma2 per level. Both take a batch of T frames sent over one
 channel and return T matrices D0. Only the windows v_k depend on the
-frame, so one sweep serves the batch: its rotations, carried rows and
-rank gate are the channel's, and the frames' windows ride along side by
-side. zp_information likewise takes one QR of its P x M block per batch.
+frame, so one sweep serves the batch: its step maps, carried rows and
+rank gate are the channel's, and each map is applied to the frames'
+windows side by side. zp_information likewise takes one QR of its
+P x M block per batch.
 Both also take a stack of C channels, (C, L+1) taps with (C, T, NM)
 frames, and return (C, T, L+1, L+1): one sweep, or one stacked QR, runs
 every channel at once, and each member gets the bytes it would get
@@ -138,13 +141,6 @@ def _conditioned(A: np.ndarray):
     return cond, cond < COND_LIMIT
 
 
-def _require_conditioned(A: np.ndarray, name: str):
-    """Raise IllConditioned unless cond(A) is finite and below COND_LIMIT."""
-    cond, ok = _conditioned(A)
-    if not ok:
-        raise IllConditioned(name, float(cond))
-
-
 def _invert_reduced(D: np.ndarray, d) -> CrbResult:
     """Delete the anchor row/column of the reduced information and invert.
 
@@ -167,7 +163,9 @@ def _invert_reduced(D: np.ndarray, d) -> CrbResult:
 
 def _schur_reduce(blocks: FimBlocks) -> np.ndarray:
     """J00 - J01 inv(J11) J01^H, rejecting ill-conditioned symbol blocks."""
-    _require_conditioned(blocks.J11, "symbol information block J11")
+    cond, ok = _conditioned(blocks.J11)
+    if not ok:
+        raise IllConditioned("symbol information block J11", float(cond))
     X = np.linalg.solve(blocks.J11, blocks.J01.conj().T)
     return _hermitize(blocks.J00 - blocks.J01 @ X)
 
@@ -247,11 +245,18 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     # copied.
     Vt = sliding_window_view(x, L + 1, axis=2)[..., ::-1].transpose(0, 2, 1, 3)
     fins = _sweep(B[0], Vt[0])[None] if single else _sweep(B, Vt)
-    D0 = np.empty((C, T, L + 1, L + 1), dtype=np.complex128)
-    for D0_c, fin in zip(D0, fins):  # one channel's conj at a time
-        fin = fin.transpose(1, 0, 2)
-        D0_c[...] = _hermitize(fin.conj().swapaxes(-1, -2) @ fin)
+    D0 = _grams(fins.transpose(0, 2, 1, 3))
     return D0[0] if single else D0
+
+
+def _grams(X: np.ndarray) -> np.ndarray:
+    """The (C, T, L+1, L+1) Hermitian Grams X^H X of a (C, T, rows, L+1)
+    stack of coordinates. X is conjugated one channel at a time, so the
+    stack is never held twice."""
+    grams = np.empty(X.shape[:2] + X.shape[-1:] * 2, dtype=np.complex128)
+    for gram, X_c in zip(grams, X):
+        gram[...] = _hermitize(X_c.conj().swapaxes(-1, -2) @ X_c)
+    return grams
 
 
 def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -267,54 +272,49 @@ def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
     of channels' blocks, with cols (C, NP-L, ...) and a (C, (N-1)L, ...)
     result; one sweep runs them all.
 
-    Step n stacks the L rows carried from step n-1 over the P new rows of
-    block n, appends L marker columns (the identity on the window's last L
-    rows, which block n+1 also touches) and the rows of cols, and takes
-    the R factor of that window. Rows 0..M-1 of R close block n; rows
-    M..M+L-1 carry on, their block n+1 entries read off the markers; the
-    last L rows are zero in every later column of K, so their cols part is
-    a finished row block of C (zero below R when cols has fewer than L
-    columns). Step 0 has no carry and the last step no markers.
+    Every step is of one kind. Step n's window stacks the L rows carried
+    from step n-1 over the P rows of block n; its columns are the K block
+    and L marker columns, the identity on the window's last L rows, which
+    block n+1 also touches. Take a complete QR of the window. Rows 0..M-1
+    of R close block n; rows M..M+L-1 carry on, their block n+1 entries
+    read off the markers. Rows M.. of Q^H are the step map G: the last L
+    of them are orthogonal to the K block and zero on the rows block n+1
+    touches, so they are left-null-space directions of K. Applied to the
+    window's [carried; new] rows of cols, G gives the next carried rows
+    and a finished row block of C. Step 0 starts from a zero carry, so the
+    rows it would finish lie on the empty carry rows and are dropped. The
+    last step is an ordinary step whose L rows past the end of K are zero
+    in the K block and in cols.
 
-    The sweep has two phases. LAPACK leaves the diagonal of R real but of
-    either sign, so after each QR step the carried rows are scaled by the
-    signs of their L x L K-block diagonal; the scaling is exact, and
-    without it the carry can flip sign from step to step and never repeat.
-    The carry follows a Riccati recursion to a fixed point. Once its K
-    block matches the previous step's within _STEADY_RTOL, every later
-    middle window has the same K and marker columns, hence the same
-    reflectors, and rows M.. of the Q^H of one complete QR of those
-    columns, G (carry rows sign-scaled the same way), map each remaining
-    middle step's [carried; new] rows of cols to the next carry and the
-    finished rows in one (2L) x (M+2L) product. The steady window's
-    |diag(R)| fills the rank gate's remaining rows, and the last step is a
-    QR again. A carry that does not repeat within the frame (a zero close
-    to the unit circle can keep it moving) keeps a QR at every step.
+    LAPACK leaves the diagonal of R real but of either sign, so the
+    carried rows of R and of G are scaled by the signs of their L x L
+    K-block diagonal; the scaling is exact, and without it the carry can
+    flip sign from step to step and never repeat. The carry follows a
+    Riccati recursion to a fixed point. Once a member's carried K block
+    matches the previous step's within _STEADY_RTOL, its later middle
+    windows have the columns of the one just factored, so its G is kept
+    until the last step, which refreshes it once more. A carry that does
+    not repeat within the frame (a zero close to the unit circle can keep
+    it moving) refreshes G at every step. A step takes one stacked QR of
+    the members still refreshing and one stacked product of the whole
+    stack; every stacked call does on each member what it does on one
+    matrix, so a member's coordinates do not depend on the stack.
 
-    In a stack each member switches to its own G at the step where its
-    own carry repeats. A step takes one stacked QR of the members still
-    factoring and, once any member has switched, one stacked product of
-    the whole stack, whose rows for a member still factoring (G is zero
-    there) its QR step replaces. Every stacked call does on each member
-    what it does on one matrix, so a member's coordinates do not depend
-    on the stack.
-
-    The reflectors of the K and marker columns come first, so they, the
-    carry and the rank gate do not depend on cols. The reflectors the
-    later columns bring in, and G in place of a QR step, only rotate the
-    finished rows, which C^H C does not see: the frames of a batch ride
-    side by side, each getting the block of C^H C its own sweep would.
+    The QR never sees cols, so the carry, G and the rank gate do not
+    depend on them, and the frames of a batch ride side by side, each
+    getting the block of C^H C its own sweep would. A finished row block
+    is fixed up to a unitary rotation, which C^H C does not see.
 
     The rank gate raises RankDeficient when the smallest |diag(R)| of the
-    K columns collapses; in a stack the member's coordinates come back NaN
-    instead. Each is the distance of a column of K from the span of the
-    ones before it, the same for any QR of K, and the smallest singular
-    value never exceeds it, so a collapse proves rank deficiency. Draws
-    that slip past it are still caught by the conditioning gate on the
-    reduced information.
+    K columns over the refreshed windows collapses; in a stack the
+    member's coordinates come back NaN instead. Each is the distance of a
+    column of K from the span of the ones before it, the same for any QR
+    of K, and the smallest singular value never exceeds it, so a
+    collapse proves rank deficiency. Draws that slip past it are still
+    caught by the conditioning gate on the reduced information.
 
-    With c columns and n* QR steps out of N (n* = N when the carry never
-    repeats), O(n* M^2 (M + c) + (N - n*) L (M+2L) c) time and
+    With c columns and n* refreshes out of N steps (n* = N when the carry
+    never repeats), O(n* (M+2L)^2 (M+L) + N L (M+2L) c) time and
     O(NP + N L c) memory besides cols, against O((NM)^3) and O((NM)^2)
     for a dense QR of K; a batch of T frames has c = T(L+1). A stack
     takes C times as much.
@@ -327,98 +327,60 @@ def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
     P = M + L
     N = (cols.shape[1] + L) // P
     shape = cols.shape[2:]
-    # The window of a middle step: columns [K block | markers | cols], rows
-    # [carry; new]. Only the carry and the new rows of cols change.
-    W = np.zeros((C, M + 2 * L, M + L + math.prod(shape)), dtype=np.complex128)
+    # The window: columns [K block | markers], rows [carry; new], and the
+    # same rows of cols. Only the carry changes until the last step.
+    W = np.zeros((C, M + 2 * L, M + L), dtype=np.complex128)
     W[:, L:, :M] = B[:, L:]
-    W[:, M + L:, M: M + L] = np.eye(L)
-    V = W[:, :, M + L:]
+    W[:, M + L:, M:] = np.eye(L)
+    V = np.zeros((C, M + 2 * L, math.prod(shape)), dtype=np.complex128)
     new_v = V[:, L:].reshape((C, P) + shape)
     c = V.shape[2]
-    diag = np.empty((C, N, M))
-    # Row block n-1 of fin holds the rows step n finishes, of which a QR
-    # step leaves min(L, c) and the rest zero.
-    fin = np.zeros((C, (N - 1) * L, c), dtype=np.complex128)
-    k = min(L, c)
+    G = np.empty((C, 2 * L, M + 2 * L), dtype=np.complex128)
+    carry = np.zeros((C, L, L), dtype=np.complex128)
+    # NaN where a member kept its G: the gate reduces over the rest.
+    diag = np.full((C, N, M), np.nan)
+    # Row block n holds the rows step n finishes; step 0 finishes none.
+    fin = np.empty((C, N, L, c), dtype=np.complex128)
     out = np.empty((C, 2 * L, c), dtype=np.complex128)
-    # Zero until a member settles, so the stacked product leaves finite
-    # rows, which its QR step then replaces, for a member still factoring.
-    G = np.zeros((C, 2 * L, M + 2 * L), dtype=np.complex128)
-    carry = np.empty((C, L, L), dtype=np.complex128)
-    steady = np.zeros(C, dtype=bool)
-    members = np.arange(C)  # the members still taking QR steps
-    for n in range(N - 1):
-        new_v[...] = cols[:, n * P: (n + 1) * P]
-        done = (n - 1) * L
-        if len(members):
-            # A slice while the members are consecutive: views, not copies.
-            q = members
-            if members[-1] - members[0] == len(members) - 1:
-                q = slice(members[0], members[-1] + 1)
-            R = np.linalg.qr(W[q] if n else W[q, L:], mode="r")
-        if len(members) < C:
-            np.matmul(G, V, out=out)
-            V[:, :L] = out[:, :L]
-            fin[:, done: done + L] = out[:, L:]
-        if not len(members):
-            continue
-        diag[q, n] = np.abs(R.diagonal(axis1=-2, axis2=-1)[:, :M])
-        if n:  # no rows finish at step 0
-            fin[q, done: done + k] = R[:, M + L:, M + L:]
-        sign = _carry_signs(R, M, L)
-        previous = carry[q].copy()  # carry[q] is a view when q is a slice
-        carry[q] = sign * R[:, M: M + L, M: M + L]
-        W[q, :L, :M] = carry[q] @ B[q, :L]
-        V[q, :L] = sign * R[:, M: M + L, M + L:]
-        if not 0 < n < N - 2:
-            continue
-        settled = [i for i, p in zip(members, previous) if _repeats(carry[i], p)]
-        if settled:
-            # Every later middle window of these members has the K and
-            # marker columns of the next one, so rows M.. of their Q^H map
-            # its [carry; new] rows of cols to the next carry and the
-            # finished rows.
-            Q, R = np.linalg.qr(W[settled, :, : M + L], mode="complete")
-            G[settled] = Q[:, :, M:].conj().swapaxes(-1, -2)
-            G[settled, :L] *= _carry_signs(R, M, L)
-            diag[settled, n + 1: N - 1] = np.abs(
-                R.diagonal(axis1=-2, axis2=-1)[:, None, :M]
-            )
-            steady[settled] = True
-            members = np.flatnonzero(~steady)
-    # The last step: the carry over the M rows left, and no markers.
-    new_v[:, :M] = cols[:, (N - 1) * P:]
-    R = np.linalg.qr(np.delete(W[:, : L + M], np.s_[M: M + L], axis=2), mode="r")
-    diag[:, N - 1] = np.abs(R.diagonal(axis1=-2, axis2=-1)[:, :M])
-    fin[:, (N - 2) * L: (N - 2) * L + k] = R[:, M:, M:]
-    low, high = diag.min(axis=(1, 2)), diag.max(axis=(1, 2))
+    q = np.arange(C)  # the members whose G is refreshed
+    for n in range(N):
+        if n < N - 1:
+            new_v[...] = cols[:, n * P: (n + 1) * P]
+        else:
+            new_v[:, :M] = cols[:, n * P:]
+            new_v[:, M:] = 0
+            W[:, L + M:, :M] = 0
+            q = np.arange(C)
+        if len(q):
+            Q, R = np.linalg.qr(W[q], mode="complete")
+            d = R.diagonal(axis1=-2, axis2=-1)
+            diag[q, n] = np.abs(d[:, :M])
+            sign = np.copysign(1.0, d[:, M:, None].real)
+            Q[:, :, M: M + L] *= sign.swapaxes(-1, -2)
+            G[q] = Q[:, :, M:].conj().swapaxes(-1, -2)
+            step = sign * R[:, M: M + L, M:]
+            moved, size = (step - carry[q]).view(float), step.view(float)
+            carry[q] = step
+            np.matmul(carry, B[:, :L], out=W[:, :L, :M])
+            # A member refreshes again while its carried block still moves;
+            # a NaN carry stops, its coordinates being NaN either way.
+            q = q[
+                np.einsum("cij,cij->c", moved, moved)
+                > _STEADY_RTOL ** 2 * np.einsum("cij,cij->c", size, size)
+            ]
+        np.matmul(G, V, out=out)
+        V[:, :L] = out[:, :L]
+        fin[:, n] = out[:, L:]
+    low = np.fmin.reduce(diag, axis=(1, 2))
+    high = np.fmax.reduce(diag, axis=(1, 2))
     failed = low <= RANK_RTOL * high
     if single and failed[0]:
         raise RankDeficient(
             f"K is column-rank-deficient (diag ratio {low[0] / high[0]:.3e})"
         )
     fin[failed] = np.nan
-    fin = fin.reshape(fin.shape[:2] + shape)
+    fin = fin[:, 1:].reshape((C, (N - 1) * L) + shape)
     return fin[0] if single else fin
-
-
-def _repeats(carry: np.ndarray, previous: np.ndarray) -> bool:
-    """Whether the carried K block moved by at most _STEADY_RTOL of its
-    Frobenius norm since the previous step."""
-    d = carry - previous
-    return np.vdot(d, d).real <= _STEADY_RTOL ** 2 * np.vdot(carry, carry).real
-
-
-def _carry_signs(R: np.ndarray, M: int, L: int) -> np.ndarray:
-    """The signs of the carried rows' K-block diagonal as an (L, 1) column,
-    or a (..., L, 1) stack of them for a stack of R.
-
-    LAPACK leaves the diagonal of R real but of either sign; scaling the
-    carried rows by these signs is exact and makes that diagonal positive,
-    so a carry that has stopped changing also stops changing sign.
-    """
-    diagonal = R.diagonal(axis1=-2, axis2=-1)
-    return np.copysign(1.0, diagonal[..., M: M + L].real)[..., None]
 
 
 def crb_zp_per_block(
@@ -489,6 +451,5 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     W = sNs[ok].reshape(kept, T, N, M) @ (Ftilde.T @ lags)
     W = W.reshape(kept, T, N * L, L + 1)
     D0 = np.full((C, T, L + 1, L + 1), np.nan, dtype=np.complex128)
-    for c, W_c in zip(np.flatnonzero(ok), W):  # one channel's conj at a time
-        D0[c] = _hermitize(W_c.conj().swapaxes(-1, -2) @ W_c)
+    D0[ok] = _grams(W)
     return D0[0] if single else D0

@@ -19,7 +19,10 @@ so a desk-scale plan is one group and a long-frame channel a group of its
 own. Per group: the channels are drawn, then every trial's frame, and
 one call per D0 function gives the bound's reduced information with the
 noise factored out, D0, for every (channel, trial) of the group at once
-(and the zero-padding reference's D0 when the plan asks for it). The
+(and the zero-padding reference's D0 when the plan asks for it). Each
+step of the fast route's sweep is one stacked QR of the channels'
+windows still moving, which no frame enters, and one stacked product
+that applies the step maps to every trial's frame. The
 group's (channel, trial, SNR point) stack of D0 / sigma2 is inverted in
 one stacked call, each channel at its own anchor. Then per channel and
 trial, the noiseless frame is synthesised and the unit noise drawn,
@@ -28,8 +31,8 @@ stack of frames goes to the estimator (given no sigma2) in one stacked
 call, the rows' ambiguity is resolved in another, and each SNR point's
 squared error and bound are added to its running sums. numpy's stacked
 operations do on each member what they do on one matrix or frame, each
-channel of a stacked sweep switches to its steady map at its own step,
-and every sum takes its terms in trial order, so these are the
+channel of a stacked sweep refreshes its step map until its own carry
+repeats, and every sum takes its terms in trial order, so these are the
 floating-point operations of a cell-by-cell run, and a cell's record
 depends neither on which other cells run with it nor on the grouping.
 Batching per trial, not per channel, keeps the estimator's working set

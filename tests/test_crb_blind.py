@@ -376,29 +376,33 @@ class TestCrbFastSweep:
 
     @staticmethod
     def count_qr(monkeypatch):
-        """Count the np.linalg.qr calls made from here on."""
+        """Record the shape of each np.linalg.qr call made from here on."""
         calls = []
         qr = np.linalg.qr
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return qr(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting)
         return calls
 
-    @pytest.mark.parametrize("kind,most", [("zp", 4), ("cp", 40)])
+    @pytest.mark.parametrize("kind,most", [("zp", 3), ("cp", 40)])
     def test_steady_state_engages(self, monkeypatch, kind, most):
-        # Once the carry repeats, the middle steps are products, not QRs:
-        # zero padding settles after one step (step 0, step 1, the steady
-        # window and the last step), cyclic prefixing after tens of steps.
+        # Once the carry repeats, the step map is kept, not refreshed: zero
+        # padding repeats at step 1 (QRs at step 0, step 1 and the last
+        # step), cyclic prefixing after tens of steps. No QR sees the
+        # frames: each factors one (M+2L) x (M+L) window of K and markers,
+        # for one frame as for five.
         M, L, N = 12, 4, 1000
         pre = make_precoder(SystemConfig(M=M, L=L, N=N, redundancy_kind=kind))
         h = random_unit_channel(L, np.random.default_rng(48))
-        s = generate_symbols("qpsk", M, N, 49).sN
-        calls = self.count_qr(monkeypatch)
-        fast_information(h, s[None], pre)
-        assert len(calls) <= most, f"{len(calls)} QR calls for N={N}"
+        for T in (1, 5):
+            frames = np.stack([generate_symbols("qpsk", M, N, 49 + t).sN for t in range(T)])
+            calls = self.count_qr(monkeypatch)
+            fast_information(h, frames, pre)
+            assert len(calls) <= most, f"{len(calls)} QR calls for N={N}, T={T}"
+            assert set(calls) == {(1, M + 2 * L, M + L)}
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     def test_carry_that_never_settles_keeps_qr_steps(self, monkeypatch, inner):
@@ -458,8 +462,8 @@ class TestCrbFastSweep:
     def test_rank_gate_on_long_frames(self, inner, eps, rejected, N):
         # The decisions of test_rank_gate_matches_dense_oracle at N=6 hold
         # on long frames. The eps=0 carry settles within 10 steps, so the
-        # gate also reads the steady window's diagonal; the others keep a
-        # QR per step.
+        # gate reads the windows factored until then and the last one; the
+        # others refresh their step map at every step.
         M, L = 8, 2
         pre = make_precoder(SystemConfig(M=M, L=L, N=N, inner_kind=inner))
         h = np.poly([np.exp(2j * np.pi / M) * (1 + eps), 0.5 + 0.3j])
@@ -666,7 +670,7 @@ class TestChannelStack:
     def test_members_settle_at_their_own_steps(self, monkeypatch, inner):
         # Channels whose carries settle at different steps, next to the
         # one of test_carry_that_never_settles_keeps_qr_steps: each member
-        # switches to its steady map at its own step.
+        # keeps its step map from its own step on.
         M, L, N = 8, 2, 60
         pre = make_precoder(SystemConfig(M=M, L=L, N=N, inner_kind=inner))
         zeros = (0.9, 0.5j, np.exp(2j * np.pi / M) * (1 + 1e-3), -0.8)

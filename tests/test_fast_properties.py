@@ -1,8 +1,8 @@
 """Property tests of the fast route's reduced information D0 over random
 small configurations: M in 2..8, L in 1..min(3, M-1), N in 2..60, 1 to 3
 frames, cyclic prefix or zero padding, identity or IDFT inner precoder.
-Over that range some sweeps stay in their QR steps to the end and others
-switch to the steady-state map, so both phases are checked.
+Over that range some sweeps refresh their step map at every step and
+others keep it once their carry repeats, so both are checked.
 
 Rounding errors in D0 scale with the energy of the frame, not with D0,
 which cancels to rounding level for a frame that says nothing about the
@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from blindcrb import (
     IllConditioned,
     SystemConfig,
+    build_channel_toeplitz,
+    build_K,
     crb_fast,
     default_anchor,
     generate_symbols,
     make_precoder,
 )
-from blindcrb.crb_blind import fast_information
+from blindcrb.crb_blind import _sweep, fast_information
 from helpers import crb_fast_dense, frame_energy, random_unit_channel
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -76,7 +78,7 @@ def test_batch_member_equals_batch_of_one(instance):
 @given(instances(), st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_channel_stack_member_equals_channel_alone(instance, seed, C):
     # The same in a stack of channels as alone, byte for byte: each member
-    # switches to its steady map at its own step.
+    # keeps its step map from its own step on.
     pre, h, frames, N = instance
     rng = np.random.default_rng(seed)
     M = pre.F.shape[1]
@@ -102,3 +104,42 @@ def test_bound_matches_dense_qr_oracle(instance):
     dense = crb_fast_dense(h, frames[0], pre, d, 1.0, N)
     rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
     assert rel <= 1e-10, f"sweep and dense QR differ ({rel:.2e})"
+
+
+@st.composite
+def column_blocks(draw):
+    """(config, precoder, taps, cols) of a stack of 1 to 4 channels, each
+    with its own block of 1 to 2L+2 random columns aligned with K's rows."""
+    M = draw(st.integers(2, 8))
+    L = draw(st.integers(1, min(3, M - 1)))
+    N = draw(st.integers(2, 60))
+    width = draw(st.integers(1, 2 * L + 2))
+    C = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["cp", "zp"]))
+    inner = draw(st.sampled_from(["identity", "idft"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config = SystemConfig(M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner)
+    hs = np.stack([random_unit_channel(L, rng) for _ in range(C)])
+    rows = N * (M + L) - L
+    cols = rng.standard_normal((C, rows, width)) + 1j * rng.standard_normal((C, rows, width))
+    return config, make_precoder(config), hs, cols
+
+
+@PROPERTY_SETTINGS
+@given(column_blocks())
+def test_sweep_projects_any_columns(blocks):
+    # On columns that are not stream windows, each member's coordinates
+    # have the Gram C^H (I - Q Q^H) C of a dense QR of its K, and are the
+    # bytes of its sweep alone.
+    config, pre, hs, cols = blocks
+    P, L = pre.F.shape[0], hs.shape[1] - 1
+    B = np.stack([build_channel_toeplitz(h, P + L, P) @ pre.F for h in hs])
+    coords = _sweep(B, cols)
+    assert coords.shape == (len(hs), (config.N - 1) * L, cols.shape[2])
+    for h, B_c, C, X in zip(hs, B, cols, coords):
+        np.testing.assert_array_equal(X, _sweep(B_c, C))
+        Q = np.linalg.qr(build_K(config, pre, h)[0])[0]
+        projected = C.conj().T @ (C - Q @ (Q.conj().T @ C))
+        np.testing.assert_allclose(
+            X.conj().T @ X, projected, rtol=0, atol=1e-10 * np.linalg.norm(C) ** 2
+        )
