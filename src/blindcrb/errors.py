@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Every failure a Monte Carlo trial is allowed to survive derives from
-NumericalError, so the harness can count and exclude it with a single
-except clause. Anything else (bad shapes, bad arguments) is a plain
-ValueError and propagates.
+Every numerical failure derives from NumericalError, so a caller can
+catch it with a single except clause. Given a stack, the package's
+stacked functions report the same failures as NaN members instead, which
+is how a Monte Carlo trial fails without stopping the run. Anything else
+(bad shapes, bad arguments) is a plain ValueError.
 """
 
 

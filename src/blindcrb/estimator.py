@@ -142,7 +142,9 @@ def subspace_estimate(
     n_windows = N - w + 1
     # Column n of a frame's Z is its window yN[nP: nP + dim].
     Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
-    cov = Z @ Z.conj().swapaxes(-1, -2) / n_windows
+    cov = Z @ Z.conj().swapaxes(-1, -2)
+    cov /= n_windows
+    del Z  # the windows are the largest array; the eigh does not need them
     silent = ~(np.real(np.trace(cov, axis1=-2, axis2=-1)) > 0)
     if yN.ndim == 1 and silent:
         raise InsufficientData("sample covariance carries no energy")
@@ -154,18 +156,24 @@ def subspace_estimate(
     return h
 
 
-def resolve_ambiguity(h_hat: np.ndarray, d: int, hd0: complex) -> np.ndarray:
+def resolve_ambiguity(h_hat: np.ndarray, d, hd0) -> np.ndarray:
     """Rescale estimated taps so the anchor tap equals the known value hd0.
 
-    h_hat is (L+1,) or a stack (..., L+1). Given one row, raises
-    ZeroAnchorTap when its anchor tap is below 1e-12 in magnitude or not
-    finite; in a stack, such a row comes back NaN. The returned taps have
+    h_hat is (L+1,) or a stack (..., L+1). d is the anchor index and hd0
+    its known value, each a scalar or an array broadcast over the stack's
+    leading axes, one anchor per row. Given one row, raises ZeroAnchorTap
+    when its anchor tap is below 1e-12 in magnitude or not finite; in a
+    stack, such a row comes back NaN. The returned taps have
     [..., d] == hd0 exactly.
     """
     h = np.asarray(h_hat, dtype=np.complex128)
-    if not 0 <= d < h.shape[-1]:
-        raise ValueError(f"anchor index {d} outside 0..{h.shape[-1] - 1}")
-    anchor = h[..., d]
+    n = h.shape[-1]
+    d = np.asarray(d)
+    bad = d[(d < 0) | (d >= n)]
+    if bad.size:
+        raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
+    at = np.broadcast_to(np.arange(n) == d[..., None], h.shape)
+    anchor = h[at].reshape(h.shape[:-1])
     mag = np.abs(anchor)
     if h.ndim == 1 and not math.isfinite(mag):
         raise ZeroAnchorTap(f"estimated anchor tap {anchor} is not finite")
@@ -176,6 +184,7 @@ def resolve_ambiguity(h_hat: np.ndarray, d: int, hd0: complex) -> np.ndarray:
     failed = ~(np.isfinite(mag) & (mag >= ANCHOR_FLOOR))
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = (hd0 / anchor)[..., None] * h
-    scaled[..., d] = hd0  # exact, not up to rounding of the division
+    # exact, not up to rounding of the division
+    scaled[at] = np.broadcast_to(hd0, h.shape[:-1]).ravel()
     scaled[failed] = np.nan
     return scaled

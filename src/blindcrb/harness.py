@@ -10,7 +10,7 @@ bound trace is evaluated at the same (channel, frame, anchor) via the
 fast route. Averages over the included trials of a cell give its mse_avg
 and crb_avg.
 
-Loop order: groups of channels, then channel, then trial; a trial's SNR
+Loop order: groups of channels, then chunks of trials; a trial's SNR
 points are evaluated together. What does not depend on the noise level
 is computed before the SNR points and shared by all of them. The
 channels go in groups, as many per group as keep its frames, precoded
@@ -24,19 +24,24 @@ step of the fast route's sweep is one stacked QR of the channels'
 windows still moving, which no frame enters, and one stacked product
 that applies the step maps to every trial's frame. The
 group's (channel, trial, SNR point) stack of D0 / sigma2 is inverted in
-one stacked call, each channel at its own anchor. Then per channel and
-trial, the noiseless frame is synthesised and the unit noise drawn,
-y = clean + sqrt(sigma2/2) * noise is formed at every SNR point, the
-stack of frames goes to the estimator (given no sigma2) in one stacked
-call, the rows' ambiguity is resolved in another, and each SNR point's
-squared error and bound are added to its running sums. numpy's stacked
-operations do on each member what they do on one matrix or frame, each
-channel of a stacked sweep refreshes its step map until its own carry
-repeats, and every sum takes its terms in trial order, so these are the
+one stacked call, each channel at its own anchor. Then the group's
+(channel, trial) pairs whose channel passed its gates are walked in
+order, in chunks of consecutive trials, as many per chunk as keep the
+estimator's working set (the chunk's frames, their windows and the
+covariances' eigendecompositions) within the same byte budget, and at
+least one. Per chunk, each trial's noiseless frame is synthesised and
+its unit noise drawn, y = clean + sqrt(sigma2/2) * noise is formed at
+every SNR point, the (trial, SNR point) stack of frames goes to the
+estimator (given no sigma2) in one stacked call, the rows' ambiguity is
+resolved in another, each against its own channel's anchor, and each
+trial's squared errors and bounds are added to the running sums, one
+trial at a time. numpy's stacked operations do on each member what they
+do on one matrix or frame, each channel of a stacked sweep refreshes its
+step map until its own carry repeats, and every sum takes its terms in
+trial order, so these are the
 floating-point operations of a cell-by-cell run, and a cell's record
-depends neither on which other cells run with it nor on the grouping.
-Batching per trial, not per channel, keeps the estimator's working set
-at one trial's n_snr frames and their windows.
+depends neither on which other cells run with it nor on the grouping or
+the chunking.
 
 SNR convention: symbols have unit power and channels unit norm, so
 snr_db = 10 log10(1 / sigma2).
@@ -49,11 +54,12 @@ group's frames ahead of its trials changes no draw. Trials that fail
 numerically are excluded and counted per cell. A failed gate of D0 (a
 rank-deficient K, an ill-conditioned zero-padding symbol block) depends
 on the channel alone: its member of the stacked D0 is NaN, and all of
-that channel's trials are excluded from every cell without an estimator
-call. A NumericalError raised by the estimator excludes that trial from
-every cell. The stacked estimator, ambiguity resolution and inversion
+that channel's trials are excluded from every cell without going to the
+estimator. The stacked estimator, ambiguity resolution and inversion
 mark a failed member NaN instead of raising, so a trial is included in a
 cell exactly when its estimate, anchor tap and bounds there are finite.
+An exception raised by the estimator propagates: excluding the chunk it
+came from would make the exclusions depend on the byte budget.
 Once every trial has run, the cells are checked in ascending SNR order
 and the first whose exclusions reach 1% of its trials fails.
 """
@@ -75,7 +81,7 @@ from .crb_blind import (
     fast_information,
     zp_information,
 )
-from .errors import ExclusionBudgetExceeded, NumericalError
+from .errors import ExclusionBudgetExceeded
 from .estimator import EstimatorSettings, subspace_estimate, resolve_ambiguity
 from .model import (
     Channel,
@@ -92,9 +98,12 @@ _STREAM_SYMBOLS = 1
 _STREAM_NOISE = 2
 
 # Bytes that one group of channels may hold in frames, precoded streams
-# and null-space coordinates at once (see _group_size). At M=12, L=4, 10
-# channels x 5 trials of N=25 blocks fit in one group (1.4 MB), and an
-# N=1000 channel of 5 trials (5.4 MB) is a group of its own.
+# and null-space coordinates at once (see _group_size), and that one
+# estimator call may hold in frames and windows (see _chunk_size). At
+# M=12, L=4, 10 channels x 5 trials of N=25 blocks fit in one group
+# (1.4 MB), and an N=1000 channel of 5 trials (5.4 MB) is a group of its
+# own; at N=25, 4 trials of 7 SNR points go to one estimator call, and at
+# N=1000 one trial.
 _GROUP_BYTES = 2 << 20
 
 # Largest tolerated fraction of excluded trials per cell.
@@ -207,21 +216,36 @@ def _group_size(config: SystemConfig, n_trials: int) -> int:
     return max(1, _GROUP_BYTES // per_channel)
 
 
+def _chunk_size(config: SystemConfig, n_snr: int, window_blocks: int) -> int:
+    """Trials per estimator call: as many as fit _GROUP_BYTES, at about
+    16 n_snr (NP - L + 2 dim (N - w + 1) + 3 dim^2) bytes a trial,
+    dim = wP - L, for its frames, their windows and the windows'
+    conjugates, and the covariances, their eigenvectors and the eigh
+    workspace; and at least one."""
+    P, L, N, w = config.P, config.L, config.N, window_blocks
+    dim = w * P - L
+    per_trial = 16 * n_snr * (N * P - L + 2 * dim * (N - w + 1) + 3 * dim * dim)
+    return max(1, _GROUP_BYTES // per_trial)
+
+
 def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     """Run every cell of the plan; one record per SNR point, ascending.
 
     estimate_fn replaces the subspace estimator when given (for oracle
-    tests). It is called once per trial, with the trial's frame at every
-    SNR point: it receives (Y, precoder, settings), where Y is the
-    (len(grid), NP - L) stack whose row s is the frame at grid point s,
-    and no noise variance, and returns the (len(grid), L+1) unresolved
-    taps. A NumericalError raised by the call excludes the trial from
-    every cell; a row that is not finite, or whose anchor tap is too small
-    to resolve, excludes it from that point's cell only. Calls come in the
-    order channel i, trial j: call number k = i * n_trials + j. A channel
-    whose bound information fails a gate makes no estimator calls and
-    takes no call numbers, so the calls after it move up. A record does not depend
-    on which other points share the grid.
+    tests). It is called once per chunk of trials, with every SNR point
+    of each: it receives (Y, precoder, settings), where Y is the
+    (k, len(grid), NP - L) stack whose row r holds the r-th trial's
+    frames, row s of those the frame at grid point s, and no noise
+    variance, and returns the (k, len(grid), L+1) unresolved taps. Rows
+    come in the order channel i, trial j, and the chunks follow each
+    other in that order: over a run, row number t = i * n_trials + j.
+    A channel whose bound information fails a gate has no rows and takes
+    no row numbers, so the rows after it move up. A row that is not
+    finite, or whose anchor tap is too small to resolve, excludes that
+    trial from that point's cell only; a failed trial must come back as
+    NaN, because an exception raised by the call propagates. A record
+    does not depend on which other points share the grid, nor on how the
+    trials are chunked.
     """
     if estimate_fn is None:
         estimate_fn = subspace_estimate
@@ -231,10 +255,12 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     sigma2s = np.array([sigma2_from_snr_db(s) for s in plan.snr_db_grid])
     # Row s scales a unit noise draw to the variance of SNR point s.
     noise_scales = np.sqrt(sigma2s / 2)[:, None]
-    # Per SNR point: sums over the included trials, and the excluded count.
-    mse, crb, zp = np.zeros((3, n_snr))
+    # Per SNR point: sums of squared errors, bounds and reference bounds
+    # over the included trials, and the excluded count.
+    sums = np.zeros((3, n_snr))
     excluded = np.zeros(n_snr, dtype=int)
     group_size = _group_size(config, plan.n_trials)
+    chunk_size = _chunk_size(config, n_snr, plan.estimator_settings.window_blocks)
     for first in range(0, plan.n_channels, group_size):
         group = range(first, min(first + group_size, plan.n_channels))
         channels = [
@@ -270,37 +296,37 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
         ).trace
         bounds = traces[0]
         refs = traces[1] if plan.compute_zp_reference else np.zeros_like(bounds)
-        for i, channel, frames, bounds_i, refs_i, failed_i in zip(
-            group, channels, sNs, bounds, refs, failed
-        ):
-            if failed_i:
-                excluded += plan.n_trials
-                continue
-            h, d = channel.h, channel.d
-            for j, (sN, bound, ref) in enumerate(zip(frames, bounds_i, refs_i)):
-                clean = synthesize_observation(precoder, h, sN, 0.0, None)
-                noise = draw_noise(
-                    clean.size, _stream_rng(plan.master_seed, _STREAM_NOISE, i, j)
+        excluded += plan.n_trials * int(failed.sum())
+        # The group's live (member, trial) pairs in order, in chunks.
+        live = [(c, j) for c in np.flatnonzero(~failed) for j in range(plan.n_trials)]
+        for start in range(0, len(live), chunk_size):
+            c, j = np.array(live[start: start + chunk_size]).T
+            Y = np.empty((c.size, n_snr, config.N * config.P - config.L), np.complex128)
+            for Y_r, c_r, j_r in zip(Y, c, j):
+                clean = synthesize_observation(
+                    precoder, hs[c_r], sNs[c_r, j_r], 0.0, None
                 )
-                try:
-                    h_hats = estimate_fn(
-                        clean + noise_scales * noise, precoder, plan.estimator_settings
-                    )
-                except NumericalError:
-                    excluded += 1
-                    continue
-                if np.shape(h_hats) != (n_snr, config.L + 1):
-                    raise ValueError(
-                        f"estimate_fn returned shape {np.shape(h_hats)}, "
-                        f"expected {(n_snr, config.L + 1)}"
-                    )
-                err = np.sum(np.abs(resolve_ambiguity(h_hats, d, h[d]) - h) ** 2, axis=-1)
-                # Not finite where the estimate, its anchor tap or an inversion failed.
-                ok = np.isfinite(err + bound + ref)
-                mse += np.where(ok, err, 0.0)
-                crb += np.where(ok, bound, 0.0)
-                zp += np.where(ok, ref, 0.0)
-                excluded += ~ok
+                noise = draw_noise(
+                    clean.size,
+                    _stream_rng(plan.master_seed, _STREAM_NOISE, group[c_r], j_r),
+                )
+                Y_r[:] = clean + noise_scales * noise
+            h_hats = estimate_fn(Y, precoder, plan.estimator_settings)
+            if np.shape(h_hats) != (c.size, n_snr, config.L + 1):
+                raise ValueError(
+                    f"estimate_fn returned shape {np.shape(h_hats)}, "
+                    f"expected {(c.size, n_snr, config.L + 1)}"
+                )
+            d = anchors[c]
+            h_res = resolve_ambiguity(h_hats, d[:, None], hs[c, d][:, None])
+            err = np.sum(np.abs(h_res - hs[c][:, None]) ** 2, axis=-1)
+            bound, ref = bounds[c, j], refs[c, j]
+            # Not finite where the estimate, its anchor tap or an inversion failed.
+            ok = np.isfinite(err + bound + ref)
+            excluded += np.sum(~ok, axis=0)
+            terms = np.where(ok[:, None], np.stack([err, bound, ref], axis=1), 0.0)
+            for term in terms:
+                sums += term  # one trial at a time, in trial order
     total = plan.n_channels * plan.n_trials
     for snr_db, n_excluded in zip(plan.snr_db_grid, excluded):
         if n_excluded / total >= EXCLUSION_BUDGET:
@@ -308,6 +334,7 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
                 f"{n_excluded} of {total} trials excluded at {snr_db} dB"
             )
     included = total - excluded
+    mse, crb, zp = sums
     return [
         ResultRecord(
             snr_db=plan.snr_db_grid[s],

@@ -36,6 +36,9 @@ REDUNDANCY_KINDS = ("cp", "zp", "custom")
 INNER_KINDS = ("identity", "idft", "custom")
 MODULATIONS = ("qpsk",)
 
+# The QPSK symbols (2 b0 - 1 + j (2 b1 - 1)) / sqrt(2), indexed by 2 b0 + b1.
+_QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2)
+
 
 def _as_rng(rng) -> np.random.Generator:
     """Accept either an integer seed or an existing Generator."""
@@ -282,8 +285,8 @@ def generate_symbols(modulation: str, M: int, N: int, rng) -> SymbolFrame:
         raise ValueError(f"frame dimensions must be positive, got M={M}, N={N}")
     gen = _as_rng(rng)
     bits = gen.integers(0, 2, size=(2, N * M))
-    sN = ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2)
-    return SymbolFrame(sN=sN.astype(np.complex128))
+    # bits[0] picks the sign of the real part and bits[1] of the imaginary.
+    return SymbolFrame(sN=_QPSK[2 * bits[0] + bits[1]])
 
 
 def synthesize_observation(
@@ -326,7 +329,10 @@ def draw_noise(size: int, rng) -> np.ndarray:
     """Circular complex Gaussian noise with unit-variance real and
     imaginary parts; scaled by sqrt(sigma2/2) it has variance sigma2."""
     gen = _as_rng(rng)
-    return gen.standard_normal(size) + 1j * gen.standard_normal(size)
+    noise = np.empty(size, dtype=np.complex128)
+    noise.real = gen.standard_normal(size)
+    noise.imag = gen.standard_normal(size)
+    return noise
 
 
 def loglik_gradients(

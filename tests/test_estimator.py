@@ -335,3 +335,24 @@ class TestResolveAmbiguity:
     def test_stack_anchor_index_validated(self):
         with pytest.raises(ValueError, match="anchor"):
             resolve_ambiguity(np.ones((2, 3), dtype=complex), 3, 1.0)
+
+    def test_per_row_anchors_equal_rows(self):
+        # one anchor index and value per row of a (trial, SNR point) stack,
+        # broadcast over the SNR points, as the harness passes them
+        rng = np.random.default_rng(32)
+        stack = rng.standard_normal((6, 3, 5)) + 1j * rng.standard_normal((6, 3, 5))
+        stack *= 10.0 ** rng.uniform(-6, 6, (6, 3, 1))
+        d = np.array([0, 4, 2, 2, 1, 3])
+        hd0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        out = resolve_ambiguity(stack, d[:, None], hd0[:, None])
+        rows = np.array([
+            [resolve_ambiguity(r, d_i, hd0_i) for r in s]
+            for s, d_i, hd0_i in zip(stack, d, hd0)
+        ])
+        assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
+        assert (out[np.arange(6), :, d] == hd0[:, None]).all()
+
+    @pytest.mark.parametrize("d,bad", [([0, 3], 3), ([-1, 0], -1)])
+    def test_per_row_anchor_index_validated(self, d, bad):
+        with pytest.raises(ValueError, match=f"^anchor index {bad} outside 0..2$"):
+            resolve_ambiguity(np.ones((2, 3), dtype=complex), np.array(d), 1.0)

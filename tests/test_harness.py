@@ -43,24 +43,39 @@ def channel_sequence(plan):
 
 def oracle_estimator(plan, fail_trials=()):
     """Estimator stub returning the true channel scaled by 2+1j at every
-    SNR point of the stack it is given.
+    SNR point of every trial of the stack it is given.
 
-    Calls arrive in the documented order (channel i, then trial j), one
-    per trial, so call k serves trial t = k, whose channel is
-    t // n_trials. The stub raises a numerical error for the trials t in
-    fail_trials, which excludes them from every cell. The trial counter
+    Rows arrive in the documented order (channel i, then trial j), so row
+    number t over a run serves trial t, whose channel is t // n_trials.
+    The stub returns NaN at every SNR point of the trials t in
+    fail_trials, which excludes them from every cell. The row counter
     wraps at one cell's worth of trials so a single stub can serve
     repeated runs."""
     channels = channel_sequence(plan)
     per_cell = plan.n_channels * plan.n_trials
-    state = {"call": 0}
+    state = {"row": 0}
 
-    def estimate(yN, precoder, settings):
-        t = state["call"] % per_cell
-        state["call"] += 1
-        if t in fail_trials:
-            raise IllConditioned("stub", float("inf"))
-        return np.tile((2 + 1j) * channels[t // plan.n_trials].h, (len(yN), 1))
+    def estimate(Y, precoder, settings):
+        h_hats = np.empty(Y.shape[:-1] + (plan.config.L + 1,), dtype=complex)
+        for h_hat in h_hats:
+            t = state["row"] % per_cell
+            state["row"] += 1
+            h_hat[:] = (2 + 1j) * channels[t // plan.n_trials].h
+            if t in fail_trials:
+                h_hat[:] = np.nan
+        return h_hats
+
+    return estimate
+
+
+def counting_estimates(shapes):
+    """Wrap the subspace estimator to append each call's stack shape
+    (trials, SNR points) to shapes."""
+    subspace_estimate = harness.subspace_estimate
+
+    def estimate(Y, precoder, settings):
+        shapes.append(Y.shape[:-1])
+        return subspace_estimate(Y, precoder, settings)
 
     return estimate
 
@@ -232,8 +247,8 @@ class TestRunCell:
     def test_budget_breach_raises(self):
         plan = small_plan()
 
-        def always_fails(yN, precoder, settings):
-            return np.full((len(yN), plan.config.L + 1), np.nan + 0j)
+        def always_fails(Y, precoder, settings):
+            return np.full(Y.shape[:-1] + (plan.config.L + 1,), np.nan + 0j)
 
         with pytest.raises(ExclusionBudgetExceeded, match="excluded"):
             run_cell(plan, 20.0, estimate_fn=always_fails)
@@ -377,6 +392,78 @@ class TestStackedMatchesPerFrame:
         assert records[0].excluded_trials == 0
 
 
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrialChunks:
+    """The estimator takes the trials in chunks sized by the byte budget,
+    which bound its working set and change no record (the default chunks
+    against one-trial chunks is test_one_channel_groups_give_same_csv)."""
+
+    @pytest.mark.parametrize(
+        "make_plan", [small_plan, zp_plan, rounding_plan],
+        ids=["cp-identity", "zp-reference", "M12-N8-idft"],
+    )
+    def test_records_do_not_depend_on_chunks(self, make_plan, monkeypatch):
+        # Chunks of 4 cross the 3-trial channels and add to running sums
+        # that are not zero; the records must match one-trial chunks to
+        # the last bit, which the CSV's 12 digits would not show.
+        plan = make_plan(snr_db_grid=(10.0, 20.0, 30.0), n_channels=5, n_trials=3)
+        records = {}
+        for size in (1, 4, 15):
+            monkeypatch.setattr(harness, "_chunk_size", lambda *args, k=size: k)
+            records[size] = run_experiment(plan)
+        assert records[4] == records[1]
+        assert records[15] == records[1]
+
+    @pytest.mark.parametrize(
+        "N,window_blocks,n_snr", [(8, 2, 7), (25, 2, 7), (40, 3, 3), (100, 2, 1)]
+    )
+    def test_chunk_fits_the_budget(self, N, window_blocks, n_snr):
+        # The per-trial size _chunk_size assumes covers what the estimator
+        # and the ambiguity resolution allocate for a chunk, its frames
+        # included.
+        config = SystemConfig(M=12, L=4, N=N)
+        precoder = harness.make_precoder(config)
+        k = harness._chunk_size(config, n_snr, window_blocks)
+        assert k >= 2
+
+        def estimate_chunk():
+            rng = np.random.default_rng(0)
+            Y = np.empty((k, n_snr, N * config.P - config.L), dtype=complex)
+            Y.real = rng.standard_normal(Y.shape)
+            Y.imag = rng.standard_normal(Y.shape)
+            h_hats = harness.subspace_estimate(
+                Y, precoder, EstimatorSettings(window_blocks)
+            )
+            harness.resolve_ambiguity(h_hats, 0, 1.0)
+
+        estimate_chunk()  # numpy's first calls in a process allocate more
+        assert traced_peak(estimate_chunk) <= harness._GROUP_BYTES
+
+    def test_trial_stage_peak_memory(self, monkeypatch):
+        # The desk plan's estimator calls take 4 trials of 7 frames each,
+        # and the run peaks near 2.5 MB; one call for all 50 trials peaks
+        # near 17 MB. The bound is the chunked peak plus about 40%.
+        plan = ExperimentPlan(
+            config=SystemConfig(M=12, L=4, N=25, inner_kind="idft"),
+            snr_db_grid=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
+            n_channels=10,
+            n_trials=5,
+            master_seed=0,
+        )
+        assert traced_peak(run_experiment, plan) < 3.5e6
+        monkeypatch.setattr(harness, "_chunk_size", lambda *args: 50)
+        assert traced_peak(run_experiment, plan) > 3.5e6
+
+
 class TestSnrSharing:
     """Each (channel, trial) is drawn once, the bound information of all
     of a channel's trials is computed in one call, and every trial is then
@@ -406,20 +493,14 @@ class TestSnrSharing:
         monkeypatch.setattr(
             harness, "zp_information", counting(harness.zp_information, zp)
         )
-        subspace_estimate = harness.subspace_estimate
-
-        def estimate(yN, precoder, settings):
-            estimates.append(len(yN))
-            return subspace_estimate(yN, precoder, settings)
-
-        monkeypatch.setattr(harness, "subspace_estimate", estimate)
+        monkeypatch.setattr(harness, "subspace_estimate", counting_estimates(estimates))
         records = run_experiment(plan)
         trials = plan.n_channels * plan.n_trials
         # both channels fit in one group
         assert len(fast) == 1
         assert len(zp) == (1 if plan.compute_zp_reference else 0)
-        # one stacked call per trial, one row per SNR point
-        assert estimates == [len(self.grid)] * trials
+        # all trials fit in one stacked call, one row per trial and SNR point
+        assert estimates == [(trials, len(self.grid))]
         assert all(r.excluded_trials == 0 for r in records)
 
     def test_rank_deficient_channel_excluded_in_every_cell(self, monkeypatch):
@@ -432,17 +513,18 @@ class TestSnrSharing:
             counting(harness.fast_information, fast, fail_at={1}),
         )
 
-        def estimate(yN, precoder, settings):
-            t = len(estimates)
-            estimates.append(yN)
-            return np.tile((2 + 1j) * kept[t // plan.n_trials].h, (len(yN), 1))
+        def estimate(Y, precoder, settings):
+            t = np.arange(len(estimates), len(estimates) + len(Y))  # row numbers
+            estimates.extend(Y)
+            h = np.array([kept[k].h for k in t // plan.n_trials])
+            return np.repeat((2 + 1j) * h[:, None], Y.shape[1], axis=1)
 
         records = run_experiment(plan, estimate_fn=estimate)
         assert [r.excluded_trials for r in records] == [2, 2, 2]
         assert all(r.mse_avg <= 1e-25 for r in records)
         # all 101 channels fit in one group, whose member 1 comes back NaN
         assert len(fast) == 1
-        # the excluded channel's trials make no estimator calls
+        # the excluded channel's trials make no estimator rows
         assert len(estimates) == 200
         assert all(len(yN) == len(self.grid) for yN in estimates)
 
@@ -451,74 +533,99 @@ class TestSnrSharing:
         ids=["cp-identity", "zp-reference", "M12-N8-idft"],
     )
     def test_one_channel_groups_give_same_csv(self, make_plan, monkeypatch):
+        # the byte budget also sizes the estimator's chunks of trials:
+        # several trials a call by default, one at a budget of 1 byte
         plan = make_plan(snr_db_grid=self.grid, n_channels=5, n_trials=3)
-        calls = []
+        calls, shapes = [], []
         monkeypatch.setattr(
             harness, "fast_information", counting(harness.fast_information, calls)
         )
+        monkeypatch.setattr(harness, "subspace_estimate", counting_estimates(shapes))
         grouped = format_csv(run_experiment(plan))
+        trials = plan.n_channels * plan.n_trials
         assert len(calls) == 1
+        assert len(shapes) < trials
+        assert sum(k for k, _ in shapes) == trials
+        assert all(n_snr == len(self.grid) for _, n_snr in shapes)
+        shapes.clear()
         monkeypatch.setattr(harness, "_GROUP_BYTES", 1)
         alone = format_csv(run_experiment(plan))
         assert len(calls) == 1 + plan.n_channels
+        assert shapes == [(1, len(self.grid))] * trials
         assert alone == grouped
 
     def test_estimator_failure_excluded_in_its_own_cell_only(self):
         plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
         channel = channel_sequence(plan)[0]
-        calls = []
+        rows = []
 
-        def estimate(yN, precoder, settings):
-            calls.append(yN)
-            h_hats = np.tile((2 + 1j) * channel.h, (len(yN), 1))
-            if len(calls) == 1:
-                h_hats[1] = np.nan  # the first trial's 20 dB point fails
+        def estimate(Y, precoder, settings):
+            first = len(rows)
+            rows.extend(Y)
+            h_hats = np.tile((2 + 1j) * channel.h, Y.shape[:-1] + (1,))
+            if first == 0:
+                h_hats[0, 1] = np.nan  # the first trial's 20 dB point fails
             return h_hats
 
         records = run_experiment(plan, estimate_fn=estimate)
         assert [r.excluded_trials for r in records] == [0, 1, 0]
-        assert len(calls) == 101
-        assert all(len(yN) == len(self.grid) for yN in calls)
+        assert len(rows) == 101
+        assert all(len(yN) == len(self.grid) for yN in rows)
         assert all(r.mse_avg <= 1e-25 for r in records)
 
     def test_zero_anchor_excluded_in_its_own_cell_only(self):
         # a finite row that cannot be resolved fails like a NaN row
         plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
         channel = channel_sequence(plan)[0]
-        calls = []
+        rows = []
 
-        def estimate(yN, precoder, settings):
-            calls.append(yN)
-            h_hats = np.tile((2 + 1j) * channel.h, (len(yN), 1))
-            if len(calls) == 3:
-                h_hats[2, channel.d] = 0.0  # the third trial's 30 dB point
+        def estimate(Y, precoder, settings):
+            first = len(rows)
+            rows.extend(Y)
+            h_hats = np.tile((2 + 1j) * channel.h, Y.shape[:-1] + (1,))
+            if first <= 2 < len(rows):
+                # the third trial's 30 dB point
+                h_hats[2 - first, 2, channel.d] = 0.0
             return h_hats
 
         records = run_experiment(plan, estimate_fn=estimate)
         assert [r.excluded_trials for r in records] == [0, 0, 1]
-        assert len(calls) == 101
+        assert len(rows) == 101
         assert all(r.mse_avg <= 1e-25 for r in records)
 
-    def test_estimator_raise_excluded_in_every_cell(self):
+    def test_failed_trial_excluded_in_every_cell(self):
+        # a trial that is NaN at every SNR point drops out of every cell
         plan = small_plan(snr_db_grid=self.grid, n_channels=1, n_trials=101)
         records = run_experiment(plan, estimate_fn=oracle_estimator(plan, {5}))
         assert [r.excluded_trials for r in records] == [1, 1, 1]
         assert all(r.mse_avg <= 1e-25 for r in records)
+
+    def test_estimator_raise_propagates(self):
+        # a raise cannot be charged to one trial of a stacked call, so the
+        # run stops instead of excluding a chunk whose size the byte
+        # budget sets
+        plan = small_plan(snr_db_grid=self.grid)
+
+        def estimate(Y, precoder, settings):
+            raise IllConditioned("stub", float("inf"))
+
+        with pytest.raises(IllConditioned, match="stub"):
+            run_experiment(plan, estimate_fn=estimate)
 
     def test_first_cell_over_budget_is_named(self):
         plan = small_plan(snr_db_grid=self.grid)
         channels = channel_sequence(plan)
         # SNR index -> how many of its first trials fail: 1 at 20 dB, 4 at 30 dB
         fails = {1: 1, 2: 4}
-        calls = []
+        rows = []
 
-        def estimate(yN, precoder, settings):
-            k = len(calls)  # trial number
-            calls.append(yN)
-            h_hats = np.tile(channels[k // plan.n_trials].h, (len(yN), 1))
+        def estimate(Y, precoder, settings):
+            t = np.arange(len(rows), len(rows) + len(Y))  # trial numbers
+            rows.extend(Y)
+            h = np.array([channels[k].h for k in t // plan.n_trials])
+            h_hats = np.repeat(h[:, None], Y.shape[1], axis=1)
             for s, n_failing in fails.items():
-                if k < n_failing:
-                    h_hats[s] = np.nan
+                h_hats[t < n_failing, s] = np.nan
             return h_hats
 
         with pytest.raises(
