@@ -9,8 +9,8 @@ Three subcommands:
 run and crb read a flat configuration file of "key = value" lines
 (--config); blank lines and "#" comments are ignored. --override
 key=value (repeatable) takes precedence over the file. Exit codes: 0
-success, 1 usage or configuration error, 2 numerical failure, 3 selftest
-failure.
+success, 1 usage or configuration error (an unreadable --config or an
+unwritable --out included), 2 numerical failure, 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -199,7 +199,10 @@ def _cmd_run(args) -> int:
         return EXIT_OK
     records = run_experiment(plan)
     if args.out is not None:
-        write_csv(records, args.out)
+        try:
+            write_csv(records, args.out)
+        except OSError as err:
+            raise _UsageError(f"cannot write output: {err}") from None
     else:
         sys.stdout.write(format_csv(records))
     return EXIT_OK

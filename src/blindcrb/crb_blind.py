@@ -22,12 +22,12 @@ known. Two routes to the same L x L bound over the remaining taps:
 The bound scales exactly as sigma2: fast_information and zp_information
 return the reduced information with the noise factored out,
 D0 = sigma2 D, which depends only on the channel and the frame, so a
-caller that sweeps the noise level computes it once and inverts
-D0 / sigma2 per level. Both take a batch of T frames sent over one
-channel and return T matrices D0. Only the windows v_k depend on the
-frame, so one sweep serves the batch: its step maps, carried rows and
-rank gate are the channel's, and each map is applied to the frames'
-windows side by side. zp_information likewise takes one QR of its
+caller that sweeps the noise level computes and inverts it once, at
+unit noise, and scales that bound by sigma2 per level. Both take a
+batch of T frames sent over one channel and return T matrices D0. Only
+the windows v_k depend on the frame, so one sweep serves the batch: its
+step maps, carried rows and rank gate are the channel's, and each map is
+applied to the frames' windows side by side. zp_information likewise takes one QR of its
 P x M block per batch.
 Both also take a stack of C channels, (C, L+1) taps with (C, T, NM)
 frames, and return (C, T, L+1, L+1): one sweep, or one stacked QR, runs
@@ -244,8 +244,14 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     # Row r of member c holds row r of its frames' V^T: a view of x, never
     # copied.
     Vt = sliding_window_view(x, L + 1, axis=2)[..., ::-1].transpose(0, 2, 1, 3)
-    fins = _sweep(B[0], Vt[0])[None] if single else _sweep(B, Vt)
+    fins, low, high = _sweep(B, Vt)
+    failed = low <= RANK_RTOL * high
+    if single and failed[0]:
+        raise RankDeficient(
+            f"K is column-rank-deficient (diag ratio {low[0] / high[0]:.3e})"
+        )
     D0 = _grams(fins.transpose(0, 2, 1, 3))
+    D0[failed] = np.nan
     return D0[0] if single else D0
 
 
@@ -259,18 +265,19 @@ def _grams(X: np.ndarray) -> np.ndarray:
     return grams
 
 
-def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _sweep(B: np.ndarray, cols: np.ndarray):
     """The coordinates of cols in the left null space of K, from a banded
-    QR of K that never forms it.
+    QR of K that never forms it, for a stack of channels in one sweep.
 
-    B is the (P+L) x M block T(h) F that repeats down K, P rows lower in
-    each column block, so consecutive blocks overlap in L rows. cols is
-    any (NP-L, ...) array aligned with K's rows, a strided view say, whose
-    trailing axes are the window columns. The result C is ((N-1)L, ...),
-    with C^H C = cols^H (I - K pinv(K)) cols over the flattened columns.
-    M and L are read off B, N off cols. B may also be a (C, P+L, M) stack
-    of channels' blocks, with cols (C, NP-L, ...) and a (C, (N-1)L, ...)
-    result; one sweep runs them all.
+    B is the (C, P+L, M) stack of the channels' blocks T(h) F, each
+    repeating down its K, P rows lower in each column block, so
+    consecutive blocks overlap in L rows. cols is any (C, NP-L, ...) array
+    aligned with the members' rows of K, a strided view say, whose
+    trailing axes are the window columns. Returns the (C, (N-1)L, ...)
+    coordinates X, with X^H X = cols^H (I - K pinv(K)) cols over the
+    flattened columns for each member, and each member's smallest and
+    largest |diag(R)| of the K columns, low and high, for the rank gate.
+    M and L are read off B, N off cols.
 
     Every step is of one kind. Step n's window stacks the L rows carried
     from step n-1 over the P rows of block n; its columns are the K block
@@ -305,13 +312,13 @@ def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
     getting the block of C^H C its own sweep would. A finished row block
     is fixed up to a unitary rotation, which C^H C does not see.
 
-    The rank gate raises RankDeficient when the smallest |diag(R)| of the
-    K columns over the refreshed windows collapses; in a stack the
-    member's coordinates come back NaN instead. Each is the distance of a
-    column of K from the span of the ones before it, the same for any QR
-    of K, and the smallest singular value never exceeds it, so a
-    collapse proves rank deficiency. Draws that slip past it are still
-    caught by the conditioning gate on the reduced information.
+    low and high run over the refreshed windows. The rank gate
+    (low <= RANK_RTOL * high, applied by fast_information) fails a member
+    whose smallest |diag(R)| collapses. Each is the distance of a column
+    of K from the span of the ones before it, the same for any QR of K,
+    and the smallest singular value never exceeds it, so a collapse
+    proves rank deficiency. Draws that slip past it are still caught by
+    the conditioning gate on the reduced information.
 
     With c columns and n* refreshes out of N steps (n* = N when the carry
     never repeats), O(n* (M+2L)^2 (M+L) + N L (M+2L) c) time and
@@ -319,9 +326,6 @@ def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
     for a dense QR of K; a batch of T frames has c = T(L+1). A stack
     takes C times as much.
     """
-    single = B.ndim == 2
-    if single:
-        B, cols = B[None], cols[None]
     C, M = B.shape[0], B.shape[2]
     L = (B.shape[1] - M) // 2
     P = M + L
@@ -373,14 +377,7 @@ def _sweep(B: np.ndarray, cols: np.ndarray) -> np.ndarray:
         fin[:, n] = out[:, L:]
     low = np.fmin.reduce(diag, axis=(1, 2))
     high = np.fmax.reduce(diag, axis=(1, 2))
-    failed = low <= RANK_RTOL * high
-    if single and failed[0]:
-        raise RankDeficient(
-            f"K is column-rank-deficient (diag ratio {low[0] / high[0]:.3e})"
-        )
-    fin[failed] = np.nan
-    fin = fin[:, 1:].reshape((C, (N - 1) * L) + shape)
-    return fin[0] if single else fin
+    return fin[:, 1:].reshape((C, (N - 1) * L) + shape), low, high
 
 
 def crb_zp_per_block(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
-from .model import Precoder, _tap_factors
+from .model import Precoder, _require_integers, _tap_factors
 
 # Relative eigenvalue-gap floor below which the minimizer is ambiguous.
 DEGENERACY_RTOL = 1e-10
@@ -57,6 +57,7 @@ class EstimatorSettings:
     window_blocks: int = 2
 
     def __post_init__(self):
+        _require_integers(window_blocks=self.window_blocks)
         if self.window_blocks < 2:
             raise ValueError(
                 f"need at least 2 blocks per window, got {self.window_blocks}"

@@ -23,9 +23,10 @@ noise factored out, D0, for every (channel, trial) of the group at once
 step of the fast route's sweep is one stacked QR of the channels'
 windows still moving, which no frame enters, and one stacked product
 that applies the step maps to every trial's frame. The
-group's (channel, trial, SNR point) stack of D0 / sigma2 is inverted in
-one stacked call, each channel at its own anchor. Then the group's
-(channel, trial) pairs whose channel passed its gates are walked in
+group's (channel, trial) stack of D0 is inverted in one stacked call at
+unit noise, each channel at its own anchor; the Fisher information is
+D0 / sigma2, so the bound at an SNR point is sigma2 times that one. Then
+the group's (channel, trial) pairs whose bounds are finite are walked in
 order, in chunks of consecutive trials, as many per chunk as keep the
 estimator's working set (the chunk's frames, their windows and the
 covariances' eigendecompositions) within the same byte budget, and at
@@ -51,13 +52,15 @@ numpy SeedSequence([master_seed, stream, indices...]) with stream tags
 0 = channel draw (per channel index), 1 = symbol frame and 2 = noise
 (per channel and trial index); every stream is independent, so drawing a
 group's frames ahead of its trials changes no draw. Trials that fail
-numerically are excluded and counted per cell. A failed gate of D0 (a
-rank-deficient K, an ill-conditioned zero-padding symbol block) depends
-on the channel alone: its member of the stacked D0 is NaN, and all of
-that channel's trials are excluded from every cell without going to the
-estimator. The stacked estimator, ambiguity resolution and inversion
-mark a failed member NaN instead of raising, so a trial is included in a
-cell exactly when its estimate, anchor tap and bounds there are finite.
+numerically are excluded and counted per cell. A frame's bound is
+decided once, at unit noise: a frame whose bound or reference bound is
+not finite there, because its channel failed a gate of D0 (a
+rank-deficient K, an ill-conditioned zero-padding symbol block: its
+member of the stacked D0 is NaN) or the inversion was refused, is
+excluded from every cell without going to the estimator. The stacked
+estimator and ambiguity resolution mark a failed member NaN instead of
+raising, so a trial that reaches them is included in a cell exactly when
+its estimate and anchor tap there are finite.
 An exception raised by the estimator propagates: excluding the chunk it
 came from would make the exclusions depend on the byte budget.
 Once every trial has run, the cells are checked in ascending SNR order
@@ -86,7 +89,7 @@ from .estimator import EstimatorSettings, subspace_estimate, resolve_ambiguity
 from .model import (
     Channel,
     SystemConfig,
-    _as_rng,
+    _require_integers,
     draw_noise,
     generate_symbols,
     make_precoder,
@@ -130,7 +133,7 @@ def draw_channel(L: int, rng) -> Channel:
     anchor on the strongest tap."""
     if L < 1:
         raise ValueError(f"channel order must be at least 1, got {L}")
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     taps = (gen.standard_normal(L + 1) + 1j * gen.standard_normal(L + 1)) / np.sqrt(2)
     taps /= np.linalg.norm(taps)
     return Channel(h=taps, d=default_anchor(taps))
@@ -167,6 +170,9 @@ class ExperimentPlan:
             if not 0 < sigma2 < math.inf:
                 raise ValueError(f"SNR point {snr_db} dB has no positive finite sigma2")
         object.__setattr__(self, "snr_db_grid", grid)
+        _require_integers(
+            n_channels=self.n_channels, n_trials=self.n_trials, master_seed=self.master_seed
+        )
         if self.n_channels < 1 or self.n_trials < 1:
             raise ValueError("need at least one channel and one trial per cell")
         if self.master_seed < 0:
@@ -239,8 +245,8 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     variance, and returns the (k, len(grid), L+1) unresolved taps. Rows
     come in the order channel i, trial j, and the chunks follow each
     other in that order: over a run, row number t = i * n_trials + j.
-    A channel whose bound information fails a gate has no rows and takes
-    no row numbers, so the rows after it move up. A row that is not
+    A frame whose bound fails (see the module docstring) has no row and
+    takes no row number, so the rows after it move up. A row that is not
     finite, or whose anchor tap is too small to resolve, excludes that
     trial from that point's cell only; a failed trial must come back as
     NaN, because an exception raised by the call propagates. A record
@@ -280,27 +286,21 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
             for i in group
         ])
         hs = np.array([channel.h for channel in channels])
-        # (1 or 2, channels, trials, L+1, L+1): D0 of the bound and of the
-        # zero-padding reference. A channel that fails a gate comes back
-        # NaN, row 0 for the rank gate and row 1 for the J11 gate.
+        # D0 of the bound and of the zero-padding reference, NaN where a
+        # channel failed the rank gate or the J11 gate.
         D0s = [fast_information(hs, sNs, precoder)]
         if plan.compute_zp_reference:
             D0s.append(zp_information(hs, sNs, precoder.Ftilde))
-        D0s = np.stack(D0s)
-        failed = np.isnan(D0s).any(axis=(0, 2, 3, 4))
-        # (1 or 2, channels, trials, SNR points) traces, NaN where an
-        # inversion was refused.
+        # (1 or 2, channels, trials) traces at unit noise, NaN where D0
+        # failed a gate or its inversion was refused; sigma2 scales them.
         anchors = np.array([channel.d for channel in channels])
-        traces = _invert_reduced(
-            D0s[:, :, :, None] / sigma2s[:, None, None], anchors[:, None, None]
-        ).trace
-        bounds = traces[0]
-        refs = traces[1] if plan.compute_zp_reference else np.zeros_like(bounds)
-        excluded += plan.n_trials * int(failed.sum())
-        # The group's live (member, trial) pairs in order, in chunks.
-        live = [(c, j) for c in np.flatnonzero(~failed) for j in range(plan.n_trials)]
+        units = _invert_reduced(np.stack(D0s), anchors[:, None]).trace
+        # The live (member, trial) pairs in order, in chunks; a frame
+        # whose bound failed is excluded from every cell.
+        live = np.argwhere(np.isfinite(units).all(axis=0))
+        excluded += units[0].size - len(live)
         for start in range(0, len(live), chunk_size):
-            c, j = np.array(live[start: start + chunk_size]).T
+            c, j = live[start: start + chunk_size].T
             Y = np.empty((c.size, n_snr, config.N * config.P - config.L), np.complex128)
             for Y_r, c_r, j_r in zip(Y, c, j):
                 clean = synthesize_observation(
@@ -320,13 +320,13 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
             d = anchors[c]
             h_res = resolve_ambiguity(h_hats, d[:, None], hs[c, d][:, None])
             err = np.sum(np.abs(h_res - hs[c][:, None]) ** 2, axis=-1)
-            bound, ref = bounds[c, j], refs[c, j]
-            # Not finite where the estimate, its anchor tap or an inversion failed.
-            ok = np.isfinite(err + bound + ref)
+            # Not finite where the estimate or its anchor tap failed.
+            ok = np.isfinite(err)
             excluded += np.sum(~ok, axis=0)
-            terms = np.where(ok[:, None], np.stack([err, bound, ref], axis=1), 0.0)
+            bounds = units[:, c, j, None] * sigma2s
+            terms = np.where(ok[:, None], np.stack([err, *bounds], axis=1), 0.0)
             for term in terms:
-                sums += term  # one trial at a time, in trial order
+                sums[: len(term)] += term  # one trial at a time, in trial order
     total = plan.n_channels * plan.n_trials
     for snr_db, n_excluded in zip(plan.snr_db_grid, excluded):
         if n_excluded / total >= EXCLUSION_BUDGET:

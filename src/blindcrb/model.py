@@ -40,11 +40,12 @@ MODULATIONS = ("qpsk",)
 _QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+def _require_integers(**fields):
+    """Raise ValueError naming the first field that is not a Python or
+    numpy integer; a bool is not a size, count or seed."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,7 @@ class SystemConfig:
     custom_inner: np.ndarray | None = None
 
     def __post_init__(self):
+        _require_integers(M=self.M, L=self.L, N=self.N)
         if self.M < 1 or self.L < 1 or self.L >= self.M:
             raise ValueError(
                 f"need 1 <= L < M, got M={self.M}, L={self.L}"
@@ -283,7 +285,7 @@ def generate_symbols(modulation: str, M: int, N: int, rng) -> SymbolFrame:
         raise ValueError(f"unsupported modulation {modulation!r}")
     if M < 1 or N < 1:
         raise ValueError(f"frame dimensions must be positive, got M={M}, N={N}")
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     bits = gen.integers(0, 2, size=(2, N * M))
     # bits[0] picks the sign of the real part and bits[1] of the imaginary.
     return SymbolFrame(sN=_QPSK[2 * bits[0] + bits[1]])
@@ -328,7 +330,7 @@ def synthesize_observation(
 def draw_noise(size: int, rng) -> np.ndarray:
     """Circular complex Gaussian noise with unit-variance real and
     imaginary parts; scaled by sqrt(sigma2/2) it has variance sigma2."""
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     noise = np.empty(size, dtype=np.complex128)
     noise.real = gen.standard_normal(size)
     noise.imag = gen.standard_normal(size)

@@ -150,6 +150,15 @@ class TestRunErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
+    def test_unwritable_out(self, run_config, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["run", "--config", str(run_config), "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write") and str(out) in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.parent.exists()
+
     def test_malformed_override(self, run_config):
         assert (
             main(["run", "--config", str(run_config), "--override", "n_trials"])

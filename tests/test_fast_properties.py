@@ -134,10 +134,12 @@ def test_sweep_projects_any_columns(blocks):
     config, pre, hs, cols = blocks
     P, L = pre.F.shape[0], hs.shape[1] - 1
     B = np.stack([build_channel_toeplitz(h, P + L, P) @ pre.F for h in hs])
-    coords = _sweep(B, cols)
+    coords, low, high = _sweep(B, cols)
     assert coords.shape == (len(hs), (config.N - 1) * L, cols.shape[2])
-    for h, B_c, C, X in zip(hs, B, cols, coords):
-        np.testing.assert_array_equal(X, _sweep(B_c, C))
+    for h, B_c, C, X, low_c, high_c in zip(hs, B, cols, coords, low, high):
+        alone = _sweep(B_c[None], C[None])
+        np.testing.assert_array_equal(X, alone[0][0])
+        assert (low_c, high_c) == (alone[1][0], alone[2][0])
         Q = np.linalg.qr(build_K(config, pre, h)[0])[0]
         projected = C.conj().T @ (C - Q @ (Q.conj().T @ C))
         np.testing.assert_allclose(

@@ -26,6 +26,7 @@ from blindcrb import (
     sigma2_from_snr_db,
     write_csv,
 )
+from blindcrb.crb_blind import COND_LIMIT, _conditioned
 from helpers import run_cell, run_experiment_per_frame
 
 
@@ -137,6 +138,33 @@ class TestPlanValidation:
     def test_rejects_bad_plans(self, overrides):
         with pytest.raises(ValueError):
             small_plan(**overrides)
+
+    @pytest.mark.parametrize(
+        "field,build",
+        [
+            ("n_channels", lambda: small_plan(n_channels=2.0)),
+            ("n_trials", lambda: small_plan(n_trials=2.5)),
+            ("master_seed", lambda: small_plan(master_seed=1.5)),
+            ("n_trials", lambda: small_plan(n_trials=True)),
+            ("window_blocks", lambda: EstimatorSettings(2.5)),
+            ("M", lambda: SystemConfig(M=6.0, L=2, N=14)),
+        ],
+        ids=["n_channels", "n_trials", "master_seed", "bool", "window_blocks", "M"],
+    )
+    def test_rejects_non_integer_sizes(self, field, build):
+        # caught when built, not by a TypeError in the middle of a run
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build()
+
+    def test_accepts_numpy_integers(self):
+        plan = small_plan(
+            config=SystemConfig(M=np.int32(4), L=np.int64(2), N=np.int64(14)),
+            n_channels=np.int64(2),
+            n_trials=np.uint8(2),
+            master_seed=np.int64(7),
+            estimator_settings=EstimatorSettings(np.int16(2)),
+        )
+        assert format_csv(run_experiment(plan)) == format_csv(run_experiment(small_plan()))
 
     @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, 4000.0, -4000.0])
     def test_rejects_snr_without_positive_finite_sigma2(self, snr):
@@ -323,6 +351,18 @@ def counting(fn, calls, fail_at=()):
         D0 = fn(*args, **kwargs)
         D0[list(fail_at)] = np.nan
         return D0
+
+    return wrapped
+
+
+def first_frame_information(fn, D0):
+    """Wrap a stacked D0 function so that the first frame of the first
+    channel of its stack gets D0 instead of its own."""
+
+    def wrapped(*args, **kwargs):
+        D0s = fn(*args, **kwargs)
+        D0s[0, 0] = D0
+        return D0s
 
     return wrapped
 
@@ -527,6 +567,59 @@ class TestSnrSharing:
         # the excluded channel's trials make no estimator rows
         assert len(estimates) == 200
         assert all(len(yN) == len(self.grid) for yN in estimates)
+
+    def test_frame_at_cond_limit_decided_once(self, monkeypatch):
+        # An anchor-reduced information within 3e-4 of COND_LIMIT, where
+        # rounding decides the conditioning gate differently at different
+        # noise levels. The frame's bound is decided once, at unit noise,
+        # so the frame is in every cell or in none.
+        plan = small_plan(
+            snr_db_grid=tuple(np.arange(10.0, 41.0, 5.0)), n_channels=1, n_trials=101
+        )
+        d = channel_sequence(plan)[0].d
+        sigma2s = np.array([sigma2_from_snr_db(s) for s in plan.snr_db_grid])
+        rng = np.random.default_rng(0)
+        U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        for delta in np.linspace(-3e-4, 3e-4, 61):
+            Dd = U @ np.diag([1.0, (1 + delta) / COND_LIMIT]) @ U.conj().T
+            accepted = _conditioned(Dd / sigma2s[:, None, None])[1]
+            if 0 < accepted.sum() < accepted.size:
+                break
+        else:
+            pytest.fail("no information near COND_LIMIT splits the grid's decisions")
+        keep = np.arange(plan.config.L + 1) != d
+        D0 = np.eye(plan.config.L + 1, dtype=complex)
+        D0[np.ix_(keep, keep)] = Dd
+        monkeypatch.setattr(
+            harness,
+            "fast_information",
+            first_frame_information(harness.fast_information, D0),
+        )
+        records = run_experiment(plan, estimate_fn=oracle_estimator(plan))
+        assert len({r.excluded_trials for r in records}) == 1
+        assert all(r.mse_avg <= 1e-25 for r in records)
+
+    def test_singular_frame_makes_no_row(self, monkeypatch):
+        # a frame whose bound fails is excluded from every cell and never
+        # reaches the estimator
+        plan = small_plan(
+            snr_db_grid=tuple(np.arange(10.0, 41.0, 5.0)), n_channels=1, n_trials=101
+        )
+        monkeypatch.setattr(
+            harness,
+            "fast_information",
+            first_frame_information(harness.fast_information, np.ones((3, 3))),
+        )
+        oracle, rows = oracle_estimator(plan), []
+
+        def estimate(Y, precoder, settings):
+            rows.extend(Y)
+            return oracle(Y, precoder, settings)
+
+        records = run_experiment(plan, estimate_fn=estimate)
+        assert [r.excluded_trials for r in records] == [1] * len(plan.snr_db_grid)
+        assert len(rows) == 100
+        assert all(r.mse_avg <= 1e-25 for r in records)
 
     @pytest.mark.parametrize(
         "make_plan", [small_plan, zp_plan, rounding_plan],
