@@ -8,6 +8,9 @@ SNR grid: cp and zp, identity and IDFT inner precoders, N in {8, 25}
 with 3-block windows, one long zp/IDFT frame (N=100, 3 channels x 2
 trials), and the seed-3 zp/IDFT plan whose exclusions exceed
 the budget, kept as the text of its ExclusionBudgetExceeded message.
+Two more files keep the exact stdout of `blindcrb crb` for one cp/IDFT
+and one zp/IDFT instance at the command's default M=12, L=4, N=25, so
+the single-channel fast bound has a byte check too.
 
 The files pin the output of one numpy/BLAS build. When a change is meant
 to move digits, regenerate them from the repository root with
@@ -18,6 +21,8 @@ and commit the diff with the change, saying in CHANGES.md which digits
 moved and by how much.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -30,6 +35,7 @@ from blindcrb import (
     format_csv,
     run_experiment,
 )
+from blindcrb.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SNR_DB_GRID = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
@@ -60,6 +66,24 @@ PLANS["zp-idft-N25-seed3-20x5.txt"] = plan(
 PLANS["zp-idft-N100.csv"] = plan("zp", "idft", 100, channels=3)
 
 
+CRB_TAPS = "0.5+0.1j, -0.4+0.3j, 0.3-0.2j, 0.2+0.25j, -0.1+0.15j"
+CRB_ARGS = {
+    f"crb-{kind}-idft-N25.txt": [
+        "crb", "--override", f"redundancy_kind={kind}", "--override", "inner_kind=idft",
+        "--override", f"h={CRB_TAPS}", "--override", "sigma2=0.01", "--override", "seed=1",
+    ]
+    for kind in ("cp", "zp")
+}
+
+
+def render_crb(argv) -> str:
+    """The stdout of one blindcrb crb command, which must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return out.getvalue()
+
+
 def render(p: ExperimentPlan) -> str:
     """The plan's CSV text, or its budget message when it raises one."""
     try:
@@ -73,8 +97,16 @@ def test_output_matches_golden_file(name):
     assert render(PLANS[name]) == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(CRB_ARGS))
+def test_crb_stdout_matches_golden_file(name):
+    assert render_crb(CRB_ARGS[name]) == (GOLDEN / name).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, p in PLANS.items():
         (GOLDEN / name).write_text(render(p))
+        print(f"wrote {GOLDEN / name}")
+    for name, argv in CRB_ARGS.items():
+        (GOLDEN / name).write_text(render_crb(argv))
         print(f"wrote {GOLDEN / name}")
