@@ -22,7 +22,6 @@ from .model import (
     Precoder,
     SymbolFrame,
     SystemConfig,
-    build_channel_toeplitz,
     build_inner_precoder,
     build_K,
     build_redundancy,
@@ -85,7 +84,6 @@ __all__ = [
     "SystemConfig",
     "ZeroAnchorTap",
     "build_K",
-    "build_channel_toeplitz",
     "build_inner_precoder",
     "build_redundancy",
     "channel_from_noise_subspace",

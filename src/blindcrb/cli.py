@@ -16,8 +16,8 @@ unwritable --out included), 2 numerical failure, 3 selftest failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from pathlib import Path
 import numpy as np
 
 from .crb_blind import crb_direct, crb_fast, default_anchor, fim_blocks
@@ -26,6 +26,8 @@ from .estimator import EstimatorSettings
 from .harness import ExperimentPlan, format_csv, run_experiment, write_csv
 from .model import (
     SystemConfig,
+    _anchor_mask,
+    _require_positive_sigma2,
     build_K,
     generate_symbols,
     loglik_gradients,
@@ -197,6 +199,10 @@ def _cmd_run(args) -> int:
     if args.dump_config:
         sys.stdout.write(_dump_config(values, _RUN_KEYS))
         return EXIT_OK
+    out = None if args.out is None else Path(args.out)
+    # A path that cannot be a file is refused before the plan runs.
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        raise _UsageError(f"cannot write output {out}: not a file in an existing directory")
     records = run_experiment(plan)
     if args.out is not None:
         try:
@@ -215,8 +221,6 @@ def _cmd_crb(args) -> int:
     if "h" not in values:
         raise _UsageError("the crb command needs channel taps (key 'h')")
     config = _config_from_values(values)  # validate before dumping
-    if not 0 < values["sigma2"] < math.inf:
-        raise _UsageError(f"sigma2 must be positive and finite, got {values['sigma2']}")
     for key in ("h", "s_n"):
         if key in values and not np.isfinite(values[key]).all():
             raise _UsageError(f"{key} must be finite, got a non-finite entry")
@@ -232,8 +236,11 @@ def _cmd_crb(args) -> int:
     else:
         sN = generate_symbols("qpsk", config.M, config.N, values["seed"]).sN
     d = values.get("d", default_anchor(h))
-    if not 0 <= d < h.size:
-        raise _UsageError(f"anchor index {d} outside 0..{h.size - 1}")
+    try:
+        _require_positive_sigma2(values["sigma2"])
+        _anchor_mask(d, h.size)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
     if args.dump_config:
         sys.stdout.write(_dump_config(values, _CRB_KEYS))
         return EXIT_OK

@@ -14,10 +14,12 @@ known. Two routes to the same L x L bound over the remaining taps:
   v_i^H (I - K pinv(K)) v_k / sigma2 where v_k = K_k s_N is a lag-k
   window of the transmitted stream x_N = (I_N kron F) s_N, so D is the
   Gram of the windows' coordinates in that null space. _sweep finds them
-  by a banded QR that never forms K. Each of its N steps applies a step
-  map, rows of the Q^H of a small window of K, to every column at once;
-  the map is refreshed until the window stops changing and once more at
-  the last step. Its docstring gives the algorithm and its cost.
+  by a banded QR that never forms K, from its repeating block T(h) F,
+  the tap sum of the model's one-block factors of F. Each of its N steps
+  applies a step map, rows of the Q^H of a small window of K, to every
+  column at once; the map is refreshed until the window stops changing
+  and once more at the last step. Its docstring gives the algorithm and
+  its cost.
 
 The bound scales exactly as sigma2: fast_information and zp_information
 return the reduced information with the noise factored out,
@@ -27,8 +29,9 @@ unit noise, and scales that bound by sigma2 per level. Both take a
 batch of T frames sent over one channel and return T matrices D0. Only
 the windows v_k depend on the frame, so one sweep serves the batch: its
 step maps, carried rows and rank gate are the channel's, and each map is
-applied to the frames' windows side by side. zp_information likewise takes one QR of its
-P x M block per batch.
+applied to the frames' windows side by side. zp_information likewise
+takes one QR of its P x M block T(h) Ftilde per batch, the tap sum of the
+model's one-block factors of the inner precoder.
 Both also take a stack of C channels, (C, L+1) taps with (C, T, NM)
 frames, and return (C, T, L+1, L+1): one sweep, or one stacked QR, runs
 every channel at once, and each member gets the bytes it would get
@@ -49,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .crb_core import RANK_RTOL, _hermitize
 from .errors import IllConditioned, RankDeficient
-from .model import Precoder, build_channel_toeplitz
+from .model import Precoder, _anchor_mask, _require_positive_sigma2, _tap_factors, _tap_sum
 
 COND_LIMIT = 1e12
 # The sweep switches to its steady-state map once the sign-normalised
@@ -113,20 +116,11 @@ def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlock
     return FimBlocks(J00=_hermitize(J00), J01=J01, J11=_hermitize(J11))
 
 
-def _require_positive_sigma2(sigma2: float):
-    if not 0 < sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-
-
 def _delete_anchor(D: np.ndarray, d) -> np.ndarray:
     """D without its anchor row and column; d is an int or an integer
     array broadcast over the stack's leading axes, one anchor per member."""
     n = D.shape[-1]
-    d = np.asarray(d)
-    bad = d[(d < 0) | (d >= n)]
-    if bad.size:
-        raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
-    keep = np.arange(n) != d[..., None]
+    keep = ~_anchor_mask(d, n)
     keep = np.broadcast_to(keep[..., :, None] & keep[..., None, :], D.shape)
     return D[keep].reshape(D.shape[:-2] + (n - 1, n - 1))
 
@@ -225,13 +219,14 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     h is one channel's (L+1,) taps and sNs a (T, NM) stack of frames of
     N >= 2 blocks; the result is the (T, L+1, L+1) stack of their D0, the
     Gram of each frame's windows V^T[r, k] = x[L+r-k] in the left null
-    space of K (see _sweep). D0 depends only on the channel and the frame:
-    the bound of frame t at any noise level is the anchor-reduced inverse
-    of D0[t] / sigma2. A rank-deficient K raises RankDeficient for the
-    whole batch. With (C, L+1) taps and (C, T, NM) frames, one sweep runs
-    every channel and the result is (C, T, L+1, L+1); each member equals
-    its channel's result alone, and a channel whose K fails the rank gate
-    comes back NaN instead of raising.
+    space of K (see _sweep), whose block B = T(h) F is the tap sum of
+    the model's one-block factors of F. D0 depends only on the channel and
+    the frame: the bound of frame t at any noise level is the
+    anchor-reduced inverse of D0[t] / sigma2. A rank-deficient K raises
+    RankDeficient for the whole batch. With (C, L+1) taps and (C, T, NM)
+    frames, one sweep runs every channel and the result is
+    (C, T, L+1, L+1); each member equals its channel's result alone, and a
+    channel whose K fails the rank gate comes back NaN instead of raising.
     """
     P, M = precoder.F.shape
     h, sNs, single = _channel_stack(h, sNs, M, 2)
@@ -239,7 +234,7 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     L, N = h.shape[1] - 1, sNs.shape[2] // M
     if not L < M or P != M + L:
         raise ValueError(f"channel order {L} inconsistent with precoder shape {P}x{M}")
-    B = np.stack([build_channel_toeplitz(taps, P + L, P) for taps in h]) @ precoder.F
+    B = _tap_sum(h, _tap_factors(precoder.F, L, 1))
     x = (sNs.reshape(C, T, N, M) @ precoder.F.T).reshape(C, T, N * P)
     # Row r of member c holds row r of its frames' V^T: a view of x, never
     # copied.
@@ -417,9 +412,10 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
 
     Like fast_information, it depends only on the channel and the frame;
     the bound of frame t is the anchor-reduced inverse of the result's
-    [t] over sigma2. The symbol block is I_N kron A^H A, A = T(h) Ftilde,
-    so D0 sums N terms U_n^H (I - A pinv(A)) U_n, column l of U_n being
-    block n's inner-precoded symbols delayed by l. The projector is
+    [t] over sigma2. The symbol block is I_N kron A^H A, where
+    A = T(h) Ftilde is the tap sum of the model's one-block factors of
+    Ftilde, so D0 sums N terms U_n^H (I - A pinv(A)) U_n, column l of U_n
+    being block n's inner-precoded symbols delayed by l. The projector is
     Qp Qp^H, Qp the last L columns of A's complete Q, so D0 is the Gram of
     the coordinates Qp^H U_n: PSD by construction, with no cancellation.
     The gate on A^H A and the QR of A serve the batch, and one stacked QR
@@ -435,7 +431,7 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     h, sNs, single = _channel_stack(h, sNs, M, 1)
     C, T = sNs.shape[:2]
     L, N = h.shape[1] - 1, sNs.shape[2] // M
-    A = np.stack([build_channel_toeplitz(taps, M + L, M) for taps in h]) @ Ftilde
+    A = _tap_sum(h, _tap_factors(Ftilde, L, 1))
     cond, ok = _conditioned(A.conj().swapaxes(-1, -2) @ A)
     if single and not ok[0]:
         raise IllConditioned("symbol information block J11", float(cond[0]))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
-from .model import Precoder, _require_integers, _tap_factors
+from .model import Precoder, _anchor_mask, _require_integers, _tap_factors
 
 # Relative eigenvalue-gap floor below which the minimizer is ambiguous.
 DEGENERACY_RTOL = 1e-10
@@ -92,7 +92,7 @@ def channel_from_noise_subspace(
         )
     # Row l of A holds K_l^H u for every noise vector u, so
     # h^H Q h = sum over u of |u^H K_w(h)|^2.
-    KH = np.concatenate([Kl.conj().T for Kl in _tap_factors(F, L, w)])
+    KH = np.concatenate([f[L: w * P].conj().T for f in _tap_factors(F, L, w)])
     A = (KH @ noise_basis).reshape(batch + (L + 1, -1))
     Q = A @ A.conj().swapaxes(-1, -2)
     vals, vecs = np.linalg.eigh(Q)
@@ -168,12 +168,7 @@ def resolve_ambiguity(h_hat: np.ndarray, d, hd0) -> np.ndarray:
     [..., d] == hd0 exactly.
     """
     h = np.asarray(h_hat, dtype=np.complex128)
-    n = h.shape[-1]
-    d = np.asarray(d)
-    bad = d[(d < 0) | (d >= n)]
-    if bad.size:
-        raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
-    at = np.broadcast_to(np.arange(n) == d[..., None], h.shape)
+    at = np.broadcast_to(_anchor_mask(d, h.shape[-1]), h.shape)
     anchor = h[at].reshape(h.shape[:-1])
     mag = np.abs(anchor)
     if h.ndim == 1 and not math.isfinite(mag):

@@ -16,9 +16,18 @@ keeps y_N of length NP - L:
 
 where H is the tall (NP+L) x NP convolution matrix of h, G cuts the first
 and last L samples of the full convolution, and s_N stacks the N blocks.
-Writing H = sum_l h_l J_l over shift matrices J_l gives the per-tap factors
-K_l = G J_l (I_N kron F) with K = sum_l h_l K_l, which the Fisher
-information computations build on.
+Writing H = sum_l h_l J_l over shift matrices J_l gives the uncut per-tap
+factors J_l (I_N kron F). They are the package's one builder of the
+channel's convolution matrices: _tap_factors builds them, _tap_sum weights
+them by the taps, and
+* rows L..NP-1 of the factors are K_l = G J_l (I_N kron F), and of their
+  tap sum K = sum_l h_l K_l (build_K); the estimator's penalty takes the
+  K_l of a w-block window;
+* with N = 1 the tap sum is the (P+L) x M block T(h) F that repeats down
+  K, which the fast bound's sweep reads, and over the inner precoder it
+  is the zero-padding block T(h) Ftilde.
+synthesize_observation applies K to a frame as a convolution of the taps
+with the precoded stream, with no matrix.
 
 All vectors are 1-D complex128 arrays; matrices are 2-D complex128 unless
 they are pure 0/1 selection patterns.
@@ -46,6 +55,23 @@ def _require_integers(**fields):
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_positive_sigma2(sigma2: float):
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+
+
+def _anchor_mask(d, n: int) -> np.ndarray:
+    """The (..., n) mask of the anchor tap among n taps; d is an index or
+    an array of them broadcast over a stack's leading axes, one anchor per
+    member. Raises ValueError for an anchor that names no tap: out of
+    range or not integral."""
+    d = np.asarray(d)
+    bad = d[(d < 0) | (d >= n) | (d != np.floor(d))]
+    if bad.size:
+        raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
+    return np.arange(n) == d[..., None]
 
 
 @dataclass(frozen=True)
@@ -130,9 +156,7 @@ class Channel:
         h = np.asarray(self.h, dtype=np.complex128)
         if h.ndim != 1 or h.size < 2:
             raise ValueError("channel needs a 1-D array of at least 2 taps")
-        if not 0 <= self.d < h.size:
-            raise ValueError(f"anchor index {self.d} outside 0..{h.size - 1}")
-        if h[self.d] == 0:
+        if h[_anchor_mask(self.d, h.size)] == 0:
             raise ValueError("anchor tap must be nonzero")
         object.__setattr__(self, "h", h)
 
@@ -215,63 +239,49 @@ def make_precoder(config: SystemConfig) -> Precoder:
     return Precoder(Ftilde=Ftilde, F=F)
 
 
-def build_channel_toeplitz(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Build the tall banded Toeplitz convolution matrix of the taps h.
-
-    For taps of order L = len(h) - 1, rows must equal cols + L; entry
-    (i, j) = h[i - j] for 0 <= i - j <= L, so applying it to a length-cols
-    sequence yields the full convolution.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 1 or h.size < 1:
-        raise ValueError("taps must form a nonempty 1-D array")
-    L = h.size - 1
-    if rows - cols != L:
-        raise ValueError(
-            f"shape {rows}x{cols} inconsistent with channel order {L}"
-        )
-    T = np.zeros((rows, cols), dtype=np.complex128)
-    idx = np.arange(cols)
-    for l in range(L + 1):
-        T[idx + l, idx] = h[l]
-    return T
-
-
 def _tap_factors(F: np.ndarray, L: int, N: int) -> list:
-    """The L+1 per-tap factors K_l = X[L-l : NP-l, :] of an N-block frame,
-    read-only views into one X = I_N kron F (block diagonal, assigned
-    block by block)."""
+    """The L+1 per-tap factors J_l (I_N kron F) of an N-block frame, each
+    (NP+L) x NM: read-only views X[L-l : NP+2L-l, :] into one X that pads
+    I_N kron F (block diagonal, assigned block by block) with L zero rows
+    above and below. Rows L..NP-1 of factor l are K_l; with N = 1, the
+    factors' tap sum is T(h) F."""
     P, M = F.shape
-    X = np.zeros((N * P, N * M), dtype=np.complex128)
+    X = np.zeros((N * P + 2 * L, N * M), dtype=np.complex128)
     blocks = np.arange(N)
-    X.reshape(N, P, N, M)[blocks, :, blocks, :] = F
+    X[L: L + N * P].reshape(N, P, N, M)[blocks, :, blocks, :] = F
     X.flags.writeable = False
-    return [X[L - l: N * P - l, :] for l in range(L + 1)]
+    return [X[L - l: N * P + 2 * L - l] for l in range(L + 1)]
+
+
+def _tap_sum(h: np.ndarray, factors) -> np.ndarray:
+    """sum_l h[..., l] * factors[l] for one channel's (L+1,) taps or a
+    (C, L+1) stack, adding one tap at a time in l order, elementwise, so
+    a member of a stack gets the bytes of its channel alone."""
+    total = np.zeros(h.shape[:-1] + factors[0].shape, dtype=np.complex128)
+    for l, factor in enumerate(factors):
+        total += h[..., l, None, None] * factor
+    return total
 
 
 def build_K(config: SystemConfig, precoder: Precoder, h: np.ndarray):
     """Build the composite matrix K and its per-tap factors K_l.
 
-    The factors come from _tap_factors: K_l = X[L-l : NP-l, :] with
-    X = I_N kron F (rows of the block precoder shifted by the tap lag), so
-    no (NP+L)-sized intermediates are formed. Only the dimensions of
-    config are read.
+    K_l and K are rows L..NP-1 of _tap_factors' J_l (I_N kron F) and of
+    their tap sum H (I_N kron F). Only the dimensions of config are read.
 
     Returns
     -------
     (K, K_list)
         K is (NP-L) x NM with K = sum_l h[l] * K_list[l]; K_list has
         L+1 entries K_l = G J_l (I_N kron F), read-only views into one
-        shared X.
+        shared array.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.size != config.L + 1:
         raise ValueError(f"expected {config.L + 1} taps, got shape {np.shape(h)}")
-    K_list = _tap_factors(precoder.F, config.L, config.N)
-    K = np.zeros(K_list[0].shape, dtype=np.complex128)
-    for hl, Kl in zip(h, K_list):
-        K += hl * Kl
-    return K, K_list
+    factors = _tap_factors(precoder.F, config.L, config.N)
+    rows = slice(config.L, config.N * config.P)
+    return _tap_sum(h, factors)[rows], [factor[rows] for factor in factors]
 
 
 def generate_symbols(modulation: str, M: int, N: int, rng) -> SymbolFrame:
@@ -353,8 +363,7 @@ def loglik_gradients(
 
     Returns (grad_h, grad_s) of lengths L+1 and NM.
     """
-    if not 0 < sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    _require_positive_sigma2(sigma2)
     yN = np.asarray(yN, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     K, K_list = build_K(config, precoder, h)

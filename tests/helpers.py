@@ -1,8 +1,9 @@
 """Shared builders for randomized test instances, the explicit
-selection-matrix oracles that build_K's factors are checked against, the
-dense routes and bases that the banded bounds are checked against, a
-one-point run of an experiment plan, and the frame-by-frame run that the
-stacked harness is checked against."""
+selection-matrix oracles that the model's per-tap factors are checked
+against, the banded Toeplitz matrix T(h) that is the independent oracle
+for the blocks T(h) F and T(h) Ftilde, the dense routes and bases that the
+banded bounds are checked against, a one-point run of an experiment plan,
+and the frame-by-frame run that the stacked harness is checked against."""
 
 from dataclasses import dataclass, replace
 
@@ -14,7 +15,6 @@ from blindcrb import (
     RankDeficient,
     ResultRecord,
     SystemConfig,
-    build_channel_toeplitz,
     build_K,
     crb_direct,
     draw_channel,
@@ -73,7 +73,10 @@ def run_experiment_per_frame(plan):
     """run_experiment as a loop over channel, trial and SNR point, with one
     subspace_estimate call per 1-D frame and one _invert_reduced call per
     2-D matrix: the same draws, operations and exclusions, one item at a
-    time. run_experiment's stacked calls must give the same records."""
+    time. Each frame's bound is decided once, at unit noise, and scaled by
+    each point's sigma2; a frame whose bound is refused there is excluded
+    from every cell. run_experiment's stacked calls must give the same
+    records."""
     config = plan.config
     precoder = make_precoder(config)
     sigma2s = [sigma2_from_snr_db(s) for s in plan.snr_db_grid]
@@ -103,19 +106,25 @@ def run_experiment_per_frame(plan):
             excluded = [e + plan.n_trials for e in excluded]
             continue
         for j, (clean, noise) in enumerate(zip(cleans, noises)):
+            try:
+                unit = _invert_reduced(D0s[j], d).trace
+                if plan.compute_zp_reference:
+                    unit_zp = _invert_reduced(D0s_zp[j], d).trace
+            except NumericalError:
+                excluded = [e + 1 for e in excluded]
+                continue
             for s, sigma2 in enumerate(sigma2s):
                 yN = clean + np.sqrt(sigma2 / 2) * noise
                 try:
                     h_hat = subspace_estimate(yN, precoder, plan.estimator_settings)
                     h_hat = resolve_ambiguity(h_hat, d, h[d])
-                    bound = _invert_reduced(D0s[j] / sigma2, d)
-                    if plan.compute_zp_reference:
-                        zp[s] += _invert_reduced(D0s_zp[j] / sigma2, d).trace
                 except NumericalError:
                     excluded[s] += 1
                     continue
                 mse[s] += float(np.sum(np.abs(h_hat - h) ** 2))
-                crb[s] += bound.trace
+                crb[s] += unit * sigma2
+                if plan.compute_zp_reference:
+                    zp[s] += unit_zp * sigma2
                 included[s] += 1
     total = plan.n_channels * plan.n_trials
     for snr_db, e in zip(plan.snr_db_grid, excluded):
@@ -173,6 +182,28 @@ def build_selection_matrices(N, P, L):
     G = np.eye(NP - L, NP + L, k=L)
     J = [np.eye(NP + L, NP, k=-l) for l in range(L + 1)]
     return G, J
+
+
+def build_channel_toeplitz(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Build the tall banded Toeplitz convolution matrix of the taps h.
+
+    For taps of order L = len(h) - 1, rows must equal cols + L; entry
+    (i, j) = h[i - j] for 0 <= i - j <= L, so applying it to a length-cols
+    sequence yields the full convolution.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 1 or h.size < 1:
+        raise ValueError("taps must form a nonempty 1-D array")
+    L = h.size - 1
+    if rows - cols != L:
+        raise ValueError(
+            f"shape {rows}x{cols} inconsistent with channel order {L}"
+        )
+    T = np.zeros((rows, cols), dtype=np.complex128)
+    idx = np.arange(cols)
+    for l in range(L + 1):
+        T[idx + l, idx] = h[l]
+    return T
 
 
 def block_diag_precoder(F, N):

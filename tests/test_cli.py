@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import blindcrb
+from blindcrb import cli
 from blindcrb import (
     SystemConfig,
     crb_fast,
@@ -150,14 +151,32 @@ class TestRunErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
-    def test_unwritable_out(self, run_config, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.csv"
-        assert main(["run", "--config", str(run_config), "--out", str(out)]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot write") and str(out) in captured.err
-        assert "Traceback" not in captured.err
-        assert not out.parent.exists()
+    def test_unwritable_out(self, run_config, tmp_path, capsys, monkeypatch):
+        # refused before the plan runs
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: calls.append(args))
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            code = main(["run", "--config", str(run_config), "--out", str(out)])
+            assert code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: cannot write") and str(out) in captured.err
+            assert "Traceback" not in captured.err
+        assert not (tmp_path / "missing").exists()
+        assert calls == []
+
+    def test_numerical_failure_writes_no_out_file(self, tmp_path, capsys):
+        # the seed-3 zp/IDFT plan exceeds its exclusion budget
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "run", "--override", "redundancy_kind=zp", "--override", "inner_kind=idft",
+                "--seed", "3", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists()
 
     def test_malformed_override(self, run_config):
         assert (
@@ -226,10 +245,11 @@ class TestCrb:
         assert main(["crb", "--override", "h=1, 2"]) == EXIT_USAGE
 
     def test_rejects_bad_anchor(self):
-        assert (
-            main(["crb", "--override", "h=1,2,3,4,5", "--override", "d=9"])
-            == EXIT_USAGE
-        )
+        for d in ("9", "1.5"):
+            assert (
+                main(["crb", "--override", "h=1,2,3,4,5", "--override", f"d={d}"])
+                == EXIT_USAGE
+            )
 
     def test_invalid_config_rejected_before_dump(self, capsys):
         code = main(

@@ -18,7 +18,6 @@ from blindcrb import (
     NumericalError,
     RankDeficient,
     SystemConfig,
-    build_channel_toeplitz,
     build_K,
     crb_constrained,
     crb_direct,
@@ -38,6 +37,7 @@ from helpers import (
     assembled_fim,
     assert_psd,
     block_diag_precoder,
+    build_channel_toeplitz,
     build_selection_matrices,
     crb_fast_dense,
     crb_zp_kron,
@@ -190,8 +190,9 @@ class TestCrbDirect:
         blocks = FimBlocks(
             J00=np.eye(3), J01=np.zeros((3, 4)), J11=np.eye(4)
         )
-        with pytest.raises(ValueError, match="anchor"):
-            crb_direct(blocks, 3)
+        for d in (3, 1.5):
+            with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+                crb_direct(blocks, d)
 
 
 class TestLeftNullBasis:
@@ -628,8 +629,9 @@ class TestInvertReducedStack:
                     one = _invert_reduced(stack[c, t, s], d[c])
                     assert np.array_equal(result.C[c, t, s], one.C)
                     assert result.trace[c, t, s] == one.trace
-        with pytest.raises(ValueError, match="anchor index 4"):
-            _invert_reduced(stack, np.array([0, 4, 1, 2])[:, None, None])
+        for bad in (4, 1.5):
+            with pytest.raises(ValueError, match=f"anchor index {bad} outside"):
+                _invert_reduced(stack, np.array([0, bad, 1, 2])[:, None, None])
 
 
 class TestChannelStack:
@@ -809,8 +811,6 @@ class TestZpPerBlock:
         cfg, pre, h, s = self.make_zp(rng, M=4, L=2, N=3)
         d = default_anchor(h)
         full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
-
-        from blindcrb import build_channel_toeplitz
 
         T = build_channel_toeplitz(h, cfg.P, cfg.M)
         K = np.kron(np.eye(cfg.N), T @ pre.Ftilde)

@@ -291,8 +291,9 @@ class TestResolveAmbiguity:
             resolve_ambiguity(np.array([anchor, 1.0], dtype=complex), 0, 1.0)
 
     def test_anchor_index_validated(self):
-        with pytest.raises(ValueError, match="anchor"):
-            resolve_ambiguity(np.ones(3, dtype=complex), 3, 1.0)
+        for d in (3, 1.5):
+            with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+                resolve_ambiguity(np.ones(3, dtype=complex), d, 1.0)
 
     @pytest.mark.parametrize(
         "anchor,message",
@@ -333,8 +334,9 @@ class TestResolveAmbiguity:
             assert np.array_equal(out[k], resolve_ambiguity(stack[k], 1, h[1]))
 
     def test_stack_anchor_index_validated(self):
-        with pytest.raises(ValueError, match="anchor"):
-            resolve_ambiguity(np.ones((2, 3), dtype=complex), 3, 1.0)
+        for d in (3, 1.5):
+            with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+                resolve_ambiguity(np.ones((2, 3), dtype=complex), d, 1.0)
 
     def test_per_row_anchors_equal_rows(self):
         # one anchor index and value per row of a (trial, SNR point) stack,
@@ -352,7 +354,7 @@ class TestResolveAmbiguity:
         assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
         assert (out[np.arange(6), :, d] == hd0[:, None]).all()
 
-    @pytest.mark.parametrize("d,bad", [([0, 3], 3), ([-1, 0], -1)])
+    @pytest.mark.parametrize("d,bad", [([0, 3], 3), ([-1, 0], -1), ([0, 1.5], 1.5)])
     def test_per_row_anchor_index_validated(self, d, bad):
         with pytest.raises(ValueError, match=f"^anchor index {bad} outside 0..2$"):
             resolve_ambiguity(np.ones((2, 3), dtype=complex), np.array(d), 1.0)

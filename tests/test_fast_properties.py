@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from blindcrb import (
     IllConditioned,
     SystemConfig,
-    build_channel_toeplitz,
     build_K,
     crb_fast,
     default_anchor,
@@ -25,7 +24,7 @@ from blindcrb import (
     make_precoder,
 )
 from blindcrb.crb_blind import _sweep, fast_information
-from helpers import crb_fast_dense, frame_energy, random_unit_channel
+from helpers import build_channel_toeplitz, crb_fast_dense, frame_energy, random_unit_channel
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 

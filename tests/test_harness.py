@@ -27,6 +27,7 @@ from blindcrb import (
     write_csv,
 )
 from blindcrb.crb_blind import COND_LIMIT, _conditioned
+import helpers
 from helpers import run_cell, run_experiment_per_frame
 
 
@@ -356,12 +357,13 @@ def counting(fn, calls, fail_at=()):
 
 
 def first_frame_information(fn, D0):
-    """Wrap a stacked D0 function so that the first frame of the first
-    channel of its stack gets D0 instead of its own."""
+    """Wrap a D0 function so that the first frame of the first channel it
+    is given, in a (C, T, ...) stack or alone in a (T, ...) batch, gets D0
+    instead of its own."""
 
     def wrapped(*args, **kwargs):
         D0s = fn(*args, **kwargs)
-        D0s[0, 0] = D0
+        D0s[(0,) * (D0s.ndim - 2)] = D0
         return D0s
 
     return wrapped
@@ -590,14 +592,18 @@ class TestSnrSharing:
         keep = np.arange(plan.config.L + 1) != d
         D0 = np.eye(plan.config.L + 1, dtype=complex)
         D0[np.ix_(keep, keep)] = Dd
-        monkeypatch.setattr(
-            harness,
-            "fast_information",
-            first_frame_information(harness.fast_information, D0),
-        )
+        for module in (harness, helpers):
+            monkeypatch.setattr(
+                module,
+                "fast_information",
+                first_frame_information(module.fast_information, D0),
+            )
         records = run_experiment(plan, estimate_fn=oracle_estimator(plan))
         assert len({r.excluded_trials for r in records}) == 1
         assert all(r.mse_avg <= 1e-25 for r in records)
+        # the per-frame oracle decides the frame once too
+        oracle = run_experiment_per_frame(plan)
+        assert [r.excluded_trials for r in oracle] == [1] * len(records)
 
     def test_singular_frame_makes_no_row(self, monkeypatch):
         # a frame whose bound fails is excluded from every cell and never

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from blindcrb import (
+    Channel,
     SystemConfig,
-    build_channel_toeplitz,
     build_inner_precoder,
     build_K,
     build_redundancy,
@@ -19,9 +19,10 @@ from blindcrb import (
     make_precoder,
     synthesize_observation,
 )
-from blindcrb.model import draw_noise
+from blindcrb.model import _tap_factors, _tap_sum, draw_noise
 from helpers import (
     block_diag_precoder,
+    build_channel_toeplitz,
     build_selection_matrices,
     random_instance,
     random_unit_channel,
@@ -114,15 +115,16 @@ class TestInnerPrecoder:
 
 
 class TestChannelToeplitz:
+    # The tap sum of the N=1 factors of F = I is T(h) itself.
     def test_identity_channel_is_padded_eye(self):
         h = np.array([1.0, 0.0, 0.0])
-        T = build_channel_toeplitz(h, 7, 5)
+        T = _tap_sum(h, _tap_factors(np.eye(5), 2, 1))
         np.testing.assert_array_equal(T[:5], np.eye(5))
         np.testing.assert_array_equal(T[5:], 0)
 
     def test_tall_two_tap_pattern(self):
         h0, h1 = 0.8 - 0.1j, 0.3 + 0.5j
-        T = build_channel_toeplitz(np.array([h0, h1]), 4, 3)
+        T = _tap_sum(np.array([h0, h1]), _tap_factors(np.eye(3), 1, 1))
         expected = np.array(
             [
                 [h0, 0, 0],
@@ -133,11 +135,58 @@ class TestChannelToeplitz:
         )
         np.testing.assert_array_equal(T, expected)
 
-    def test_rejects_inconsistent_shape(self):
-        # only the tall shape rows = cols + L is built
-        for rows, cols in [(5, 3), (2, 3)]:
-            with pytest.raises(ValueError, match="inconsistent"):
-                build_channel_toeplitz(np.array([1.0, 2.0]), rows, cols)
+
+def precoder_of(kind, inner, M=5, L=2):
+    custom = np.random.default_rng(9).standard_normal((M + L, M)) if kind == "custom" else None
+    return make_precoder(
+        SystemConfig(M=M, L=L, N=2, redundancy_kind=kind, inner_kind=inner,
+                     custom_redundancy=custom)
+    )
+
+
+class TestTapFactors:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
+    def test_factors_are_shifted_block_precoders(self, kind, inner, N):
+        pre = precoder_of(kind, inner)
+        P, M = pre.F.shape
+        L = P - M
+        _, J = build_selection_matrices(N, P, L)
+        X = block_diag_precoder(pre.F, N)
+        factors = _tap_factors(pre.F, L, N)
+        assert len(factors) == L + 1
+        for l, factor in enumerate(factors):
+            assert factor.shape == (N * P + L, N * M)
+            assert not factor.flags.writeable
+            np.testing.assert_array_equal(factor, J[l] @ X)
+
+    def test_stacked_tap_sum_is_each_channel_alone(self):
+        pre = precoder_of("cp", "idft")
+        rng = np.random.default_rng(10)
+        hs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        factors = _tap_factors(pre.F, 2, 3)
+        stacked = _tap_sum(hs, factors)
+        for h, member in zip(hs, stacked):
+            np.testing.assert_array_equal(member, _tap_sum(h, factors))
+
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
+    def test_blocks_match_toeplitz_oracle(self, kind, inner):
+        # B = T(h) F, the sweep's block, and A = T(h) Ftilde, the
+        # zero-padding block, from the N=1 factors.
+        pre = precoder_of(kind, inner)
+        P, M = pre.F.shape
+        L = P - M
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            h = random_unit_channel(L, rng)
+            for G, rows in ((pre.F, P), (pre.Ftilde, M)):
+                block = _tap_sum(h, _tap_factors(G, L, 1))
+                oracle = build_channel_toeplitz(h, rows + L, rows) @ G
+                np.testing.assert_allclose(
+                    block, oracle, rtol=0, atol=1e-15 * np.abs(oracle).max()
+                )
 
 
 class TestSelectionMatrices:
@@ -468,6 +517,11 @@ class TestConfigValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("d", [-1, 3, 1.5])
+    def test_channel_anchor_names_a_tap(self, d):
+        with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+            Channel(h=np.ones(3), d=d)
 
     def test_p_property(self):
         assert SystemConfig(M=12, L=4, N=8).P == 16

@@ -4,8 +4,8 @@ names that the package no longer carries."""
 import blindcrb
 
 REMOVED = (
-    "ChannelEstimate", "NullSpaceBasis", "Observation", "hankel_rearrange",
-    "left_null_basis", "run_cell",
+    "ChannelEstimate", "NullSpaceBasis", "Observation", "build_channel_toeplitz",
+    "hankel_rearrange", "left_null_basis", "run_cell",
 )
 
 
