@@ -23,7 +23,7 @@ import numpy as np
 from .crb_blind import crb_direct, crb_fast, default_anchor, fim_blocks
 from .errors import NumericalError
 from .estimator import EstimatorSettings
-from .harness import ExperimentPlan, format_csv, run_experiment, write_csv
+from .harness import ExperimentPlan, draw_channel, format_csv, run_experiment, write_csv
 from .model import (
     SystemConfig,
     _anchor_mask,
@@ -267,10 +267,9 @@ def _selftest_two_path() -> list:
             M=M, L=L, N=N, redundancy_kind=redundancy, inner_kind=inner
         )
         precoder = make_precoder(config)
-        h = (rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1)) / np.sqrt(2)
-        h /= np.linalg.norm(h)
+        channel = draw_channel(L, rng)
+        h, d = channel.h, channel.d
         sN = generate_symbols("qpsk", M, N, rng).sN
-        d = default_anchor(h)
         K, K_list = build_K(config, precoder, h)
         direct = crb_direct(fim_blocks(K, K_list, sN, sigma2), d)
         fast = crb_fast(h, sN, precoder, d, sigma2, config.N)

@@ -50,11 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .crb_core import RANK_RTOL, _hermitize
+from .crb_core import COND_LIMIT, RANK_RTOL, _hermitize
 from .errors import IllConditioned, RankDeficient
 from .model import Precoder, _anchor_mask, _require_positive_sigma2, _tap_factors, _tap_sum
 
-COND_LIMIT = 1e12
 # The sweep switches to its steady-state map once the sign-normalised
 # carried K block moves by at most this much, relative to its Frobenius
 # norm, from one step to the next; once settled it moves by less than

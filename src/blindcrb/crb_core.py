@@ -15,7 +15,11 @@ not the doubled real-parameter form. Three bounds are provided:
   the Schur-complement residual's counterpart Sigma22 - Sigma21
   pinv(Sigma11) Sigma12.
 
-Pseudo-inverses treat singular values below 1e-12 of the largest as zero.
+The package has one singular-value floor, COND_LIMIT = 1e12: the bound
+routes refuse to invert a matrix whose condition number reaches it, and
+pseudo-inverses here treat singular values below 1 / COND_LIMIT = 1e-12
+of the largest as zero. Its one rank tolerance, RANK_RTOL = 1e-10, is the
+relative floor of every full-rank check and eigen-gap test.
 """
 
 from __future__ import annotations
@@ -24,8 +28,11 @@ import numpy as np
 
 from .errors import RankDeficient
 
-PINV_RCOND = 1e-12
-# Relative singular-value floor for every full-rank check in the package.
+# Condition number at which an inversion is refused; its reciprocal is
+# the pseudo-inverses' relative cutoff.
+COND_LIMIT = 1e12
+# Relative singular-value floor for every full-rank check in the package,
+# and relative eigenvalue-gap floor of the estimator's minimizer.
 RANK_RTOL = 1e-10
 HERMITIAN_RTOL = 1e-12
 
@@ -92,7 +99,7 @@ def orthonormal_nullspace(Jf: np.ndarray) -> np.ndarray:
 def crb_unconstrained(J: np.ndarray) -> np.ndarray:
     """Pseudo-inverse lower bound on the covariance of unbiased estimators."""
     J = _require_hermitian(J, "Fisher information")
-    return _hermitize(np.linalg.pinv(J, rcond=PINV_RCOND, hermitian=True))
+    return _hermitize(np.linalg.pinv(J, rcond=1 / COND_LIMIT, hermitian=True))
 
 
 def crb_constrained(J: np.ndarray, Jf: np.ndarray) -> np.ndarray:
@@ -109,7 +116,7 @@ def crb_constrained(J: np.ndarray, Jf: np.ndarray) -> np.ndarray:
             f"{J.shape[0]}-parameter Fisher information"
         )
     core = _hermitize(U.conj().T @ J @ U)
-    B = U @ np.linalg.pinv(core, rcond=PINV_RCOND, hermitian=True) @ U.conj().T
+    B = U @ np.linalg.pinv(core, rcond=1 / COND_LIMIT, hermitian=True) @ U.conj().T
     return _hermitize(B)
 
 
@@ -126,4 +133,4 @@ def schur_cov_bound(
     first.
     """
     Sigma11 = np.asarray(Sigma11, dtype=np.complex128)
-    return Sigma22 - Sigma21 @ np.linalg.pinv(Sigma11, rcond=PINV_RCOND) @ Sigma12
+    return Sigma22 - Sigma21 @ np.linalg.pinv(Sigma11, rcond=1 / COND_LIMIT) @ Sigma12

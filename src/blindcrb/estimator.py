@@ -36,11 +36,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from .crb_core import RANK_RTOL
 from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
 from .model import Precoder, _anchor_mask, _require_integers, _tap_factors
-
-# Relative eigenvalue-gap floor below which the minimizer is ambiguous.
-DEGENERACY_RTOL = 1e-10
 
 ANCHOR_FLOOR = 1e-12
 
@@ -97,7 +95,7 @@ def channel_from_noise_subspace(
     Q = A @ A.conj().swapaxes(-1, -2)
     vals, vecs = np.linalg.eigh(Q)
     scale = np.maximum(vals[..., -1], 1e-300)
-    degenerate = vals[..., 1] - vals[..., 0] <= DEGENERACY_RTOL * scale
+    degenerate = vals[..., 1] - vals[..., 0] <= RANK_RTOL * scale
     if not batch and degenerate:
         raise SolverDegenerate(
             "penalty spectrum has no isolated minimum "

@@ -30,13 +30,14 @@ the group's (channel, trial) pairs whose bounds are finite are walked in
 order, in chunks of consecutive trials, as many per chunk as keep the
 estimator's working set (the chunk's frames, their windows and the
 covariances' eigendecompositions) within the same byte budget, and at
-least one. Per chunk, each trial's noiseless frame is synthesised and
-its unit noise drawn, y = clean + sqrt(sigma2/2) * noise is formed at
-every SNR point, the (trial, SNR point) stack of frames goes to the
-estimator (given no sigma2) in one stacked call, the rows' ambiguity is
-resolved in another, each against its own channel's anchor, and each
-trial's squared errors and bounds are added to the running sums, one
-trial at a time. numpy's stacked operations do on each member what they
+least one. Per chunk, one synthesize_observation call per trial gives
+its frames at every SNR point, each the noiseless frame plus the
+trial's one unit noise draw scaled to that point's variance; the
+(trial, SNR point) stack of frames goes to the estimator (given no
+sigma2) in one stacked call, the rows' ambiguity is resolved in
+another, each against its own channel's anchor, and each trial's
+squared errors and bounds are added to the running sums, one trial at
+a time. numpy's stacked operations do on each member what they
 do on one matrix or frame, each channel of a stacked sweep refreshes its
 step map until its own carry repeats, and every sum takes its terms in
 trial order, so these are the
@@ -90,7 +91,6 @@ from .model import (
     Channel,
     SystemConfig,
     _require_integers,
-    draw_noise,
     generate_symbols,
     make_precoder,
     synthesize_observation,
@@ -131,6 +131,7 @@ def _stream_rng(master_seed: int, stream: int, *indices: int) -> np.random.Gener
 def draw_channel(L: int, rng) -> Channel:
     """Draw L+1 iid complex Gaussian taps, normalize to unit norm, and
     anchor on the strongest tap."""
+    _require_integers(L=L)
     if L < 1:
         raise ValueError(f"channel order must be at least 1, got {L}")
     gen = np.random.default_rng(rng)
@@ -259,8 +260,6 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     precoder = make_precoder(config)
     n_snr = len(plan.snr_db_grid)
     sigma2s = np.array([sigma2_from_snr_db(s) for s in plan.snr_db_grid])
-    # Row s scales a unit noise draw to the variance of SNR point s.
-    noise_scales = np.sqrt(sigma2s / 2)[:, None]
     # Per SNR point: sums of squared errors, bounds and reference bounds
     # over the included trials, and the excluded count.
     sums = np.zeros((3, n_snr))
@@ -303,14 +302,10 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
             c, j = live[start: start + chunk_size].T
             Y = np.empty((c.size, n_snr, config.N * config.P - config.L), np.complex128)
             for Y_r, c_r, j_r in zip(Y, c, j):
-                clean = synthesize_observation(
-                    precoder, hs[c_r], sNs[c_r, j_r], 0.0, None
-                )
-                noise = draw_noise(
-                    clean.size,
+                Y_r[:] = synthesize_observation(
+                    precoder, hs[c_r], sNs[c_r, j_r], sigma2s,
                     _stream_rng(plan.master_seed, _STREAM_NOISE, group[c_r], j_r),
                 )
-                Y_r[:] = clean + noise_scales * noise
             h_hats = estimate_fn(Y, precoder, plan.estimator_settings)
             if np.shape(h_hats) != (c.size, n_snr, config.L + 1):
                 raise ValueError(

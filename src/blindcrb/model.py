@@ -27,7 +27,8 @@ them by the taps, and
   K, which the fast bound's sweep reads, and over the inner precoder it
   is the zero-padding block T(h) Ftilde.
 synthesize_observation applies K to a frame as a convolution of the taps
-with the precoded stream, with no matrix.
+with the precoded stream, with no matrix, and adds the noise: it is the
+package's one place that turns noise variances into received frames.
 
 All vectors are 1-D complex128 arrays; matrices are 2-D complex128 unless
 they are pure 0/1 selection patterns.
@@ -66,9 +67,9 @@ def _anchor_mask(d, n: int) -> np.ndarray:
     """The (..., n) mask of the anchor tap among n taps; d is an index or
     an array of them broadcast over a stack's leading axes, one anchor per
     member. Raises ValueError for an anchor that names no tap: out of
-    range or not integral."""
+    range, not integral, or a bool."""
     d = np.asarray(d)
-    bad = d[(d < 0) | (d >= n) | (d != np.floor(d))]
+    bad = d.ravel() if d.dtype == bool else d[(d < 0) | (d >= n) | (d != np.floor(d))]
     if bad.size:
         raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
     return np.arange(n) == d[..., None]
@@ -293,6 +294,7 @@ def generate_symbols(modulation: str, M: int, N: int, rng) -> SymbolFrame:
     """
     if modulation not in MODULATIONS:
         raise ValueError(f"unsupported modulation {modulation!r}")
+    _require_integers(M=M, N=N)
     if M < 1 or N < 1:
         raise ValueError(f"frame dimensions must be positive, got M={M}, N={N}")
     gen = np.random.default_rng(rng)
@@ -305,17 +307,25 @@ def synthesize_observation(
     precoder: Precoder,
     h: np.ndarray,
     sN: np.ndarray,
-    sigma2: float,
+    sigma2: float | np.ndarray,
     rng,
 ) -> np.ndarray:
-    """Simulate one received frame y_N = K s_N + e_N of length NP - L.
+    """Simulate the received frame y_N = K s_N + e_N of length NP - L at
+    one noise variance, or at each of a 1-D array of them.
 
     P and M are read off precoder.F, L = P - M must match the taps, and N
-    is read off the symbol count. K s_N is computed as a convolution of the taps with the
-    precoded stream, in O(NPL) time without forming K. sigma2 = 0 yields
-    the noiseless frame and draws nothing from rng.
+    is read off the symbol count. K s_N is computed as a convolution of
+    the taps with the precoded stream, in O(NPL) time without forming K.
+    The noise is sqrt(sigma2/2) times one draw_noise of the frame's size
+    from rng. Given one variance, returns the (NP - L,) frame; sigma2 = 0
+    yields the noiseless frame and draws nothing from rng. Given an
+    array, returns one row per variance, (len(sigma2), NP - L): every row
+    scales the same unit noise, so row r is the frame that variance r
+    alone gives from the same rng, and a row of variance 0 is the
+    noiseless frame. Variances must be nonnegative and finite.
     """
-    if not 0 <= sigma2 < math.inf:
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if sigma2.ndim > 1 or not np.all((0 <= sigma2) & (sigma2 < math.inf)):
         raise ValueError(
             f"noise variance must be nonnegative and finite, got {sigma2}"
         )
@@ -332,8 +342,8 @@ def synthesize_observation(
     # minus its first and last L samples.
     x = (sN.reshape(N, M) @ precoder.F.T).ravel()
     y = np.convolve(h, x)[L: N * P]
-    if sigma2 > 0:
-        y = y + np.sqrt(sigma2 / 2) * draw_noise(y.size, rng)
+    if sigma2.ndim or sigma2 > 0:
+        y = y + np.multiply.outer(np.sqrt(sigma2 / 2), draw_noise(y.size, rng))
     return y
 
 

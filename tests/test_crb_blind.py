@@ -190,7 +190,7 @@ class TestCrbDirect:
         blocks = FimBlocks(
             J00=np.eye(3), J01=np.zeros((3, 4)), J11=np.eye(4)
         )
-        for d in (3, 1.5):
+        for d in (3, 1.5, True, False):
             with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
                 crb_direct(blocks, d)
 
@@ -629,9 +629,11 @@ class TestInvertReducedStack:
                     one = _invert_reduced(stack[c, t, s], d[c])
                     assert np.array_equal(result.C[c, t, s], one.C)
                     assert result.trace[c, t, s] == one.trace
-        for bad in (4, 1.5):
+        for bad, d in (
+            (4, [0, 4, 1, 2]), (1.5, [0, 1.5, 1, 2]), (False, [False, True] * 2)
+        ):
             with pytest.raises(ValueError, match=f"anchor index {bad} outside"):
-                _invert_reduced(stack, np.array([0, bad, 1, 2])[:, None, None])
+                _invert_reduced(stack, np.array(d)[:, None, None])
 
 
 class TestChannelStack:

@@ -291,7 +291,7 @@ class TestResolveAmbiguity:
             resolve_ambiguity(np.array([anchor, 1.0], dtype=complex), 0, 1.0)
 
     def test_anchor_index_validated(self):
-        for d in (3, 1.5):
+        for d in (3, 1.5, True, False):
             with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
                 resolve_ambiguity(np.ones(3, dtype=complex), d, 1.0)
 
@@ -334,7 +334,7 @@ class TestResolveAmbiguity:
             assert np.array_equal(out[k], resolve_ambiguity(stack[k], 1, h[1]))
 
     def test_stack_anchor_index_validated(self):
-        for d in (3, 1.5):
+        for d in (3, 1.5, True, False):
             with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
                 resolve_ambiguity(np.ones((2, 3), dtype=complex), d, 1.0)
 
@@ -354,7 +354,10 @@ class TestResolveAmbiguity:
         assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
         assert (out[np.arange(6), :, d] == hd0[:, None]).all()
 
-    @pytest.mark.parametrize("d,bad", [([0, 3], 3), ([-1, 0], -1), ([0, 1.5], 1.5)])
+    @pytest.mark.parametrize(
+        "d,bad",
+        [([0, 3], 3), ([-1, 0], -1), ([0, 1.5], 1.5), ([True, False], True)],
+    )
     def test_per_row_anchor_index_validated(self, d, bad):
         with pytest.raises(ValueError, match=f"^anchor index {bad} outside 0..2$"):
             resolve_ambiguity(np.ones((2, 3), dtype=complex), np.array(d), 1.0)

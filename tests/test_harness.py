@@ -118,6 +118,11 @@ class TestDrawChannel:
         with pytest.raises(ValueError):
             draw_channel(0, 1)
 
+    @pytest.mark.parametrize("L", [True, 2.0])
+    def test_rejects_non_integer_order(self, L):
+        with pytest.raises(ValueError, match="^L must be an integer"):
+            draw_channel(L, 0)
+
 
 class TestPlanValidation:
     def test_grid_normalized_to_floats(self):

@@ -303,6 +303,11 @@ class TestSymbols:
         with pytest.raises(ValueError, match="modulation"):
             generate_symbols("16qam", 4, 2, 0)
 
+    @pytest.mark.parametrize("M,N,field", [(2.0, 2, "M"), (2, True, "N")])
+    def test_rejects_non_integer_size(self, M, N, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            generate_symbols("qpsk", M, N, 0)
+
 
 class TestDrawsPinned:
     """Symbols and noise equal, bit for bit, the plain formulas they are
@@ -374,11 +379,18 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="whole blocks"):
             synthesize_observation(make_precoder(cfg), np.ones(3), np.ones(10), 1.0, 0)
 
-    @pytest.mark.parametrize("sigma2", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize(
+        "sigma2",
+        [np.nan, -1.0, np.inf]
+        + [np.array(g) for g in ([0.1, np.nan], [0.1, np.inf], [0.1, -1.0])]
+        + [np.array([[0.1, 0.2]]), np.array([[0.5]])],
+        ids=["nan", "-1.0", "inf", "grid-nan", "grid-inf", "grid-neg", "2d", "2d-1x1"],
+    )
     def test_rejects_nan_or_negative_noise_variance(self, sigma2):
         # NaN fails every comparison, so a `< 0` test would let it through
         # and return the noiseless frame; an infinite variance would give
-        # a frame of infinities.
+        # a frame of infinities. A grid of variances is 1-D, and each of
+        # its entries must pass.
         rng = np.random.default_rng(18)
         _, pre, h, s = random_instance(rng)
         with pytest.raises(ValueError, match="noise variance"):
@@ -424,8 +436,8 @@ class TestSynthesize:
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     @pytest.mark.parametrize("kind", ["cp", "zp"])
     def test_scaled_unit_noise_is_the_noisy_frame(self, kind, inner):
-        # The harness draws each frame's unit noise once and scales it per
-        # SNR point; that must be the frame synthesize_observation draws.
+        # The noise is sqrt(sigma2/2) times one unit draw_noise of the
+        # frame's size from rng, added to the noiseless frame.
         rng = np.random.default_rng(15)
         for sigma2 in (1e-3, 0.7):
             _, pre, h, s = random_instance(
@@ -438,6 +450,58 @@ class TestSynthesize:
                 pre, h, s, sigma2, np.random.default_rng(seed)
             )
             assert np.array_equal(clean + np.sqrt(sigma2 / 2) * noise, noisy)
+
+
+class TestSynthesizeGrid:
+    """A 1-D array of noise variances gives one frame per variance, all
+    scaling one unit noise draw: the harness makes a trial's frames at
+    every SNR point in one call, so each row must be the frame that
+    variance alone gives from the same seed."""
+
+    grid = np.array([0.0, 1e-3, 0.25, 7.0])
+
+    @staticmethod
+    def instance(kind="cp", inner="identity"):
+        rng = np.random.default_rng(21)
+        _, pre, h, s = random_instance(
+            rng, M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner,
+        )
+        return pre, h, s
+
+    @staticmethod
+    def seeded():
+        return np.random.default_rng(np.random.SeedSequence([3, 2, 1, 0]))
+
+    @pytest.mark.parametrize("kind,inner", [("cp", "identity"), ("zp", "idft")])
+    def test_rows_are_scalar_calls(self, kind, inner):
+        pre, h, s = self.instance(kind, inner)
+        rows = synthesize_observation(pre, h, s, self.grid, self.seeded())
+        assert rows.shape == (self.grid.size, 4 * 7 - 2)
+        for row, sigma2 in zip(rows, self.grid):
+            alone = synthesize_observation(pre, h, s, sigma2, self.seeded())
+            assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+
+    def test_one_point_grid_is_the_scalar_call(self):
+        pre, h, s = self.instance()
+        rows = synthesize_observation(pre, h, s, np.array([0.3]), self.seeded())
+        alone = synthesize_observation(pre, h, s, 0.3, self.seeded())
+        assert rows.shape == (1, alone.size)
+        assert np.array_equal(rows[0].view(np.uint64), alone.view(np.uint64))
+
+    def test_zero_variance_row_is_the_clean_frame(self):
+        pre, h, s = self.instance()
+        rows = synthesize_observation(pre, h, s, self.grid, self.seeded())
+        clean = synthesize_observation(pre, h, s, 0.0, None)
+        assert np.array_equal(rows[0], clean)
+        assert not np.array_equal(rows[1], clean)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.0], [1e-3, 0.25, 7.0]])
+    def test_consumes_one_unit_noise_draw(self, grid):
+        pre, h, s = self.instance()
+        gen, ref = self.seeded(), self.seeded()
+        rows = synthesize_observation(pre, h, s, np.array(grid), gen)
+        draw_noise(rows.shape[1], ref)
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestGradients:
@@ -518,7 +582,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
 
-    @pytest.mark.parametrize("d", [-1, 3, 1.5])
+    @pytest.mark.parametrize("d", [-1, 3, 1.5, True, False])
     def test_channel_anchor_names_a_tap(self, d):
         with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
             Channel(h=np.ones(3), d=d)
