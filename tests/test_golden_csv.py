@@ -10,7 +10,9 @@ trials), and the seed-3 zp/IDFT plan whose exclusions exceed
 the budget, kept as the text of its ExclusionBudgetExceeded message.
 Two more files keep the exact stdout of `blindcrb crb` for one cp/IDFT
 and one zp/IDFT instance at the command's default M=12, L=4, N=25, so
-the single-channel fast bound has a byte check too.
+the single-channel fast bound has a byte check too, and one keeps the
+four two-path lines of `blindcrb selftest`, the two bound routes'
+agreement on its fixed instances.
 
 The files pin the output of one numpy/BLAS build. When a change is meant
 to move digits, regenerate them from the repository root with
@@ -75,6 +77,8 @@ CRB_ARGS = {
     for kind in ("cp", "zp")
 }
 
+SELFTEST_GOLDEN = "selftest-two-path.txt"
+
 
 def render_crb(argv) -> str:
     """The stdout of one blindcrb crb command, which must succeed."""
@@ -82,6 +86,16 @@ def render_crb(argv) -> str:
     with contextlib.redirect_stdout(out):
         assert main(argv) == EXIT_OK
     return out.getvalue()
+
+
+def render_selftest_two_path() -> str:
+    """The two-path lines of the stdout of blindcrb selftest, which must
+    pass."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["selftest"]) == EXIT_OK
+    lines = out.getvalue().splitlines(keepends=True)
+    return "".join(line for line in lines if line.startswith("selftest two-path "))
 
 
 def render(p: ExperimentPlan) -> str:
@@ -102,6 +116,14 @@ def test_crb_stdout_matches_golden_file(name):
     assert render_crb(CRB_ARGS[name]) == (GOLDEN / name).read_text()
 
 
+def test_selftest_two_path_matches_golden_file():
+    got = render_selftest_two_path().splitlines()
+    want = (GOLDEN / SELFTEST_GOLDEN).read_text().splitlines()
+    assert len(got) == len(want) == 4
+    for got_line, want_line in zip(got, want):
+        assert got_line == want_line
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, p in PLANS.items():
@@ -110,3 +132,5 @@ if __name__ == "__main__":
     for name, argv in CRB_ARGS.items():
         (GOLDEN / name).write_text(render_crb(argv))
         print(f"wrote {GOLDEN / name}")
+    (GOLDEN / SELFTEST_GOLDEN).write_text(render_selftest_two_path())
+    print(f"wrote {GOLDEN / SELFTEST_GOLDEN}")
