@@ -32,6 +32,7 @@ from .model import (
     generate_symbols,
     loglik_gradients,
     make_precoder,
+    synthesize_observation,
 )
 
 EXIT_OK = 0
@@ -96,13 +97,6 @@ _KEY_SPECS = {
 # run takes no sigma2: the harness sets it per cell from the SNR grid.
 _FRAME_KEYS = ("M", "L", "N", "redundancy_kind", "inner_kind")
 
-_RUN_KEYS = _FRAME_KEYS + (
-    "snr_db_grid", "n_channels", "n_trials", "master_seed", "window_blocks",
-    "compute_zp_reference",
-)
-
-_CRB_KEYS = _FRAME_KEYS + ("sigma2", "h", "s_n", "d", "seed")
-
 # N = 25 gives the default window_blocks = 2 enough windows,
 # N - w + 1 >= w M, for a well-defined noise subspace.
 _RUN_DEFAULTS = {
@@ -118,6 +112,10 @@ _RUN_DEFAULTS = {
     "window_blocks": 2,
     "compute_zp_reference": False,
 }
+
+_RUN_KEYS = tuple(_RUN_DEFAULTS)
+
+_CRB_KEYS = _FRAME_KEYS + ("sigma2", "h", "s_n", "d", "seed")
 
 _CRB_DEFAULTS = {
     **{k: _RUN_DEFAULTS[k] for k in _FRAME_KEYS}, "sigma2": 1.0, "seed": 0,
@@ -141,8 +139,9 @@ def _parse_entries(entries, allowed, values: dict) -> dict:
     return values
 
 
-def _collect(args, allowed, defaults) -> dict:
-    """Defaults, then the --config file, then each --override in order."""
+def _collect(args, allowed, defaults, seed_key) -> dict:
+    """Defaults, then the --config file, then each --override in order,
+    then --seed as the value of seed_key."""
     entries = []
     if args.config is not None:
         try:
@@ -155,6 +154,8 @@ def _collect(args, allowed, defaults) -> dict:
             if line:
                 entries.append((f"line {lineno}", line))
     entries += [("override", item) for item in args.override or ()]
+    if args.seed is not None:
+        entries.append(("--seed", f"{seed_key} = {args.seed}"))
     return _parse_entries(entries, allowed, dict(defaults))
 
 
@@ -176,10 +177,9 @@ def _config_from_values(values: dict) -> SystemConfig:
 
 
 def _plan_from_values(values: dict) -> ExperimentPlan:
-    config = _config_from_values(values)
     try:
         return ExperimentPlan(
-            config=config,
+            config=_config_from_values(values),
             snr_db_grid=values["snr_db_grid"],
             n_channels=values["n_channels"],
             n_trials=values["n_trials"],
@@ -192,9 +192,7 @@ def _plan_from_values(values: dict) -> ExperimentPlan:
 
 
 def _cmd_run(args) -> int:
-    values = _collect(args, _RUN_KEYS, _RUN_DEFAULTS)
-    if args.seed is not None:
-        values["master_seed"] = args.seed
+    values = _collect(args, _RUN_KEYS, _RUN_DEFAULTS, "master_seed")
     plan = _plan_from_values(values)  # validate before dumping
     if args.dump_config:
         sys.stdout.write(_dump_config(values, _RUN_KEYS))
@@ -215,9 +213,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_crb(args) -> int:
-    values = _collect(args, _CRB_KEYS, _CRB_DEFAULTS)
-    if args.seed is not None:
-        values["seed"] = args.seed
+    values = _collect(args, _CRB_KEYS, _CRB_DEFAULTS, "seed")
     if "h" not in values:
         raise _UsageError("the crb command needs channel taps (key 'h')")
     config = _config_from_values(values)  # validate before dumping
@@ -252,6 +248,15 @@ def _cmd_crb(args) -> int:
     return EXIT_OK
 
 
+def _report(label: str, rel: float, tol: float, failures: list):
+    """Print one check's verdict; a failed check joins failures."""
+    if rel <= tol:
+        print(f"selftest {label}: ok (rel err {rel:.2e})")
+    else:
+        print(f"selftest {label}: FAIL (rel err {rel:.2e})")
+        failures.append(label)
+
+
 def _selftest_two_path() -> list:
     failures = []
     sigma2 = 0.25
@@ -274,12 +279,7 @@ def _selftest_two_path() -> list:
         direct = crb_direct(fim_blocks(K, K_list, sN, sigma2), d)
         fast = crb_fast(h, sN, precoder, d, sigma2, config.N)
         rel = np.linalg.norm(fast.C - direct.C) / np.linalg.norm(direct.C)
-        label = f"two-path {redundancy}/{inner} M={M} L={L} N={N}"
-        if rel <= 1e-8:
-            print(f"selftest {label}: ok (rel err {rel:.2e})")
-        else:
-            print(f"selftest {label}: FAIL (rel err {rel:.2e})")
-            failures.append(label)
+        _report(f"two-path {redundancy}/{inner} M={M} L={L} N={N}", rel, 1e-8, failures)
     return failures
 
 
@@ -289,14 +289,12 @@ def _selftest_gradients() -> list:
     sigma2 = 0.5
     config = SystemConfig(M=4, L=2, N=3)
     precoder = make_precoder(config)
-    h = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
+    h = draw_channel(config.L, rng).h
     sN = generate_symbols("qpsk", config.M, config.N, rng).sN
-    y = build_K(config, precoder, h)[0] @ sN
-    y += 0.1 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
+    y = synthesize_observation(precoder, h, sN, 0.02, rng)
 
     def loglik(taps):
-        K, _ = build_K(config, precoder, taps)
-        e = y - K @ sN
+        e = y - synthesize_observation(precoder, taps, sN, 0.0, None)
         return -float(np.real(np.vdot(e, e))) / sigma2
 
     grad_h, _ = loglik_gradients(y, config, precoder, h, sN, sigma2)
@@ -309,11 +307,7 @@ def _selftest_gradients() -> list:
         d_im = (loglik(h + 1j * delta) - loglik(h - 1j * delta)) / (2 * eps)
         fd = (d_re + 1j * d_im) / 2
         worst = max(worst, abs(fd - grad_h[l]) / abs(grad_h[l]))
-    if worst <= 1e-6:
-        print(f"selftest gradients: ok (rel err {worst:.2e})")
-    else:
-        print(f"selftest gradients: FAIL (rel err {worst:.2e})")
-        failures.append("gradients")
+    _report("gradients", worst, 1e-6, failures)
     return failures
 
 
@@ -360,19 +354,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help exits 0
         return EXIT_OK if (exc.code or 0) == 0 else EXIT_USAGE
-    try:
-        return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -417,8 +417,11 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     being block n's inner-precoded symbols delayed by l. The projector is
     Qp Qp^H, Qp the last L columns of A's complete Q, so D0 is the Gram of
     the coordinates Qp^H U_n: PSD by construction, with no cancellation.
-    The gate on A^H A and the QR of A serve the batch, and one stacked QR
-    serves a stack of channels; O(M^3 + N M L(L+1) T) time per channel.
+    The same QR gives the J11 gate: A = Q R, so A^H A = R^H R and
+    cond(J11) = cond(R)^2, read off the M x M triangle of R (a member with
+    a non-finite tap has cond inf). The one QR of A serves the gate, the
+    projector and the batch, and one stacked QR serves a stack of channels;
+    O(M^3 + N M L(L+1) T) time per channel.
     """
     Ftilde = np.asarray(Ftilde, dtype=np.complex128)
     if Ftilde.ndim != 2 or Ftilde.shape[0] != Ftilde.shape[1]:
@@ -431,10 +434,12 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     C, T = sNs.shape[:2]
     L, N = h.shape[1] - 1, sNs.shape[2] // M
     A = _tap_sum(h, _tap_factors(Ftilde, L, 1))
-    cond, ok = _conditioned(A.conj().swapaxes(-1, -2) @ A)
+    Q, R = np.linalg.qr(A, mode="complete")
+    cond = _conditioned(R[:, :M])[0] ** 2
+    ok = cond < COND_LIMIT
     if single and not ok[0]:
         raise IllConditioned("symbol information block J11", float(cond[0]))
-    Qp = np.linalg.qr(A[ok], mode="complete")[0][:, :, M:]
+    Qp = Q[ok][:, :, M:]
     # lags[c, m, j, l] = conj(Qp[c, l + m, j]): lag l reads rows l..l+M-1
     # of Qp, so s_n^T Ftilde^T lags[c] is Qp^H U_n, block n's L rows of W.
     lags = sliding_window_view(Qp.conj(), M, axis=1).transpose(0, 3, 2, 1)

@@ -67,10 +67,14 @@ def _anchor_mask(d, n: int) -> np.ndarray:
     """The (..., n) mask of the anchor tap among n taps; d is an index or
     an array of them broadcast over a stack's leading axes, one anchor per
     member. Raises ValueError for an anchor that names no tap: out of
-    range, not integral, or a bool."""
+    range, not integral, or a bool, also a bool inside a Python list or
+    tuple of integers. An integer array built from such a list holds no
+    bool, only its value, and is accepted."""
+    given = np.asarray(d, dtype=object).ravel() if isinstance(d, (list, tuple)) else ()
     d = np.asarray(d)
     bad = d.ravel() if d.dtype == bool else d[(d < 0) | (d >= n) | (d != np.floor(d))]
-    if bad.size:
+    bad = [v for v in given if isinstance(v, (bool, np.bool_))] or bad
+    if len(bad):
         raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
     return np.arange(n) == d[..., None]
 
@@ -88,7 +92,7 @@ class SystemConfig:
     N : int
         Blocks per frame, at least 2.
     sigma2 : float
-        Strictly positive, and read nowhere in the package: functions that
+        Positive and finite, and read nowhere in the package: functions that
         need a noise variance take it as an argument.
     redundancy_kind : str
         One of "cp", "zp", "custom".
@@ -116,8 +120,7 @@ class SystemConfig:
             )
         if self.N < 2:
             raise ValueError(f"need at least 2 blocks, got N={self.N}")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        _require_positive_sigma2(self.sigma2)
         if self.redundancy_kind not in REDUNDANCY_KINDS:
             raise ValueError(f"unknown redundancy kind {self.redundancy_kind!r}")
         if self.inner_kind not in INNER_KINDS:

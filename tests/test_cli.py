@@ -328,6 +328,29 @@ class TestSelftest:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_draws_and_synthesises_through_the_model(self, monkeypatch):
+        # Every check draws its channel with draw_channel, and the gradient
+        # check makes its noisy frame and its likelihood's clean frames
+        # with synthesize_observation.
+        draws, frames = [], []
+        draw, synthesize = cli.draw_channel, cli.synthesize_observation
+
+        def counted_draw(*args):
+            draws.append(args)
+            return draw(*args)
+
+        def counted_synthesize(*args):
+            frames.append(args)
+            return synthesize(*args)
+
+        monkeypatch.setattr(cli, "draw_channel", counted_draw)
+        monkeypatch.setattr(cli, "synthesize_observation", counted_synthesize)
+        assert main(["selftest"]) == EXIT_OK
+        assert len(draws) == 5
+        sigma2s = [args[3] for args in frames]
+        assert sigma2s[0] > 0 and len(sigma2s) > 1
+        assert all(v == 0 for v in sigma2s[1:])
+
     def test_takes_no_config_flags(self):
         assert main(["selftest", "--seed", "5"]) == EXIT_USAGE
 

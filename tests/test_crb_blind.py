@@ -31,7 +31,13 @@ from blindcrb import (
     subspace_estimate,
     synthesize_observation,
 )
-from blindcrb.crb_blind import _invert_reduced, _sweep, fast_information, zp_information
+from blindcrb.crb_blind import (
+    COND_LIMIT,
+    _invert_reduced,
+    _sweep,
+    fast_information,
+    zp_information,
+)
 from blindcrb.crb_core import RANK_RTOL
 from helpers import (
     assembled_fim,
@@ -840,6 +846,28 @@ class TestZpPerBlock:
                 oracle = crb_zp_kron(h, f, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
                 C = _invert_reduced(D0 / cfg.sigma2, d).C
                 np.testing.assert_allclose(C, oracle, atol=1e-12 * np.linalg.norm(oracle))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-5, 1e-3])
+    def test_j11_gate_switches_with_cond_of_j11(self, eps):
+        # The gate reads cond(J11) = cond(R)^2 off the QR of A = T(h) Ftilde.
+        # Its decisions must be the rule cond(A^H A) >= COND_LIMIT, taken
+        # here from the Toeplitz oracle, over 20 channels and one NaN-tap
+        # member; cond(J11) grows as 1/eps^2 and crosses the limit between
+        # eps = 1e-6 and 1e-5.
+        M, L = 12, 4
+        rng = np.random.default_rng(53)
+        hs = np.array(
+            [random_unit_channel(L, rng) for _ in range(20)] + [[1.0, np.nan, 0.5, 0.5, 0.5]]
+        )
+        frames = np.array([[generate_symbols("qpsk", M, 3, rng).sN] * 2 for _ in hs])
+        Ftilde = np.diag([1.0] * (M - 1) + [eps]).astype(complex)
+        failed = np.isnan(zp_information(hs, frames, Ftilde)).all(axis=(1, 2, 3))
+        rule = []
+        for h in hs[:-1]:
+            A = build_channel_toeplitz(h, M + L, M) @ Ftilde
+            rule.append(np.linalg.cond(A.conj().T @ A) >= COND_LIMIT)
+        assert failed.tolist() == rule + [True]
+        assert rule == [eps <= 1e-6] * 20
 
     def test_singular_inner_precoder_rejected(self):
         rng = np.random.default_rng(52)

@@ -356,8 +356,14 @@ class TestResolveAmbiguity:
 
     @pytest.mark.parametrize(
         "d,bad",
-        [([0, 3], 3), ([-1, 0], -1), ([0, 1.5], 1.5), ([True, False], True)],
+        [
+            (np.array([0, 3]), 3),
+            (np.array([-1, 0]), -1),
+            (np.array([0, 1.5]), 1.5),
+            (np.array([True, False]), True),
+            ([0, True], True),  # a bool in a list, which numpy casts to 1
+        ],
     )
     def test_per_row_anchor_index_validated(self, d, bad):
         with pytest.raises(ValueError, match=f"^anchor index {bad} outside 0..2$"):
-            resolve_ambiguity(np.ones((2, 3), dtype=complex), np.array(d), 1.0)
+            resolve_ambiguity(np.ones((2, 3), dtype=complex), d, 1.0)

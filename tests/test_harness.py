@@ -449,6 +449,51 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+class TestChannelGroups:
+    """The channels go in groups sized by the byte budget, which bounds
+    what a group holds before its trials run and changes no record
+    (test_one_channel_groups_give_same_csv)."""
+
+    @staticmethod
+    def group_stage(config, n_channels, n_trials):
+        # What run_experiment computes for a group of zero-padding channels
+        # with the reference: the channels, every trial's frame and both D0s.
+        precoder = harness.make_precoder(config)
+        hs = np.array([
+            draw_channel(config.L, harness._stream_rng(0, 0, i)).h for i in range(n_channels)
+        ])
+        sNs = np.array([
+            [
+                harness.generate_symbols(
+                    "qpsk", config.M, config.N, harness._stream_rng(0, 1, i, j)
+                ).sN
+                for j in range(n_trials)
+            ]
+            for i in range(n_channels)
+        ])
+        harness.fast_information(hs, sNs, precoder)
+        harness.zp_information(hs, sNs, precoder.Ftilde)
+
+    @pytest.mark.parametrize("N,n_trials,least", [(8, 5, 2), (25, 5, 10), (100, 3, 4)])
+    def test_group_fits_the_budget(self, N, n_trials, least):
+        # The per-channel size _group_size assumes covers the group's
+        # frames and D0 stage. Every benchmark plan (10 channels x 5 trials
+        # at N=25, 4 x 3 at N=100) stays one group.
+        config = SystemConfig(M=12, L=4, N=N, redundancy_kind="zp")
+        n = harness._group_size(config, n_trials)
+        assert n >= least
+        self.group_stage(config, n, n_trials)  # numpy's first calls allocate more
+        assert traced_peak(self.group_stage, config, n, n_trials) <= harness._GROUP_BYTES
+
+    def test_long_channel_is_a_group_of_one(self):
+        # A channel is never split: one N=1000 channel of 5 trials is a
+        # group of its own by design, and its stage peaks near 2.6 times
+        # the budget.
+        config = SystemConfig(M=12, L=4, N=1000, redundancy_kind="zp")
+        assert harness._group_size(config, 5) == 1
+        assert traced_peak(self.group_stage, config, 1, 5) < 3 * harness._GROUP_BYTES
+
+
 class TestTrialChunks:
     """The estimator takes the trials in chunks sized by the byte budget,
     which bound its working set and change no record (the default chunks

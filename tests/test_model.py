@@ -574,6 +574,7 @@ class TestConfigValidation:
             dict(M=4, L=2, N=1),          # N < 2
             dict(M=4, L=2, N=3, sigma2=0.0),
             dict(M=4, L=2, N=3, sigma2=-1.0),
+            dict(M=4, L=2, N=3, sigma2=float("inf")),
             dict(M=4, L=2, N=3, redundancy_kind="cyclic"),
             dict(M=4, L=2, N=3, inner_kind="dft"),
         ],
