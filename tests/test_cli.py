@@ -237,6 +237,36 @@ class TestCrb:
         expected = crb_fast(np.array([1, 0.5, 0.25]), s, pre, 0, 1.0, 3)
         assert out.splitlines()[0] == f"trace = {expected.trace:.12g}"
 
+    def test_dump_config_text_and_round_trip(self, tmp_path, capsys):
+        # Every kind of value a crb config holds, in its canonical text:
+        # complex taps and symbols, an explicit anchor, a float, strings.
+        overrides = [
+            "M=4", "L=2", "N=3", "redundancy_kind=zp", "inner_kind=idft",
+            "h=1, 0.5+0.5j, -0.25j",
+            "s_n=1, -1j, 0.5+0.5j, 1, 1, 1, -1, 1, 1, 1j, 1, 1e-3-2j",
+            "d=1", "sigma2=0.5",
+        ]
+        argv = ["crb", *[a for o in overrides for a in ("--override", o)], "--seed", "7"]
+        assert main(argv + ["--dump-config"]) == EXIT_OK
+        dumped = capsys.readouterr().out
+        assert dumped == (
+            "M = 4\nL = 2\nN = 3\nredundancy_kind = zp\ninner_kind = idft\n"
+            "sigma2 = 0.5\n"
+            "h = 1+0j, 0.5+0.5j, -0.25j\n"
+            "s_n = 1+0j, -1j, 0.5+0.5j, 1+0j, 1+0j, 1+0j, -1+0j, 1+0j, 1+0j, "
+            "1j, 1+0j, 0.001-2j\n"
+            "d = 1\nseed = 7\n"
+        )
+        cfg_file = tmp_path / "crb.cfg"
+        cfg_file.write_text(dumped)
+        assert main(["crb", "--config", str(cfg_file), "--dump-config"]) == EXIT_OK
+        assert capsys.readouterr().out == dumped
+        assert main(argv) == EXIT_OK
+        trace_line = capsys.readouterr().out.splitlines()[0]
+        assert trace_line == "trace = 0.494264284877"
+        assert main(["crb", "--config", str(cfg_file)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == trace_line
+
     def test_requires_taps(self, capsys):
         assert main(["crb"]) == EXIT_USAGE
         assert "'h'" in capsys.readouterr().err

@@ -614,6 +614,21 @@ class TestConfigValidation:
                 SystemConfig(M=4, L=2, N=3, redundancy_kind="custom", custom_redundancy=R)
             )
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(redundancy_kind="custom", custom_redundancy=np.eye(6, 3)),
+             r"^custom redundancy must be 6x4, got \(6, 3\)$"),
+            (dict(inner_kind="custom", custom_inner=np.eye(4, 3)),
+             r"^custom inner precoder must be 4x4, got \(4, 3\)$"),
+            (dict(inner_kind="custom", custom_inner=np.ones((4, 4))),
+             "^custom inner precoder must have full column rank$"),
+        ],
+    )
+    def test_custom_shape_and_rank_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make_precoder(SystemConfig(M=4, L=2, N=3, **kwargs))
+
     def test_custom_requires_matrix(self):
         with pytest.raises(ValueError, match="custom"):
             SystemConfig(M=4, L=2, N=3, redundancy_kind="custom")
