@@ -51,7 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# key -> (parser, canonical formatter)
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "false"):
@@ -67,32 +66,37 @@ def _parse_complex_list(text: str) -> tuple:
     return tuple(complex(tok.strip()) for tok in text.split(","))
 
 
-def _fmt_float(v) -> str:
-    return repr(float(v))
-
-
-def _fmt_complex_list(vs) -> str:
-    return ", ".join(repr(complex(v)).strip("()") for v in vs)
-
-
-_KEY_SPECS = {
-    "M": (int, str),
-    "L": (int, str),
-    "N": (int, str),
-    "sigma2": (float, _fmt_float),
-    "redundancy_kind": (str, str),
-    "inner_kind": (str, str),
-    "snr_db_grid": (_parse_float_list, lambda vs: ", ".join(_fmt_float(v) for v in vs)),
-    "n_channels": (int, str),
-    "n_trials": (int, str),
-    "master_seed": (int, str),
-    "window_blocks": (int, str),
-    "compute_zp_reference": (_parse_bool, lambda v: "true" if v else "false"),
-    "h": (_parse_complex_list, _fmt_complex_list),
-    "s_n": (_parse_complex_list, _fmt_complex_list),
-    "d": (int, str),
-    "seed": (int, str),
+_PARSERS = {
+    "M": int,
+    "L": int,
+    "N": int,
+    "sigma2": float,
+    "redundancy_kind": str,
+    "inner_kind": str,
+    "snr_db_grid": _parse_float_list,
+    "n_channels": int,
+    "n_trials": int,
+    "master_seed": int,
+    "window_blocks": int,
+    "compute_zp_reference": _parse_bool,
+    "h": _parse_complex_list,
+    "s_n": _parse_complex_list,
+    "d": int,
+    "seed": int,
 }
+
+
+def _text(value) -> str:
+    """The canonical text of a parsed value, which its key's parser reads
+    back to the same value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(_text(v) for v in value)
+    if isinstance(value, complex):
+        return repr(value).strip("()")
+    return repr(value) if isinstance(value, float) else str(value)
+
 
 # run takes no sigma2: the harness sets it per cell from the SNR grid.
 _FRAME_KEYS = ("M", "L", "N", "redundancy_kind", "inner_kind")
@@ -122,26 +126,10 @@ _CRB_DEFAULTS = {
 }
 
 
-def _parse_entries(entries, allowed, values: dict) -> dict:
-    """Parse (where, "key = value") pairs into values; where labels errors."""
-    for where, text in entries:
-        if "=" not in text:
-            raise _UsageError(f"{where}: expected 'key = value', got {text!r}")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise _UsageError(f"{where}: unknown key {key!r}")
-        parse = _KEY_SPECS[key][0]
-        try:
-            values[key] = parse(value.strip())
-        except ValueError as err:
-            raise _UsageError(f"{where}: bad value for {key}: {err}") from None
-    return values
-
-
 def _collect(args, allowed, defaults, seed_key) -> dict:
     """Defaults, then the --config file, then each --override in order,
-    then --seed as the value of seed_key."""
+    then --seed as the value of seed_key: each "key = value" entry is
+    parsed in that order, and where it came from labels its errors."""
     entries = []
     if args.config is not None:
         try:
@@ -156,17 +144,23 @@ def _collect(args, allowed, defaults, seed_key) -> dict:
     entries += [("override", item) for item in args.override or ()]
     if args.seed is not None:
         entries.append(("--seed", f"{seed_key} = {args.seed}"))
-    return _parse_entries(entries, allowed, dict(defaults))
+    values = dict(defaults)
+    for where, text in entries:
+        if "=" not in text:
+            raise _UsageError(f"{where}: expected 'key = value', got {text!r}")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise _UsageError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = _PARSERS[key](value.strip())
+        except ValueError as err:
+            raise _UsageError(f"{where}: bad value for {key}: {err}") from None
+    return values
 
 
 def _dump_config(values: dict, keys) -> str:
-    lines = []
-    for key in keys:
-        if key not in values:
-            continue
-        fmt = _KEY_SPECS[key][1]
-        lines.append(f"{key} = {fmt(values[key])}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_text(values[key])}\n" for key in keys if key in values)
 
 
 def _config_from_values(values: dict) -> SystemConfig:

@@ -412,11 +412,12 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     Like fast_information, it depends only on the channel and the frame;
     the bound of frame t is the anchor-reduced inverse of the result's
     [t] over sigma2. The symbol block is I_N kron A^H A, where
-    A = T(h) Ftilde is the tap sum of the model's one-block factors of
-    Ftilde, so D0 sums N terms U_n^H (I - A pinv(A)) U_n, column l of U_n
-    being block n's inner-precoded symbols delayed by l. The projector is
-    Qp Qp^H, Qp the last L columns of A's complete Q, so D0 is the Gram of
-    the coordinates Qp^H U_n: PSD by construction, with no cancellation.
+    A = T(h) Ftilde is the tap sum of the model's one-block factors
+    J_l Ftilde, so D0 sums N terms U_n^H (I - A pinv(A)) U_n, column l of
+    U_n being J_l Ftilde s_n, block n's inner-precoded symbols delayed by
+    l. The projector is Qp Qp^H, Qp the last L columns of A's complete Q,
+    so D0 is the Gram of the coordinates Qp^H U_n, read off the factors'
+    products Qp^H J_l Ftilde: PSD by construction, with no cancellation.
     The same QR gives the J11 gate: A = Q R, so A^H A = R^H R and
     cond(J11) = cond(R)^2, read off the M x M triangle of R (a member with
     a non-finite tap has cond inf). The one QR of A serves the gate, the
@@ -433,19 +434,20 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     h, sNs, single = _channel_stack(h, sNs, M, 1)
     C, T = sNs.shape[:2]
     L, N = h.shape[1] - 1, sNs.shape[2] // M
-    A = _tap_sum(h, _tap_factors(Ftilde, L, 1))
+    factors = _tap_factors(Ftilde, L, 1)
+    A = _tap_sum(h, factors)
     Q, R = np.linalg.qr(A, mode="complete")
     cond = _conditioned(R[:, :M])[0] ** 2
     ok = cond < COND_LIMIT
     if single and not ok[0]:
         raise IllConditioned("symbol information block J11", float(cond[0]))
     Qp = Q[ok][:, :, M:]
-    # lags[c, m, j, l] = conj(Qp[c, l + m, j]): lag l reads rows l..l+M-1
-    # of Qp, so s_n^T Ftilde^T lags[c] is Qp^H U_n, block n's L rows of W.
-    lags = sliding_window_view(Qp.conj(), M, axis=1).transpose(0, 3, 2, 1)
     kept = len(Qp)
+    # lags[c, m, j, l] = (Qp^H J_l Ftilde)[c, j, m], so s_n^T lags[c] is
+    # Qp^H U_n, block n's L rows of W.
+    lags = (Qp.conj().swapaxes(1, 2)[:, None] @ np.stack(factors)).transpose(0, 3, 2, 1)
     lags = lags.reshape(kept, 1, M, L * (L + 1))
-    W = sNs[ok].reshape(kept, T, N, M) @ (Ftilde.T @ lags)
+    W = sNs[ok].reshape(kept, T, N, M) @ lags
     W = W.reshape(kept, T, N * L, L + 1)
     D0 = np.full((C, T, L + 1, L + 1), np.nan, dtype=np.complex128)
     D0[ok] = _grams(W)

@@ -217,27 +217,27 @@ def _require_full_column_rank(A: np.ndarray, name: str):
         raise ValueError(f"{name} must have full column rank")
 
 
+def _custom_matrix(A, shape: tuple, name: str) -> np.ndarray:
+    """A given matrix as complex128, checked to have the given shape and
+    full column rank."""
+    A = np.asarray(A, dtype=np.complex128)
+    if A.shape != shape:
+        raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got {A.shape}")
+    _require_full_column_rank(A, name)
+    return A
+
+
 def make_precoder(config: SystemConfig) -> Precoder:
     """Assemble the Precoder for a configuration, validating shapes and rank."""
+    M, P = config.M, config.P
     if config.redundancy_kind == "custom":
-        R = np.asarray(config.custom_redundancy, dtype=np.complex128)
-        if R.shape != (config.P, config.M):
-            raise ValueError(
-                f"custom redundancy must be {config.P}x{config.M}, got {R.shape}"
-            )
-        _require_full_column_rank(R, "custom redundancy")
+        R = _custom_matrix(config.custom_redundancy, (P, M), "custom redundancy")
     else:
-        R = build_redundancy(config.redundancy_kind, config.M, config.L)
+        R = build_redundancy(config.redundancy_kind, M, config.L)
     if config.inner_kind == "custom":
-        Ftilde = np.asarray(config.custom_inner, dtype=np.complex128)
-        if Ftilde.shape != (config.M, config.M):
-            raise ValueError(
-                f"custom inner precoder must be {config.M}x{config.M}, "
-                f"got {Ftilde.shape}"
-            )
-        _require_full_column_rank(Ftilde, "custom inner precoder")
+        Ftilde = _custom_matrix(config.custom_inner, (M, M), "custom inner precoder")
     else:
-        Ftilde = build_inner_precoder(config.inner_kind, config.M)
+        Ftilde = build_inner_precoder(config.inner_kind, M)
     F = R @ Ftilde
     _require_full_column_rank(F, "composite precoder")
     return Precoder(Ftilde=Ftilde, F=F)
