@@ -59,7 +59,9 @@ def _require_integers(**fields):
 
 
 def _require_positive_sigma2(sigma2: float):
-    if not 0 < sigma2 < math.inf:
+    """Raise ValueError unless sigma2 is a positive finite number; a bool
+    is not a noise variance."""
+    if isinstance(sigma2, (bool, np.bool_)) or not 0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
@@ -325,12 +327,15 @@ def synthesize_observation(
     array, returns one row per variance, (len(sigma2), NP - L): every row
     scales the same unit noise, so row r is the frame that variance r
     alone gives from the same rng, and a row of variance 0 is the
-    noiseless frame. Variances must be nonnegative and finite.
+    noiseless frame. Variances must be nonnegative and finite numbers, not
+    bools.
     """
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if sigma2.ndim > 1 or not np.all((0 <= sigma2) & (sigma2 < math.inf)):
+    given = np.asarray(sigma2)
+    sigma2 = np.asarray(given, dtype=np.float64)
+    in_range = np.all((0 <= sigma2) & (sigma2 < math.inf))
+    if given.dtype == bool or sigma2.ndim > 1 or not in_range:
         raise ValueError(
-            f"noise variance must be nonnegative and finite, got {sigma2}"
+            f"noise variance must be nonnegative and finite, got {given}"
         )
     P, M = precoder.F.shape
     L = P - M

@@ -2,6 +2,7 @@
 can be asserted directly. One subprocess test covers the installed
 console-script wiring."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -123,6 +124,13 @@ class TestRunErrors:
         cfg.write_text("M = four\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
         assert "bad value for M" in capsys.readouterr().err
+
+    def test_bad_bool_value(self, capsys):
+        assert main(["run", "--override", "compute_zp_reference=maybe"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: override: bad value for compute_zp_reference: "
+            "expected true or false, got 'maybe'\n"
+        )
 
     def test_invalid_plan_values(self, capsys):
         # parses fine, fails model validation: L >= M
@@ -274,6 +282,12 @@ class TestCrb:
     def test_rejects_wrong_tap_count(self):
         assert main(["crb", "--override", "h=1, 2"]) == EXIT_USAGE
 
+    def test_rejects_wrong_symbol_count(self, capsys):
+        argv = ["crb", "--override", "M=4", "--override", "L=2", "--override", "N=3",
+                "--override", "h=1, 0.5, 0.25", "--override", "s_n=" + ", ".join(["1"] * 11)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: s_n must have N*M = 12 entries, got 11\n"
+
     def test_rejects_bad_anchor(self):
         for d in ("9", "1.5"):
             assert (
@@ -380,6 +394,19 @@ class TestSelftest:
         sigma2s = [args[3] for args in frames]
         assert sigma2s[0] > 0 and len(sigma2s) > 1
         assert all(v == 0 for v in sigma2s[1:])
+
+    def test_failed_checks_exit_selftest(self, monkeypatch, capsys):
+        # A fast route off by 1e-6 fails every two-path check.
+        def perturbed(*args):
+            result = crb_fast(*args)
+            return dataclasses.replace(result, C=result.C * (1 + 1e-6))
+
+        monkeypatch.setattr(cli, "crb_fast", perturbed)
+        assert main(["selftest"]) == cli.EXIT_SELFTEST
+        lines = capsys.readouterr().out.splitlines()
+        assert [": FAIL (rel err 1.00e-06)" in line for line in lines[:4]] == [True] * 4
+        assert lines[4].startswith("selftest gradients: ok")
+        assert lines[5:] == ["selftest: 4 check(s) failed"]
 
     def test_takes_no_config_flags(self):
         assert main(["selftest", "--seed", "5"]) == EXIT_USAGE

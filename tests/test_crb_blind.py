@@ -7,6 +7,7 @@ Fisher matrix with the anchor row/column deleted and (b) an elementwise
 reconstruction of the reduced information from explicit selection and
 shift matrices."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -115,7 +116,7 @@ class TestFimBlocks:
         rng = np.random.default_rng(24)
         cfg, pre, h, s = random_instance(rng)
         K, K_list = build_K(cfg, pre, h)
-        for sigma2 in (0.0, np.inf):
+        for sigma2 in (0.0, np.inf, True):
             with pytest.raises(ValueError, match="sigma2"):
                 fim_blocks(K, K_list, s, sigma2)
         with pytest.raises(ValueError, match="symbols"):
@@ -315,7 +316,7 @@ class TestCrbFast:
             crb_fast(np.ones(2), s, pre, 0, 1.0, cfg.N)
         with pytest.raises(ValueError, match="symbols"):
             crb_fast(h, s[:-1], pre, 0, 1.0, cfg.N)
-        for sigma2 in (0.0, np.inf):
+        for sigma2 in (0.0, np.inf, True):
             with pytest.raises(ValueError, match="sigma2"):
                 crb_fast(h, s, pre, 0, sigma2, cfg.N)
         # Whole blocks, but not N of them.
@@ -727,6 +728,16 @@ class TestChannelStack:
             zp_information(hs[2], frames[2], pre.Ftilde)
         assert np.isnan(zp_information(hs[2:3], frames[2:3], pre.Ftilde)).all()
 
+    @pytest.mark.parametrize("shape", [(), (1,), (4, 1), (1, 4, 3)])
+    @pytest.mark.parametrize("route", ["fast", "zp"])
+    def test_rejects_bad_tap_shape(self, route, shape):
+        pre, _, frames = self.stack_instance("zp", "identity", 8)
+        info = fast_information if route == "fast" else zp_information
+        arg = pre if route == "fast" else pre.Ftilde
+        message = f"need (L+1,) taps or a (C, L+1) stack of them, L >= 1, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            info(np.ones(shape), frames, arg)
+
     def test_rejects_mismatched_stacks(self):
         pre, hs, frames = self.stack_instance("zp", "identity", 8)
         for info in (
@@ -897,7 +908,7 @@ class TestZpPerBlock:
         with pytest.raises(ValueError, match="taps"):
             crb_zp_per_block(h[:1], s, pre.Ftilde, 0, cfg.sigma2)
 
-    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan, True])
     def test_rejects_bad_sigma2(self, sigma2):
         rng = np.random.default_rng(46)
         cfg, pre, h, s = self.make_zp(rng)

@@ -381,10 +381,11 @@ class TestSynthesize:
 
     @pytest.mark.parametrize(
         "sigma2",
-        [np.nan, -1.0, np.inf]
-        + [np.array(g) for g in ([0.1, np.nan], [0.1, np.inf], [0.1, -1.0])]
+        [np.nan, -1.0, np.inf, True]
+        + [np.array(g) for g in ([0.1, np.nan], [0.1, np.inf], [0.1, -1.0], [True, False])]
         + [np.array([[0.1, 0.2]]), np.array([[0.5]])],
-        ids=["nan", "-1.0", "inf", "grid-nan", "grid-inf", "grid-neg", "2d", "2d-1x1"],
+        ids=["nan", "-1.0", "inf", "bool", "grid-nan", "grid-inf", "grid-neg", "grid-bool",
+             "2d", "2d-1x1"],
     )
     def test_rejects_nan_or_negative_noise_variance(self, sigma2):
         # NaN fails every comparison, so a `< 0` test would let it through
@@ -522,7 +523,7 @@ class TestGradients:
         K, _ = build_K(cfg, pre, h)
         np.testing.assert_array_equal(grad_s, K.conj().T @ (y - K @ s) / sigma2)
 
-    @pytest.mark.parametrize("sigma2", [0.0, -0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("sigma2", [0.0, -0.5, np.nan, np.inf, True])
     def test_rejects_nonpositive_or_nan_sigma2(self, sigma2):
         rng = np.random.default_rng(19)
         cfg, pre, h, s = random_instance(rng)
@@ -577,6 +578,7 @@ class TestConfigValidation:
             dict(M=4, L=2, N=3, sigma2=float("inf")),
             dict(M=4, L=2, N=3, redundancy_kind="cyclic"),
             dict(M=4, L=2, N=3, inner_kind="dft"),
+            dict(M=4, L=2, N=3, sigma2=True),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -587,6 +589,15 @@ class TestConfigValidation:
     def test_channel_anchor_names_a_tap(self, d):
         with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
             Channel(h=np.ones(3), d=d)
+
+    @pytest.mark.parametrize(
+        "h,message",
+        [([0.0, 1.0, 1.0], "anchor tap must be nonzero"),
+         ([1.0], "channel needs a 1-D array of at least 2 taps")],
+    )
+    def test_channel_taps_checked(self, h, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Channel(h=np.array(h), d=0)
 
     def test_p_property(self):
         assert SystemConfig(M=12, L=4, N=8).P == 16
