@@ -728,16 +728,6 @@ class TestChannelStack:
             zp_information(hs[2], frames[2], pre.Ftilde)
         assert np.isnan(zp_information(hs[2:3], frames[2:3], pre.Ftilde)).all()
 
-    @pytest.mark.parametrize("shape", [(), (1,), (4, 1), (1, 4, 3)])
-    @pytest.mark.parametrize("route", ["fast", "zp"])
-    def test_rejects_bad_tap_shape(self, route, shape):
-        pre, _, frames = self.stack_instance("zp", "identity", 8)
-        info = fast_information if route == "fast" else zp_information
-        arg = pre if route == "fast" else pre.Ftilde
-        message = f"need (L+1,) taps or a (C, L+1) stack of them, L >= 1, got shape {shape}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            info(np.ones(shape), frames, arg)
-
     def test_rejects_mismatched_stacks(self):
         pre, hs, frames = self.stack_instance("zp", "identity", 8)
         for info in (
@@ -750,6 +740,13 @@ class TestChannelStack:
                 info(hs, frames[0])  # one channel's frames for a stack
             with pytest.raises(ValueError, match="taps"):
                 info(hs[None], frames[None])
+            for taps in (np.ones(()), hs[0, :1], hs[:, :1]):  # a scalar, or one tap
+                message = (
+                    "need (L+1,) taps or a (C, L+1) stack of them, L >= 1, "
+                    f"got shape {taps.shape}"
+                )
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    info(taps, frames)
 
 
 @pytest.mark.parametrize("kind", ["cp", "zp"])
