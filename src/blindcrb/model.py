@@ -61,7 +61,7 @@ def _require_integers(**fields):
 def _require_positive_sigma2(sigma2: float):
     """Raise ValueError unless sigma2 is a positive finite number; a bool
     is not a noise variance."""
-    if isinstance(sigma2, (bool, np.bool_)) or not 0 < sigma2 < math.inf:
+    if np.asarray(sigma2).dtype == bool or not 0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
 
 

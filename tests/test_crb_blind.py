@@ -905,7 +905,7 @@ class TestZpPerBlock:
         with pytest.raises(ValueError, match="taps"):
             crb_zp_per_block(h[:1], s, pre.Ftilde, 0, cfg.sigma2)
 
-    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan, True])
+    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan, True, np.array(True)])
     def test_rejects_bad_sigma2(self, sigma2):
         rng = np.random.default_rng(46)
         cfg, pre, h, s = self.make_zp(rng)
