@@ -25,8 +25,11 @@ The bound scales exactly as sigma2: fast_information and zp_information
 return the reduced information with the noise factored out,
 D0 = sigma2 D, which depends only on the channel and the frame, so a
 caller that sweeps the noise level computes and inverts it once, at
-unit noise, and scales that bound by sigma2 per level. Both take a
-batch of T frames sent over one channel and return T matrices D0. Only
+unit noise, and scales that bound by sigma2 per level. Both take the
+system's precoder and a batch of T frames sent over one channel and
+return T matrices D0; one check (_channel_stack) holds the taps and
+frames to the precoder for both, and zp_information also refuses a
+precoder that is not zero padding. Only
 the windows v_k depend on the frame, so one sweep serves the batch: its
 step maps, carried rows and rank gate are the channel's, and each map is
 applied to the frames' windows side by side. zp_information likewise
@@ -188,11 +191,13 @@ def crb_fast(
     return _invert_reduced(D0 / sigma2, d)
 
 
-def _channel_stack(h, sNs, M: int, min_blocks: int):
+def _channel_stack(h, sNs, precoder: Precoder, min_blocks: int):
     """Taps and frames as a (C, L+1) stack of channels with their
     (C, T, NM) frames, and whether they were one channel's (L+1,) taps
     with its (T, NM) frames. The frames must hold at least min_blocks
-    whole blocks of M symbols."""
+    whole blocks of M symbols, and the channel order must fit the
+    precoder's P x M composite F: L < M and P = M + L."""
+    P, M = precoder.F.shape
     h = np.asarray(h, dtype=np.complex128)
     sNs = np.asarray(sNs, dtype=np.complex128)
     if h.ndim not in (1, 2) or h.shape[-1] < 2:
@@ -207,6 +212,9 @@ def _channel_stack(h, sNs, M: int, min_blocks: int):
             f"expected a stack of frames of at least {min_blocks} whole blocks "
             f"of {M} symbols per channel, got shape {sNs.shape} for taps {h.shape}"
         )
+    L = h.shape[-1] - 1
+    if not L < M or P != M + L:
+        raise ValueError(f"channel order {L} inconsistent with precoder shape {P}x{M}")
     single = h.ndim == 1
     return (h[None], sNs[None], True) if single else (h, sNs, False)
 
@@ -228,11 +236,9 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     channel whose K fails the rank gate comes back NaN instead of raising.
     """
     P, M = precoder.F.shape
-    h, sNs, single = _channel_stack(h, sNs, M, 2)
+    h, sNs, single = _channel_stack(h, sNs, precoder, 2)
     C, T = sNs.shape[:2]
     L, N = h.shape[1] - 1, sNs.shape[2] // M
-    if not L < M or P != M + L:
-        raise ValueError(f"channel order {L} inconsistent with precoder shape {P}x{M}")
     B = _tap_sum(h, _tap_factors(precoder.F, L, 1))
     x = (sNs.reshape(C, T, N, M) @ precoder.F.T).reshape(C, T, N * P)
     # Row r of member c holds row r of its frames' V^T: a view of x, never
@@ -377,7 +383,7 @@ def _sweep(B: np.ndarray, cols: np.ndarray):
 def crb_zp_per_block(
     h: np.ndarray,
     sN: np.ndarray,
-    Ftilde: np.ndarray,
+    precoder: Precoder,
     d: int,
     sigma2: float,
 ) -> CrbResult:
@@ -387,27 +393,29 @@ def crb_zp_per_block(
     y(n) = T(h) Ftilde s(n) + noise with T(h) the tall P x M convolution
     matrix; nothing is discarded, unlike the frame model which drops the
     first L samples. The result is never above the frame bound in the
-    positive semidefinite order. Callers must ensure the system actually
-    uses zero padding; Ftilde is the square inner precoder only. The
-    dimensions come from the inputs: L from the taps, M from Ftilde and N
-    from the length of sN. The reduced information is the Gram of the
+    positive semidefinite order. precoder is the system's, as for
+    crb_fast, and must be zero padding, F = [Ftilde; 0]; any other raises
+    ValueError. The dimensions come from the inputs: M and P from the
+    precoder, L from the taps, which must give P = M + L, and N from the
+    length of sN. The reduced information is the Gram of the
     blocks' coordinates in the L-dimensional left null space of the one
     P x M block T(h) Ftilde (see zp_information); neither the NM x NM
     symbol block nor any Kronecker product is formed.
     """
     _require_positive_sigma2(sigma2)
-    sN = np.asarray(sN, dtype=np.complex128)
-    D0 = zp_information(h, sN[None], Ftilde)[0]
+    D0 = zp_information(h, np.asarray(sN)[None], precoder)[0]
     return _invert_reduced(D0 / sigma2, d)
 
 
-def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.ndarray:
+def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.ndarray:
     """The reduced information of crb_zp_per_block times sigma2, for a
     (T, NM) stack of frames sent over one channel; returns the
     (T, L+1, L+1) stack. With (C, L+1) taps and (C, T, NM) frames it
     returns (C, T, L+1, L+1), each member equal to its channel's result
     alone; a channel that fails the J11 gate comes back NaN there instead
-    of raising IllConditioned.
+    of raising IllConditioned. It takes the system's precoder and checks
+    the taps and frames against it as fast_information does, and refuses
+    a precoder that is not zero padding, F = [Ftilde; 0].
 
     Like fast_information, it depends only on the channel and the frame;
     the bound of frame t is the anchor-reduced inverse of the result's
@@ -424,31 +432,24 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, Ftilde: np.ndarray) -> np.nda
     projector and the batch, and one stacked QR serves a stack of channels;
     O(M^3 + N M L(L+1) T) time per channel.
     """
-    Ftilde = np.asarray(Ftilde, dtype=np.complex128)
-    if Ftilde.ndim != 2 or Ftilde.shape[0] != Ftilde.shape[1]:
-        raise ValueError(
-            f"inner precoder must be square, got shape {Ftilde.shape}; "
-            "pass the square inner precoder, not the composite"
-        )
-    M = Ftilde.shape[0]
-    h, sNs, single = _channel_stack(h, sNs, M, 1)
+    M = precoder.F.shape[1]
+    h, sNs, single = _channel_stack(h, sNs, precoder, 1)
     C, T = sNs.shape[:2]
     L, N = h.shape[1] - 1, sNs.shape[2] // M
-    factors = _tap_factors(Ftilde, L, 1)
+    if not np.array_equal(precoder.F, np.vstack([precoder.Ftilde, np.zeros((L, M))])):
+        raise ValueError("the reference bound applies to zero padding only, F = [Ftilde; 0]")
+    factors = _tap_factors(precoder.Ftilde, L, 1)
     A = _tap_sum(h, factors)
     Q, R = np.linalg.qr(A, mode="complete")
     cond = _conditioned(R[:, :M])[0] ** 2
     ok = cond < COND_LIMIT
     if single and not ok[0]:
         raise IllConditioned("symbol information block J11", float(cond[0]))
-    Qp = Q[ok][:, :, M:]
-    kept = len(Qp)
     # lags[c, m, j, l] = (Qp^H J_l Ftilde)[c, j, m], so s_n^T lags[c] is
     # Qp^H U_n, block n's L rows of W.
+    Qp = Q[:, :, M:]
     lags = (Qp.conj().swapaxes(1, 2)[:, None] @ np.stack(factors)).transpose(0, 3, 2, 1)
-    lags = lags.reshape(kept, 1, M, L * (L + 1))
-    W = sNs[ok].reshape(kept, T, N, M) @ lags
-    W = W.reshape(kept, T, N * L, L + 1)
-    D0 = np.full((C, T, L + 1, L + 1), np.nan, dtype=np.complex128)
-    D0[ok] = _grams(W)
+    W = sNs.reshape(C, T, N, M) @ lags.reshape(C, 1, M, L * (L + 1))
+    D0 = _grams(W.reshape(C, T, N * L, L + 1))
+    D0[~ok] = np.nan
     return D0[0] if single else D0

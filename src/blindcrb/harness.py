@@ -91,6 +91,7 @@ from .estimator import EstimatorSettings, subspace_estimate, resolve_ambiguity
 from .model import (
     Channel,
     SystemConfig,
+    _bools,
     _require_integers,
     generate_symbols,
     make_precoder,
@@ -149,7 +150,8 @@ class ExperimentPlan:
 
     The config's sigma2 is never read: each SNR point gives its cell's
     noise variance, which must be positive and finite. The grid must be
-    nonempty and strictly increasing, and window_blocks at most N.
+    nonempty, strictly increasing and free of bools, and window_blocks at
+    most N.
     """
 
     config: SystemConfig
@@ -161,6 +163,8 @@ class ExperimentPlan:
     compute_zp_reference: bool = False
 
     def __post_init__(self):
+        if _bools(self.snr_db_grid):
+            raise ValueError(f"SNR grid must hold numbers, not bools, got {self.snr_db_grid}")
         grid = tuple(float(v) for v in self.snr_db_grid)
         if len(grid) == 0:
             raise ValueError("SNR grid must not be empty")
@@ -297,7 +301,7 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
         # channel failed the rank gate or the J11 gate.
         D0s = [fast_information(hs, sNs, precoder)]
         if plan.compute_zp_reference:
-            D0s.append(zp_information(hs, sNs, precoder.Ftilde))
+            D0s.append(zp_information(hs, sNs, precoder))
         # (1 or 2, channels, trials) traces at unit noise, NaN where D0
         # failed a gate or its inversion was refused; sigma2 scales them.
         anchors = np.array([channel.d for channel in channels])

@@ -58,10 +58,20 @@ def _require_integers(**fields):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _bools(value) -> list:
+    """The bools in a value that a caller passed for a number: the value
+    itself if it is a bool, the entries of a bool array, and any bool
+    inside a Python list or tuple, which numpy would turn into its value.
+    A numeric array is only checked for its dtype."""
+    if isinstance(value, (list, tuple)):
+        return [found for item in value for found in _bools(item)]
+    return list(np.ravel(value)) if np.asarray(value).dtype == bool else []
+
+
 def _require_positive_sigma2(sigma2: float):
     """Raise ValueError unless sigma2 is a positive finite number; a bool
     is not a noise variance."""
-    if np.asarray(sigma2).dtype == bool or not 0 < sigma2 < math.inf:
+    if _bools(sigma2) or not 0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
@@ -69,13 +79,10 @@ def _anchor_mask(d, n: int) -> np.ndarray:
     """The (..., n) mask of the anchor tap among n taps; d is an index or
     an array of them broadcast over a stack's leading axes, one anchor per
     member. Raises ValueError for an anchor that names no tap: out of
-    range, not integral, or a bool, also a bool inside a Python list or
-    tuple of integers. An integer array built from such a list holds no
-    bool, only its value, and is accepted."""
-    given = np.asarray(d, dtype=object).ravel() if isinstance(d, (list, tuple)) else ()
+    range, not integral, or a bool (see _bools)."""
+    bad = _bools(d)
     d = np.asarray(d)
-    bad = d.ravel() if d.dtype == bool else d[(d < 0) | (d >= n) | (d != np.floor(d))]
-    bad = [v for v in given if isinstance(v, (bool, np.bool_))] or bad
+    bad = bad or d[(d < 0) | (d >= n) | (d != np.floor(d))]
     if len(bad):
         raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
     return np.arange(n) == d[..., None]
@@ -328,14 +335,13 @@ def synthesize_observation(
     scales the same unit noise, so row r is the frame that variance r
     alone gives from the same rng, and a row of variance 0 is the
     noiseless frame. Variances must be nonnegative and finite numbers, not
-    bools.
+    bools (see _bools).
     """
-    given = np.asarray(sigma2)
-    sigma2 = np.asarray(given, dtype=np.float64)
-    in_range = np.all((0 <= sigma2) & (sigma2 < math.inf))
-    if given.dtype == bool or sigma2.ndim > 1 or not in_range:
+    variances = np.asarray(sigma2, dtype=np.float64)
+    in_range = np.all((0 <= variances) & (variances < math.inf))
+    if _bools(sigma2) or variances.ndim > 1 or not in_range:
         raise ValueError(
-            f"noise variance must be nonnegative and finite, got {given}"
+            f"noise variance must be nonnegative and finite, got {sigma2}"
         )
     P, M = precoder.F.shape
     L = P - M
@@ -350,8 +356,8 @@ def synthesize_observation(
     # minus its first and last L samples.
     x = (sN.reshape(N, M) @ precoder.F.T).ravel()
     y = np.convolve(h, x)[L: N * P]
-    if sigma2.ndim or sigma2 > 0:
-        y = y + np.multiply.outer(np.sqrt(sigma2 / 2), draw_noise(y.size, rng))
+    if variances.ndim or variances > 0:
+        y = y + np.multiply.outer(np.sqrt(variances / 2), draw_noise(y.size, rng))
     return y
 
 

@@ -101,7 +101,7 @@ def run_experiment_per_frame(plan):
         try:
             D0s = fast_information(h, np.stack(frames), precoder)
             if plan.compute_zp_reference:
-                D0s_zp = zp_information(h, np.stack(frames), precoder.Ftilde)
+                D0s_zp = zp_information(h, np.stack(frames), precoder)
         except NumericalError:
             excluded = [e + plan.n_trials for e in excluded]
             continue

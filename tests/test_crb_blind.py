@@ -9,6 +9,7 @@ shift matrices."""
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from blindcrb import (
     FimBlocks,
     IllConditioned,
     NumericalError,
+    Precoder,
     RankDeficient,
     SystemConfig,
     build_K,
+    build_redundancy,
     crb_constrained,
     crb_direct,
     crb_fast,
@@ -531,7 +534,7 @@ class TestCrbFastSweep:
         frames = np.stack([generate_symbols("qpsk", M, N, 49 + t).sN for t in range(T)])
         tracemalloc.start()
         try:
-            batch = zp_information(h, frames, pre.Ftilde)
+            batch = zp_information(h, frames, pre)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,7 +553,7 @@ class TestCrbFastSweep:
             np.kron(np.eye(2), pre.F)
         build_K(cfg, pre, h)
         crb_fast(h, s, pre, default_anchor(h), cfg.sigma2, cfg.N)
-        crb_zp_per_block(h, s, pre.Ftilde, 0, cfg.sigma2)
+        crb_zp_per_block(h, s, pre, 0, cfg.sigma2)
         y = synthesize_observation(pre, h, s, cfg.sigma2, 0)
         subspace_estimate(y, pre)
 
@@ -677,7 +680,7 @@ class TestChannelStack:
         self.assert_members_alone(lambda h, f: fast_information(h, f, pre), hs, frames)
         if kind == "zp":
             self.assert_members_alone(
-                lambda h, f: zp_information(h, f, pre.Ftilde), hs, frames
+                lambda h, f: zp_information(h, f, pre), hs, frames
             )
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
@@ -720,19 +723,19 @@ class TestChannelStack:
         # A NaN tap fails the J11 gate, alone or in a stack.
         pre, hs, frames = self.stack_instance("zp", "idft", 25)
         hs[2, 1] = np.nan
-        stack = zp_information(hs, frames, pre.Ftilde)
+        stack = zp_information(hs, frames, pre)
         assert np.isnan(stack[2]).all()
         for c in (0, 1, 3):
-            assert np.array_equal(stack[c], zp_information(hs[c], frames[c], pre.Ftilde))
+            assert np.array_equal(stack[c], zp_information(hs[c], frames[c], pre))
         with pytest.raises(IllConditioned, match="J11"):
-            zp_information(hs[2], frames[2], pre.Ftilde)
-        assert np.isnan(zp_information(hs[2:3], frames[2:3], pre.Ftilde)).all()
+            zp_information(hs[2], frames[2], pre)
+        assert np.isnan(zp_information(hs[2:3], frames[2:3], pre)).all()
 
     def test_rejects_mismatched_stacks(self):
         pre, hs, frames = self.stack_instance("zp", "identity", 8)
         for info in (
             lambda h, f: fast_information(h, f, pre),
-            lambda h, f: zp_information(h, f, pre.Ftilde),
+            lambda h, f: zp_information(h, f, pre),
         ):
             with pytest.raises(ValueError, match="frames"):
                 info(hs, frames[:3])  # three channels' frames for four channels
@@ -755,12 +758,15 @@ def test_nan_tap_rejected_alike_by_every_route(kind):
     # not in numpy's LinAlgError from the SVD of a NaN matrix
     cfg = SystemConfig(M=4, L=2, N=5, redundancy_kind=kind)
     pre = make_precoder(cfg)
+    # the reference applies to zero padding only; its inner precoder is
+    # the same identity under either kind
+    zp = make_precoder(replace(cfg, redundancy_kind="zp"))
     h = np.array([1.0, np.nan, -0.1j])
     s = generate_symbols("qpsk", cfg.M, cfg.N, 0).sN
     routes = (
         lambda: crb_direct(make_blocks(cfg, pre, h, s)[0], 0),
         lambda: crb_fast(h, s, pre, 0, 1.0, cfg.N),
-        lambda: crb_zp_per_block(h, s, pre.Ftilde, 0, 1.0),
+        lambda: crb_zp_per_block(h, s, zp, 0, 1.0),
     )
     for route in routes:
         with pytest.raises(IllConditioned):
@@ -797,7 +803,7 @@ class TestZpPerBlock:
             cfg, pre, h, s = self.make_zp(rng, inner=inner)
             d = default_anchor(h)
             frame = crb_fast(h, s, pre, d, cfg.sigma2, cfg.N)
-            full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
+            full = crb_zp_per_block(h, s, pre, d, cfg.sigma2)
             assert_psd(
                 frame.C - full.C,
                 scale_tol=1e-10,
@@ -815,7 +821,7 @@ class TestZpPerBlock:
             s = generate_symbols("qpsk", 6, N, 11).sN
             d = default_anchor(h)
             frame = crb_fast(h, s, pre, d, cfg.sigma2, cfg.N)
-            full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
+            full = crb_zp_per_block(h, s, pre, d, cfg.sigma2)
             margins.append(10 * np.log10(frame.trace / full.trace))
         assert all(m > 0 for m in margins)
         assert margins[2] < margins[0]
@@ -826,7 +832,7 @@ class TestZpPerBlock:
         rng = np.random.default_rng(43)
         cfg, pre, h, s = self.make_zp(rng, M=4, L=2, N=3)
         d = default_anchor(h)
-        full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
+        full = crb_zp_per_block(h, s, pre, d, cfg.sigma2)
 
         T = build_channel_toeplitz(h, cfg.P, cfg.M)
         K = np.kron(np.eye(cfg.N), T @ pre.Ftilde)
@@ -845,11 +851,11 @@ class TestZpPerBlock:
         for inner in ("identity", "idft"):
             cfg, pre, h, s = self.make_zp(rng, M=6, L=2, N=25, inner=inner)
             d = default_anchor(h)
-            full = crb_zp_per_block(h, s, pre.Ftilde, d, cfg.sigma2)
+            full = crb_zp_per_block(h, s, pre, d, cfg.sigma2)
             oracle = crb_zp_kron(h, s, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
             np.testing.assert_allclose(full.C, oracle, atol=1e-12 * np.linalg.norm(oracle))
             frames = np.stack([s] + [generate_symbols("qpsk", 6, 25, rng).sN for _ in range(2)])
-            batch = zp_information(h, frames, pre.Ftilde)
+            batch = zp_information(h, frames, pre)
             for f, D0 in zip(frames, batch):
                 oracle = crb_zp_kron(h, f, pre.Ftilde, d, cfg.sigma2, cfg.M, cfg.L, cfg.N)
                 C = _invert_reduced(D0 / cfg.sigma2, d).C
@@ -869,7 +875,8 @@ class TestZpPerBlock:
         )
         frames = np.array([[generate_symbols("qpsk", M, 3, rng).sN] * 2 for _ in hs])
         Ftilde = np.diag([1.0] * (M - 1) + [eps]).astype(complex)
-        failed = np.isnan(zp_information(hs, frames, Ftilde)).all(axis=(1, 2, 3))
+        pre = Precoder(Ftilde, build_redundancy("zp", M, L) @ Ftilde)
+        failed = np.isnan(zp_information(hs, frames, pre)).all(axis=(1, 2, 3))
         rule = []
         for h in hs[:-1]:
             A = build_channel_toeplitz(h, M + L, M) @ Ftilde
@@ -881,36 +888,49 @@ class TestZpPerBlock:
         rng = np.random.default_rng(52)
         cfg, pre, h, s = self.make_zp(rng)
         Ftilde = np.diag([1.0] * (cfg.M - 1) + [0.0]).astype(complex)
+        singular = Precoder(Ftilde, build_redundancy("zp", cfg.M, cfg.L) @ Ftilde)
         with pytest.raises(IllConditioned) as exc:
-            crb_zp_per_block(h, s, Ftilde, 0, cfg.sigma2)
+            crb_zp_per_block(h, s, singular, 0, cfg.sigma2)
         assert "J11" in exc.value.matrix_name
 
     def test_rejects_composite_precoder(self):
+        # A cyclic prefix, or the composite F in the inner slot: neither
+        # is the zero padding F = [Ftilde; 0] the reference assumes.
         rng = np.random.default_rng(44)
         cfg, pre, h, s = self.make_zp(rng)
-        with pytest.raises(ValueError, match="square inner"):
-            crb_zp_per_block(h, s, pre.F, 0, cfg.sigma2)
+        cp = make_precoder(replace(cfg, redundancy_kind="cp"))
+        message = "the reference bound applies to zero padding only, F = [Ftilde; 0]"
+        for bad in (cp, Precoder(Ftilde=pre.F, F=pre.F)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                crb_zp_per_block(h, s, bad, 0, cfg.sigma2)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                zp_information(h, s[None], bad)
 
     def test_rejects_partial_block(self):
         rng = np.random.default_rng(47)
         cfg, pre, h, s = self.make_zp(rng)
         with pytest.raises(ValueError, match="whole blocks"):
-            crb_zp_per_block(h, s[:-1], pre.Ftilde, 0, cfg.sigma2)
+            crb_zp_per_block(h, s[:-1], pre, 0, cfg.sigma2)
 
     def test_rejects_wrong_tap_count(self):
-        # L comes from the taps, so only a tap vector with no non-anchor
-        # tap is left to reject
+        # The taps must fit the precoder: L + 1 = P - M + 1 of them, for
+        # one channel and for a stack alike.
         rng = np.random.default_rng(45)
         cfg, pre, h, s = self.make_zp(rng)
         with pytest.raises(ValueError, match="taps"):
-            crb_zp_per_block(h[:1], s, pre.Ftilde, 0, cfg.sigma2)
+            crb_zp_per_block(h[:1], s, pre, 0, cfg.sigma2)
+        for taps in (h[:-1], np.append(h, 0.1)):  # one tap too few, one too many
+            with pytest.raises(ValueError, match="inconsistent with precoder shape"):
+                crb_zp_per_block(taps, s, pre, 0, cfg.sigma2)
+            with pytest.raises(ValueError, match="inconsistent with precoder shape"):
+                zp_information(np.stack([taps] * 2), np.stack([s[None]] * 2), pre)
 
     @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan, True, np.array(True)])
     def test_rejects_bad_sigma2(self, sigma2):
         rng = np.random.default_rng(46)
         cfg, pre, h, s = self.make_zp(rng)
         with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
-            crb_zp_per_block(h, s, pre.Ftilde, 0, sigma2)
+            crb_zp_per_block(h, s, pre, 0, sigma2)
 
 
 class TestPrecoderInsensitivity:

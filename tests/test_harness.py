@@ -139,6 +139,8 @@ class TestPlanValidation:
             dict(n_channels=0),
             dict(n_trials=0),
             dict(master_seed=-1),
+            dict(snr_db_grid=(True, 10.0)),
+            dict(snr_db_grid=np.array([False, True])),
         ],
     )
     def test_rejects_bad_plans(self, overrides):
@@ -472,7 +474,7 @@ class TestChannelGroups:
             for i in range(n_channels)
         ])
         harness.fast_information(hs, sNs, precoder)
-        harness.zp_information(hs, sNs, precoder.Ftilde)
+        harness.zp_information(hs, sNs, precoder)
 
     @pytest.mark.parametrize("N,n_trials,least", [(8, 5, 2), (25, 5, 10), (100, 3, 4)])
     def test_group_fits_the_budget(self, N, n_trials, least):

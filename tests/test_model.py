@@ -383,9 +383,10 @@ class TestSynthesize:
         "sigma2",
         [np.nan, -1.0, np.inf, True]
         + [np.array(g) for g in ([0.1, np.nan], [0.1, np.inf], [0.1, -1.0], [True, False])]
-        + [np.array([[0.1, 0.2]]), np.array([[0.5]])],
+        + [np.array([[0.1, 0.2]]), np.array([[0.5]])]
+        + [[0.1, True], (0.1, np.bool_(True))],
         ids=["nan", "-1.0", "inf", "bool", "grid-nan", "grid-inf", "grid-neg", "grid-bool",
-             "2d", "2d-1x1"],
+             "2d", "2d-1x1", "list-bool", "tuple-bool"],
     )
     def test_rejects_nan_or_negative_noise_variance(self, sigma2):
         # NaN fails every comparison, so a `< 0` test would let it through

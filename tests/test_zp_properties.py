@@ -54,16 +54,16 @@ def test_channel_stack_member_equals_channel_alone(instance, seed, C):
         np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in frames])
         for _ in range(C - 1)
     ])
-    D0 = zp_information(hs, stack, pre.Ftilde)
+    D0 = zp_information(hs, stack, pre)
     for h_c, f, member in zip(hs, stack, D0):
-        np.testing.assert_array_equal(member, zp_information(h_c, f, pre.Ftilde))
+        np.testing.assert_array_equal(member, zp_information(h_c, f, pre))
 
 
 @PROPERTY_SETTINGS
 @given(instances())
 def test_hermitian_psd(instance):
     pre, h, frames, N = instance
-    D0 = zp_information(h, frames, pre.Ftilde)
+    D0 = zp_information(h, frames, pre)
     np.testing.assert_array_equal(D0, D0.conj().swapaxes(-1, -2))
     assert np.all(np.linalg.eigvalsh(D0)[:, :1] >= -1e-12 * frame_energy(pre, frames)[:, 0])
 
@@ -73,8 +73,8 @@ def test_hermitian_psd(instance):
 def test_blind_scale_invariance(instance, magnitude, phase):
     # T(c h) Ftilde = c T(h) Ftilde has the same left null space.
     pre, h, frames, N = instance
-    D0 = zp_information(h, frames, pre.Ftilde)
-    scaled = zp_information(magnitude * np.exp(1j * phase) * h, frames, pre.Ftilde)
+    D0 = zp_information(h, frames, pre)
+    scaled = zp_information(magnitude * np.exp(1j * phase) * h, frames, pre)
     assert np.all(np.abs(scaled - D0) <= 1e-12 * frame_energy(pre, frames))
 
 
@@ -82,9 +82,9 @@ def test_blind_scale_invariance(instance, magnitude, phase):
 @given(instances())
 def test_batch_member_equals_batch_of_one(instance):
     pre, h, frames, N = instance
-    batch = zp_information(h, frames, pre.Ftilde)
+    batch = zp_information(h, frames, pre)
     for frame, D0 in zip(frames, batch):
-        np.testing.assert_array_equal(zp_information(h, frame[None], pre.Ftilde)[0], D0)
+        np.testing.assert_array_equal(zp_information(h, frame[None], pre)[0], D0)
 
 
 @PROPERTY_SETTINGS
@@ -93,7 +93,7 @@ def test_bound_matches_kron_oracle(instance):
     pre, h, frames, N = instance
     M, L = pre.Ftilde.shape[0], h.size - 1
     d = default_anchor(h)
-    batch = zp_information(h, frames, pre.Ftilde)
+    batch = zp_information(h, frames, pre)
     for frame, D0 in zip(frames, batch):
         try:
             C = _invert_reduced(D0, d).C
@@ -114,5 +114,5 @@ def test_reference_never_above_frame_bound(instance):
         frame = crb_fast(h, frames[0], pre, d, 1.0, N).C
     except NumericalError:
         reject()
-    full = crb_zp_per_block(h, frames[0], pre.Ftilde, d, 1.0).C
+    full = crb_zp_per_block(h, frames[0], pre, d, 1.0).C
     assert_psd(frame - full, scale_tol=1e-10, msg="reference exceeded the frame bound")
