@@ -436,7 +436,7 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     h, sNs, single = _channel_stack(h, sNs, precoder, 1)
     C, T = sNs.shape[:2]
     L, N = h.shape[1] - 1, sNs.shape[2] // M
-    if not np.array_equal(precoder.F, np.vstack([precoder.Ftilde, np.zeros((L, M))])):
+    if not precoder.zero_padding:
         raise ValueError("the reference bound applies to zero padding only, F = [Ftilde; 0]")
     factors = _tap_factors(precoder.Ftilde, L, 1)
     A = _tap_sum(h, factors)

@@ -6,7 +6,11 @@ model as a short frame, z(n) = K_w s_w(n) + noise, with
 K_w = G H (I_w kron F) of full column rank wM. The sample covariance of
 the windows therefore splits into a rank-wM signal subspace plus a noise
 subspace of dimension (w-1)L, fixed from the model, never from eigenvalue
-gaps.
+gaps. At the identifiability border, N - w + 1 = wM windows, the windows
+span exactly wM dimensions, the covariance is singular, and its noise
+subspace is the complement of the windows' span: the estimator takes it
+from a complete QR of the window matrix there, which costs about half
+the covariance's eigh, and from the eigh at every other N.
 
 A noise eigenvector u satisfies u^H K_w(h) = 0, and K_w(h) is linear in
 the taps: K_w(h) = sum_l h_l K_{w,l} with the model's per-tap factors for
@@ -20,11 +24,12 @@ resolve_ambiguity pins the anchor tap.
 
 Batches: subspace_estimate, channel_from_noise_subspace and
 resolve_ambiguity take one item or a stack of them along leading axes,
-and run each numpy step once for the whole stack; numpy's stacked matmul
-and eigh do on each member what they do on one item, so a member's
+and run each numpy step once for the whole stack; numpy's stacked matmul,
+qr and eigh do on each member what they do on one item, so a member's
 result does not depend on the stack it came in. A numerical failure of
-one member (a frame without energy, a penalty without an isolated
-minimum, an anchor tap too small or not finite) makes that member's taps
+one member (a frame with a sample that is not finite or without energy,
+a penalty without an isolated minimum, an anchor tap too small or not
+finite) makes that member's taps
 NaN and leaves the others; a failure of the whole batch (a bad shape,
 windows wider than the frame) raises. Given a single item, each raises
 the typed error it always has.
@@ -117,16 +122,22 @@ def subspace_estimate(
     N is read off the frame length NP - L. Returns the L+1 taps up to the
     blind complex scale, (L+1,) or (..., L+1); resolve_ambiguity with a
     known anchor tap fixes it. Raises InsufficientData when the frame
-    cannot supply the required windows. A frame whose sample covariance
-    carries no energy raises InsufficientData and one whose penalty
-    minimizer is not isolated raises SolverDegenerate; in a stack, either
-    makes that frame's row NaN instead.
+    cannot supply the required windows. A frame with a sample that is not
+    finite, or without energy, raises InsufficientData and one whose
+    penalty minimizer is not isolated raises SolverDegenerate; in a
+    stack, each makes that frame's row NaN instead.
 
     The noise subspace is well defined only when the N - w + 1 windows
-    can span the wM-dimensional signal subspace, N - w + 1 >= wM. With
-    fewer windows the sample covariance has a degenerate zero eigenspace,
-    the kept eigenvectors are chosen by rounding, and the estimate is not
-    reproducible under one-ulp changes of yN. This is not checked.
+    can span the wM-dimensional signal subspace, N - w + 1 >= wM. At
+    equality it is the orthogonal complement of the windows' span, the
+    last (w-1)L columns of the complete Q of the dim x wM window matrix
+    Z, which this takes without forming the covariance; working on Z
+    itself, its rounding error grows with cond(Z), not cond(Z)^2. Above
+    the border it is the bottom (w-1)L eigenvectors of the covariance
+    Z Z^H / (N - w + 1). With fewer windows the covariance has a
+    degenerate zero eigenspace, the kept eigenvectors are chosen by
+    rounding, and the estimate is not reproducible under one-ulp changes
+    of yN. This is not checked.
     """
     yN = np.asarray(yN, dtype=np.complex128)
     P, M = precoder.F.shape
@@ -139,18 +150,29 @@ def subspace_estimate(
         raise InsufficientData(f"windows of {w} blocks do not fit in {N} blocks")
     dim = w * P - L
     n_windows = N - w + 1
+    n_noise = (w - 1) * L  # dim minus the model rank wM
+    finite = np.isfinite(yN).all(axis=-1)
+    if yN.ndim == 1 and not finite:
+        raise InsufficientData("frame has samples that are not finite")
+    if not finite.all():
+        # zeroed, such a frame fails below as one without energy
+        yN = np.where(finite[..., None], yN, 0.0)
     # Column n of a frame's Z is its window yN[nP: nP + dim].
     Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
-    cov = Z @ Z.conj().swapaxes(-1, -2)
-    cov /= n_windows
-    del Z  # the windows are the largest array; the eigh does not need them
-    silent = ~(np.real(np.trace(cov, axis1=-2, axis2=-1)) > 0)
+    if n_windows == w * M:
+        # the complement of the windows' span: Q's columns past Z's
+        silent = ~Z.any(axis=(-2, -1))
+        noise = np.linalg.qr(Z, mode="complete")[0][..., n_windows:]
+    else:
+        cov = Z @ Z.conj().swapaxes(-1, -2)
+        cov /= n_windows
+        del Z  # the windows are the largest array; the eigh does not need them
+        silent = ~(np.real(np.trace(cov, axis1=-2, axis2=-1)) > 0)
+        cov[silent] = 0.0  # keep the stack's eigh off a frame without energy
+        noise = np.linalg.eigh(cov)[1][..., :n_noise]
     if yN.ndim == 1 and silent:
-        raise InsufficientData("sample covariance carries no energy")
-    cov[silent] = 0.0  # a NaN frame would fail the eigh of the whole stack
-    n_noise = (w - 1) * L  # dim minus the model rank wM
-    _, vecs = np.linalg.eigh(cov)
-    h = channel_from_noise_subspace(vecs[..., :n_noise], precoder.F, L)
+        raise InsufficientData("frame carries no energy")
+    h = channel_from_noise_subspace(noise, precoder.F, L)
     h[silent] = np.nan
     return h
 

@@ -151,7 +151,9 @@ class ExperimentPlan:
     The config's sigma2 is never read: each SNR point gives its cell's
     noise variance, which must be positive and finite. The grid must be
     nonempty, strictly increasing and free of bools, and window_blocks at
-    most N.
+    most N. compute_zp_reference needs a config whose precoder is zero
+    padding by Precoder.zero_padding, the test zp_information applies,
+    whatever its redundancy kind.
     """
 
     config: SystemConfig
@@ -185,7 +187,7 @@ class ExperimentPlan:
             raise ValueError("need at least one channel and one trial per cell")
         if self.master_seed < 0:
             raise ValueError("master seed must be nonnegative")
-        if self.compute_zp_reference and self.config.redundancy_kind != "zp":
+        if self.compute_zp_reference and not make_precoder(self.config).zero_padding:
             raise ValueError("the per-block reference bound applies to zero padding only")
         if self.estimator_settings.window_blocks > self.config.N:
             raise ValueError("window_blocks must not exceed the frame's N blocks")
@@ -240,7 +242,10 @@ def _chunk_size(config: SystemConfig, n_snr: int, window_blocks: int) -> int:
     16 n_snr (NP - L + 2 dim (N - w + 1) + 3 dim^2) bytes a trial,
     dim = wP - L, for its frames, their windows and the windows'
     conjugates, and the covariances, their eigenvectors and the eigh
-    workspace; and at least one."""
+    workspace; and at least one. At the estimator's identifiability
+    border, N - w + 1 = wM, it forms no covariance; its windows, qr's
+    copy of them, Q and R take 16 n_snr (3 dim wM + dim^2) bytes a trial,
+    less than the count above since wM < dim."""
     P, L, N, w = config.P, config.L, config.N, window_blocks
     dim = w * P - L
     per_trial = 16 * n_snr * (N * P - L + 2 * dim * (N - w + 1) + 3 * dim * dim)

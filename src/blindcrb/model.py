@@ -69,8 +69,11 @@ def _bools(value) -> list:
 
 
 def _require_positive_sigma2(sigma2: float):
-    """Raise ValueError unless sigma2 is a positive finite number; a bool
-    is not a noise variance."""
+    """Raise ValueError unless sigma2 is one positive finite number (a
+    Python or numpy scalar, or a 0-d array); a bool is not a noise
+    variance, nor is a list or an array of them."""
+    if np.ndim(sigma2) != 0:
+        raise ValueError(f"sigma2 must be a single number, got {sigma2}")
     if _bools(sigma2) or not 0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
 
@@ -152,6 +155,14 @@ class Precoder:
 
     Ftilde: np.ndarray
     F: np.ndarray
+
+    @property
+    def zero_padding(self) -> bool:
+        """Whether F = [Ftilde; 0]: each block is its inner-precoded
+        symbols followed by P - M zero samples. The one test of zero
+        padding, whatever kind of redundancy built F."""
+        P, M = self.F.shape
+        return np.array_equal(self.F, np.vstack([self.Ftilde, np.zeros((P - M, M))]))
 
 
 @dataclass(frozen=True, eq=False)

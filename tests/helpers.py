@@ -2,20 +2,25 @@
 selection-matrix oracles that the model's per-tap factors are checked
 against, the banded Toeplitz matrix T(h) that is the independent oracle
 for the blocks T(h) F and T(h) Ftilde, the dense routes and bases that the
-banded bounds are checked against, a one-point run of an experiment plan,
-and the frame-by-frame run that the stacked harness is checked against."""
+banded bounds are checked against, the estimator's covariance-eigh route
+that its QR route is checked against, a one-point run of an experiment
+plan, and the frame-by-frame run that the stacked harness is checked
+against."""
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from blindcrb import (
+    EstimatorSettings,
     ExclusionBudgetExceeded,
+    InsufficientData,
     NumericalError,
     RankDeficient,
     ResultRecord,
     SystemConfig,
     build_K,
+    channel_from_noise_subspace,
     crb_direct,
     draw_channel,
     fim_blocks,
@@ -144,6 +149,32 @@ def run_experiment_per_frame(plan):
         )
         for s, snr_db in enumerate(plan.snr_db_grid)
     ]
+
+
+def subspace_estimate_eigh(yN, precoder, settings=EstimatorSettings()):
+    """subspace_estimate with the noise subspace always taken from the
+    eigh of the windows' sample covariance, at every N: the reference
+    that the estimator's QR route at the identifiability border is
+    checked against, and that it must match byte for byte elsewhere.
+    Finite frames only."""
+    yN = np.asarray(yN, dtype=np.complex128)
+    P, M = precoder.F.shape
+    L = P - M
+    N = (yN.shape[-1] + L) // P
+    w = settings.window_blocks
+    dim = w * P - L
+    n_windows = N - w + 1
+    Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
+    cov = Z @ Z.conj().swapaxes(-1, -2)
+    cov /= n_windows
+    silent = ~(np.real(np.trace(cov, axis1=-2, axis2=-1)) > 0)
+    if yN.ndim == 1 and silent:
+        raise InsufficientData("sample covariance carries no energy")
+    cov[silent] = 0.0
+    _, vecs = np.linalg.eigh(cov)
+    h = channel_from_noise_subspace(vecs[..., : (w - 1) * L], precoder.F, L)
+    h[silent] = np.nan
+    return h
 
 
 def frame_energy(pre, frames):

@@ -278,6 +278,22 @@ class TestCrbFast:
             rel = np.linalg.norm(fast.C - direct.C) / np.linalg.norm(direct.C)
             assert rel <= 1e-8, f"paths disagree ({rel:.2e}) at {(M, L, N, kind, inner)}"
 
+    @pytest.mark.parametrize("sigma2", [[1.0], (0.5,), np.array([0.5, 1.0])])
+    def test_rejects_non_scalar_sigma2(self, sigma2):
+        rng = np.random.default_rng(39)
+        cfg, pre, h, s = random_instance(rng)
+        with pytest.raises(ValueError, match=r"^sigma2 must be a single number, got "):
+            crb_fast(h, s, pre, 0, sigma2, cfg.N)
+
+    @pytest.mark.parametrize(
+        "sigma2", [np.float64(0.5), np.float32(0.5), np.int64(2), np.array(0.5)]
+    )
+    def test_accepts_numpy_scalar_sigma2(self, sigma2):
+        rng = np.random.default_rng(39)
+        cfg, pre, h, s = random_instance(rng)
+        want = crb_fast(h, s, pre, 0, float(sigma2), cfg.N).C
+        assert np.array_equal(crb_fast(h, s, pre, 0, sigma2, cfg.N).C, want)
+
     def test_reduced_information_elementwise_oracle(self):
         rng = np.random.default_rng(38)
         cfg, pre, h, s = random_instance(rng, M=4, L=2, N=3, inner_kind="idft")

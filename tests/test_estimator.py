@@ -31,6 +31,7 @@ from helpers import (
     build_selection_matrices,
     left_null_basis,
     random_unit_channel,
+    subspace_estimate_eigh,
 )
 
 
@@ -153,11 +154,11 @@ class TestFailureModes:
             channel_from_noise_subspace(np.zeros((14, 1)), pre.F, 2)
 
 
-def noisy_stack(kind, inner, N, S=4, seed=70):
-    """An M=4, L=2 precoder and one frame's (S, NP - L) stack of noisy
-    copies, noise variances 1e-1 down to 1e-4."""
+def noisy_stack(kind, inner, N, S=4, seed=70, M=4, L=2):
+    """An M x L precoder (M=4, L=2 by default) and one frame's
+    (S, NP - L) stack of noisy copies, noise variances 1e-1 down to
+    1e-4."""
     rng = np.random.default_rng(seed)
-    M, L = 4, 2
     custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
     cfg = SystemConfig(
         M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
@@ -250,6 +251,98 @@ class TestStacks:
         pre, Y = noisy_stack(kind, "idft", 25, S=6)
         H = subspace_estimate(Y.reshape(2, 3, -1), pre)
         assert np.array_equal(H, subspace_estimate(Y, pre).reshape(2, 3, -1))
+
+
+# (N, w) with N - w + 1 = wM at M=12: the estimator's identifiability
+# border, where the noise subspace comes from a complete QR of the windows.
+BORDER = [(25, 2), (38, 3)]
+# Largest distance between the QR route's unit-norm estimate and the eigh
+# route's, after phase alignment: 2.6e-12 measured over 20 channels x 7
+# noise levels of each case of test_qr_route_agrees_with_eigh_route, so
+# this leaves a factor of about 40.
+BORDER_TOL = 1e-10
+
+
+class TestBorderRoute:
+    """At the border the estimator takes the noise subspace from one
+    stacked QR of the windows; everywhere else from the covariance eigh
+    that helpers.subspace_estimate_eigh keeps as the reference."""
+
+    @pytest.mark.parametrize("N,w", BORDER)
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_qr_route_agrees_with_eigh_route(self, kind, inner, N, w):
+        pre, Y = noisy_stack(kind, inner, N, S=7, M=12, L=4)
+        settings = EstimatorSettings(window_blocks=w)
+        got = subspace_estimate(Y, pre, settings)
+        ref = subspace_estimate_eigh(Y, pre, settings)
+        phase = np.sum(ref.conj() * got, axis=-1)
+        aligned = got * (phase.conj() / np.abs(phase))[:, None]
+        assert np.max(np.linalg.norm(aligned - ref, axis=-1)) < BORDER_TOL
+
+    @pytest.mark.parametrize(
+        "N,w,qr_calls", [(25, 2, 1), (38, 3, 1), (24, 2, 0), (26, 2, 0), (40, 3, 0)]
+    )
+    def test_qr_only_at_the_border(self, monkeypatch, N, w, qr_calls):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        pre, Y = noisy_stack("cp", "idft", N, S=3, M=12, L=4)
+        subspace_estimate(Y, pre, EstimatorSettings(window_blocks=w))
+        assert len(calls) == qr_calls
+
+    @pytest.mark.parametrize("N,w", [(8, 2), (24, 2), (26, 2), (40, 3), (100, 2)])
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_eigh_route_off_the_border(self, kind, inner, N, w):
+        pre, Y = noisy_stack(kind, inner, N, S=7, M=12, L=4)
+        settings = EstimatorSettings(window_blocks=w)
+        got = subspace_estimate(Y, pre, settings)
+        assert got.tobytes() == subspace_estimate_eigh(Y, pre, settings).tobytes()
+
+    @pytest.mark.parametrize("N,w", BORDER)
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_stack_member_equals_frame_alone(self, kind, N, w):
+        pre, Y = noisy_stack(kind, "idft", N, S=6, M=12, L=4)
+        settings = EstimatorSettings(window_blocks=w)
+        H = subspace_estimate(Y.reshape(2, 3, -1), pre, settings).reshape(6, -1)
+        for y, row in zip(Y, H):
+            assert subspace_estimate(y, pre, settings).tobytes() == row.tobytes()
+
+
+class TestUnusableFrames:
+    """A frame with a sample that is not finite, or without energy, fails
+    alone on either route: InsufficientData given alone, a NaN row in a
+    stack, with no warning (the suite makes RuntimeWarning an error)."""
+
+    @staticmethod
+    def spoil(y, bad):
+        if bad == "zero":
+            y[:] = 0.0
+        else:
+            y[7] = {"inf": np.inf, "nan": complex(0.0, np.nan)}[bad]
+
+    @pytest.mark.parametrize("bad,message", [
+        ("inf", "^frame has samples that are not finite$"),
+        ("nan", "^frame has samples that are not finite$"),
+        ("zero", "^frame carries no energy$"),
+    ])
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_alone_raises(self, N, bad, message):
+        pre, Y = noisy_stack("zp", "idft", N, S=1, M=12, L=4)
+        self.spoil(Y[0], bad)
+        with pytest.raises(InsufficientData, match=message):
+            subspace_estimate(Y[0], pre)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "zero"])
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_nan_row_in_a_stack(self, N, bad):
+        pre, Y = noisy_stack("zp", "idft", N, S=4, M=12, L=4)
+        self.spoil(Y[2], bad)
+        H = subspace_estimate(Y, pre)
+        assert np.isnan(H[2]).all()
+        for s in (0, 1, 3):
+            assert subspace_estimate(Y[s], pre).tobytes() == H[s].tobytes()
 
 
 class TestSettings:

@@ -7,6 +7,7 @@ complex scale: after ambiguity resolution the cell's mse_avg must vanish.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from blindcrb import (
     IllConditioned,
     ResultRecord,
     SystemConfig,
+    build_redundancy,
     draw_channel,
     format_csv,
     run_experiment,
@@ -194,6 +196,30 @@ class TestPlanValidation:
             compute_zp_reference=True,
         )
         assert plan.compute_zp_reference
+
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    def test_zp_reference_takes_a_custom_zero_padding(self, inner):
+        # One test of zero padding, F = [Ftilde; 0], whatever the
+        # redundancy kind: a custom zero padding gives the "zp" plan's
+        # records, the redundancy label aside.
+        zp = SystemConfig(M=4, L=2, N=14, redundancy_kind="zp", inner_kind=inner)
+        custom = replace(
+            zp, redundancy_kind="custom", custom_redundancy=build_redundancy("zp", 4, 2)
+        )
+        want = run_experiment(small_plan(config=zp, compute_zp_reference=True))
+        got = run_experiment(small_plan(config=custom, compute_zp_reference=True))
+        assert [r.crb_zp_ref_avg for r in got] == [r.crb_zp_ref_avg for r in want]
+        assert [replace(r, redundancy_kind="zp") for r in got] == want
+
+    def test_zp_reference_refuses_a_custom_non_zero_padding(self):
+        rng = np.random.default_rng(12)
+        custom = SystemConfig(
+            M=4, L=2, N=14, redundancy_kind="custom",
+            custom_redundancy=rng.standard_normal((6, 4)),
+        )
+        with pytest.raises(ValueError, match="zero padding"):
+            small_plan(config=custom, compute_zp_reference=True)
+        assert not small_plan(config=custom).compute_zp_reference
 
 
 class TestResultRecordValidation:

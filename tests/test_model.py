@@ -586,6 +586,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("sigma2", [[1.0], np.array([0.5, 1.0]), np.ones((1, 1))])
+    def test_rejects_non_scalar_sigma2(self, sigma2):
+        with pytest.raises(ValueError, match=r"^sigma2 must be a single number, got "):
+            SystemConfig(M=4, L=2, N=3, sigma2=sigma2)
+
+    @pytest.mark.parametrize("sigma2", [np.float64(0.5), np.int32(3), np.array(0.5)])
+    def test_accepts_numpy_scalar_sigma2(self, sigma2):
+        assert SystemConfig(M=4, L=2, N=3, sigma2=sigma2).sigma2 == sigma2
+
     @pytest.mark.parametrize("d", [-1, 3, 1.5, True, False])
     def test_channel_anchor_names_a_tap(self, d):
         with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
