@@ -10,7 +10,11 @@ gaps. At the identifiability border, N - w + 1 = wM windows, the windows
 span exactly wM dimensions, the covariance is singular, and its noise
 subspace is the complement of the windows' span: the estimator takes it
 from a complete QR of the window matrix there, which costs about half
-the covariance's eigh, and from the eigh at every other N.
+the covariance's eigh, and from the eigh at every other N. Whether a
+frame can be used is decided once, before either route: every sample
+finite and one nonzero. The covariance route scales each frame's windows
+by the power of two that puts the frame's peak in [0.5, 1), which changes
+no rounding, so a frame's size neither overflows nor underflows Z Z^H.
 
 A noise eigenvector u satisfies u^H K_w(h) = 0, and K_w(h) is linear in
 the taps: K_w(h) = sum_l h_l K_{w,l} with the model's per-tap factors for
@@ -27,12 +31,12 @@ resolve_ambiguity take one item or a stack of them along leading axes,
 and run each numpy step once for the whole stack; numpy's stacked matmul,
 qr and eigh do on each member what they do on one item, so a member's
 result does not depend on the stack it came in. A numerical failure of
-one member (a frame with a sample that is not finite or without energy,
-a penalty without an isolated minimum, an anchor tap too small or not
-finite) makes that member's taps
-NaN and leaves the others; a failure of the whole batch (a bad shape,
-windows wider than the frame) raises. Given a single item, each raises
-the typed error it always has.
+one member (a frame with a sample that is not finite or without a
+nonzero sample, a noise basis with an entry that is not finite or whose
+penalty has no isolated minimum, an anchor tap too small or not finite)
+makes that member's taps NaN and leaves the others; a failure of the
+whole batch (a bad shape, windows wider than the frame) raises. Given a
+single item, each raises the typed error it always has.
 """
 
 from __future__ import annotations
@@ -79,24 +83,28 @@ def channel_from_noise_subspace(
     smallest eigenvector of Q, (L+1,) or (..., L+1), where h^H Q h is the
     sum over the basis vectors u of |u^H K_w(h)|^2 and
     u^H K_w(h) = sum_l h_l u^H K_{w,l} with the model's per-tap factors
-    of a w-block frame. A basis whose penalty has no isolated minimum
-    raises SolverDegenerate, or gives a NaN row in a stack.
+    of a w-block frame. A basis with an entry that is not finite, or
+    whose penalty has no isolated minimum, raises SolverDegenerate, or
+    gives a NaN row in a stack.
     """
     noise_basis = np.asarray(noise_basis, dtype=np.complex128)
     F = np.asarray(F, dtype=np.complex128)
     if noise_basis.ndim < 2 or noise_basis.shape[-1] == 0:
         raise InsufficientData("noise subspace is empty")
-    P = F.shape[0]
+    P, M = F.shape
     batch = noise_basis.shape[:-2]
     w, rem = divmod(noise_basis.shape[-2] + L, P)
     if rem != 0 or w < 1:
         raise ValueError(
             f"basis rows {noise_basis.shape[-2]} do not match whole blocks of {P}"
         )
+    bad = ~np.isfinite(noise_basis).all(axis=(-2, -1))
+    if bad.any():  # zeroed, such a member has no isolated minimum
+        noise_basis = np.where(bad[..., None, None], 0.0, noise_basis)
     # Row l of A holds K_l^H u for every noise vector u, so
     # h^H Q h = sum over u of |u^H K_w(h)|^2.
     KH = np.concatenate([f[L: w * P].conj().T for f in _tap_factors(F, L, w)])
-    A = (KH @ noise_basis).reshape(batch + (L + 1, -1))
+    A = (KH @ noise_basis).reshape(batch + (L + 1, w * M * noise_basis.shape[-1]))
     Q = A @ A.conj().swapaxes(-1, -2)
     vals, vecs = np.linalg.eigh(Q)
     scale = np.maximum(vals[..., -1], 1e-300)
@@ -122,10 +130,11 @@ def subspace_estimate(
     N is read off the frame length NP - L. Returns the L+1 taps up to the
     blind complex scale, (L+1,) or (..., L+1); resolve_ambiguity with a
     known anchor tap fixes it. Raises InsufficientData when the frame
-    cannot supply the required windows. A frame with a sample that is not
-    finite, or without energy, raises InsufficientData and one whose
-    penalty minimizer is not isolated raises SolverDegenerate; in a
-    stack, each makes that frame's row NaN instead.
+    cannot supply the required windows. A frame is usable when every
+    sample is finite and one is nonzero, on either route; one that is not
+    raises InsufficientData, and one whose penalty minimizer is not
+    isolated raises SolverDegenerate; in a stack, each makes that frame's
+    row NaN instead.
 
     The noise subspace is well defined only when the N - w + 1 windows
     can span the wM-dimensional signal subspace, N - w + 1 >= wM. At
@@ -134,12 +143,14 @@ def subspace_estimate(
     Z, which this takes without forming the covariance; working on Z
     itself, its rounding error grows with cond(Z), not cond(Z)^2. Above
     the border it is the bottom (w-1)L eigenvectors of the covariance
-    Z Z^H / (N - w + 1). With fewer windows the covariance has a
-    degenerate zero eigenspace, the kept eigenvectors are chosen by
-    rounding, and the estimate is not reproducible under one-ulp changes
-    of yN. This is not checked.
+    Z Z^H / (N - w + 1), formed from windows scaled by the power of two
+    that puts the frame's peak in [0.5, 1): an exact scaling, so no frame
+    is too large or too small for the product. With fewer windows the
+    covariance has a degenerate zero eigenspace, the kept eigenvectors
+    are chosen by rounding, and the estimate is not reproducible under
+    one-ulp changes of yN. This is not checked.
     """
-    yN = np.asarray(yN, dtype=np.complex128)
+    yN = np.asarray(yN, dtype=np.complex128, order="C")
     P, M = precoder.F.shape
     L = P - M
     if yN.ndim == 0 or (yN.shape[-1] + L) % P != 0:
@@ -151,29 +162,35 @@ def subspace_estimate(
     dim = w * P - L
     n_windows = N - w + 1
     n_noise = (w - 1) * L  # dim minus the model rank wM
-    finite = np.isfinite(yN).all(axis=-1)
-    if yN.ndim == 1 and not finite:
-        raise InsufficientData("frame has samples that are not finite")
-    if not finite.all():
-        # zeroed, such a frame fails below as one without energy
-        yN = np.where(finite[..., None], yN, 0.0)
+    # One rule for both routes: a frame is usable when the largest real or
+    # imaginary part of its samples (a float view of the C-ordered frames)
+    # is finite and nonzero. A failed frame is zeroed before the windows
+    # are cut, and its row comes back NaN.
+    peak = np.abs(yN.view(np.float64)).max(axis=-1)
+    failed = ~(np.isfinite(peak) & (peak > 0))
+    if yN.ndim == 1 and failed:
+        raise InsufficientData(
+            "frame carries no energy" if peak == 0 else "frame has samples that are not finite"
+        )
+    if failed.any():
+        yN = np.where(failed[..., None], 0.0, yN)
     # Column n of a frame's Z is its window yN[nP: nP + dim].
     Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
     if n_windows == w * M:
         # the complement of the windows' span: Q's columns past Z's
-        silent = ~Z.any(axis=(-2, -1))
         noise = np.linalg.qr(Z, mode="complete")[0][..., n_windows:]
     else:
+        # The power of two that puts a frame's peak in [0.5, 1) changes no
+        # rounding, and no frame is large enough to overflow Z Z^H or small
+        # enough to underflow it.
+        for part in (Z.real, Z.imag):
+            np.ldexp(part, -np.frexp(peak)[1][..., None, None], out=part)
         cov = Z @ Z.conj().swapaxes(-1, -2)
         cov /= n_windows
         del Z  # the windows are the largest array; the eigh does not need them
-        silent = ~(np.real(np.trace(cov, axis1=-2, axis2=-1)) > 0)
-        cov[silent] = 0.0  # keep the stack's eigh off a frame without energy
         noise = np.linalg.eigh(cov)[1][..., :n_noise]
-    if yN.ndim == 1 and silent:
-        raise InsufficientData("frame carries no energy")
     h = channel_from_noise_subspace(noise, precoder.F, L)
-    h[silent] = np.nan
+    h[failed] = np.nan
     return h
 
 

@@ -5,6 +5,7 @@ sample covariance's noise subspace is exact, so the estimate must match
 the true channel to numerical precision once the blind scale is resolved.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -228,14 +229,22 @@ class TestStacks:
         for s in (0, 2, 3):
             assert np.array_equal(subspace_estimate(Y[s], pre), H[s])
 
-    def test_degenerate_basis_gives_nan_row_alone(self):
+    @pytest.mark.parametrize("bad", ["zero", "nan", "inf"])
+    def test_degenerate_basis_gives_nan_row_alone(self, bad):
+        # a basis with an entry that is not finite fails as the zero basis
+        # does, with no warning (the suite makes RuntimeWarning an error)
         pre = make_precoder(SystemConfig(M=6, L=2, N=8))
         bases = np.random.default_rng(71).standard_normal((3, 14, 2)) + 0j
-        bases[2] = 0
+        if bad == "zero":
+            bases[2] = 0
+        else:
+            bases[2, 0, 0] = {"nan": np.nan, "inf": np.inf}[bad]
         H = channel_from_noise_subspace(bases, pre.F, 2)
         assert np.isnan(H[2]).all()
         for s in (0, 1):
             assert np.array_equal(channel_from_noise_subspace(bases[s], pre.F, 2), H[s])
+        with pytest.raises(SolverDegenerate):
+            channel_from_noise_subspace(bases[2], pre.F, 2)
 
     def test_batch_failures_raise(self):
         pre = make_precoder(SystemConfig(M=6, L=2, N=3))
@@ -246,11 +255,20 @@ class TestStacks:
         with pytest.raises(ValueError, match="samples"):
             subspace_estimate(np.ones((2, 21), dtype=complex), pre)
 
-    @pytest.mark.parametrize("kind", ["cp", "zp"])
-    def test_any_leading_axes(self, kind):
-        pre, Y = noisy_stack(kind, "idft", 25, S=6)
-        H = subspace_estimate(Y.reshape(2, 3, -1), pre)
-        assert np.array_equal(H, subspace_estimate(Y, pre).reshape(2, 3, -1))
+    # Empty stacks at M=12, L=4 on either route: N=25 is the QR border,
+    # N=100 the covariance eigh.
+    @pytest.mark.parametrize("kind,M,L,N,lead", [
+        pytest.param("cp", 4, 2, 25, (2, 3), id="cp"),
+        pytest.param("zp", 4, 2, 25, (2, 3), id="zp"),
+        pytest.param("zp", 12, 4, 25, (0,), id="zp-empty-N25"),
+        pytest.param("zp", 12, 4, 100, (2, 0), id="zp-empty-N100"),
+    ])
+    def test_any_leading_axes(self, kind, M, L, N, lead):
+        pre, Y = noisy_stack(kind, "idft", N, S=6, M=M, L=L)
+        Y = Y[: math.prod(lead)]
+        H = subspace_estimate(Y.reshape(lead + Y.shape[-1:]), pre)
+        assert H.shape == lead + (L + 1,)
+        assert np.array_equal(H, subspace_estimate(Y, pre).reshape(H.shape))
 
 
 # (N, w) with N - w + 1 = wM at M=12: the estimator's identifiability
@@ -311,9 +329,11 @@ class TestBorderRoute:
 
 
 class TestUnusableFrames:
-    """A frame with a sample that is not finite, or without energy, fails
-    alone on either route: InsufficientData given alone, a NaN row in a
-    stack, with no warning (the suite makes RuntimeWarning an error)."""
+    """Both routes take and refuse the same frames. A frame with a sample
+    that is not finite, or without energy, fails alone: InsufficientData
+    given alone, a NaN row in a stack. A frame scaled far from unit size
+    gives its unscaled estimate. No case warns (the suite makes
+    RuntimeWarning an error) or touches the other rows of its stack."""
 
     @staticmethod
     def spoil(y, bad):
@@ -343,6 +363,27 @@ class TestUnusableFrames:
         assert np.isnan(H[2]).all()
         for s in (0, 1, 3):
             assert subspace_estimate(Y[s], pre).tobytes() == H[s].tobytes()
+
+    @staticmethod
+    def scaled(N, scale):
+        pre, Y = noisy_stack("zp", "idft", N, S=4, M=12, L=4)
+        H = subspace_estimate(Y, pre)
+        Y[2] *= scale
+        return H, subspace_estimate(Y, pre)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_power_of_two_keeps_the_bytes(self, N, scale):
+        H, G = self.scaled(N, scale)
+        assert G.tobytes() == H.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170], ids=["1e160", "1e-170"])
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_extreme_scale_keeps_the_estimate(self, N, scale):
+        H, G = self.scaled(N, scale)
+        assert G[[0, 1, 3]].tobytes() == H[[0, 1, 3]].tobytes()
+        assert np.isfinite(G[2]).all()
+        assert np.linalg.norm(G[2] - H[2]) < 1e-13
 
 
 class TestSettings:
