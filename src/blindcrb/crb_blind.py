@@ -39,7 +39,13 @@ Both also take a stack of C channels, (C, L+1) taps with (C, T, NM)
 frames, and return (C, T, L+1, L+1): one sweep, or one stacked QR, runs
 every channel at once, and each member gets the bytes it would get
 alone. A single channel that fails a gate raises; in a channel stack the
-failed member comes back NaN and the others are unchanged. crb_fast and
+failed member comes back NaN and the others are unchanged. The first
+gate is model._usable, the package's one test of an input's entries: a
+tap or frame that is not finite, or taps or a frame with no nonzero
+entry, raise IllConditioned from crb_direct (through build_K and
+fim_blocks), crb_fast and crb_zp_per_block alike. In a batch of frames
+a failed frame is a NaN member, for one channel as in a stack, and so
+is every frame of a stacked channel whose taps fail. crb_fast and
 crb_zp_per_block are batches of one.
 
 Both routes reject ill-conditioned inversions instead of returning noise,
@@ -53,15 +59,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .crb_core import COND_LIMIT, RANK_RTOL, _hermitize
+from .crb_core import _J11, COND_LIMIT, RANK_RTOL, _hermitize
 from .errors import IllConditioned, RankDeficient
 from .model import Precoder, _anchor_mask, _require_positive_sigma2, _tap_factors, _tap_sum
+from .model import _usable
 
 # The sweep switches to its steady-state map once the sign-normalised
 # carried K block moves by at most this much, relative to its Frobenius
 # norm, from one step to the next; once settled it moves by less than
 # 1e-15 (M=12, L=4, cp and zp, 32 channels each).
 _STEADY_RTOL = 1e-14
+
+# The matrix whose refused inversion IllConditioned names when the
+# anchor-reduced information fails its gate.
+_REDUCED = "anchor-reduced information E_d D E_d^H"
 
 
 def default_anchor(h: np.ndarray) -> int:
@@ -103,13 +114,18 @@ def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlock
 
     K must be sum_l h[l] K_list[l]; sN is the symbol frame the information
     is evaluated at. Entries: J00[i,j] = s^H K_i^H K_j s / sigma2,
-    J01[i,:] = s^H K_i^H K / sigma2, J11 = K^H K / sigma2.
+    J01[i,:] = s^H K_i^H K / sigma2, J11 = K^H K / sigma2. A frame with
+    a sample that is not finite raises IllConditioned, as on the fast
+    route; an all-zero frame gives exact zero tap blocks, which crb_direct
+    refuses at its anchor-reduced gate with the same error.
     """
     _require_positive_sigma2(sigma2)
     K = np.asarray(K, dtype=np.complex128)
     sN = np.asarray(sN, dtype=np.complex128)
     if sN.shape != (K.shape[1],):
         raise ValueError(f"expected {K.shape[1]} symbols, got shape {sN.shape}")
+    if not _usable(sN, allow_zero=True)[0]:
+        raise IllConditioned(_REDUCED, math.inf)
     # Row l holds (K_l s)^T; all blocks derive from it and K.
     W = np.array([Kl @ sN for Kl in K_list])
     J00 = (W.conj() @ W.T) / sigma2
@@ -149,7 +165,7 @@ def _invert_reduced(D: np.ndarray, d) -> CrbResult:
     Dd = _delete_anchor(np.asarray(D), d)
     cond, ok = _conditioned(Dd)
     if Dd.ndim == 2 and not ok:
-        raise IllConditioned("anchor-reduced information E_d D E_d^H", float(cond))
+        raise IllConditioned(_REDUCED, float(cond))
     C = np.full(Dd.shape, np.nan, dtype=np.complex128)
     # Only the accepted members: a singular one would fail inv for all.
     C[ok] = _hermitize(np.linalg.inv(Dd[ok]))
@@ -161,7 +177,7 @@ def _schur_reduce(blocks: FimBlocks) -> np.ndarray:
     """J00 - J01 inv(J11) J01^H, rejecting ill-conditioned symbol blocks."""
     cond, ok = _conditioned(blocks.J11)
     if not ok:
-        raise IllConditioned("symbol information block J11", float(cond))
+        raise IllConditioned(_J11, float(cond))
     X = np.linalg.solve(blocks.J11, blocks.J01.conj().T)
     return _hermitize(blocks.J00 - blocks.J01 @ X)
 
@@ -193,10 +209,19 @@ def crb_fast(
 
 def _channel_stack(h, sNs, precoder: Precoder, min_blocks: int):
     """Taps and frames as a (C, L+1) stack of channels with their
-    (C, T, NM) frames, and whether they were one channel's (L+1,) taps
-    with its (T, NM) frames. The frames must hold at least min_blocks
-    whole blocks of M symbols, and the channel order must fit the
-    precoder's P x M composite F: L < M and P = M + L."""
+    (C, T, NM) frames, whether they were one channel's (L+1,) taps with
+    its (T, NM) frames, and the (C, T) mask of the members that failed
+    model._usable. The frames must hold at least min_blocks whole blocks
+    of M symbols, and the channel order must fit the precoder's P x M
+    composite F: L < M and P = M + L.
+
+    A channel whose taps fail fails all its members, a frame that fails
+    its own; both are returned zeroed, so no product meets them, and the
+    caller sets the failed members NaN. Taps of one channel that fail
+    raise IllConditioned instead, the class the direct route raises: zero
+    taps give a zero J11 = K^H K / sigma2. A failed frame is a member of
+    the batch even for one channel, so crb_fast and crb_zp_per_block meet
+    its NaN information at their anchor-reduced gate."""
     P, M = precoder.F.shape
     h = np.asarray(h, dtype=np.complex128)
     sNs = np.asarray(sNs, dtype=np.complex128)
@@ -216,7 +241,16 @@ def _channel_stack(h, sNs, precoder: Precoder, min_blocks: int):
     if not L < M or P != M + L:
         raise ValueError(f"channel order {L} inconsistent with precoder shape {P}x{M}")
     single = h.ndim == 1
-    return (h[None], sNs[None], True) if single else (h, sNs, False)
+    if single:
+        h, sNs = h[None], sNs[None]
+    taps_ok, frames_ok = _usable(h)[0], _usable(sNs)[0]
+    if single and not taps_ok[0]:
+        raise IllConditioned(_J11, math.inf)
+    if not taps_ok.all():
+        h = np.where(taps_ok[:, None], h, 0.0)
+    if not frames_ok.all():
+        sNs = np.where(frames_ok[..., None], sNs, 0.0)
+    return h, sNs, single, ~(taps_ok[:, None] & frames_ok)
 
 
 def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.ndarray:
@@ -230,13 +264,16 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     the model's one-block factors of F. D0 depends only on the channel and
     the frame: the bound of frame t at any noise level is the
     anchor-reduced inverse of D0[t] / sigma2. A rank-deficient K raises
-    RankDeficient for the whole batch. With (C, L+1) taps and (C, T, NM)
-    frames, one sweep runs every channel and the result is
-    (C, T, L+1, L+1); each member equals its channel's result alone, and a
-    channel whose K fails the rank gate comes back NaN instead of raising.
+    RankDeficient for the whole batch, and taps that model._usable
+    refuses raise IllConditioned (see _channel_stack); a frame that it
+    refuses comes back NaN. With (C, L+1) taps and (C, T, NM) frames, one
+    sweep runs every channel and the result is (C, T, L+1, L+1); each
+    member equals its channel's result alone, and a channel whose K fails
+    the rank gate, or whose taps fail model._usable, comes back NaN
+    instead of raising.
     """
     P, M = precoder.F.shape
-    h, sNs, single = _channel_stack(h, sNs, precoder, 2)
+    h, sNs, single, failed = _channel_stack(h, sNs, precoder, 2)
     C, T = sNs.shape[:2]
     L, N = h.shape[1] - 1, sNs.shape[2] // M
     B = _tap_sum(h, _tap_factors(precoder.F, L, 1))
@@ -245,13 +282,13 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     # copied.
     Vt = sliding_window_view(x, L + 1, axis=2)[..., ::-1].transpose(0, 2, 1, 3)
     fins, low, high = _sweep(B, Vt)
-    failed = low <= RANK_RTOL * high
-    if single and failed[0]:
+    deficient = low <= RANK_RTOL * high
+    if single and deficient[0]:
         raise RankDeficient(
             f"K is column-rank-deficient (diag ratio {low[0] / high[0]:.3e})"
         )
     D0 = _grams(fins.transpose(0, 2, 1, 3))
-    D0[failed] = np.nan
+    D0[failed | deficient[:, None]] = np.nan
     return D0[0] if single else D0
 
 
@@ -414,8 +451,9 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     returns (C, T, L+1, L+1), each member equal to its channel's result
     alone; a channel that fails the J11 gate comes back NaN there instead
     of raising IllConditioned. It takes the system's precoder and checks
-    the taps and frames against it as fast_information does, and refuses
-    a precoder that is not zero padding, F = [Ftilde; 0].
+    the taps and frames against it, usability included, as
+    fast_information does, and refuses a precoder that is not zero
+    padding, F = [Ftilde; 0].
 
     Like fast_information, it depends only on the channel and the frame;
     the bound of frame t is the anchor-reduced inverse of the result's
@@ -427,29 +465,28 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     so D0 is the Gram of the coordinates Qp^H U_n, read off the factors'
     products Qp^H J_l Ftilde: PSD by construction, with no cancellation.
     The same QR gives the J11 gate: A = Q R, so A^H A = R^H R and
-    cond(J11) = cond(R)^2, read off the M x M triangle of R (a member with
-    a non-finite tap has cond inf). The one QR of A serves the gate, the
-    projector and the batch, and one stacked QR serves a stack of channels;
-    O(M^3 + N M L(L+1) T) time per channel.
+    cond(J11) = cond(R)^2, read off the M x M triangle of R. The one QR
+    of A serves the gate, the projector and the batch, and one stacked QR
+    serves a stack of channels; O(M^3 + N M L(L+1) T) time per channel.
     """
     M = precoder.F.shape[1]
-    h, sNs, single = _channel_stack(h, sNs, precoder, 1)
-    C, T = sNs.shape[:2]
-    L, N = h.shape[1] - 1, sNs.shape[2] // M
     if not precoder.zero_padding:
         raise ValueError("the reference bound applies to zero padding only, F = [Ftilde; 0]")
+    h, sNs, single, failed = _channel_stack(h, sNs, precoder, 1)
+    C, T = sNs.shape[:2]
+    L, N = h.shape[1] - 1, sNs.shape[2] // M
     factors = _tap_factors(precoder.Ftilde, L, 1)
     A = _tap_sum(h, factors)
     Q, R = np.linalg.qr(A, mode="complete")
     cond = _conditioned(R[:, :M])[0] ** 2
     ok = cond < COND_LIMIT
     if single and not ok[0]:
-        raise IllConditioned("symbol information block J11", float(cond[0]))
+        raise IllConditioned(_J11, float(cond[0]))
     # lags[c, m, j, l] = (Qp^H J_l Ftilde)[c, j, m], so s_n^T lags[c] is
     # Qp^H U_n, block n's L rows of W.
     Qp = Q[:, :, M:]
     lags = (Qp.conj().swapaxes(1, 2)[:, None] @ np.stack(factors)).transpose(0, 3, 2, 1)
     W = sNs.reshape(C, T, N, M) @ lags.reshape(C, 1, M, L * (L + 1))
     D0 = _grams(W.reshape(C, T, N * L, L + 1))
-    D0[~ok] = np.nan
+    D0[failed | ~ok[:, None]] = np.nan
     return D0[0] if single else D0

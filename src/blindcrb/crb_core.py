@@ -35,6 +35,9 @@ COND_LIMIT = 1e12
 # and relative eigenvalue-gap floor of the estimator's minimizer.
 RANK_RTOL = 1e-10
 HERMITIAN_RTOL = 1e-12
+# The matrix whose refused inversion IllConditioned names when the symbol
+# information block fails its gate.
+_J11 = "symbol information block J11"
 
 
 def _require_hermitian(J: np.ndarray, name: str = "J") -> np.ndarray:

@@ -11,10 +11,12 @@ span exactly wM dimensions, the covariance is singular, and its noise
 subspace is the complement of the windows' span: the estimator takes it
 from a complete QR of the window matrix there, which costs about half
 the covariance's eigh, and from the eigh at every other N. Whether a
-frame can be used is decided once, before either route: every sample
-finite and one nonzero. The covariance route scales each frame's windows
-by the power of two that puts the frame's peak in [0.5, 1), which changes
-no rounding, so a frame's size neither overflows nor underflows Z Z^H.
+frame can be used is decided once, before either route, by the package's
+one rule (model._usable): every sample finite and one nonzero. The
+covariance route scales each frame's windows by the power of two that
+puts the frame's peak in [0.5, 1), which changes no rounding, so a
+frame's size neither overflows nor underflows Z Z^H; the penalty scales
+each noise basis alike.
 
 A noise eigenvector u satisfies u^H K_w(h) = 0, and K_w(h) is linear in
 the taps: K_w(h) = sum_l h_l K_{w,l} with the model's per-tap factors for
@@ -31,12 +33,12 @@ resolve_ambiguity take one item or a stack of them along leading axes,
 and run each numpy step once for the whole stack; numpy's stacked matmul,
 qr and eigh do on each member what they do on one item, so a member's
 result does not depend on the stack it came in. A numerical failure of
-one member (a frame with a sample that is not finite or without a
-nonzero sample, a noise basis with an entry that is not finite or whose
-penalty has no isolated minimum, an anchor tap too small or not finite)
-makes that member's taps NaN and leaves the others; a failure of the
-whole batch (a bad shape, windows wider than the frame) raises. Given a
-single item, each raises the typed error it always has.
+one member (a frame or noise basis with an entry that is not finite or
+without a nonzero entry, a basis whose penalty has no isolated minimum,
+an anchor tap too small or not finite) makes that member's taps NaN and
+leaves the others; a failure of the whole batch (a bad shape, windows
+wider than the frame) raises. Given a single item, each raises the typed
+error it always has.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .crb_core import RANK_RTOL
 from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
-from .model import Precoder, _anchor_mask, _require_integers, _tap_factors
+from .model import Precoder, _anchor_mask, _require_integers, _tap_factors, _usable
 
 ANCHOR_FLOOR = 1e-12
 
@@ -71,6 +73,13 @@ class EstimatorSettings:
             )
 
 
+def _scale(X: np.ndarray, e: np.ndarray):
+    """Multiply each (..., m, n) member of a complex stack by 2^e[...], in
+    place: exact while the results stay normal."""
+    for part in (X.real, X.imag):
+        np.ldexp(part, e[..., None, None], out=part)
+
+
 def channel_from_noise_subspace(
     noise_basis: np.ndarray, F: np.ndarray, L: int
 ) -> np.ndarray:
@@ -83,7 +92,9 @@ def channel_from_noise_subspace(
     smallest eigenvector of Q, (L+1,) or (..., L+1), where h^H Q h is the
     sum over the basis vectors u of |u^H K_w(h)|^2 and
     u^H K_w(h) = sum_l h_l u^H K_{w,l} with the model's per-tap factors
-    of a w-block frame. A basis with an entry that is not finite, or
+    of a w-block frame. The estimate does not depend on the size of a
+    basis: each member is scaled by an exact power of two first. A basis
+    that model._usable refuses (an entry not finite, or none nonzero), or
     whose penalty has no isolated minimum, raises SolverDegenerate, or
     gives a NaN row in a stack.
     """
@@ -98,13 +109,26 @@ def channel_from_noise_subspace(
         raise ValueError(
             f"basis rows {noise_basis.shape[-2]} do not match whole blocks of {P}"
         )
-    bad = ~np.isfinite(noise_basis).all(axis=(-2, -1))
-    if bad.any():  # zeroed, such a member has no isolated minimum
-        noise_basis = np.where(bad[..., None, None], 0.0, noise_basis)
+    # A member that is not usable is zeroed, which has no isolated minimum;
+    # a usable one is scaled by the power of two that puts its peak in
+    # [0.5, 1), which changes no rounding, so its size neither overflows
+    # nor underflows the penalty.
+    usable, exponent = _usable(noise_basis, 2)
+    basis = np.where(usable[..., None, None], noise_basis, 0.0)
+    _scale(basis, -exponent)
+    return _penalty_minimum(basis, F, L, w)
+
+
+def _penalty_minimum(basis: np.ndarray, F: np.ndarray, L: int, w: int) -> np.ndarray:
+    """channel_from_noise_subspace on a checked basis of w-block windows:
+    nonempty, finite, and scaled so its penalty neither overflows nor
+    underflows, as subspace_estimate's orthonormal bases are."""
+    P, M = F.shape
+    batch = basis.shape[:-2]
     # Row l of A holds K_l^H u for every noise vector u, so
     # h^H Q h = sum over u of |u^H K_w(h)|^2.
     KH = np.concatenate([f[L: w * P].conj().T for f in _tap_factors(F, L, w)])
-    A = (KH @ noise_basis).reshape(batch + (L + 1, w * M * noise_basis.shape[-1]))
+    A = (KH @ basis).reshape(batch + (L + 1, w * M * basis.shape[-1]))
     Q = A @ A.conj().swapaxes(-1, -2)
     vals, vecs = np.linalg.eigh(Q)
     scale = np.maximum(vals[..., -1], 1e-300)
@@ -162,16 +186,18 @@ def subspace_estimate(
     dim = w * P - L
     n_windows = N - w + 1
     n_noise = (w - 1) * L  # dim minus the model rank wM
-    # One rule for both routes: a frame is usable when the largest real or
-    # imaginary part of its samples (a float view of the C-ordered frames)
-    # is finite and nonzero. A failed frame is zeroed before the windows
+    # One rule for both routes: a failed frame is zeroed before the windows
     # are cut, and its row comes back NaN.
-    peak = np.abs(yN.view(np.float64)).max(axis=-1)
-    failed = ~(np.isfinite(peak) & (peak > 0))
+    usable, exponent = _usable(yN)
+    failed = ~usable
     if yN.ndim == 1 and failed:
         raise InsufficientData(
-            "frame carries no energy" if peak == 0 else "frame has samples that are not finite"
+            "frame carries no energy"
+            if _usable(yN, allow_zero=True)[0]
+            else "frame has samples that are not finite"
         )
+    if n_noise == 0:
+        raise InsufficientData("noise subspace is empty")
     if failed.any():
         yN = np.where(failed[..., None], 0.0, yN)
     # Column n of a frame's Z is its window yN[nP: nP + dim].
@@ -183,13 +209,13 @@ def subspace_estimate(
         # The power of two that puts a frame's peak in [0.5, 1) changes no
         # rounding, and no frame is large enough to overflow Z Z^H or small
         # enough to underflow it.
-        for part in (Z.real, Z.imag):
-            np.ldexp(part, -np.frexp(peak)[1][..., None, None], out=part)
+        _scale(Z, -exponent)
         cov = Z @ Z.conj().swapaxes(-1, -2)
         cov /= n_windows
         del Z  # the windows are the largest array; the eigh does not need them
         noise = np.linalg.eigh(cov)[1][..., :n_noise]
-    h = channel_from_noise_subspace(noise, precoder.F, L)
+    # QR and eigh give orthonormal bases, zeroed frames included.
+    h = _penalty_minimum(noise, precoder.F, L, w)
     h[failed] = np.nan
     return h
 

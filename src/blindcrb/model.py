@@ -29,6 +29,8 @@ them by the taps, and
 synthesize_observation applies K to a frame as a convolution of the taps
 with the precoded stream, with no matrix, and adds the noise: it is the
 package's one place that turns noise variances into received frames.
+_usable is the package's one test of whether taps, a frame or a noise
+basis can be used at all, and the exact power of two that scales one.
 
 All vectors are 1-D complex128 arrays; matrices are 2-D complex128 unless
 they are pure 0/1 selection patterns.
@@ -40,7 +42,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .crb_core import RANK_RTOL
+from .crb_core import _J11, RANK_RTOL
+from .errors import IllConditioned
 
 REDUNDANCY_KINDS = ("cp", "zp", "custom")
 INNER_KINDS = ("identity", "idft", "custom")
@@ -89,6 +92,21 @@ def _anchor_mask(d, n: int) -> np.ndarray:
     if len(bad):
         raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
     return np.arange(n) == d[..., None]
+
+
+def _usable(x, ndim: int = 1, allow_zero: bool = False):
+    """The package's one test of taps, frames and noise bases: for each
+    member of a stack, its last ndim axes, whether it can be used (every
+    entry finite and, unless allow_zero, one nonzero) and the exponent e
+    of the power of two that puts its largest real or imaginary part,
+    times 2^-e, in [0.5, 1). A caller zeroes a member that fails before
+    using the stack and sets its result NaN; given a single item, it
+    raises its typed error instead."""
+    parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    axes = tuple(range(-ndim, 0))
+    # the largest |entry| without an array of them; NaN propagates
+    peak = np.maximum(parts.max(axis=axes), -parts.min(axis=axes))
+    return np.isfinite(peak) & (allow_zero | (peak > 0)), np.frexp(peak)[1]
 
 
 @dataclass(frozen=True)
@@ -293,6 +311,11 @@ def build_K(config: SystemConfig, precoder: Precoder, h: np.ndarray):
     K_l and K are rows L..NP-1 of _tap_factors' J_l (I_N kron F) and of
     their tap sum H (I_N kron F). Only the dimensions of config are read.
 
+    A tap that is not finite raises IllConditioned, as on every bound
+    route: K, and with it the symbol information block J11 = K^H K /
+    sigma2, would not be finite. All-zero taps give K = 0, which
+    crb_direct refuses at its J11 gate with the same error.
+
     Returns
     -------
     (K, K_list)
@@ -303,6 +326,8 @@ def build_K(config: SystemConfig, precoder: Precoder, h: np.ndarray):
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.size != config.L + 1:
         raise ValueError(f"expected {config.L + 1} taps, got shape {np.shape(h)}")
+    if not _usable(h, allow_zero=True)[0]:
+        raise IllConditioned(_J11, math.inf)
     factors = _tap_factors(precoder.F, config.L, config.N)
     rows = slice(config.L, config.N * config.P)
     return _tap_sum(h, factors)[rows], [factor[rows] for factor in factors]

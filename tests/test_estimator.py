@@ -246,6 +246,26 @@ class TestStacks:
         with pytest.raises(SolverDegenerate):
             channel_from_noise_subspace(bases[2], pre.F, 2)
 
+    def test_basis_size_does_not_matter(self):
+        # Each member is scaled by an exact power of two before the
+        # penalty, so a huge or tiny basis neither overflows nor underflows
+        # it (the suite makes RuntimeWarning an error), and a power-of-two
+        # factor changes no byte.
+        pre = make_precoder(SystemConfig(M=6, L=2, N=8))
+        bases = np.random.default_rng(71).standard_normal((3, 14, 2)) + 0j
+        H = channel_from_noise_subspace(bases, pre.F, 2)
+        scaled = bases.copy()
+        for factor in (1e160, 1e-170):
+            scaled[1] = factor * bases[1]
+            H_scaled = channel_from_noise_subspace(scaled, pre.F, 2)
+            assert np.isfinite(H_scaled[1]).all()
+            assert np.abs(H_scaled[1] - H[1]).max() <= 1e-13
+            assert np.array_equal(H_scaled[[0, 2]], H[[0, 2]])
+        for power in (600, -600):
+            scaled[1] = np.ldexp(bases[1].real, power) + 1j * np.ldexp(bases[1].imag, power)
+            assert channel_from_noise_subspace(scaled, pre.F, 2).tobytes() == H.tobytes()
+            assert channel_from_noise_subspace(scaled[1], pre.F, 2).tobytes() == H[1].tobytes()
+
     def test_batch_failures_raise(self):
         pre = make_precoder(SystemConfig(M=6, L=2, N=3))
         with pytest.raises(InsufficientData, match="blocks"):

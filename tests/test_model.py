@@ -524,6 +524,18 @@ class TestGradients:
         K, _ = build_K(cfg, pre, h)
         np.testing.assert_array_equal(grad_s, K.conj().T @ (y - K @ s) / sigma2)
 
+    def test_zero_taps_give_finite_gradients(self):
+        # K = 0 leaves the residual y: the tap gradient is s^H K_l^H y /
+        # sigma2 and the frame gradient zero, with no warning or error.
+        rng = np.random.default_rng(20)
+        cfg, pre, h, s = random_instance(rng)
+        y = synthesize_observation(pre, h, s, 0.3, 2)
+        zero = np.zeros_like(h)
+        grad_h, grad_s = loglik_gradients(y, cfg, pre, zero, s, 0.3)
+        _, K_list = build_K(cfg, pre, h)
+        np.testing.assert_array_equal(grad_h, [np.vdot(Kl @ s, y) / 0.3 for Kl in K_list])
+        np.testing.assert_array_equal(grad_s, 0)
+
     @pytest.mark.parametrize("sigma2", [0.0, -0.5, np.nan, np.inf, True])
     def test_rejects_nonpositive_or_nan_sigma2(self, sigma2):
         rng = np.random.default_rng(19)
