@@ -48,7 +48,6 @@ from .crb_blind import (
 )
 from .estimator import (
     EstimatorSettings,
-    channel_from_noise_subspace,
     resolve_ambiguity,
     subspace_estimate,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "build_K",
     "build_inner_precoder",
     "build_redundancy",
-    "channel_from_noise_subspace",
     "crb_constrained",
     "crb_direct",
     "crb_fast",

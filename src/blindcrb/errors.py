@@ -6,12 +6,11 @@ stacked functions report the same failures as NaN members instead, which
 is how a Monte Carlo trial fails without stopping the run. Anything else
 (bad shapes, bad arguments) is a plain ValueError.
 
-Taps, frames and noise bases meet one usability rule first
-(model._usable): every entry finite and one nonzero. The bound routes
-refuse taps or a frame that break it with IllConditioned (the direct
-one at its J11 and anchor-reduced gates for zero taps or a zero frame),
-the estimator a frame with InsufficientData and a noise basis with
-SolverDegenerate.
+Taps and frames meet one usability rule first (model._usable): every
+entry finite and one nonzero. The bound routes refuse taps or a frame
+that break it with IllConditioned (the direct one at its J11 and
+anchor-reduced gates for zero taps or a zero frame), the estimator a
+frame with InsufficientData.
 """
 
 

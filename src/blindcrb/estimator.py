@@ -15,8 +15,7 @@ frame can be used is decided once, before either route, by the package's
 one rule (model._usable): every sample finite and one nonzero. The
 covariance route scales each frame's windows by the power of two that
 puts the frame's peak in [0.5, 1), which changes no rounding, so a
-frame's size neither overflows nor underflows Z Z^H; the penalty scales
-each noise basis alike.
+frame's size neither overflows nor underflows Z Z^H.
 
 A noise eigenvector u satisfies u^H K_w(h) = 0, and K_w(h) is linear in
 the taps: K_w(h) = sum_l h_l K_{w,l} with the model's per-tap factors for
@@ -28,17 +27,16 @@ the true channel annihilates. The estimate is the unit-norm minimizer
 A A^H; it carries the inherent blind scale ambiguity until
 resolve_ambiguity pins the anchor tap.
 
-Batches: subspace_estimate, channel_from_noise_subspace and
-resolve_ambiguity take one item or a stack of them along leading axes,
-and run each numpy step once for the whole stack; numpy's stacked matmul,
-qr and eigh do on each member what they do on one item, so a member's
-result does not depend on the stack it came in. A numerical failure of
-one member (a frame or noise basis with an entry that is not finite or
-without a nonzero entry, a basis whose penalty has no isolated minimum,
-an anchor tap too small or not finite) makes that member's taps NaN and
-leaves the others; a failure of the whole batch (a bad shape, windows
-wider than the frame) raises. Given a single item, each raises the typed
-error it always has.
+Batches: subspace_estimate and resolve_ambiguity take one item or a
+stack of them along leading axes, and run each numpy step once for the
+whole stack; numpy's stacked matmul, qr and eigh do on each member what
+they do on one item, so a member's result does not depend on the stack
+it came in. A numerical failure of one member (a frame with an entry
+that is not finite or without a nonzero entry, a frame whose penalty has
+no isolated minimum, an anchor tap too small or not finite) makes that
+member's taps NaN and leaves the others; a failure of the whole batch
+(a bad shape, windows wider than the frame) raises. Given a single item,
+each raises the typed error it always has.
 """
 
 from __future__ import annotations
@@ -73,56 +71,15 @@ class EstimatorSettings:
             )
 
 
-def _scale(X: np.ndarray, e: np.ndarray):
-    """Multiply each (..., m, n) member of a complex stack by 2^e[...], in
-    place: exact while the results stay normal."""
-    for part in (X.real, X.imag):
-        np.ldexp(part, e[..., None, None], out=part)
-
-
-def channel_from_noise_subspace(
-    noise_basis: np.ndarray, F: np.ndarray, L: int
-) -> np.ndarray:
-    """Channel direction from vectors (approximately) orthogonal to the
-    window signal subspace.
-
-    noise_basis is (wP - L, n) or a stack (..., wP - L, n), with P taken
-    from the composite precoder F (P x M); columns need not be
-    orthonormal, only to span the noise subspace. Returns the unit-norm
-    smallest eigenvector of Q, (L+1,) or (..., L+1), where h^H Q h is the
-    sum over the basis vectors u of |u^H K_w(h)|^2 and
-    u^H K_w(h) = sum_l h_l u^H K_{w,l} with the model's per-tap factors
-    of a w-block frame. The estimate does not depend on the size of a
-    basis: each member is scaled by an exact power of two first. A basis
-    that model._usable refuses (an entry not finite, or none nonzero), or
-    whose penalty has no isolated minimum, raises SolverDegenerate, or
-    gives a NaN row in a stack.
-    """
-    noise_basis = np.asarray(noise_basis, dtype=np.complex128)
-    F = np.asarray(F, dtype=np.complex128)
-    if noise_basis.ndim < 2 or noise_basis.shape[-1] == 0:
-        raise InsufficientData("noise subspace is empty")
-    P, M = F.shape
-    batch = noise_basis.shape[:-2]
-    w, rem = divmod(noise_basis.shape[-2] + L, P)
-    if rem != 0 or w < 1:
-        raise ValueError(
-            f"basis rows {noise_basis.shape[-2]} do not match whole blocks of {P}"
-        )
-    # A member that is not usable is zeroed, which has no isolated minimum;
-    # a usable one is scaled by the power of two that puts its peak in
-    # [0.5, 1), which changes no rounding, so its size neither overflows
-    # nor underflows the penalty.
-    usable, exponent = _usable(noise_basis, 2)
-    basis = np.where(usable[..., None, None], noise_basis, 0.0)
-    _scale(basis, -exponent)
-    return _penalty_minimum(basis, F, L, w)
-
-
 def _penalty_minimum(basis: np.ndarray, F: np.ndarray, L: int, w: int) -> np.ndarray:
-    """channel_from_noise_subspace on a checked basis of w-block windows:
-    nonempty, finite, and scaled so its penalty neither overflows nor
-    underflows, as subspace_estimate's orthonormal bases are."""
+    """Channel direction from a noise basis of w-block windows, (wP - L, n)
+    or a stack (..., wP - L, n), with P taken from the composite precoder
+    F (P x M): the unit-norm smallest eigenvector of Q, (L+1,) or
+    (..., L+1), where h^H Q h is the sum over the basis vectors u of
+    |u^H K_w(h)|^2. The basis must be nonempty and finite, and sized so
+    that its penalty neither overflows nor underflows, as
+    subspace_estimate's orthonormal bases are. A penalty with no isolated
+    minimum raises SolverDegenerate, or gives a NaN row in a stack."""
     P, M = F.shape
     batch = basis.shape[:-2]
     # Row l of A holds K_l^H u for every noise vector u, so
@@ -209,7 +166,8 @@ def subspace_estimate(
         # The power of two that puts a frame's peak in [0.5, 1) changes no
         # rounding, and no frame is large enough to overflow Z Z^H or small
         # enough to underflow it.
-        _scale(Z, -exponent)
+        for part in (Z.real, Z.imag):
+            np.ldexp(part, -exponent[..., None, None], out=part)
         cov = Z @ Z.conj().swapaxes(-1, -2)
         cov /= n_windows
         del Z  # the windows are the largest array; the eigh does not need them

@@ -29,8 +29,8 @@ them by the taps, and
 synthesize_observation applies K to a frame as a convolution of the taps
 with the precoded stream, with no matrix, and adds the noise: it is the
 package's one place that turns noise variances into received frames.
-_usable is the package's one test of whether taps, a frame or a noise
-basis can be used at all, and the exact power of two that scales one.
+_usable is the package's one test of whether taps or a frame can be
+used at all, and the exact power of two that scales one.
 
 All vectors are 1-D complex128 arrays; matrices are 2-D complex128 unless
 they are pure 0/1 selection patterns.
@@ -94,18 +94,17 @@ def _anchor_mask(d, n: int) -> np.ndarray:
     return np.arange(n) == d[..., None]
 
 
-def _usable(x, ndim: int = 1, allow_zero: bool = False):
-    """The package's one test of taps, frames and noise bases: for each
-    member of a stack, its last ndim axes, whether it can be used (every
-    entry finite and, unless allow_zero, one nonzero) and the exponent e
-    of the power of two that puts its largest real or imaginary part,
-    times 2^-e, in [0.5, 1). A caller zeroes a member that fails before
-    using the stack and sets its result NaN; given a single item, it
-    raises its typed error instead."""
+def _usable(x, allow_zero: bool = False):
+    """The package's one test of taps and frames: for each member of a
+    stack along the last axis, whether it can be used (every entry finite
+    and, unless allow_zero, one nonzero) and the exponent e of the power
+    of two that puts its largest real or imaginary part, times 2^-e, in
+    [0.5, 1). A caller zeroes a member that fails before using the stack
+    and sets its result NaN; given a single item, it raises its typed
+    error instead."""
     parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    axes = tuple(range(-ndim, 0))
     # the largest |entry| without an array of them; NaN propagates
-    peak = np.maximum(parts.max(axis=axes), -parts.min(axis=axes))
+    peak = np.maximum(parts.max(axis=-1), -parts.min(axis=-1))
     return np.isfinite(peak) & (allow_zero | (peak > 0)), np.frexp(peak)[1]
 
 

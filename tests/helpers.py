@@ -3,9 +3,9 @@ selection-matrix oracles that the model's per-tap factors are checked
 against, the banded Toeplitz matrix T(h) that is the independent oracle
 for the blocks T(h) F and T(h) Ftilde, the dense routes and bases that the
 banded bounds are checked against, the estimator's covariance-eigh route
-that its QR route is checked against, a one-point run of an experiment
-plan, and the frame-by-frame run that the stacked harness is checked
-against."""
+that its QR route is checked against, the estimator's penalty on a given
+noise basis, a one-point run of an experiment plan, and the frame-by-frame
+run that the stacked harness is checked against."""
 
 from dataclasses import dataclass, replace
 
@@ -20,7 +20,6 @@ from blindcrb import (
     ResultRecord,
     SystemConfig,
     build_K,
-    channel_from_noise_subspace,
     crb_direct,
     draw_channel,
     fim_blocks,
@@ -35,6 +34,7 @@ from blindcrb import (
 )
 from blindcrb.crb_blind import _invert_reduced, fast_information, zp_information
 from blindcrb.crb_core import RANK_RTOL
+from blindcrb.estimator import _penalty_minimum
 from blindcrb.harness import EXCLUSION_BUDGET
 from blindcrb.model import draw_noise
 
@@ -149,6 +149,16 @@ def run_experiment_per_frame(plan):
         )
         for s, snr_db in enumerate(plan.snr_db_grid)
     ]
+
+
+def channel_from_noise_subspace(noise_basis, F, L):
+    """The estimator's channel direction from a noise basis of whole-block
+    windows, (wP - L, n) or a stack (..., wP - L, n), with w read off its
+    rows: the unit-norm minimizer of the subspace penalty, NaN (or
+    SolverDegenerate for one basis) where it has no isolated minimum."""
+    basis = np.asarray(noise_basis, dtype=np.complex128)
+    w = (basis.shape[-2] + L) // F.shape[0]
+    return _penalty_minimum(basis, F, L, w)
 
 
 def subspace_estimate_eigh(yN, precoder, settings=EstimatorSettings()):

@@ -173,6 +173,19 @@ class TestRunErrors:
         assert not (tmp_path / "missing").exists()
         assert calls == []
 
+    def test_write_failure_after_the_run(self, run_config, tmp_path, capsys, monkeypatch):
+        def refuse(records, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_csv", refuse)
+        out = tmp_path / "x.csv"
+        code = main(["run", "--config", str(run_config), "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: disk full")
+        assert "Traceback" not in captured.err
+
     def test_numerical_failure_writes_no_out_file(self, tmp_path, capsys):
         # the seed-3 zp/IDFT plan exceeds its exclusion budget
         out = tmp_path / "x.csv"

