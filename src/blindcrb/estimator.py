@@ -9,13 +9,14 @@ subspace of dimension (w-1)L, fixed from the model, never from eigenvalue
 gaps. At the identifiability border, N - w + 1 = wM windows, the windows
 span exactly wM dimensions, the covariance is singular, and its noise
 subspace is the complement of the windows' span: the estimator takes it
-from a complete QR of the window matrix there, which costs about half
-the covariance's eigh, and from the eigh at every other N. Whether a
-frame can be used is decided once, before either route, by the package's
-one rule (model._usable): every sample finite and one nonzero. The
-covariance route scales each frame's windows by the power of two that
-puts the frame's peak in [0.5, 1), which changes no rounding, so a
-frame's size neither overflows nor underflows Z Z^H.
+there from the Householder reflectors of one QR of the windows, applied
+to the (w-1)L unit vectors past the windows' rank, forming neither Q nor
+R, and from the eigh at every other N. Whether a frame can be used is
+decided once, before either route, by the package's one rule
+(model._usable): every sample finite and one nonzero. The covariance
+route scales each frame's windows by the power of two that puts the
+frame's peak in [0.5, 1), which changes no rounding, so a frame's size
+neither overflows nor underflows Z Z^H.
 
 A noise eigenvector u satisfies u^H K_w(h) = 0, and K_w(h) is linear in
 the taps: K_w(h) = sum_l h_l K_{w,l} with the model's per-tap factors for
@@ -100,6 +101,33 @@ def _penalty_minimum(basis: np.ndarray, F: np.ndarray, L: int, w: int) -> np.nda
     return h
 
 
+def _complement(W: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of the span of the k rows of a
+    k x dim matrix W of rank k < dim, or of each member of a stack: the
+    last dim - k columns of the complete Q of W^T, (..., dim, dim - k).
+    They are Q e_k .. Q e_(dim-1), taken by applying the k Householder
+    reflectors of W^T's QR, last to first, to those unit vectors, so that
+    neither Q nor R is formed (Golub & Van Loan, Matrix Computations,
+    5.1.6). A zero member has zero reflectors and gets the unit vectors.
+    qr's copy of W keeps W's memory order, so when each member's rows are
+    contiguous and in order, as in a view of a C-ordered stack, every step
+    takes the same strides for a member as for it alone, and the member
+    gets the same bytes."""
+    h, tau = np.linalg.qr(W.swapaxes(-1, -2), mode="raw")
+    k, dim = h.shape[-2:]
+    # Row i of h holds reflector i's vector v_i past its unit entry i.
+    h[..., range(k), range(k)] = 1
+    # Row j of X is the basis vector that starts as e_(k+j).
+    X = np.zeros(h.shape[:-2] + (dim - k, dim), np.complex128)
+    X[..., range(dim - k), range(k, dim)] = 1
+    for i in range(k - 1, -1, -1):
+        # I - tau_i v_i v_i^H; v_i and the rows' entries before i are zero
+        v = h[..., i, None, i:]
+        rows = X[..., i:]
+        rows -= (rows @ (tau[..., i, None, None] * v.conj()).swapaxes(-1, -2)) * v
+    return X.swapaxes(-1, -2)
+
+
 def subspace_estimate(
     yN: np.ndarray,
     precoder: Precoder,
@@ -121,12 +149,14 @@ def subspace_estimate(
     can span the wM-dimensional signal subspace, N - w + 1 >= wM. At
     equality it is the orthogonal complement of the windows' span, the
     last (w-1)L columns of the complete Q of the dim x wM window matrix
-    Z, which this takes without forming the covariance; working on Z
-    itself, its rounding error grows with cond(Z), not cond(Z)^2. Above
-    the border it is the bottom (w-1)L eigenvectors of the covariance
-    Z Z^H / (N - w + 1), formed from windows scaled by the power of two
-    that puts the frame's peak in [0.5, 1): an exact scaling, so no frame
-    is too large or too small for the product. With fewer windows the
+    Z, which this takes without forming the covariance, Q or R: it
+    applies the wM Householder reflectors of Z's QR to those columns'
+    unit vectors. Working on Z itself, its rounding error grows with
+    cond(Z), not cond(Z)^2. Above the border it is the bottom (w-1)L
+    eigenvectors of the covariance Z Z^H / (N - w + 1), formed from
+    windows scaled by the power of two that puts the frame's peak in
+    [0.5, 1): an exact scaling, so no frame is too large or too small for
+    the product. With fewer windows the
     covariance has a degenerate zero eigenspace, the kept eigenvectors
     are chosen by rounding, and the estimate is not reproducible under
     one-ulp changes of yN. This is not checked.
@@ -157,12 +187,13 @@ def subspace_estimate(
         raise InsufficientData("noise subspace is empty")
     if failed.any():
         yN = np.where(failed[..., None], 0.0, yN)
-    # Column n of a frame's Z is its window yN[nP: nP + dim].
-    Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
     if n_windows == w * M:
-        # the complement of the windows' span: Q's columns past Z's
-        noise = np.linalg.qr(Z, mode="complete")[0][..., n_windows:]
+        # Row n of a frame's windows is the view yN[nP: nP + dim].
+        windows = np.lib.stride_tricks.sliding_window_view(yN, dim, axis=-1)[..., ::P, :]
+        noise = _complement(windows)
     else:
+        # Column n of a frame's Z is its window yN[nP: nP + dim].
+        Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
         # The power of two that puts a frame's peak in [0.5, 1) changes no
         # rounding, and no frame is large enough to overflow Z Z^H or small
         # enough to underflow it.
@@ -172,7 +203,7 @@ def subspace_estimate(
         cov /= n_windows
         del Z  # the windows are the largest array; the eigh does not need them
         noise = np.linalg.eigh(cov)[1][..., :n_noise]
-    # QR and eigh give orthonormal bases, zeroed frames included.
+    # Both routes give orthonormal bases, zeroed frames included.
     h = _penalty_minimum(noise, precoder.F, L, w)
     h[failed] = np.nan
     return h

@@ -3,9 +3,10 @@ selection-matrix oracles that the model's per-tap factors are checked
 against, the banded Toeplitz matrix T(h) that is the independent oracle
 for the blocks T(h) F and T(h) Ftilde, the dense routes and bases that the
 banded bounds are checked against, the estimator's covariance-eigh route
-that its QR route is checked against, the estimator's penalty on a given
-noise basis, a one-point run of an experiment plan, and the frame-by-frame
-run that the stacked harness is checked against."""
+and complete-QR border basis that its border route is checked against,
+the estimator's penalty on a given noise basis, a one-point run of an
+experiment plan, and the frame-by-frame run that the stacked harness is
+checked against."""
 
 from dataclasses import dataclass, replace
 
@@ -183,6 +184,36 @@ def subspace_estimate_eigh(yN, precoder, settings=EstimatorSettings()):
     cov[silent] = 0.0
     _, vecs = np.linalg.eigh(cov)
     h = channel_from_noise_subspace(vecs[..., : (w - 1) * L], precoder.F, L)
+    h[silent] = np.nan
+    return h
+
+
+def complement_complete_qr(Z):
+    """The last dim - k columns of the complete Q of a dim x k window
+    matrix Z, or of each member of a stack: LAPACK forms all of Q. The
+    reference for the estimator's basis at the identifiability border,
+    which applies the reflectors to those columns alone."""
+    return np.linalg.qr(Z, mode="complete")[0][..., Z.shape[-1]:]
+
+
+def subspace_estimate_complete_qr(yN, precoder, settings=EstimatorSettings()):
+    """subspace_estimate at the identifiability border, N - w + 1 = wM,
+    with the noise basis taken from the complete QR of the windows
+    (complement_complete_qr): the reference for the estimator's border
+    route. Frames that are finite; a frame without energy gives a NaN
+    row, as in subspace_estimate."""
+    yN = np.asarray(yN, dtype=np.complex128)
+    P, M = precoder.F.shape
+    L = P - M
+    N = (yN.shape[-1] + L) // P
+    w = settings.window_blocks
+    dim = w * P - L
+    n_windows = N - w + 1
+    if n_windows != w * M:
+        raise ValueError("not at the identifiability border")
+    Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
+    silent = ~np.any(yN != 0, axis=-1)
+    h = _penalty_minimum(complement_complete_qr(Z), precoder.F, L, w)
     h[silent] = np.nan
     return h
 

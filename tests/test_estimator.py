@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindcrb import (
     EstimatorSettings,
@@ -26,13 +28,16 @@ from blindcrb import (
     subspace_estimate,
     synthesize_observation,
 )
+from blindcrb.estimator import _complement
 from blindcrb.model import draw_noise
 from helpers import (
     block_diag_precoder,
     build_selection_matrices,
     channel_from_noise_subspace,
+    complement_complete_qr,
     left_null_basis,
     random_unit_channel,
+    subspace_estimate_complete_qr,
     subspace_estimate_eigh,
 )
 
@@ -267,13 +272,54 @@ class TestStacks:
 
 
 # (N, w) with N - w + 1 = wM at M=12: the estimator's identifiability
-# border, where the noise subspace comes from a complete QR of the windows.
+# border, where the noise subspace is the complement of the windows' span.
 BORDER = [(25, 2), (38, 3)]
-# Largest distance between the QR route's unit-norm estimate and the eigh
-# route's, after phase alignment: 2.6e-12 measured over 20 channels x 7
-# noise levels of each case of test_qr_route_agrees_with_eigh_route, so
+# Largest distance between the border route's unit-norm estimate and the
+# eigh route's, after phase alignment: 2.6e-12 measured over 20 channels x
+# 7 noise levels of each case of test_qr_route_agrees_with_eigh_route, so
 # this leaves a factor of about 40.
 BORDER_TOL = 1e-10
+# The border basis against complement_complete_qr's, which differs from
+# it only in rounding: over 600 draws of border_stacks' configurations at noise
+# variances 1 down to 1e-6, the projectors differed by at most 1.0e-15
+# and the phase-aligned unit-norm estimates by at most 1.1e-14.
+PROJECTOR_TOL = 1e-14
+COMPLETE_QR_TOL = 1e-12
+
+
+@st.composite
+def border_stacks(draw):
+    """(precoder, w, stack) at the identifiability border N = wM + w - 1:
+    M=12, L=4 at w=2 (N=25) or w=3 (N=38), or small M and L, under
+    cp/zp/custom x identity/IDFT. The stack holds 0 to 4 noisy copies of
+    one frame, any of them zeroed (a failed frame)."""
+    w = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        M, L = 12, 4
+    else:
+        M = draw(st.integers(2, 6))
+        L = draw(st.integers(1, min(3, M - 1)))
+    N = w * M + w - 1
+    kind = draw(st.sampled_from(["cp", "zp", "custom"]))
+    inner = draw(st.sampled_from(["identity", "idft"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
+    pre = make_precoder(SystemConfig(
+        M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
+        custom_redundancy=custom if kind == "custom" else None,
+    ))
+    h = random_unit_channel(L, rng)
+    sN = generate_symbols("qpsk", M, N, rng).sN
+    clean = synthesize_observation(pre, h, sN, 0.0, None)
+    size = draw(st.integers(0, 4))
+    sigma2 = draw(st.lists(
+        st.sampled_from([1.0, 1e-2, 1e-4, 1e-6]), min_size=size, max_size=size
+    ))
+    Y = clean + np.sqrt(np.array(sigma2)[:, None] / 2) * draw_noise(
+        (len(sigma2), clean.size), rng
+    )
+    Y[draw(st.lists(st.booleans(), min_size=len(Y), max_size=len(Y)))] = 0
+    return pre, w, Y
 
 
 class TestBorderRoute:
@@ -292,6 +338,39 @@ class TestBorderRoute:
         phase = np.sum(ref.conj() * got, axis=-1)
         aligned = got * (phase.conj() / np.abs(phase))[:, None]
         assert np.max(np.linalg.norm(aligned - ref, axis=-1)) < BORDER_TOL
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(border_stacks())
+    def test_border_route_agrees_with_complete_qr(self, case):
+        # The basis from the reflectors spans what complete QR's last
+        # columns span; the estimate matches complete QR's up to rounding
+        # and the blind phase (not to the byte: LAPACK applies the
+        # reflectors in blocks); a member gets its row alone.
+        pre, w, Y = case
+        P, M = pre.F.shape
+        L = P - M
+        dim, n = w * P - L, w * M
+        windows = Y[..., P * np.arange(n)[:, None] + np.arange(dim)]
+        got = _complement(windows)
+        ref = complement_complete_qr(windows.swapaxes(-1, -2))
+        assert got.shape == ref.shape == (len(Y), dim, (w - 1) * L)
+        projectors = [B @ B.conj().swapaxes(-1, -2) for B in (got, ref)]
+        assert np.all(np.abs(projectors[0] - projectors[1]) <= PROJECTOR_TOL)
+        settings_ = EstimatorSettings(window_blocks=w)
+        H = subspace_estimate(Y, pre, settings_)
+        ref = subspace_estimate_complete_qr(Y, pre, settings_)
+        assert H.shape == ref.shape == (len(Y), L + 1)
+        failed = ~np.any(Y != 0, axis=-1)
+        assert np.isnan(H[failed]).all() and np.isnan(ref[failed]).all()
+        phase = np.sum(ref[~failed].conj() * H[~failed], axis=-1)
+        aligned = H[~failed] * (phase.conj() / np.abs(phase))[:, None]
+        assert np.all(np.linalg.norm(aligned - ref[~failed], axis=-1) <= COMPLETE_QR_TOL)
+        for y, row, bad in zip(Y, H, failed):
+            if bad:
+                with pytest.raises(InsufficientData):
+                    subspace_estimate(y, pre, settings_)
+            else:
+                assert subspace_estimate(y, pre, settings_).tobytes() == row.tobytes()
 
     @pytest.mark.parametrize(
         "N,w,qr_calls", [(25, 2, 1), (38, 3, 1), (24, 2, 0), (26, 2, 0), (40, 3, 0)]

@@ -544,12 +544,17 @@ class TestTrialChunks:
         assert records[15] == records[1]
 
     @pytest.mark.parametrize(
-        "N,window_blocks,n_snr", [(8, 2, 7), (25, 2, 7), (40, 3, 3), (100, 2, 1)]
+        "N,window_blocks,n_snr",
+        [(8, 2, 7), (25, 2, 7), (25, 2, 1), (38, 3, 3), (38, 3, 1), (40, 3, 3),
+         (100, 2, 1)],
     )
     def test_chunk_fits_the_budget(self, N, window_blocks, n_snr):
         # The per-trial size _chunk_size assumes covers what the estimator
         # and the ambiguity resolution allocate for a chunk, its frames
-        # included.
+        # included, on the covariance route and at the identifiability
+        # border (N=25 with 2-block windows, N=38 with 3-block windows,
+        # where the penalty's A and its conjugate outweigh qr's copy of
+        # the windows).
         config = SystemConfig(M=12, L=4, N=N)
         precoder = harness.make_precoder(config)
         k = harness._chunk_size(config, n_snr, window_blocks)
@@ -569,9 +574,9 @@ class TestTrialChunks:
         assert traced_peak(estimate_chunk) <= harness._GROUP_BYTES
 
     def test_trial_stage_peak_memory(self, monkeypatch):
-        # The desk plan's estimator calls take 4 trials of 7 frames each,
+        # The desk plan's estimator calls take 8 trials of 7 frames each,
         # and the run peaks near 2.5 MB; one call for all 50 trials peaks
-        # near 17 MB. The bound is the chunked peak plus about 40%.
+        # near 8.7 MB. The bound is the chunked peak plus about 40%.
         plan = ExperimentPlan(
             config=SystemConfig(M=12, L=4, N=25, inner_kind="idft"),
             snr_db_grid=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
