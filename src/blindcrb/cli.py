@@ -28,6 +28,7 @@ from .model import (
     SystemConfig,
     _anchor_mask,
     _require_positive_sigma2,
+    _usable,
     build_K,
     generate_symbols,
     loglik_gradients,
@@ -212,7 +213,7 @@ def _cmd_crb(args) -> int:
         raise _UsageError("the crb command needs channel taps (key 'h')")
     config = _config_from_values(values)  # validate before dumping
     for key in ("h", "s_n"):
-        if key in values and not np.isfinite(values[key]).all():
+        if key in values and not _usable(values[key], allow_zero=True)[0]:
             raise _UsageError(f"{key} must be finite, got a non-finite entry")
     h = np.asarray(values["h"], dtype=np.complex128)
     if h.size != config.L + 1:

@@ -1,7 +1,8 @@
 """Blind subspace channel estimator for redundant block transmission.
 
 The received frame is cut into overlapping windows of window_blocks
-consecutive blocks (unit stride). Each window z(n) obeys the same linear
+consecutive blocks (unit stride), once, as a strided view of the frame
+that both routes below start from. Each window z(n) obeys the same linear
 model as a short frame, z(n) = K_w s_w(n) + noise, with
 K_w = G H (I_w kron F) of full column rank wM. The sample covariance of
 the windows therefore splits into a rank-wM signal subspace plus a noise
@@ -14,9 +15,11 @@ to the (w-1)L unit vectors past the windows' rank, forming neither Q nor
 R, and from the eigh at every other N. Whether a frame can be used is
 decided once, before either route, by the package's one rule
 (model._usable): every sample finite and one nonzero. The covariance
-route scales each frame's windows by the power of two that puts the
-frame's peak in [0.5, 1), which changes no rounding, so a frame's size
-neither overflows nor underflows Z Z^H.
+route makes one C-ordered copy of the windows' view and scales it by the
+power of two that puts the frame's peak in [0.5, 1), which changes no
+rounding, so a frame's size neither overflows nor underflows Z Z^H.
+_on_border decides the route, and _frame_bytes counts each route's
+working set per frame for the harness's chunks.
 
 A noise eigenvector u satisfies u^H K_w(h) = 0, and K_w(h) is linear in
 the taps: K_w(h) = sum_l h_l K_{w,l} with the model's per-tap factors for
@@ -128,6 +131,32 @@ def _complement(W: np.ndarray) -> np.ndarray:
     return X.swapaxes(-1, -2)
 
 
+def _on_border(M: int, N: int, w: int) -> bool:
+    """Whether N blocks give exactly wM windows of w blocks, the
+    identifiability border, where the noise basis is the complement of the
+    windows' span (_complement) and not the covariance's eigenvectors."""
+    return N - w + 1 == w * M
+
+
+def _frame_bytes(P: int, M: int, N: int, w: int) -> int:
+    """Bytes that subspace_estimate holds per frame of a stack at once,
+    beyond the frame itself, for frames of N blocks of P samples and
+    w-block windows of dim = wP - L samples, n = N - w + 1 of them. The
+    windows are a view of the frames. Off the border, a frame takes
+    16 (2 dim n + 3 dim^2): the copy of its windows and their conjugate,
+    and the covariance, its eigenvectors and the eigh workspace. At the
+    border, n = wM and a frame takes
+    16 (dim wM + (w-1)L (dim + 2 (L+1) wM)): qr's copy of the windows,
+    the (w-1)L basis vectors, and the penalty's (L+1) x wM(w-1)L matrix A
+    with its conjugate. The sum over-counts, since qr's copy is freed
+    before A is made."""
+    L = P - M
+    dim, n = w * P - L, N - w + 1
+    if _on_border(M, N, w):
+        return 16 * (dim * n + (w - 1) * L * (dim + 2 * (L + 1) * n))
+    return 16 * (2 * dim * n + 3 * dim * dim)
+
+
 def subspace_estimate(
     yN: np.ndarray,
     precoder: Precoder,
@@ -152,9 +181,11 @@ def subspace_estimate(
     Z, which this takes without forming the covariance, Q or R: it
     applies the wM Householder reflectors of Z's QR to those columns'
     unit vectors. Working on Z itself, its rounding error grows with
-    cond(Z), not cond(Z)^2. Above the border it is the bottom (w-1)L
-    eigenvectors of the covariance Z Z^H / (N - w + 1), formed from
-    windows scaled by the power of two that puts the frame's peak in
+    cond(Z), not cond(Z)^2. Both routes read Z from one strided view of
+    the frames, which the QR copies. Above the border the noise subspace
+    is the bottom (w-1)L eigenvectors of the covariance
+    Z Z^H / (N - w + 1), formed from one C-ordered copy of the view,
+    scaled in place by the power of two that puts the frame's peak in
     [0.5, 1): an exact scaling, so no frame is too large or too small for
     the product. With fewer windows the
     covariance has a degenerate zero eigenspace, the kept eigenvectors
@@ -171,7 +202,6 @@ def subspace_estimate(
     if w > N:
         raise InsufficientData(f"windows of {w} blocks do not fit in {N} blocks")
     dim = w * P - L
-    n_windows = N - w + 1
     n_noise = (w - 1) * L  # dim minus the model rank wM
     # One rule for both routes: a failed frame is zeroed before the windows
     # are cut, and its row comes back NaN.
@@ -187,20 +217,22 @@ def subspace_estimate(
         raise InsufficientData("noise subspace is empty")
     if failed.any():
         yN = np.where(failed[..., None], 0.0, yN)
-    if n_windows == w * M:
-        # Row n of a frame's windows is the view yN[nP: nP + dim].
-        windows = np.lib.stride_tricks.sliding_window_view(yN, dim, axis=-1)[..., ::P, :]
+    # Row n of a frame's windows is the view yN[nP: nP + dim].
+    windows = np.lib.stride_tricks.sliding_window_view(yN, dim, axis=-1)[..., ::P, :]
+    if _on_border(M, N, w):
         noise = _complement(windows)
     else:
-        # Column n of a frame's Z is its window yN[nP: nP + dim].
-        Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
+        # Column n of a frame's Z is its window n, in a C-ordered copy of the
+        # windows, so each frame's windows stay contiguous; copy(), not
+        # ascontiguousarray, which returns an empty stack's read-only view.
+        Z = windows.copy().swapaxes(-1, -2)
         # The power of two that puts a frame's peak in [0.5, 1) changes no
         # rounding, and no frame is large enough to overflow Z Z^H or small
         # enough to underflow it.
         for part in (Z.real, Z.imag):
             np.ldexp(part, -exponent[..., None, None], out=part)
         cov = Z @ Z.conj().swapaxes(-1, -2)
-        cov /= n_windows
+        cov /= N - w + 1
         del Z  # the windows are the largest array; the eigh does not need them
         noise = np.linalg.eigh(cov)[1][..., :n_noise]
     # Both routes give orthonormal bases, zeroed frames included.

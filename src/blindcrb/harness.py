@@ -29,10 +29,9 @@ unit noise, each channel at its own anchor; the Fisher information is
 D0 / sigma2, so the bound at an SNR point is sigma2 times that one. Then
 the group's (channel, trial) pairs whose bounds are finite are walked in
 order, in chunks of consecutive trials, as many per chunk as keep the
-estimator's working set (the chunk's frames, their windows and the
-covariances' eigendecompositions, or at the estimator's identifiability
-border qr's copy of the windows and the noise bases) within the same
-byte budget, and at least one. Per chunk, one synthesize_observation
+chunk's frames and the estimator's working set on them (which the
+estimator counts, estimator._frame_bytes) within the same byte budget,
+and at least one. Per chunk, one synthesize_observation
 call per trial gives its frames at every SNR point, each the noiseless
 frame plus the trial's one unit noise draw scaled to that point's
 variance; the (trial, SNR point) stack of frames goes to the estimator
@@ -88,7 +87,7 @@ from .crb_blind import (
     zp_information,
 )
 from .errors import ExclusionBudgetExceeded
-from .estimator import EstimatorSettings, subspace_estimate, resolve_ambiguity
+from .estimator import EstimatorSettings, _frame_bytes, resolve_ambiguity, subspace_estimate
 from .model import (
     Channel,
     SystemConfig,
@@ -105,13 +104,14 @@ _STREAM_NOISE = 2
 
 # Bytes that one group of channels may hold in frames, precoded streams,
 # null-space coordinates and window QRs at once (see _group_size), and
-# that one estimator call may hold in frames, windows and noise bases
-# (see _chunk_size). At M=12, L=4, 10 channels x 5 trials of N=25 blocks
-# fit in one group (a traced peak of 1.6 MB), and 5 channels x 3 trials
-# of N=100 (1.5 MB); a channel is never split, so one N=1000 channel of 5
-# trials (5.5 MB, 2.6 times the budget) is a group of its own. At N=25,
-# the estimator's identifiability border with 2-block windows, 8 trials
-# of 7 SNR points go to one estimator call, and at N=1000 one trial.
+# that one estimator call may hold in frames and the estimator's working
+# set on them, which estimator._frame_bytes counts (see _chunk_size). At
+# M=12, L=4, 10 channels x 5 trials of N=25 blocks fit in one group (a
+# traced peak of 1.6 MB), and 5 channels x 3 trials of N=100 (1.5 MB); a
+# channel is never split, so one N=1000 channel of 5 trials (5.5 MB, 2.6
+# times the budget) is a group of its own. At N=25, the estimator's
+# identifiability border with 2-block windows, 8 trials of 7 SNR points
+# go to one estimator call, and at N=1000 one trial.
 _GROUP_BYTES = 2 << 20
 
 # Largest tolerated fraction of excluded trials per cell.
@@ -240,24 +240,10 @@ def _group_size(config: SystemConfig, n_trials: int) -> int:
 
 def _chunk_size(config: SystemConfig, n_snr: int, window_blocks: int) -> int:
     """Trials per estimator call: as many as fit _GROUP_BYTES, and at
-    least one. With dim = wP - L and n = N - w + 1 windows, a trial takes
-    about 16 n_snr (NP - L + 2 dim n + 3 dim^2) bytes: its frames, their
-    windows and the windows' conjugates, and the covariances, their
-    eigenvectors and the eigh workspace. At the estimator's
-    identifiability border, n = wM, the windows are views of the frames
-    and no covariance is formed; a trial takes
-    16 n_snr (NP - L + dim wM + (w-1)L (dim + 2 (L+1) wM)) bytes: its
-    frames, qr's copy of their windows, the (w-1)L basis vectors, and the
-    penalty's (L+1) x wM(w-1)L matrix A with its conjugate. The sum
-    over-counts, since qr's copy is freed before A is made."""
-    P, L, N, w = config.P, config.L, config.N, window_blocks
-    dim = w * P - L
-    n_windows = N - w + 1
-    if n_windows == w * config.M:
-        per_frame = dim * n_windows + (w - 1) * L * (dim + 2 * (L + 1) * n_windows)
-    else:
-        per_frame = 2 * dim * n_windows + 3 * dim * dim
-    return max(1, _GROUP_BYTES // (16 * n_snr * (N * P - L + per_frame)))
+    least one. A trial takes n_snr frames, each 16 (NP - L) bytes and the
+    estimator's working set on it, estimator._frame_bytes."""
+    working = _frame_bytes(config.P, config.M, config.N, window_blocks)
+    return max(1, _GROUP_BYTES // (n_snr * (16 * (config.N * config.P - config.L) + working)))
 
 
 def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:

@@ -1,8 +1,10 @@
 """The benchmark's use of the package, checked without running the
 benchmark: every name perfbench/spans.py traces must still exist where it
 looks for it, each workload's one-channel plan must pass the benchmark's
-correctness gate against its stored reference, and tracing a plan must
-leave its CSV and, once restored, the package's bindings as they were.
+correctness gate against its stored reference, tracing a plan must
+leave its CSV and, once restored, the package's bindings as they were,
+and each workload's plan must call the estimator once per chunk of
+trials, with the chunks ROADMAP item 1 expects.
 
 A cleanup that drops a binding the tracer reads, or a change that moves
 a gated number, fails here rather than only when the benchmark runs.
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from blindcrb import harness
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -80,3 +84,23 @@ def test_traced_run_matches_untraced(name, tmp_path):
         assert calls.get(span, 0) >= 1, span
     restored = [getattr(module, attr) for module, attr, _ in spans.TRACED]
     assert all(a is b for a, b in zip(restored, originals))
+
+
+@pytest.mark.parametrize("name,rows", [
+    ("snr_sweep", [8, 8, 8, 8, 8, 8, 2]),
+    ("long_frame", [12]),
+    ("zp_reference", [20, 20, 10]),
+], ids=["snr_sweep", "long_frame", "zp_reference"])
+def test_estimator_calls_per_plan_pass(name, rows):
+    # One stacked estimator call per chunk of trials, as many trials a
+    # chunk as the byte budget allows: 50 trials of 7 SNR points at the
+    # N=25 border, 12 of one point at N=100, 50 of 3 points at the border.
+    calls = []
+
+    def estimate(Y, precoder, settings):
+        calls.append(len(Y))
+        return harness.subspace_estimate(Y, precoder, settings)
+
+    plan = workloads.WORKLOADS[name].plan(workloads.DEFAULT_SEED)
+    harness.run_experiment(plan, estimate_fn=estimate)
+    assert calls == rows
