@@ -212,6 +212,8 @@ def _cmd_crb(args) -> int:
     if "h" not in values:
         raise _UsageError("the crb command needs channel taps (key 'h')")
     config = _config_from_values(values)  # validate before dumping
+    if values["seed"] < 0:
+        raise _UsageError(f"seed must be nonnegative, got {values['seed']}")
     for key in ("h", "s_n"):
         if key in values and not _usable(values[key], allow_zero=True)[0]:
             raise _UsageError(f"{key} must be finite, got a non-finite entry")
@@ -226,7 +228,7 @@ def _cmd_crb(args) -> int:
             )
     else:
         sN = generate_symbols("qpsk", config.M, config.N, values["seed"]).sN
-    d = values.get("d", default_anchor(h))
+    d = values["d"] if "d" in values else default_anchor(h)
     try:
         _require_positive_sigma2(values["sigma2"])
         _anchor_mask(d, h.size)

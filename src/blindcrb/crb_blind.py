@@ -38,8 +38,10 @@ model's one-block factors of the inner precoder.
 Both also take a stack of C channels, (C, L+1) taps with (C, T, NM)
 frames, and return (C, T, L+1, L+1): one sweep, or one stacked QR, runs
 every channel at once, and each member gets the bytes it would get
-alone. A single channel that fails a gate raises; in a channel stack the
-failed member comes back NaN and the others are unchanged. The first
+alone; _channel_bytes counts what the two hold per channel of a stack,
+so a caller can size its stacks to a byte budget. A single channel
+that fails a gate raises; in a channel stack the failed member comes
+back NaN and the others are unchanged. The first
 gate is model._usable, the package's one test of an input's entries: a
 tap or frame that is not finite, or taps or a frame with no nonzero
 entry, raise IllConditioned from crb_direct (through build_K and
@@ -80,7 +82,7 @@ def default_anchor(h: np.ndarray) -> int:
     h = np.asarray(h)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("channel taps must form a nonempty 1-D array")
-    return int(np.argmax(np.abs(h) ** 2))
+    return int(np.argmax(np.abs(h)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,3 +492,19 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     D0 = _grams(W.reshape(C, T, N * L, L + 1))
     D0[failed | ~ok[:, None]] = np.nan
     return D0[0] if single else D0
+
+
+def _channel_bytes(P: int, M: int, N: int, T: int) -> int:
+    """Bytes that fast_information, and zp_information after it, hold per
+    channel of a stack at once, beyond the channel's T frames of N blocks
+    of M symbols, each block sent as P = M + L samples. A channel takes
+    16 (10 (M+2L)^2 + T N (P + 2L(L+1))): the sweep's window of M + 2L
+    rows with its complete QR and step map, and per frame its precoded
+    stream of NP samples and its N L (L+1) null-space coordinates,
+    counted twice. The second count covers the conjugate copy that _grams
+    takes and zp_information's coordinates, of the same size. The sum
+    over-counts a stack of several channels, since _grams conjugates one
+    channel at a time and zp_information runs after the sweep's arrays
+    are freed."""
+    L = P - M
+    return 16 * (10 * (M + 2 * L) ** 2 + T * N * (P + 2 * L * (L + 1)))

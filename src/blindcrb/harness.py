@@ -13,17 +13,17 @@ and crb_avg.
 Loop order: groups of channels, then chunks of trials; a trial's SNR
 points are evaluated together. What does not depend on the noise level
 is computed before the SNR points and shared by all of them. The
-channels go in groups, as many per group as keep its frames, precoded
-streams, null-space coordinates and window QRs within one byte budget
-(_GROUP_BYTES), so 10 channels of 5 N=25 frames are one group and a
-long-frame channel a group of its own. Per group: the channels are
-drawn, then every trial's frame, and one call per D0 function gives
-the bound's reduced information with the noise factored out, D0, for
-every (channel, trial) of the group at once (and the zero-padding
-reference's D0 when the plan asks for it). Each
-step of the fast route's sweep is one stacked QR of the channels'
-windows still moving, which no frame enters, and one stacked product
-that applies the step maps to every trial's frame. The
+channels go in groups, as many per group as keep their frames and the
+bound's working set on them (which the bound counts,
+crb_blind._channel_bytes) within one byte budget (_GROUP_BYTES), so 10
+channels of 5 N=25 frames are one group and a long-frame channel a
+group of its own. Per group: the channels are drawn, then every
+trial's frame, and one call per D0 function gives the bound's reduced
+information with the noise factored out, D0, for every (channel, trial)
+of the group at once (and the zero-padding reference's D0 when the plan
+asks for it). Each step of the fast route's sweep is one stacked QR of
+the channels' windows still moving, which no frame enters, and one
+stacked product that applies the step maps to every trial's frame. The
 group's (channel, trial) stack of D0 is inverted in one stacked call at
 unit noise, each channel at its own anchor; the Fisher information is
 D0 / sigma2, so the bound at an SNR point is sigma2 times that one. Then
@@ -79,6 +79,7 @@ import numpy as np
 # crb_fast and crb_zp_per_block are not called here; they stay bound because
 # perfbench/spans.py traces them by their attribute names on this module.
 from .crb_blind import (
+    _channel_bytes,
     _invert_reduced,
     crb_fast,
     crb_zp_per_block,
@@ -102,16 +103,17 @@ _STREAM_CHANNEL = 0
 _STREAM_SYMBOLS = 1
 _STREAM_NOISE = 2
 
-# Bytes that one group of channels may hold in frames, precoded streams,
-# null-space coordinates and window QRs at once (see _group_size), and
-# that one estimator call may hold in frames and the estimator's working
-# set on them, which estimator._frame_bytes counts (see _chunk_size). At
-# M=12, L=4, 10 channels x 5 trials of N=25 blocks fit in one group (a
-# traced peak of 1.6 MB), and 5 channels x 3 trials of N=100 (1.5 MB); a
-# channel is never split, so one N=1000 channel of 5 trials (5.5 MB, 2.6
-# times the budget) is a group of its own. At N=25, the estimator's
-# identifiability border with 2-block windows, 8 trials of 7 SNR points
-# go to one estimator call, and at N=1000 one trial.
+# Bytes that one group of channels may hold in frames and the bound's
+# working set on them at once, which crb_blind._channel_bytes counts (see
+# _group_size), and that one estimator call may hold in frames and the
+# estimator's working set on them, which estimator._frame_bytes counts
+# (see _chunk_size). At M=12, L=4, 10 channels x 5 trials of N=25 blocks
+# fit in one group (a traced peak of 1.6 MB), and 5 channels x 3 trials
+# of N=100 (1.5 MB); a channel is never split, so one N=1000 channel of
+# 5 trials (5.5 MB, 2.6 times the budget) is a group of its own. At
+# N=25, the estimator's identifiability border with 2-block windows, 8
+# trials of 7 SNR points go to one estimator call, and at N=1000 one
+# trial.
 _GROUP_BYTES = 2 << 20
 
 # Largest tolerated fraction of excluded trials per cell.
@@ -224,18 +226,12 @@ class ResultRecord:
 
 
 def _group_size(config: SystemConfig, n_trials: int) -> int:
-    """Channels per group: as many as fit _GROUP_BYTES, at about
-    16 (10 (M + 2L)^2 + T N (M + P + 2 L (L+1))) bytes a channel: the
-    sweep's stacked (M + 2L)-row window QR with its step map, and the
-    channel's frames, their precoded streams and their null-space
-    coordinates (counted twice, which also covers the zero-padding
-    reference's); and at least one, so a channel whose frames alone
-    exceed the budget is a group of its own."""
-    M, L = config.M, config.L
-    per_channel = 16 * (
-        10 * (M + 2 * L) ** 2 + n_trials * config.N * (M + config.P + 2 * L * (L + 1))
-    )
-    return max(1, _GROUP_BYTES // per_channel)
+    """Channels per group: as many as fit _GROUP_BYTES, and at least one,
+    so a channel whose frames alone exceed the budget is a group of its
+    own. A channel takes n_trials frames, each 16 NM bytes, and the
+    bound's working set on them, crb_blind._channel_bytes."""
+    stage = _channel_bytes(config.P, config.M, config.N, n_trials)
+    return max(1, _GROUP_BYTES // (16 * n_trials * config.N * config.M + stage))
 
 
 def _chunk_size(config: SystemConfig, n_snr: int, window_blocks: int) -> int:

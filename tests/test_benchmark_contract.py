@@ -4,7 +4,8 @@ looks for it, each workload's one-channel plan must pass the benchmark's
 correctness gate against its stored reference, tracing a plan must
 leave its CSV and, once restored, the package's bindings as they were,
 and each workload's plan must call the estimator once per chunk of
-trials, with the chunks ROADMAP item 1 expects.
+trials and each D0 function once per group of channels, with the
+chunks and groups ROADMAP item 1 expects.
 
 A cleanup that drops a binding the tracer reads, or a change that moves
 a gated number, fails here rather than only when the benchmark runs.
@@ -104,3 +105,27 @@ def test_estimator_calls_per_plan_pass(name, rows):
     plan = workloads.WORKLOADS[name].plan(workloads.DEFAULT_SEED)
     harness.run_experiment(plan, estimate_fn=estimate)
     assert calls == rows
+
+
+@pytest.mark.parametrize("name,fast,zp", [
+    ("snr_sweep", [10], []),
+    ("long_frame", [4], []),
+    ("zp_reference", [10], [10]),
+], ids=["snr_sweep", "long_frame", "zp_reference"])
+def test_information_calls_per_plan_pass(name, fast, zp, monkeypatch):
+    # One stacked call per D0 function per group of channels, and every
+    # workload's plan is one group: 10 channels of 5 N=25 frames, 4 of 3
+    # N=100 frames. The reference's D0 runs on zp_reference only.
+    calls = {"fast": [], "zp": []}
+
+    def counted(key, information):
+        def wrapper(hs, sNs, precoder):
+            calls[key].append(len(hs))
+            return information(hs, sNs, precoder)
+        return wrapper
+
+    monkeypatch.setattr(harness, "fast_information", counted("fast", harness.fast_information))
+    monkeypatch.setattr(harness, "zp_information", counted("zp", harness.zp_information))
+    plan = workloads.WORKLOADS[name].plan(workloads.DEFAULT_SEED)
+    harness.run_experiment(plan)
+    assert calls == {"fast": fast, "zp": zp}

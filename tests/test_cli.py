@@ -358,6 +358,37 @@ class TestCrb:
         assert captured.out == ""
         assert captured.err == f"error: {key} must be finite, got a non-finite entry\n"
 
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]])
+    @pytest.mark.parametrize(
+        "seed_args", [["--seed", "-1"], ["--override", "seed=-1"]],
+        ids=["flag", "override"],
+    )
+    def test_negative_seed_rejected(self, seed_args, dump, capsys):
+        # refused as a usage error before any frame is drawn from it, as
+        # run refuses a negative master seed
+        code = main(["crb", "--override", "h=1, 0.5, 0.25, 0.1, 0.05", *seed_args, *dump])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]])
+    @pytest.mark.parametrize("anchor", [[], ["--override", "d=0"]], ids=["default", "d=0"])
+    @pytest.mark.parametrize("exponent", ["e159", "e-161"])
+    def test_extreme_tap_scale(self, exponent, anchor, dump, capsys):
+        # The taps 0.8, ..., 0.1 times 1e160 or 1e-160 give the unscaled
+        # trace: the bound does not see the taps' scale, and the default
+        # anchor squares no tap, so nothing overflows under the suite's
+        # warning rule.
+        def taps(exp):
+            return ["--override", "h=" + ", ".join(f"{t}{exp}" for t in (8, 4, 3, 2, 1))]
+
+        assert main(["crb", *taps("e-1")]) == EXIT_OK
+        unscaled = capsys.readouterr().out.splitlines()[0]
+        assert main(["crb", *taps(exponent), *anchor, *dump]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("M = 12" if dump else unscaled)
+
     def test_out_flag_not_accepted(self, tmp_path):
         out = tmp_path / "x"
         assert main(["crb", "--override", "h=1,2,3,4,5", "--out", str(out)]) == EXIT_USAGE

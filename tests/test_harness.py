@@ -502,7 +502,10 @@ class TestChannelGroups:
         harness.fast_information(hs, sNs, precoder)
         harness.zp_information(hs, sNs, precoder)
 
-    @pytest.mark.parametrize("N,n_trials,least", [(8, 5, 2), (25, 5, 10), (100, 3, 4)])
+    @pytest.mark.parametrize(
+        "N,n_trials,least",
+        [(8, 5, 2), (25, 5, 10), (100, 3, 4), (25, 20, 3), (50, 5, 6), (200, 5, 1)],
+    )
     def test_group_fits_the_budget(self, N, n_trials, least):
         # The per-channel size _group_size assumes covers the group's
         # frames and D0 stage. Every benchmark plan (10 channels x 5 trials
