@@ -287,7 +287,7 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     deficient = low <= RANK_RTOL * high
     if single and deficient[0]:
         raise RankDeficient(
-            f"K is column-rank-deficient (diag ratio {low[0] / high[0]:.3e})"
+            f"K is column-rank-deficient (diag ratio {low[0]:.3e} / {high[0]:.3e})"
         )
     D0 = _grams(fins.transpose(0, 2, 1, 3))
     D0[failed | deficient[:, None]] = np.nan

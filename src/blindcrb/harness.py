@@ -10,41 +10,55 @@ bound trace is evaluated at the same (channel, frame, anchor) via the
 fast route. Averages over the included trials of a cell give its mse_avg
 and crb_avg.
 
-Loop order: groups of channels, then chunks of trials; a trial's SNR
-points are evaluated together. What does not depend on the noise level
-is computed before the SNR points and shared by all of them. The
-channels go in groups, as many per group as keep their frames and the
-bound's working set on them (which the bound counts,
-crb_blind._channel_bytes) within one byte budget (_GROUP_BYTES), so 10
-channels of 5 N=25 frames are one group and a long-frame channel a
-group of its own. Per group: the channels are drawn, then every
-trial's frame, and one call per D0 function gives the bound's reduced
-information with the noise factored out, D0, for every (channel, trial)
-of the group at once (and the zero-padding reference's D0 when the plan
-asks for it). Each step of the fast route's sweep is one stacked QR of
-the channels' windows still moving, which no frame enters, and one
-stacked product that applies the step maps to every trial's frame. The
-group's (channel, trial) stack of D0 is inverted in one stacked call at
-unit noise, each channel at its own anchor; the Fisher information is
-D0 / sigma2, so the bound at an SNR point is sigma2 times that one. Then
-the group's (channel, trial) pairs whose bounds are finite are walked in
-order, in chunks of consecutive trials, as many per chunk as keep the
-chunk's frames and the estimator's working set on them (which the
-estimator counts, estimator._frame_bytes) within the same byte budget,
-and at least one. Per chunk, one synthesize_observation
-call per trial gives its frames at every SNR point, each the noiseless
-frame plus the trial's one unit noise draw scaled to that point's
-variance; the (trial, SNR point) stack of frames goes to the estimator
-(given no sigma2) in one stacked call, the rows' ambiguity is resolved
-in another, each against its own channel's anchor, and each trial's
-squared errors and bounds are added to the running sums, one trial at
-a time. numpy's stacked operations do on each member what they
-do on one matrix or frame, each channel of a stacked sweep refreshes its
-step map until its own carry repeats, and every sum takes its terms in
-trial order, so these are the
-floating-point operations of a cell-by-cell run, and a cell's record
-depends neither on which other cells run with it nor on the grouping or
-the chunking.
+The run fills one per-trial table and then reduces it. For every
+(channel, trial) the table holds the bound at unit noise (and the
+zero-padding reference's, when the plan asks for it) and the squared
+error at every SNR point: 8 n_channels n_trials (n_snr + 1 or 2) bytes,
+about 3 kB for 10 channels of 5 trials at 7 SNR points.
+
+Fill: groups of channels, then chunks of trials; a trial's SNR points
+are evaluated together. What does not depend on the noise level is
+computed before the SNR points and shared by all of them. The channels
+go in groups, as many per group as keep their frames and the bound's
+working set on them (which the bound counts, crb_blind._channel_bytes)
+within one byte budget (_GROUP_BYTES), so 10 channels of 5 N=25 frames
+are one group and a long-frame channel a group of its own. Per group:
+the channels are drawn, then every trial's frame, and one call per D0
+function gives the bound's reduced information with the noise factored
+out, D0, for every (channel, trial) of the group at once (and the
+zero-padding reference's D0 when the plan asks for it). Each step of the
+fast route's sweep is one stacked QR of the channels' windows still
+moving, which no frame enters, and one stacked product that applies the
+step maps to every trial's frame. The group's (channel, trial) stack of
+D0 is inverted in one stacked call at unit noise, each channel at its
+own anchor, and the traces are the group's unit bounds in the table;
+the Fisher information is D0 / sigma2, so the bound at an SNR point is
+sigma2 times the unit one. Then the group's (channel, trial) pairs whose
+unit bounds are finite are walked in order, in chunks of consecutive
+trials, as many per chunk as keep the chunk's frames and the
+estimator's working set on them (which the estimator counts,
+estimator._frame_bytes) within the same byte budget, and at least one.
+Per chunk, one synthesize_observation call per trial gives its frames
+at every SNR point, each the noiseless frame plus the trial's one unit
+noise draw scaled to that point's variance; the (trial, SNR point)
+stack of frames goes to the estimator (given no sigma2) in one stacked
+call, the rows' ambiguity is resolved in another, each against its own
+channel's anchor, and each trial's squared errors are written to its
+row of the table. Nothing is summed while the groups run.
+
+Reduce: once every group has run, a trial is in a cell exactly when its
+squared error there is finite, so one isfinite of the error table gives
+every cell's excluded count. The cells are checked in ascending SNR
+order, and the first whose exclusions reach 1% of its trials fails.
+Otherwise each cell's squared errors, bounds and reference bounds (each
+sigma2 times its unit bound) are summed one trial at a time, in trial
+order, an excluded trial adding 0.0, which changes no bit; a pairwise
+sum over the trials would round differently. numpy's stacked operations
+do on each member what they do on one matrix or frame, and each channel
+of a stacked sweep refreshes its step map until its own carry repeats,
+so these are the floating-point operations of a cell-by-cell run, and a
+cell's record depends neither on which other cells run with it nor on
+the grouping or the chunking.
 
 SNR convention: symbols have unit power and channels unit norm, so
 snr_db = 10 log10(1 / sigma2).
@@ -58,15 +72,16 @@ numerically are excluded and counted per cell. A frame's bound is
 decided once, at unit noise: a frame whose bound or reference bound is
 not finite there, because its channel failed a gate of D0 (a
 rank-deficient K, an ill-conditioned zero-padding symbol block: its
-member of the stacked D0 is NaN) or the inversion was refused, is
-excluded from every cell without going to the estimator. The stacked
-estimator and ambiguity resolution mark a failed member NaN instead of
-raising, so a trial that reaches them is included in a cell exactly when
-its estimate and anchor tap there are finite.
+member of the stacked D0 is NaN) or the inversion was refused, never
+goes to the estimator, so its squared errors stay NaN and it is
+excluded from every cell. The stacked estimator and ambiguity
+resolution mark a failed member NaN instead of raising, so a trial that
+reaches them is excluded from a cell exactly when its estimate or anchor
+tap there is not finite. The stage that excluded a trial is read off the
+table: a unit bound that is not finite means the bound, and a finite one
+beside a non-finite squared error the estimator or the anchor tap.
 An exception raised by the estimator propagates: excluding the chunk it
 came from would make the exclusions depend on the byte budget.
-Once every trial has run, the cells are checked in ascending SNR order
-and the first whose exclusions reach 1% of its trials fails.
 """
 
 from __future__ import annotations
@@ -267,10 +282,12 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     precoder = make_precoder(config)
     n_snr = len(plan.snr_db_grid)
     sigma2s = np.array([sigma2_from_snr_db(s) for s in plan.snr_db_grid])
-    # Per SNR point: sums of squared errors, bounds and reference bounds
-    # over the included trials, and the excluded count.
-    sums = np.zeros((3, n_snr))
-    excluded = np.zeros(n_snr, dtype=int)
+    # The per-trial table: each (channel, trial)'s bounds at unit noise
+    # (the bound's, then the reference's) and its squared error at each
+    # SNR point, NaN where its bound failed and not finite where its
+    # estimate or anchor tap did.
+    units = np.empty((1 + plan.compute_zp_reference, plan.n_channels, plan.n_trials))
+    err = np.full((plan.n_channels, plan.n_trials, n_snr), np.nan)
     group_size = _group_size(config, plan.n_trials)
     chunk_size = _chunk_size(config, n_snr, plan.estimator_settings.window_blocks)
     for first in range(0, plan.n_channels, group_size):
@@ -297,14 +314,13 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
         D0s = [fast_information(hs, sNs, precoder)]
         if plan.compute_zp_reference:
             D0s.append(zp_information(hs, sNs, precoder))
-        # (1 or 2, channels, trials) traces at unit noise, NaN where D0
-        # failed a gate or its inversion was refused; sigma2 scales them.
+        # Traces at unit noise, NaN where D0 failed a gate or its
+        # inversion was refused; sigma2 scales them.
         anchors = np.array([channel.d for channel in channels])
-        units = _invert_reduced(np.stack(D0s), anchors[:, None]).trace
+        units[:, group] = _invert_reduced(np.stack(D0s), anchors[:, None]).trace
         # The live (member, trial) pairs in order, in chunks; a frame
-        # whose bound failed is excluded from every cell.
-        live = np.argwhere(np.isfinite(units).all(axis=0))
-        excluded += units[0].size - len(live)
+        # whose bound failed gets no estimator row.
+        live = np.argwhere(np.isfinite(units[:, group]).all(axis=0))
         for start in range(0, len(live), chunk_size):
             c, j = live[start: start + chunk_size].T
             Y = np.empty((c.size, n_snr, config.N * config.P - config.L), np.complex128)
@@ -321,20 +337,24 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
                 )
             d = anchors[c]
             h_res = resolve_ambiguity(h_hats, d[:, None], hs[c, d][:, None])
-            err = np.sum(np.abs(h_res - hs[c][:, None]) ** 2, axis=-1)
             # Not finite where the estimate or its anchor tap failed.
-            ok = np.isfinite(err)
-            excluded += np.sum(~ok, axis=0)
-            bounds = units[:, c, j, None] * sigma2s
-            terms = np.where(ok[:, None], np.stack([err, *bounds], axis=1), 0.0)
-            for term in terms:
-                sums[: len(term)] += term  # one trial at a time, in trial order
+            err[first + c, j] = np.sum(np.abs(h_res - hs[c][:, None]) ** 2, axis=-1)
+    ok = np.isfinite(err)
+    excluded = np.sum(~ok, axis=(0, 1))
     total = plan.n_channels * plan.n_trials
     for snr_db, n_excluded in zip(plan.snr_db_grid, excluded):
         if n_excluded / total >= EXCLUSION_BUDGET:
             raise ExclusionBudgetExceeded(
                 f"{n_excluded} of {total} trials excluded at {snr_db} dB"
             )
+    # Per SNR point: sums of squared errors, bounds and reference bounds
+    # over the included trials, one trial at a time in trial order (a
+    # pairwise sum over the trials would round otherwise); an excluded
+    # trial adds 0.0, which changes no bit.
+    sums = np.zeros((3, n_snr))
+    for i, j in np.ndindex(ok.shape[:2]):
+        terms = [err[i, j], *units[:, i, j, None] * sigma2s]
+        sums[: len(terms)] += np.where(ok[i, j], terms, 0.0)
     included = total - excluded
     mse, crb, zp = sums
     return [

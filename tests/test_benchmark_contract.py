@@ -4,8 +4,9 @@ looks for it, each workload's one-channel plan must pass the benchmark's
 correctness gate against its stored reference, tracing a plan must
 leave its CSV and, once restored, the package's bindings as they were,
 and each workload's plan must call the estimator once per chunk of
-trials and each D0 function once per group of channels, with the
-chunks and groups ROADMAP item 1 expects.
+trials, each D0 function and the stacked inversion once per group of
+channels, and synthesize_observation once per trial, with the chunks
+and groups ROADMAP item 1 expects.
 
 A cleanup that drops a binding the tracer reads, or a change that moves
 a gated number, fails here rather than only when the benchmark runs.
@@ -129,3 +130,32 @@ def test_information_calls_per_plan_pass(name, fast, zp, monkeypatch):
     plan = workloads.WORKLOADS[name].plan(workloads.DEFAULT_SEED)
     harness.run_experiment(plan)
     assert calls == {"fast": fast, "zp": zp}
+
+
+@pytest.mark.parametrize("name,frames,stacks", [
+    ("snr_sweep", 50, [(1, 10, 5)]),
+    ("long_frame", 12, [(1, 4, 3)]),
+    ("zp_reference", 50, [(2, 10, 5)]),
+], ids=["snr_sweep", "long_frame", "zp_reference"])
+def test_synthesis_and_inversion_calls_per_plan_pass(name, frames, stacks, monkeypatch):
+    # One synthesize_observation call per trial, with every SNR point of
+    # it, and one stacked inversion per group of channels: the (bound or
+    # bound and reference, channel, trial) stack of each workload's one
+    # group.
+    synthesize_observation = harness.synthesize_observation
+    invert_reduced = harness._invert_reduced
+    calls = {"synthesize": 0, "invert": []}
+
+    def synthesize(*args):
+        calls["synthesize"] += 1
+        return synthesize_observation(*args)
+
+    def invert(D0s, anchors):
+        calls["invert"].append(D0s.shape[:3])
+        return invert_reduced(D0s, anchors)
+
+    monkeypatch.setattr(harness, "synthesize_observation", synthesize)
+    monkeypatch.setattr(harness, "_invert_reduced", invert)
+    plan = workloads.WORKLOADS[name].plan(workloads.DEFAULT_SEED)
+    harness.run_experiment(plan)
+    assert calls == {"synthesize": frames, "invert": stacks}

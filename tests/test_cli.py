@@ -408,6 +408,16 @@ class TestCrb:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_taps_near_float_max_exit_numerical(self, capsys):
+        # The sweep overflows and K's rank gate refuses the taps; the
+        # refusal's message divides nothing, so it raises no warning under
+        # the suite's rule and reports the gate's two diagonals as they are.
+        code = main(["crb", "--override", "h=1.5e308+1.5e308j, 1e308, 1, 1, 1"])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: K is column-rank-deficient")
+
 
 class TestSelftest:
     def test_passes(self, capsys):

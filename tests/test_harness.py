@@ -416,16 +416,29 @@ class TestStackedMatchesPerFrame:
     must match the frame-by-frame loop byte for byte."""
 
     @pytest.mark.parametrize(
-        "make_plan",
-        [small_plan, idft_plan, custom_plan, zp_plan, rounding_plan],
-        ids=["cp-identity", "cp-idft", "custom", "zp-reference", "M12-N8-idft"],
+        "make_plan,shape",
+        [
+            (make_plan, shape)
+            for shape in [((0.0, 10.0, 20.0, 30.0, 40.0), 3, 3), ((20.0,), 4, 5)]
+            for make_plan in [small_plan, idft_plan, custom_plan, zp_plan, rounding_plan]
+        ],
+        ids=[
+            name + suffix
+            for suffix in ["", "-one-point"]
+            for name in ["cp-identity", "cp-idft", "custom", "zp-reference", "M12-N8-idft"]
+        ],
     )
-    def test_csv_equals_per_frame_run(self, make_plan):
-        plan = make_plan(
-            snr_db_grid=(0.0, 10.0, 20.0, 30.0, 40.0), n_channels=3, n_trials=3
-        )
-        stacked = format_csv(run_experiment(plan))
-        assert stacked == format_csv(run_experiment_per_frame(plan))
+    def test_csv_equals_per_frame_run(self, make_plan, shape):
+        # Equal records are equal in every bit of every float, which the
+        # CSV's 12 digits cannot show: the sums take their terms in trial
+        # order, and at one SNR point numpy's pairwise sum over the trial
+        # axis would not.
+        grid, n_channels, n_trials = shape
+        plan = make_plan(snr_db_grid=grid, n_channels=n_channels, n_trials=n_trials)
+        stacked = run_experiment(plan)
+        per_frame = run_experiment_per_frame(plan)
+        assert format_csv(stacked) == format_csv(per_frame)
+        assert stacked == per_frame
 
     def test_long_frame_peak_memory(self):
         # One trial's 7 frames and their windows at a time peaks near
