@@ -48,7 +48,12 @@ entry, raise IllConditioned from crb_direct (through build_K and
 fim_blocks), crb_fast and crb_zp_per_block alike. In a batch of frames
 a failed frame is a NaN member, for one channel as in a stack, and so
 is every frame of a stacked channel whose taps fail. crb_fast and
-crb_zp_per_block are batches of one.
+crb_zp_per_block are batches of one. The same call gives each channel's
+taps the power of two that puts their peak in [0.5, 1), and both D0
+functions take the taps at that scale: the bound does not see it and
+the scaling changes no rounding, so taps near the float maximum or far
+below one give the bound of the same taps at unit size. crb_direct
+forms J11 from the taps as given.
 
 Both routes reject ill-conditioned inversions instead of returning noise,
 so Monte Carlo callers can count and exclude pathological draws.
@@ -215,15 +220,19 @@ def _channel_stack(h, sNs, precoder: Precoder, min_blocks: int):
     its (T, NM) frames, and the (C, T) mask of the members that failed
     model._usable. The frames must hold at least min_blocks whole blocks
     of M symbols, and the channel order must fit the precoder's P x M
-    composite F: L < M and P = M + L.
+    composite F: L < M and P = M + L. Each channel's taps come back at
+    their power of two, times the 2^-e of model._usable that puts their
+    largest real or imaginary part in [0.5, 1). D0 does not depend on
+    the taps' scale and the scaling changes no rounding, so the taps'
+    size neither overflows nor underflows the products that follow.
 
     A channel whose taps fail fails all its members, a frame that fails
-    its own; both are returned zeroed, so no product meets them, and the
-    caller sets the failed members NaN. Taps of one channel that fail
-    raise IllConditioned instead, the class the direct route raises: zero
-    taps give a zero J11 = K^H K / sigma2. A failed frame is a member of
-    the batch even for one channel, so crb_fast and crb_zp_per_block meet
-    its NaN information at their anchor-reduced gate."""
+    its own; model._usable returns both zeroed, so no product meets them,
+    and the caller sets the failed members NaN. Taps of one channel that
+    fail raise IllConditioned instead, the class the direct route raises:
+    zero taps give a zero J11 = K^H K / sigma2. A failed frame is a member
+    of the batch even for one channel, so crb_fast and crb_zp_per_block
+    meet its NaN information at their anchor-reduced gate."""
     P, M = precoder.F.shape
     h = np.asarray(h, dtype=np.complex128)
     sNs = np.asarray(sNs, dtype=np.complex128)
@@ -245,13 +254,10 @@ def _channel_stack(h, sNs, precoder: Precoder, min_blocks: int):
     single = h.ndim == 1
     if single:
         h, sNs = h[None], sNs[None]
-    taps_ok, frames_ok = _usable(h)[0], _usable(sNs)[0]
+    (taps_ok, exponent, h), (frames_ok, _, sNs) = _usable(h), _usable(sNs)
     if single and not taps_ok[0]:
         raise IllConditioned(_J11, math.inf)
-    if not taps_ok.all():
-        h = np.where(taps_ok[:, None], h, 0.0)
-    if not frames_ok.all():
-        sNs = np.where(frames_ok[..., None], sNs, 0.0)
+    h = np.ldexp(h.view(np.float64), -exponent[:, None]).view(np.complex128)
     return h, sNs, single, ~(taps_ok[:, None] & frames_ok)
 
 

@@ -10,7 +10,8 @@ Taps and frames meet one usability rule first (model._usable): every
 entry finite and one nonzero. The bound routes refuse taps or a frame
 that break it with IllConditioned (the direct one at its J11 and
 anchor-reduced gates for zero taps or a zero frame), the estimator a
-frame with InsufficientData.
+frame with InsufficientData. In a stack, model._usable hands back the
+failed member zeroed and the caller reports it NaN.
 """
 
 

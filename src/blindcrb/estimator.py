@@ -14,7 +14,8 @@ there from the Householder reflectors of one QR of the windows, applied
 to the (w-1)L unit vectors past the windows' rank, forming neither Q nor
 R, and from the eigh at every other N. Whether a frame can be used is
 decided once, before either route, by the package's one rule
-(model._usable): every sample finite and one nonzero. The covariance
+(model._usable): every sample finite and one nonzero; the windows are
+cut from the frames it hands back, a failed one zeroed. The covariance
 route makes one C-ordered copy of the windows' view and scales it by the
 power of two that puts the frame's peak in [0.5, 1), which changes no
 rounding, so a frame's size neither overflows nor underflows Z Z^H.
@@ -203,10 +204,11 @@ def subspace_estimate(
         raise InsufficientData(f"windows of {w} blocks do not fit in {N} blocks")
     dim = w * P - L
     n_noise = (w - 1) * L  # dim minus the model rank wM
-    # One rule for both routes: a failed frame is zeroed before the windows
-    # are cut, and its row comes back NaN.
-    usable, exponent = _usable(yN)
-    failed = ~usable
+    # One rule for both routes: the windows are cut from the frames _usable
+    # returns, a failed one zeroed, and its row comes back NaN. A single
+    # frame's message reads yN, since a zeroed frame hides why it failed.
+    ok, exponent, frames = _usable(yN)
+    failed = ~ok
     if yN.ndim == 1 and failed:
         raise InsufficientData(
             "frame carries no energy"
@@ -215,10 +217,8 @@ def subspace_estimate(
         )
     if n_noise == 0:
         raise InsufficientData("noise subspace is empty")
-    if failed.any():
-        yN = np.where(failed[..., None], 0.0, yN)
-    # Row n of a frame's windows is the view yN[nP: nP + dim].
-    windows = np.lib.stride_tricks.sliding_window_view(yN, dim, axis=-1)[..., ::P, :]
+    # Row n of a frame's windows is the view frames[nP: nP + dim].
+    windows = np.lib.stride_tricks.sliding_window_view(frames, dim, axis=-1)[..., ::P, :]
     if _on_border(M, N, w):
         noise = _complement(windows)
     else:

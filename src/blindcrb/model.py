@@ -30,7 +30,8 @@ synthesize_observation applies K to a frame as a convolution of the taps
 with the precoded stream, with no matrix, and adds the noise: it is the
 package's one place that turns noise variances into received frames.
 _usable is the package's one test of whether taps or a frame can be
-used at all, and the exact power of two that scales one.
+used at all, the exact power of two that scales one, and the stack with
+its failed members zeroed: no caller zeroes a member itself.
 
 All vectors are 1-D complex128 arrays; matrices are 2-D complex128 unless
 they are pure 0/1 selection patterns.
@@ -95,17 +96,21 @@ def _anchor_mask(d, n: int) -> np.ndarray:
 
 
 def _usable(x, allow_zero: bool = False):
-    """The package's one test of taps and frames: for each member of a
-    stack along the last axis, whether it can be used (every entry finite
-    and, unless allow_zero, one nonzero) and the exponent e of the power
-    of two that puts its largest real or imaginary part, times 2^-e, in
-    [0.5, 1). A caller zeroes a member that fails before using the stack
-    and sets its result NaN; given a single item, it raises its typed
-    error instead."""
-    parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    """The package's one test of taps and frames, and the one place that
+    applies it. For each member of a stack along the last axis: whether it
+    can be used (every entry finite and, unless allow_zero, one nonzero),
+    the exponent e of the power of two that puts its largest real or
+    imaginary part, times 2^-e, in [0.5, 1), and the stack to use. That
+    is x as a C-ordered complex128 array, x itself when it already is one,
+    if every member passes, and otherwise a copy with each failed member
+    zeroed, so no product meets it; a caller sets the failed members'
+    results NaN, or given a single item raises its typed error."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    parts = x.view(np.float64)
     # the largest |entry| without an array of them; NaN propagates
     peak = np.maximum(parts.max(axis=-1), -parts.min(axis=-1))
-    return np.isfinite(peak) & (allow_zero | (peak > 0)), np.frexp(peak)[1]
+    ok = np.isfinite(peak) & (allow_zero | (peak > 0))
+    return ok, np.frexp(peak)[1], x if ok.all() else np.where(ok[..., None], x, 0.0)
 
 
 @dataclass(frozen=True)

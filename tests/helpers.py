@@ -5,12 +5,14 @@ for the blocks T(h) F and T(h) Ftilde, the dense routes and bases that the
 banded bounds are checked against, the estimator's covariance-eigh route
 and complete-QR border basis that its border route is checked against,
 the estimator's penalty on a given noise basis, a one-point run of an
-experiment plan, and the frame-by-frame run that the stacked harness is
-checked against."""
+experiment plan, the frame-by-frame run that the stacked harness is
+checked against, and the powers of two the taps are scaled by in the
+bound routes' scale tests."""
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from blindcrb import (
     EstimatorSettings,
@@ -43,6 +45,22 @@ from blindcrb.model import draw_noise
 def random_unit_channel(L, rng):
     h = (rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1)) / np.sqrt(2)
     return h / np.linalg.norm(h)
+
+
+
+# The exponents k of the float range, each end drawn as often as the rest:
+# near them, taps of unit norm times 2^k overflow or underflow the bound
+# routes' products unless the route rescales them.
+EXPONENTS = st.sampled_from([(-1022, -1010), (-1009, 1012), (1013, 1023)]).flatmap(
+    lambda band: st.integers(*band)
+)
+
+
+def normal_or_zero(h):
+    """Whether every real or imaginary part of h is zero or a normal float."""
+    parts = np.abs(h.view(np.float64))
+    tiny = np.finfo(np.float64).tiny
+    return bool(np.all((parts == 0) | ((parts >= tiny) & np.isfinite(parts))))
 
 
 def random_instance(

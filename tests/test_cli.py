@@ -6,6 +6,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -408,15 +409,20 @@ class TestCrb:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_taps_near_float_max_exit_numerical(self, capsys):
-        # The sweep overflows and K's rank gate refuses the taps; the
-        # refusal's message divides nothing, so it raises no warning under
-        # the suite's rule and reports the gate's two diagonals as they are.
-        code = main(["crb", "--override", "h=1.5e308+1.5e308j, 1e308, 1, 1, 1"])
-        assert code == EXIT_NUMERICAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numerical failure: K is column-rank-deficient")
+    def test_taps_near_float_max_give_the_scaled_bound(self, capsys):
+        # Finite taps near the float maximum: the fast route takes them at
+        # their power of two, 2^-1024, so the sweep does not overflow and
+        # prints what the same taps times 2^-1024 give, with no warning.
+        taps = [1.5e308 + 1.5e308j, 1e308, 1, 1, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["crb", "--override", "h=1.5e308+1.5e308j, 1e308, 1, 1, 1"]) == EXIT_OK
+            out = capsys.readouterr().out
+            scaled = [t * 2.0**-1024 for t in taps]
+            scaled = ", ".join(f"{t.real!r}+{t.imag!r}j" for t in scaled)
+            assert main(["crb", "--override", f"h={scaled}"]) == EXIT_OK
+        assert out.splitlines()[0] == "trace = 0.106253992202"
+        assert capsys.readouterr().out == out
 
 
 class TestSelftest:

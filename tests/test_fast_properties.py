@@ -7,11 +7,12 @@ others keep it once their carry repeats, so both are checked.
 Rounding errors in D0 scale with the energy of the frame, not with D0,
 which cancels to rounding level for a frame that says nothing about the
 taps (a constant frame, say), so D0's tolerances are relative to that
-energy. The examples are derandomized, so every run draws the same
-instances."""
+energy. One test scales the taps by powers of two over the float range,
+under a custom redundancy too, and asks for D0's bytes. The examples are
+derandomized, so every run draws the same instances."""
 
 import numpy as np
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from blindcrb import (
@@ -24,7 +25,14 @@ from blindcrb import (
     make_precoder,
 )
 from blindcrb.crb_blind import _sweep, fast_information
-from helpers import build_channel_toeplitz, crb_fast_dense, frame_energy, random_unit_channel
+from helpers import (
+    EXPONENTS,
+    build_channel_toeplitz,
+    crb_fast_dense,
+    frame_energy,
+    normal_or_zero,
+    random_unit_channel,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -144,3 +152,30 @@ def test_sweep_projects_any_columns(blocks):
         np.testing.assert_allclose(
             X.conj().T @ X, projected, rtol=0, atol=1e-10 * np.linalg.norm(C) ** 2
         )
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, 8), st.integers(1, 3), st.integers(2, 40), st.integers(1, 3),
+    st.sampled_from(["cp", "zp", "custom"]), st.sampled_from(["identity", "idft"]),
+    EXPONENTS, st.integers(0, 2**32 - 1),
+)
+def test_taps_at_any_power_of_two_keep_the_bytes(M, L, N, T, kind, inner, k, seed):
+    # D0 does not see the taps' scale, and the route takes every channel's
+    # taps at their own power of two, so taps 2^k h give h's bytes however
+    # large or small 2^k is. A stack of one channel gives a failed gate as
+    # NaN, so every outcome is compared by its bytes; the suite's warning
+    # rule fails any overflow or underflow warning.
+    L = min(L, M - 1)
+    rng = np.random.default_rng(seed)
+    custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
+    pre = make_precoder(SystemConfig(
+        M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
+        custom_redundancy=custom if kind == "custom" else None,
+    ))
+    h = random_unit_channel(L, rng)
+    scaled = 2.0**k * h
+    assume(normal_or_zero(scaled))
+    frames = np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in range(T)])[None]
+    D0 = fast_information(h[None], frames, pre)
+    assert fast_information(scaled[None], frames, pre).tobytes() == D0.tobytes()

@@ -19,7 +19,7 @@ from blindcrb import (
     make_precoder,
     synthesize_observation,
 )
-from blindcrb.model import _tap_factors, _tap_sum, draw_noise
+from blindcrb.model import _tap_factors, _tap_sum, _usable, draw_noise
 from helpers import (
     block_diag_precoder,
     build_channel_toeplitz,
@@ -591,6 +591,46 @@ class TestGradients:
                 d_im = (loglik(h, s + 1j * delta) - loglik(h, s - 1j * delta)) / (2 * eps)
                 fd = (d_re + 1j * d_im) / 2
                 assert abs(fd - grad_s[k]) <= 1e-6 * scale_s
+
+
+class TestUsable:
+    """_usable hands back the stack it judged. The byte budgets of
+    crb_blind._channel_bytes and estimator._frame_bytes count no copy of
+    the frames, so a stack whose members all pass must come back as the
+    caller's array itself."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(3)
+        return rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
+
+    def test_usable_stack_is_not_copied(self):
+        x = self.stack()
+        ok, exponent, usable = _usable(x)
+        assert usable is x
+        assert ok.all() and exponent.shape == (2, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_failed_member_zeroed_in_a_copy(self, bad):
+        x = self.stack()
+        if bad:
+            x[1, 2, 5] = bad
+        else:
+            x[1, 2] = 0
+        before = x.copy()
+        ok, _, usable = _usable(x)
+        assert usable is not x
+        np.testing.assert_array_equal(x, before)
+        assert ok.sum() == 5 and not ok[1, 2]
+        assert not usable[1, 2].any()
+        assert usable[ok].tobytes() == x[ok].tobytes()
+        assert usable.dtype == np.complex128 and usable.flags.c_contiguous
+
+    def test_allow_zero_passes_a_zero_member_uncopied(self):
+        x = self.stack()
+        x[0, 1] = 0
+        ok, _, usable = _usable(x, allow_zero=True)
+        assert ok.all() and usable is x
 
 
 class TestConfigValidation:

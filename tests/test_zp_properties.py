@@ -6,11 +6,12 @@ on the full block-diagonal model, and against the frame bound it
 references.
 
 As for the fast route, D0's tolerances are relative to the energy of the
-frame. The examples are derandomized, so every run draws the same
-instances."""
+frame, and taps scaled by a power of two over the float range, under a
+custom inner precoder too, must give D0's bytes. The examples are
+derandomized, so every run draws the same instances."""
 
 import numpy as np
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from blindcrb import (
@@ -23,7 +24,14 @@ from blindcrb import (
     make_precoder,
 )
 from blindcrb.crb_blind import _invert_reduced, zp_information
-from helpers import assert_psd, crb_zp_kron, frame_energy, random_unit_channel
+from helpers import (
+    EXPONENTS,
+    assert_psd,
+    crb_zp_kron,
+    frame_energy,
+    normal_or_zero,
+    random_unit_channel,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -116,3 +124,28 @@ def test_reference_never_above_frame_bound(instance):
         reject()
     full = crb_zp_per_block(h, frames[0], pre, d, 1.0).C
     assert_psd(frame - full, scale_tol=1e-10, msg="reference exceeded the frame bound")
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, 8), st.integers(1, 3), st.integers(2, 40), st.integers(1, 3),
+    st.sampled_from(["identity", "idft", "custom"]),
+    EXPONENTS, st.integers(0, 2**32 - 1),
+)
+def test_taps_at_any_power_of_two_keep_the_bytes(M, L, N, T, inner, k, seed):
+    # As on the fast route: taps 2^k h give h's bytes. Only a zero-padding
+    # F = [Ftilde; 0] has this bound, so the custom case is a custom inner
+    # precoder under zero padding.
+    L = min(L, M - 1)
+    rng = np.random.default_rng(seed)
+    custom = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    pre = make_precoder(SystemConfig(
+        M=M, L=L, N=N, redundancy_kind="zp", inner_kind=inner,
+        custom_inner=custom if inner == "custom" else None,
+    ))
+    h = random_unit_channel(L, rng)
+    scaled = 2.0**k * h
+    assume(normal_or_zero(scaled))
+    frames = np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in range(T)])[None]
+    D0 = zp_information(h[None], frames, pre)
+    assert zp_information(scaled[None], frames, pre).tobytes() == D0.tobytes()
