@@ -37,8 +37,9 @@ takes one QR of its P x M block T(h) Ftilde per batch, the tap sum of the
 model's one-block factors of the inner precoder.
 Both also take a stack of C channels, (C, L+1) taps with (C, T, NM)
 frames, and return (C, T, L+1, L+1): one sweep, or one stacked QR, runs
-every channel at once, and each member gets the bytes it would get
-alone; _channel_bytes counts what the two hold per channel of a stack,
+every channel at once, one stacked product takes the Grams of every
+member's coordinates, and each member gets the bytes it would get
+alone; _channel_bytes states what the two hold per channel of a stack,
 so a caller can size its stacks to a byte budget. A single channel
 that fails a gate raises; in a channel stack the failed member comes
 back NaN and the others are unchanged. The first
@@ -295,19 +296,10 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
         raise RankDeficient(
             f"K is column-rank-deficient (diag ratio {low[0]:.3e} / {high[0]:.3e})"
         )
-    D0 = _grams(fins.transpose(0, 2, 1, 3))
+    X = fins.transpose(0, 2, 1, 3)
+    D0 = _hermitize(X.conj().swapaxes(-1, -2) @ X)
     D0[failed | deficient[:, None]] = np.nan
     return D0[0] if single else D0
-
-
-def _grams(X: np.ndarray) -> np.ndarray:
-    """The (C, T, L+1, L+1) Hermitian Grams X^H X of a (C, T, rows, L+1)
-    stack of coordinates. X is conjugated one channel at a time, so the
-    stack is never held twice."""
-    grams = np.empty(X.shape[:2] + X.shape[-1:] * 2, dtype=np.complex128)
-    for gram, X_c in zip(grams, X):
-        gram[...] = _hermitize(X_c.conj().swapaxes(-1, -2) @ X_c)
-    return grams
 
 
 def _sweep(B: np.ndarray, cols: np.ndarray):
@@ -357,19 +349,22 @@ def _sweep(B: np.ndarray, cols: np.ndarray):
     getting the block of C^H C its own sweep would. A finished row block
     is fixed up to a unitary rotation, which C^H C does not see.
 
-    low and high run over the refreshed windows. The rank gate
-    (low <= RANK_RTOL * high, applied by fast_information) fails a member
-    whose smallest |diag(R)| collapses. Each is the distance of a column
-    of K from the span of the ones before it, the same for any QR of K,
-    and the smallest singular value never exceeds it, so a collapse
+    low and high are running extremes over the refreshed windows: each
+    refresh folds its windows' |diag(R)| of the K columns into its
+    members' two numbers with fmin and fmax, which skip NaN. The rank
+    gate (low <= RANK_RTOL * high, applied by fast_information) fails a
+    member whose smallest |diag(R)| collapses. Each is the distance of a
+    column of K from the span of the ones before it, the same for any QR
+    of K, and the smallest singular value never exceeds it, so a collapse
     proves rank deficiency. Draws that slip past it are still caught by
     the conditioning gate on the reduced information.
 
     With c columns and n* refreshes out of N steps (n* = N when the carry
     never repeats), O(n* (M+2L)^2 (M+L) + N L (M+2L) c) time and
-    O(NP + N L c) memory besides cols, against O((NM)^3) and O((NM)^2)
-    for a dense QR of K; a batch of T frames has c = T(L+1). A stack
-    takes C times as much.
+    O((M+2L)(M+L+c) + N L c) memory besides cols, for the window's
+    arrays and the finished rows, against O((NM)^3) and O((NM)^2) for a
+    dense QR of K; a batch of T frames has c = T(L+1). A stack takes C
+    times as much.
     """
     C, M = B.shape[0], B.shape[2]
     L = (B.shape[1] - M) // 2
@@ -386,8 +381,7 @@ def _sweep(B: np.ndarray, cols: np.ndarray):
     c = V.shape[2]
     G = np.empty((C, 2 * L, M + 2 * L), dtype=np.complex128)
     carry = np.zeros((C, L, L), dtype=np.complex128)
-    # NaN where a member kept its G: the gate reduces over the rest.
-    diag = np.full((C, N, M), np.nan)
+    low, high = np.full(C, np.nan), np.full(C, np.nan)
     # Row block n holds the rows step n finishes; step 0 finishes none.
     fin = np.empty((C, N, L, c), dtype=np.complex128)
     out = np.empty((C, 2 * L, c), dtype=np.complex128)
@@ -403,7 +397,9 @@ def _sweep(B: np.ndarray, cols: np.ndarray):
         if len(q):
             Q, R = np.linalg.qr(W[q], mode="complete")
             d = R.diagonal(axis1=-2, axis2=-1)
-            diag[q, n] = np.abs(d[:, :M])
+            diag = np.abs(d[:, :M])
+            low[q] = np.fmin(low[q], np.fmin.reduce(diag, axis=1))
+            high[q] = np.fmax(high[q], np.fmax.reduce(diag, axis=1))
             sign = np.copysign(1.0, d[:, M:, None].real)
             Q[:, :, M: M + L] *= sign.swapaxes(-1, -2)
             G[q] = Q[:, :, M:].conj().swapaxes(-1, -2)
@@ -420,8 +416,6 @@ def _sweep(B: np.ndarray, cols: np.ndarray):
         np.matmul(G, V, out=out)
         V[:, :L] = out[:, :L]
         fin[:, n] = out[:, L:]
-    low = np.fmin.reduce(diag, axis=(1, 2))
-    high = np.fmax.reduce(diag, axis=(1, 2))
     return fin[:, 1:].reshape((C, (N - 1) * L) + shape), low, high
 
 
@@ -495,7 +489,8 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     Qp = Q[:, :, M:]
     lags = (Qp.conj().swapaxes(1, 2)[:, None] @ np.stack(factors)).transpose(0, 3, 2, 1)
     W = sNs.reshape(C, T, N, M) @ lags.reshape(C, 1, M, L * (L + 1))
-    D0 = _grams(W.reshape(C, T, N * L, L + 1))
+    X = W.reshape(C, T, N * L, L + 1)
+    D0 = _hermitize(X.conj().swapaxes(-1, -2) @ X)
     D0[failed | ~ok[:, None]] = np.nan
     return D0[0] if single else D0
 
@@ -507,10 +502,9 @@ def _channel_bytes(P: int, M: int, N: int, T: int) -> int:
     16 (10 (M+2L)^2 + T N (P + 2L(L+1))): the sweep's window of M + 2L
     rows with its complete QR and step map, and per frame its precoded
     stream of NP samples and its N L (L+1) null-space coordinates,
-    counted twice. The second count covers the conjugate copy that _grams
-    takes and zp_information's coordinates, of the same size. The sum
-    over-counts a stack of several channels, since _grams conjugates one
-    channel at a time and zp_information runs after the sweep's arrays
-    are freed."""
+    counted twice: the Gram that gives D0 takes a conjugate copy of the
+    whole stack of coordinates. zp_information runs after the sweep's
+    arrays are freed, and its coordinates and their conjugate copy are of
+    the same size."""
     L = P - M
     return 16 * (10 * (M + 2 * L) ** 2 + T * N * (P + 2 * L * (L + 1)))

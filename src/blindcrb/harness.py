@@ -123,9 +123,10 @@ _STREAM_NOISE = 2
 # _group_size), and that one estimator call may hold in frames and the
 # estimator's working set on them, which estimator._frame_bytes counts
 # (see _chunk_size). At M=12, L=4, 10 channels x 5 trials of N=25 blocks
-# fit in one group (a traced peak of 1.6 MB), and 5 channels x 3 trials
-# of N=100 (1.5 MB); a channel is never split, so one N=1000 channel of
-# 5 trials (5.5 MB, 2.6 times the budget) is a group of its own. At
+# fit in one group (a traced peak of 1.55 MB), and 5 channels x 3 trials
+# of N=100 (1.66 MB), under zero padding with the reference as under
+# cp/IDFT; a channel is never split, so one N=1000 channel of 5 trials
+# (5.5 MB, 2.6 times the budget) is a group of its own. At
 # N=25, the estimator's identifiability border with 2-block windows, 8
 # trials of 7 SNR points go to one estimator call, and at N=1000 one
 # trial.

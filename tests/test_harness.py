@@ -497,8 +497,9 @@ class TestChannelGroups:
 
     @staticmethod
     def group_stage(config, n_channels, n_trials):
-        # What run_experiment computes for a group of zero-padding channels
-        # with the reference: the channels, every trial's frame and both D0s.
+        # What run_experiment computes for a group of channels: the
+        # channels, every trial's frame and D0, and under zero padding the
+        # reference's D0 as well.
         precoder = harness.make_precoder(config)
         hs = np.array([
             draw_channel(config.L, harness._stream_rng(0, 0, i)).h for i in range(n_channels)
@@ -513,7 +514,13 @@ class TestChannelGroups:
             for i in range(n_channels)
         ])
         harness.fast_information(hs, sNs, precoder)
-        harness.zp_information(hs, sNs, precoder)
+        if precoder.zero_padding:
+            harness.zp_information(hs, sNs, precoder)
+
+    # Zero padding with the reference, whose sweep settles at step 2, and
+    # cp/IDFT without it, whose sweep refreshes its members' step maps for
+    # 10-23 steps, or at every step.
+    SYSTEMS = (("zp", "identity"), ("cp", "idft"))
 
     @pytest.mark.parametrize(
         "N,n_trials,least",
@@ -523,19 +530,23 @@ class TestChannelGroups:
         # The per-channel size _group_size assumes covers the group's
         # frames and D0 stage. Every benchmark plan (10 channels x 5 trials
         # at N=25, 4 x 3 at N=100) stays one group.
-        config = SystemConfig(M=12, L=4, N=N, redundancy_kind="zp")
-        n = harness._group_size(config, n_trials)
-        assert n >= least
-        self.group_stage(config, n, n_trials)  # numpy's first calls allocate more
-        assert traced_peak(self.group_stage, config, n, n_trials) <= harness._GROUP_BYTES
+        for kind, inner in self.SYSTEMS:
+            config = SystemConfig(M=12, L=4, N=N, redundancy_kind=kind, inner_kind=inner)
+            n = harness._group_size(config, n_trials)
+            assert n >= least
+            self.group_stage(config, n, n_trials)  # numpy's first calls allocate more
+            peak = traced_peak(self.group_stage, config, n, n_trials)
+            assert peak <= harness._GROUP_BYTES, (kind, inner)
 
     def test_long_channel_is_a_group_of_one(self):
         # A channel is never split: one N=1000 channel of 5 trials is a
         # group of its own by design, and its stage peaks near 2.6 times
         # the budget.
-        config = SystemConfig(M=12, L=4, N=1000, redundancy_kind="zp")
-        assert harness._group_size(config, 5) == 1
-        assert traced_peak(self.group_stage, config, 1, 5) < 3 * harness._GROUP_BYTES
+        for kind, inner in self.SYSTEMS:
+            config = SystemConfig(M=12, L=4, N=1000, redundancy_kind=kind, inner_kind=inner)
+            assert harness._group_size(config, 5) == 1
+            peak = traced_peak(self.group_stage, config, 1, 5)
+            assert peak < 3 * harness._GROUP_BYTES, (kind, inner)
 
 
 class TestTrialChunks:
