@@ -27,9 +27,10 @@ D0 = sigma2 D, which depends only on the channel and the frame, so a
 caller that sweeps the noise level computes and inverts it once, at
 unit noise, and scales that bound by sigma2 per level. Both take the
 system's precoder and a batch of T frames sent over one channel and
-return T matrices D0; one check (_channel_stack) holds the taps and
-frames to the precoder for both, and zp_information also refuses a
-precoder that is not zero padding. Only
+return T matrices D0. One check, _channel_stack, holds the taps and
+frames to the precoder for both and hands the frames back as whole
+blocks of M symbols, whose shape gives both every dimension but L;
+zp_information also refuses a precoder that is not zero padding. Only
 the windows v_k depend on the frame, so one sweep serves the batch: its
 step maps, carried rows and rank gate are the channel's, and each map is
 applied to the frames' windows side by side. zp_information likewise
@@ -216,12 +217,14 @@ def crb_fast(
 
 
 def _channel_stack(h, sNs, precoder: Precoder, min_blocks: int):
-    """Taps and frames as a (C, L+1) stack of channels with their
-    (C, T, NM) frames, whether they were one channel's (L+1,) taps with
-    its (T, NM) frames, and the (C, T) mask of the members that failed
-    model._usable. The frames must hold at least min_blocks whole blocks
-    of M symbols, and the channel order must fit the precoder's P x M
-    composite F: L < M and P = M + L. Each channel's taps come back at
+    """Taps and frames as a (C, L+1) stack of channels with their frames
+    as (C, T, N, M) blocks, whether they were one channel's (L+1,) taps
+    with its (T, NM) frames, and the (C, T) mask of the members that
+    failed model._usable. The frames must hold at least min_blocks whole
+    blocks of M symbols, so the blocks are a view of the frames, and the
+    channel order must fit the precoder's P x M composite F: L < M and
+    P = M + L; the D0 functions read C, T, N and M off the blocks and L
+    off the taps. Each channel's taps come back at
     their power of two, times the 2^-e of model._usable that puts their
     largest real or imaginary part in [0.5, 1). D0 does not depend on
     the taps' scale and the scaling changes no rounding, so the taps'
@@ -259,7 +262,8 @@ def _channel_stack(h, sNs, precoder: Precoder, min_blocks: int):
     if single and not taps_ok[0]:
         raise IllConditioned(_J11, math.inf)
     h = np.ldexp(h.view(np.float64), -exponent[:, None]).view(np.complex128)
-    return h, sNs, single, ~(taps_ok[:, None] & frames_ok)
+    blocks = sNs.reshape(sNs.shape[:2] + (sNs.shape[2] // M, M))
+    return h, blocks, single, ~(taps_ok[:, None] & frames_ok)
 
 
 def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.ndarray:
@@ -281,12 +285,10 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     the rank gate, or whose taps fail model._usable, comes back NaN
     instead of raising.
     """
-    P, M = precoder.F.shape
     h, sNs, single, failed = _channel_stack(h, sNs, precoder, 2)
-    C, T = sNs.shape[:2]
-    L, N = h.shape[1] - 1, sNs.shape[2] // M
+    (C, T, N, M), L = sNs.shape, h.shape[1] - 1
     B = _tap_sum(h, _tap_factors(precoder.F, L, 1))
-    x = (sNs.reshape(C, T, N, M) @ precoder.F.T).reshape(C, T, N * P)
+    x = (sNs @ precoder.F.T).reshape(C, T, N * (M + L))
     # Row r of member c holds row r of its frames' V^T: a view of x, never
     # copied.
     Vt = sliding_window_view(x, L + 1, axis=2)[..., ::-1].transpose(0, 2, 1, 3)
@@ -471,12 +473,10 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     of A serves the gate, the projector and the batch, and one stacked QR
     serves a stack of channels; O(M^3 + N M L(L+1) T) time per channel.
     """
-    M = precoder.F.shape[1]
     if not precoder.zero_padding:
         raise ValueError("the reference bound applies to zero padding only, F = [Ftilde; 0]")
     h, sNs, single, failed = _channel_stack(h, sNs, precoder, 1)
-    C, T = sNs.shape[:2]
-    L, N = h.shape[1] - 1, sNs.shape[2] // M
+    (C, T, N, M), L = sNs.shape, h.shape[1] - 1
     factors = _tap_factors(precoder.Ftilde, L, 1)
     A = _tap_sum(h, factors)
     Q, R = np.linalg.qr(A, mode="complete")
@@ -488,7 +488,7 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     # Qp^H U_n, block n's L rows of W.
     Qp = Q[:, :, M:]
     lags = (Qp.conj().swapaxes(1, 2)[:, None] @ np.stack(factors)).transpose(0, 3, 2, 1)
-    W = sNs.reshape(C, T, N, M) @ lags.reshape(C, 1, M, L * (L + 1))
+    W = sNs @ lags.reshape(C, 1, M, L * (L + 1))
     X = W.reshape(C, T, N * L, L + 1)
     D0 = _hermitize(X.conj().swapaxes(-1, -2) @ X)
     D0[failed | ~ok[:, None]] = np.nan

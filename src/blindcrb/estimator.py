@@ -16,9 +16,10 @@ R, and from the eigh at every other N. Whether a frame can be used is
 decided once, before either route, by the package's one rule
 (model._usable): every sample finite and one nonzero; the windows are
 cut from the frames it hands back, a failed one zeroed. The covariance
-route makes one C-ordered copy of the windows' view and scales it by the
-power of two that puts the frame's peak in [0.5, 1), which changes no
-rounding, so a frame's size neither overflows nor underflows Z Z^H.
+route copies the windows' view once, in the np.ldexp that scales it by
+the power of two putting the frame's peak in [0.5, 1), as crb_blind
+scales the taps: an exact scaling that changes no rounding, so a frame's
+size neither overflows nor underflows Z Z^H.
 _on_border decides the route, and _frame_bytes counts each route's
 working set per frame for the harness's chunks.
 
@@ -186,9 +187,9 @@ def subspace_estimate(
     the frames, which the QR copies. Above the border the noise subspace
     is the bottom (w-1)L eigenvectors of the covariance
     Z Z^H / (N - w + 1), formed from one C-ordered copy of the view,
-    scaled in place by the power of two that puts the frame's peak in
-    [0.5, 1): an exact scaling, so no frame is too large or too small for
-    the product. With fewer windows the
+    which one np.ldexp makes while scaling it by the power of two that
+    puts the frame's peak in [0.5, 1): an exact scaling, so no frame is
+    too large or too small for the product. With fewer windows the
     covariance has a degenerate zero eigenspace, the kept eigenvectors
     are chosen by rounding, and the estimate is not reproducible under
     one-ulp changes of yN. This is not checked.
@@ -222,15 +223,12 @@ def subspace_estimate(
     if _on_border(M, N, w):
         noise = _complement(windows)
     else:
-        # Column n of a frame's Z is its window n, in a C-ordered copy of the
-        # windows, so each frame's windows stay contiguous; copy(), not
-        # ascontiguousarray, which returns an empty stack's read-only view.
-        Z = windows.copy().swapaxes(-1, -2)
-        # The power of two that puts a frame's peak in [0.5, 1) changes no
-        # rounding, and no frame is large enough to overflow Z Z^H or small
-        # enough to underflow it.
-        for part in (Z.real, Z.imag):
-            np.ldexp(part, -exponent[..., None, None], out=part)
+        # Column n of a frame's Z is its window n times the power of two that
+        # puts the frame's peak in [0.5, 1), which changes no rounding and
+        # keeps Z Z^H from overflowing or underflowing. ldexp's output is a
+        # fresh C-ordered copy, so each frame's windows stay contiguous.
+        Z = np.ldexp(windows.view(np.float64), -exponent[..., None, None], order="C")
+        Z = Z.view(np.complex128).swapaxes(-1, -2)
         cov = Z @ Z.conj().swapaxes(-1, -2)
         cov /= N - w + 1
         del Z  # the windows are the largest array; the eigh does not need them

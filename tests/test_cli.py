@@ -4,9 +4,11 @@ console-script wiring."""
 
 import dataclasses
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,19 @@ class TestRunErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "SNR point" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_snr_point_with_subnormal_noise_variance(self, capsys):
+        # 3230 dB gives sigma2 = 1e-323, a subnormal that underflows every
+        # bound it scales; the plan refuses it before any trial runs.
+        code = main([
+            "run", "--override", "snr_db_grid=3230",
+            "--override", "n_channels=2", "--override", "n_trials=2",
+        ])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SNR point 3230.0 dB")
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("dump", [[], ["--dump-config"]])
@@ -483,7 +498,29 @@ class TestParsing:
         assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def workflow_commands():
+    """The blindcrb command lines of the CI workflow's Console script step,
+    read from the YAML as plain text: the step's lines up to the next
+    step that start with "blindcrb "."""
+    workflow = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
+    lines = workflow.read_text().splitlines()
+    start = lines.index("      - name: Console script")
+    end = next(i for i in range(start + 1, len(lines)) if "- name:" in lines[i])
+    return [line.strip() for line in lines[start:end] if line.strip().startswith("blindcrb ")]
+
+
 class TestConsoleScript:
+    @pytest.mark.parametrize("command", workflow_commands())
+    def test_workflow_command_exits_ok(self, command, capsys):
+        # The step runs the installed entry point; this runs the same
+        # arguments in process, under the suite's RuntimeWarning rule, so
+        # a broken line fails here before the workflow's first run.
+        assert main(shlex.split(command)[1:]) == EXIT_OK, capsys.readouterr().err
+
+    def test_workflow_has_console_script_lines(self):
+        # an empty parameter set would skip the test above, not fail it
+        assert workflow_commands()
+
     def test_entry_point_runs(self):
         # The child imports the same package as the tests, installed or not.
         src = os.path.dirname(os.path.dirname(blindcrb.__file__))

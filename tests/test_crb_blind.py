@@ -747,6 +747,14 @@ class TestChannelStack:
             zp_information(hs[2], frames[2], pre)
         assert np.isnan(zp_information(hs[2:3], frames[2:3], pre)).all()
 
+    def test_empty_stack_gives_empty_result(self):
+        # _channel_stack hands the frames back as (C, T, N, M) blocks; with
+        # no channel, N is read off the frame length, not inferred.
+        pre, hs, frames = self.stack_instance("zp", "identity", 8)
+        for info in (fast_information, zp_information):
+            stack = info(hs[:0], frames[:0], pre)
+            assert stack.shape == (0, 3, 3, 3)
+
     def test_rejects_mismatched_stacks(self):
         pre, hs, frames = self.stack_instance("zp", "identity", 8)
         for info in (

@@ -176,10 +176,11 @@ class TestPlanValidation:
         )
         assert format_csv(run_experiment(plan)) == format_csv(run_experiment(small_plan()))
 
-    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, 4000.0, -4000.0])
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, 4000.0, -4000.0, 3230.0])
     def test_rejects_snr_without_positive_finite_sigma2(self, snr):
-        # 4000 dB underflows sigma2 to 0; -4000 dB overflows it
-        with pytest.raises(ValueError, match="SNR point"):
+        # 4000 dB underflows sigma2 to 0; -4000 dB overflows it; 3230 dB
+        # gives a subnormal 1e-323, which underflows every bound it scales
+        with pytest.raises(ValueError, match=f"SNR point {snr} dB"):
             small_plan(snr_db_grid=(snr,))
 
     def test_windows_must_fit_in_the_frame(self):
@@ -630,9 +631,12 @@ class TestSnrSharing:
         ids=["cp-identity", "cp-idft", "custom", "zp-reference"],
     )
     def test_experiment_equals_cells_run_alone(self, make_plan):
+        # Equal records are equal in every bit of every float, which the
+        # CSV's 12 digits cannot show.
         plan = make_plan(snr_db_grid=self.grid)
-        together = format_csv(run_experiment(plan))
-        alone = format_csv([run_cell(plan, snr) for snr in plan.snr_db_grid])
+        together = run_experiment(plan)
+        alone = [run_cell(plan, snr) for snr in plan.snr_db_grid]
+        assert format_csv(together) == format_csv(alone)
         assert together == alone
 
     @pytest.mark.parametrize("make_plan", [small_plan, zp_plan])
@@ -738,29 +742,42 @@ class TestSnrSharing:
         assert all(r.mse_avg <= 1e-25 for r in records)
 
     @pytest.mark.parametrize(
-        "make_plan", [small_plan, zp_plan, rounding_plan],
-        ids=["cp-identity", "zp-reference", "M12-N8-idft"],
+        "make_plan,grid",
+        [
+            (make_plan, points)
+            for points in [grid, (20.0,)]
+            for make_plan in [small_plan, zp_plan, rounding_plan]
+        ],
+        ids=[
+            name + suffix
+            for suffix in ["", "-one-point"]
+            for name in ["cp-identity", "zp-reference", "M12-N8-idft"]
+        ],
     )
-    def test_one_channel_groups_give_same_csv(self, make_plan, monkeypatch):
+    def test_one_channel_groups_give_same_csv(self, make_plan, grid, monkeypatch):
         # the byte budget also sizes the estimator's chunks of trials:
-        # several trials a call by default, one at a budget of 1 byte
-        plan = make_plan(snr_db_grid=self.grid, n_channels=5, n_trials=3)
+        # several trials a call by default, one at a budget of 1 byte. The
+        # records must match to the last bit, which the CSV's 12 digits
+        # cannot show; at one SNR point a pairwise sum over the trials
+        # would not (TestStackedMatchesPerFrame).
+        plan = make_plan(snr_db_grid=grid, n_channels=5, n_trials=3)
         calls, shapes = [], []
         monkeypatch.setattr(
             harness, "fast_information", counting(harness.fast_information, calls)
         )
         monkeypatch.setattr(harness, "subspace_estimate", counting_estimates(shapes))
-        grouped = format_csv(run_experiment(plan))
+        grouped = run_experiment(plan)
         trials = plan.n_channels * plan.n_trials
         assert len(calls) == 1
         assert len(shapes) < trials
         assert sum(k for k, _ in shapes) == trials
-        assert all(n_snr == len(self.grid) for _, n_snr in shapes)
+        assert all(n_snr == len(grid) for _, n_snr in shapes)
         shapes.clear()
         monkeypatch.setattr(harness, "_GROUP_BYTES", 1)
-        alone = format_csv(run_experiment(plan))
+        alone = run_experiment(plan)
         assert len(calls) == 1 + plan.n_channels
-        assert shapes == [(1, len(self.grid))] * trials
+        assert shapes == [(1, len(grid))] * trials
+        assert format_csv(alone) == format_csv(grouped)
         assert alone == grouped
 
     def test_estimator_failure_excluded_in_its_own_cell_only(self):
