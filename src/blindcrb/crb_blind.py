@@ -21,16 +21,20 @@ known. Two routes to the same L x L bound over the remaining taps:
   and once more at the last step. Its docstring gives the algorithm and
   its cost.
 
-The bound scales exactly as sigma2: fast_information and zp_information
-return the reduced information with the noise factored out,
-D0 = sigma2 D, which depends only on the channel and the frame, so a
-caller that sweeps the noise level computes and inverts it once, at
-unit noise, and scales that bound by sigma2 per level. Both take the
-system's precoder and a batch of T frames sent over one channel and
-return T matrices D0. One check, _channel_stack, holds the taps and
-frames to the precoder for both and hands the frames back as whole
-blocks of M symbols, whose shape gives both every dimension but L;
-zp_information also refuses a precoder that is not zero padding. Only
+The noise variance enters the bound as one factor: fast_information and
+zp_information return the reduced information with the noise factored
+out, D0 = sigma2 D, which depends only on the channel and the frame,
+and crb_fast and crb_zp_per_block return sigma2 times the
+anchor-reduced inverse of D0 (_invert_reduced), never forming D0 /
+sigma2. A caller that sweeps the noise level inverts D0 once, at unit
+noise, and scales that bound by sigma2 per level, the same product.
+Only crb_direct forms the textbook information with its 1/sigma2
+(fim_blocks), so the two routes stay independent. Both D0 functions
+take the system's precoder and a batch of T frames sent over one
+channel and return T matrices D0. One check, _channel_stack, holds the
+taps and frames to the precoder for both and hands the frames back as
+whole blocks of M symbols, whose shape gives both every dimension but
+L; zp_information also refuses a precoder that is not zero padding. Only
 the windows v_k depend on the frame, so one sweep serves the batch: its
 step maps, carried rows and rank gate are the channel's, and each map is
 applied to the frames' windows side by side. zp_information likewise
@@ -162,14 +166,19 @@ def _conditioned(A: np.ndarray):
     return cond, cond < COND_LIMIT
 
 
-def _invert_reduced(D: np.ndarray, d) -> CrbResult:
-    """Delete the anchor row/column of the reduced information and invert.
+def _invert_reduced(D: np.ndarray, d, sigma2: float = 1.0) -> CrbResult:
+    """Delete the anchor row/column of the reduced information, invert,
+    and scale the bound and its trace by sigma2.
 
     D is one (L+1) x (L+1) information, which raises IllConditioned when
     its anchor-reduced part is ill-conditioned, or a (..., L+1, L+1)
     stack, whose ill-conditioned members get a NaN bound and trace. d is
     the anchor index, an int or an integer array broadcast over the
-    stack's leading axes.
+    stack's leading axes. Given the noise-free information D0 and a
+    noise variance, this is the bound at that variance: C is sigma2 times
+    the bound at unit noise and the trace sigma2 times its trace, the
+    product the harness forms per SNR point. The default, 1, leaves the
+    bound as inverted.
     """
     Dd = _delete_anchor(np.asarray(D), d)
     cond, ok = _conditioned(Dd)
@@ -178,7 +187,8 @@ def _invert_reduced(D: np.ndarray, d) -> CrbResult:
     C = np.full(Dd.shape, np.nan, dtype=np.complex128)
     # Only the accepted members: a singular one would fail inv for all.
     C[ok] = _hermitize(np.linalg.inv(Dd[ok]))
-    trace = np.real(np.trace(C, axis1=-2, axis2=-1))
+    trace = np.real(np.trace(C, axis1=-2, axis2=-1)) * sigma2
+    C *= sigma2
     return CrbResult(C=C, trace=float(trace) if Dd.ndim == 2 else trace)
 
 
@@ -205,15 +215,16 @@ def crb_fast(
     N: int,
 ) -> CrbResult:
     """Bound over the non-anchor taps via the left-null-space route:
-    the sweep of fast_information on a batch of one frame, scaled by
-    1/sigma2 and inverted."""
+    sigma2 times the anchor-reduced inverse of the frame's D0, which the
+    sweep of fast_information gives on a batch of one frame. The result
+    at sigma2 is sigma2 times the result at 1, bit for bit, in C and in
+    the trace; sigma2 must pass model._require_positive_sigma2."""
     _require_positive_sigma2(sigma2)
     sN = np.asarray(sN, dtype=np.complex128)
     M = precoder.F.shape[1]
     if sN.shape != (N * M,):
         raise ValueError(f"expected {N * M} symbols, got shape {sN.shape}")
-    D0 = fast_information(h, sN[None], precoder)[0]
-    return _invert_reduced(D0 / sigma2, d)
+    return _invert_reduced(fast_information(h, sN[None], precoder)[0], d, sigma2)
 
 
 def _channel_stack(h, sNs, precoder: Precoder, min_blocks: int):
@@ -275,8 +286,8 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     Gram of each frame's windows V^T[r, k] = x[L+r-k] in the left null
     space of K (see _sweep), whose block B = T(h) F is the tap sum of
     the model's one-block factors of F. D0 depends only on the channel and
-    the frame: the bound of frame t at any noise level is the
-    anchor-reduced inverse of D0[t] / sigma2. A rank-deficient K raises
+    the frame: the bound of frame t at any noise level sigma2 is sigma2
+    times the anchor-reduced inverse of D0[t]. A rank-deficient K raises
     RankDeficient for the whole batch, and taps that model._usable
     refuses raise IllConditioned (see _channel_stack); a frame that it
     refuses comes back NaN. With (C, L+1) taps and (C, T, NM) frames, one
@@ -441,11 +452,13 @@ def crb_zp_per_block(
     length of sN. The reduced information is the Gram of the
     blocks' coordinates in the L-dimensional left null space of the one
     P x M block T(h) Ftilde (see zp_information); neither the NM x NM
-    symbol block nor any Kronecker product is formed.
+    symbol block nor any Kronecker product is formed. As in crb_fast, the
+    bound is sigma2 times the anchor-reduced inverse of D0, so the result
+    at sigma2 is sigma2 times the result at 1, bit for bit, and sigma2
+    must pass model._require_positive_sigma2.
     """
     _require_positive_sigma2(sigma2)
-    D0 = zp_information(h, np.asarray(sN)[None], precoder)[0]
-    return _invert_reduced(D0 / sigma2, d)
+    return _invert_reduced(zp_information(h, np.asarray(sN)[None], precoder)[0], d, sigma2)
 
 
 def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.ndarray:
@@ -460,8 +473,8 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     padding, F = [Ftilde; 0].
 
     Like fast_information, it depends only on the channel and the frame;
-    the bound of frame t is the anchor-reduced inverse of the result's
-    [t] over sigma2. The symbol block is I_N kron A^H A, where
+    the bound of frame t is sigma2 times the anchor-reduced inverse of
+    the result's [t]. The symbol block is I_N kron A^H A, where
     A = T(h) Ftilde is the tap sum of the model's one-block factors
     J_l Ftilde, so D0 sums N terms U_n^H (I - A pinv(A)) U_n, column l of
     U_n being J_l Ftilde s_n, block n's inner-precoded symbols delayed by

@@ -51,11 +51,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .crb_core import RANK_RTOL
+from .crb_core import COND_LIMIT, RANK_RTOL
 from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
 from .model import Precoder, _anchor_mask, _require_integers, _tap_factors, _usable
-
-ANCHOR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -245,21 +243,25 @@ def resolve_ambiguity(h_hat: np.ndarray, d, hd0) -> np.ndarray:
     h_hat is (L+1,) or a stack (..., L+1). d is the anchor index and hd0
     its known value, each a scalar or an array broadcast over the stack's
     leading axes, one anchor per row. Given one row, raises ZeroAnchorTap
-    when its anchor tap is below 1e-12 in magnitude or not finite; in a
-    stack, such a row comes back NaN. The returned taps have
-    [..., d] == hd0 exactly.
+    when its anchor tap is not finite or, in magnitude, below the row's
+    norm over COND_LIMIT, the package's one singular-value floor (a row
+    with a tap that is not finite has no finite floor, so it fails too);
+    in a stack, such a row comes back NaN. The floor is relative, so a
+    row times a power of two resolves to the same taps. The returned taps
+    have [..., d] == hd0 exactly.
     """
     h = np.asarray(h_hat, dtype=np.complex128)
     at = np.broadcast_to(_anchor_mask(d, h.shape[-1]), h.shape)
     anchor = h[at].reshape(h.shape[:-1])
     mag = np.abs(anchor)
+    # hypot, unlike a sum of squares, neither overflows on huge taps nor
+    # warns on taps that are not finite
+    floor = np.hypot.reduce(np.abs(h), axis=-1) / COND_LIMIT
     if h.ndim == 1 and not math.isfinite(mag):
         raise ZeroAnchorTap(f"estimated anchor tap {anchor} is not finite")
-    if h.ndim == 1 and mag < ANCHOR_FLOOR:
-        raise ZeroAnchorTap(
-            f"estimated anchor tap magnitude {mag:.3e} below {ANCHOR_FLOOR:g}"
-        )
-    failed = ~(np.isfinite(mag) & (mag >= ANCHOR_FLOOR))
+    if h.ndim == 1 and not mag >= floor:
+        raise ZeroAnchorTap(f"estimated anchor tap magnitude {mag:.3e} below {floor:.3e}")
+    failed = ~(np.isfinite(mag) & (mag >= floor))
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = (hd0 / anchor)[..., None] * h
     # exact, not up to rounding of the division

@@ -109,6 +109,7 @@ from .model import (
     SystemConfig,
     _bools,
     _require_integers,
+    _require_positive_sigma2,
     generate_symbols,
     make_precoder,
     synthesize_observation,
@@ -168,8 +169,8 @@ class ExperimentPlan:
     """One experiment: a frame configuration swept over an SNR grid.
 
     The config's sigma2 is never read: each SNR point gives its cell's
-    noise variance, which must be a normal positive float: a subnormal one
-    would underflow the bounds it scales. The grid must be
+    noise variance, which must pass model._require_positive_sigma2, the
+    rule every bound applies to a noise variance. The grid must be
     nonempty, strictly increasing and free of bools, and window_blocks at
     most N. compute_zp_reference needs a config whose precoder is zero
     padding by Precoder.zero_padding, the test zp_information applies,
@@ -194,11 +195,10 @@ class ExperimentPlan:
             raise ValueError("SNR grid must be strictly increasing")
         for snr_db in grid:
             try:
-                sigma2 = sigma2_from_snr_db(snr_db)
-            except OverflowError:
-                sigma2 = math.inf
-            if not np.finfo(float).smallest_normal <= sigma2 < math.inf:
-                raise ValueError(f"SNR point {snr_db} dB has no normal positive finite sigma2")
+                _require_positive_sigma2(sigma2_from_snr_db(snr_db))
+            except (OverflowError, ValueError):
+                message = f"SNR point {snr_db} dB has no normal positive finite sigma2"
+                raise ValueError(message) from None
         object.__setattr__(self, "snr_db_grid", grid)
         _require_integers(
             n_channels=self.n_channels, n_trials=self.n_trials, master_seed=self.master_seed

@@ -73,13 +73,15 @@ def _bools(value) -> list:
 
 
 def _require_positive_sigma2(sigma2: float):
-    """Raise ValueError unless sigma2 is one positive finite number (a
-    Python or numpy scalar, or a 0-d array); a bool is not a noise
-    variance, nor is a list or an array of them."""
+    """The package's one test of a noise variance that scales a bound:
+    raise ValueError unless sigma2 is one normal, positive, finite number
+    (a Python or numpy scalar, or a 0-d array). A bool is not a noise
+    variance, nor is a list or an array of them, and a subnormal one
+    would leave the bounds it scales short of bits or out of range."""
     if np.ndim(sigma2) != 0:
         raise ValueError(f"sigma2 must be a single number, got {sigma2}")
-    if _bools(sigma2) or not 0 < sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    if _bools(sigma2) or not np.finfo(float).smallest_normal <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be a normal positive finite number, got {sigma2}")
 
 
 def _anchor_mask(d, n: int) -> np.ndarray:
@@ -126,8 +128,9 @@ class SystemConfig:
     N : int
         Blocks per frame, at least 2.
     sigma2 : float
-        Positive and finite, and read nowhere in the package: functions that
-        need a noise variance take it as an argument.
+        A normal positive finite number, by _require_positive_sigma2, and
+        read nowhere in the package: functions that need a noise variance
+        take it as an argument.
     redundancy_kind : str
         One of "cp", "zp", "custom".
     inner_kind : str

@@ -6,8 +6,9 @@ banded bounds are checked against, the estimator's covariance-eigh route
 and complete-QR border basis that its border route is checked against,
 the estimator's penalty on a given noise basis, a one-point run of an
 experiment plan, the frame-by-frame run that the stacked harness is
-checked against, and the powers of two the taps are scaled by in the
-bound routes' scale tests."""
+checked against, the powers of two the taps are scaled by in the
+bound routes' scale tests, and the noise variances at the lower edge of
+the normal floats that every sigma2 check is held to."""
 
 from dataclasses import dataclass, replace
 
@@ -54,6 +55,15 @@ def random_unit_channel(L, rng):
 EXPONENTS = st.sampled_from([(-1022, -1010), (-1009, 1012), (1013, 1023)]).flatmap(
     lambda band: st.integers(*band)
 )
+
+# The smallest noise variance the package accepts, and positive ones
+# below it, which every sigma2 check refuses: the smallest subnormal, a
+# subnormal near 1e-320, and the subnormal just below SMALLEST_NORMAL.
+SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
+SUBNORMAL_SIGMA2 = (5e-324, 1e-320, np.nextafter(SMALLEST_NORMAL, 0))
+# Normal noise variances for the bounds' scaling tests, capped where
+# sigma2 times a bound of up to about 1e100 stays finite.
+NOISE_VARIANCES = st.floats(SMALLEST_NORMAL, 1e200)
 
 
 def normal_or_zero(h):

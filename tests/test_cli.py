@@ -28,6 +28,7 @@ from blindcrb.cli import (
     EXIT_USAGE,
     main,
 )
+from helpers import SMALLEST_NORMAL, SUBNORMAL_SIGMA2
 
 RUN_CONFIG = """\
 # tiny smoke plan
@@ -334,10 +335,13 @@ class TestCrb:
         assert code == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("sigma2", ["0", "-1", "nan", "inf", "1e400"])
+    @pytest.mark.parametrize(
+        "sigma2",
+        ["0", "-1", "nan", "inf", "1e400", *(repr(float(v)) for v in SUBNORMAL_SIGMA2)],
+    )
     def test_nonpositive_sigma2_rejected_before_dump(self, sigma2, capsys):
-        # an infinite sigma2 is a configuration error too, not a
-        # numerical failure of the bound
+        # an infinite or subnormal sigma2 is a configuration error too,
+        # not a numerical failure of the bound
         code = main(
             [
                 "crb", "--override", "h=1,2,3,4,5",
@@ -348,9 +352,28 @@ class TestCrb:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (
-            f"error: sigma2 must be positive and finite, got {float(sigma2)}"
+            f"error: sigma2 must be a normal positive finite number, got {float(sigma2)}"
             in captured.err
         )
+
+    @pytest.mark.parametrize(
+        "sigma2,code,output",
+        [
+            # a subnormal sigma2: refused as configuration, with no warning
+            ("1e-320", EXIT_USAGE, "error: sigma2 must be a normal positive finite number"),
+            # a normal one whose 1/sigma2 would overflow D0: sigma2 times
+            # the bound at unit noise, with no warning
+            ("1e-307", EXIT_OK, "trace = 1.11915298019e-308"),
+            # the smallest normal sigma2 is accepted; its bound is subnormal
+            (repr(float(SMALLEST_NORMAL)), EXIT_OK, "trace = 2.49019803989e-309"),
+        ],
+    )
+    def test_sigma2_at_the_normal_edge(self, sigma2, code, output, capsys):
+        argv = ["crb", "--override", "h=0.8, 0.4, 0.3, 0.2, 0.1", "--override", f"sigma2={sigma2}"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).startswith(output)
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("dump", [[], ["--dump-config"]])
     @pytest.mark.parametrize(

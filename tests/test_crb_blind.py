@@ -44,6 +44,8 @@ from blindcrb.crb_blind import (
 )
 from blindcrb.crb_core import RANK_RTOL
 from helpers import (
+    SMALLEST_NORMAL,
+    SUBNORMAL_SIGMA2,
     assembled_fim,
     assert_psd,
     block_diag_precoder,
@@ -286,7 +288,8 @@ class TestCrbFast:
             crb_fast(h, s, pre, 0, sigma2, cfg.N)
 
     @pytest.mark.parametrize(
-        "sigma2", [np.float64(0.5), np.float32(0.5), np.int64(2), np.array(0.5)]
+        "sigma2",
+        [np.float64(0.5), np.float32(0.5), np.int64(2), np.array(0.5), SMALLEST_NORMAL],
     )
     def test_accepts_numpy_scalar_sigma2(self, sigma2):
         rng = np.random.default_rng(39)
@@ -335,7 +338,7 @@ class TestCrbFast:
             crb_fast(np.ones(2), s, pre, 0, 1.0, cfg.N)
         with pytest.raises(ValueError, match="symbols"):
             crb_fast(h, s[:-1], pre, 0, 1.0, cfg.N)
-        for sigma2 in (0.0, np.inf, True):
+        for sigma2 in (0.0, np.inf, True, *SUBNORMAL_SIGMA2):
             with pytest.raises(ValueError, match="sigma2"):
                 crb_fast(h, s, pre, 0, sigma2, cfg.N)
         # Whole blocks, but not N of them.
@@ -371,7 +374,7 @@ class TestCrbFastSweep:
                 fast = crb_fast(h, s, pre, d, cfg.sigma2, N).C
                 single = fast_information(h, s[None], pre)[0]
                 np.testing.assert_array_equal(
-                    fast, _invert_reduced(single / cfg.sigma2, d).C
+                    fast, cfg.sigma2 * _invert_reduced(single, d).C
                 )
                 for C in (fast, _invert_reduced(D0 / cfg.sigma2, d).C):
                     rel = np.linalg.norm(C - dense) / np.linalg.norm(dense)
@@ -979,12 +982,22 @@ class TestZpPerBlock:
             with pytest.raises(ValueError, match="inconsistent with precoder shape"):
                 zp_information(np.stack([taps] * 2), np.stack([s[None]] * 2), pre)
 
-    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan, True, np.array(True)])
+    @pytest.mark.parametrize(
+        "sigma2", [0.0, np.inf, np.nan, True, np.array(True), *SUBNORMAL_SIGMA2]
+    )
     def test_rejects_bad_sigma2(self, sigma2):
         rng = np.random.default_rng(46)
         cfg, pre, h, s = self.make_zp(rng)
-        with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+        with pytest.raises(ValueError, match="sigma2 must be a normal positive finite number"):
             crb_zp_per_block(h, s, pre, 0, sigma2)
+
+    def test_accepts_smallest_normal_sigma2(self):
+        rng = np.random.default_rng(46)
+        cfg, pre, h, s = self.make_zp(rng)
+        unit = crb_zp_per_block(h, s, pre, 0, 1.0)
+        at = crb_zp_per_block(h, s, pre, 0, SMALLEST_NORMAL)
+        assert np.array_equal(at.C, SMALLEST_NORMAL * unit.C)
+        assert at.trace == SMALLEST_NORMAL * unit.trace
 
 
 class TestPrecoderInsensitivity:

@@ -508,8 +508,8 @@ class TestResolveAmbiguity:
     @pytest.mark.parametrize(
         "anchor,message",
         [
-            (0.0, "estimated anchor tap magnitude 0.000e+00 below 1e-12"),
-            (1e-13, "estimated anchor tap magnitude 1.000e-13 below 1e-12"),
+            (0.0, "estimated anchor tap magnitude 0.000e+00 below 1.000e-12"),
+            (1e-13, "estimated anchor tap magnitude 1.000e-13 below 1.000e-12"),
             (np.nan, "estimated anchor tap (nan+0j) is not finite"),
             (complex(0, np.inf), "estimated anchor tap infj is not finite"),
         ],
@@ -518,6 +518,32 @@ class TestResolveAmbiguity:
         with pytest.raises(ZeroAnchorTap) as exc:
             resolve_ambiguity(np.array([1.0, anchor], dtype=complex), 1, 1.0)
         assert str(exc.value) == message
+
+    def test_floor_is_relative_to_the_row(self):
+        # 2^-43 is below 1e-12, and so is the row's norm; the anchor is
+        # most of that norm, so the row resolves as [1, 2] does.
+        row = np.ldexp(np.array([1.0, 2.0]), -43)
+        assert np.array_equal(resolve_ambiguity(row, 0, 1.0), [1, 2])
+        with pytest.raises(ZeroAnchorTap, match="below 2.000e-25"):
+            resolve_ambiguity(np.array([1e-26, 2e-13]), 0, 1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(-60, 60),
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+    )
+    def test_power_of_two_scaling_gives_the_same_bytes(self, seed, n, k, hd0):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+        d = rng.integers(0, n, 5)
+        scaled = np.ldexp(rows.view(np.float64), k).view(np.complex128)
+        want = resolve_ambiguity(rows, d, hd0)
+        got = resolve_ambiguity(scaled, d, hd0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for row, d_r, w in zip(scaled, d, want):
+            assert np.array_equal(resolve_ambiguity(row, d_r, hd0).view(np.uint64),
+                                  w.view(np.uint64))
 
     @pytest.mark.parametrize("hd0", [0.4 - 0.3j, np.complex128(-1.2j), 0.7])
     def test_stack_equals_rows(self, hd0):

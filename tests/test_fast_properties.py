@@ -8,7 +8,9 @@ Rounding errors in D0 scale with the energy of the frame, not with D0,
 which cancels to rounding level for a frame that says nothing about the
 taps (a constant frame, say), so D0's tolerances are relative to that
 energy. One test scales the taps by powers of two over the float range,
-under a custom redundancy too, and asks for D0's bytes. The examples are
+under a custom redundancy too, and asks for D0's bytes; another asks
+crb_fast at a noise variance for the bytes of that variance times its
+bound at unit noise. The examples are
 derandomized, so every run draws the same instances."""
 
 import numpy as np
@@ -27,6 +29,7 @@ from blindcrb import (
 from blindcrb.crb_blind import _sweep, fast_information
 from helpers import (
     EXPONENTS,
+    NOISE_VARIANCES,
     build_channel_toeplitz,
     crb_fast_dense,
     frame_energy,
@@ -111,6 +114,21 @@ def test_bound_matches_dense_qr_oracle(instance):
     dense = crb_fast_dense(h, frames[0], pre, d, 1.0, N)
     rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
     assert rel <= 1e-10, f"sweep and dense QR differ ({rel:.2e})"
+
+
+@PROPERTY_SETTINGS
+@given(instances(), NOISE_VARIANCES)
+def test_bound_is_sigma2_times_unit_bound(instance, sigma2):
+    # The noise variance enters as one product, never as D0 / sigma2.
+    pre, h, frames, N = instance
+    d = default_anchor(h)
+    try:
+        unit = crb_fast(h, frames[0], pre, d, 1.0, N)
+    except IllConditioned:
+        reject()  # a frame that carries no information has no bound
+    at = crb_fast(h, frames[0], pre, d, sigma2, N)
+    assert at.C.tobytes() == (sigma2 * unit.C).tobytes()
+    assert at.trace.hex() == (sigma2 * unit.trace).hex()
 
 
 @st.composite

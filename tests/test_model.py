@@ -21,6 +21,8 @@ from blindcrb import (
 )
 from blindcrb.model import _tap_factors, _tap_sum, _usable, draw_noise
 from helpers import (
+    SMALLEST_NORMAL,
+    SUBNORMAL_SIGMA2,
     block_diag_precoder,
     build_channel_toeplitz,
     build_selection_matrices,
@@ -550,7 +552,7 @@ class TestGradients:
         rng = np.random.default_rng(19)
         cfg, pre, h, s = random_instance(rng)
         y = synthesize_observation(pre, h, s, 0.0, None)
-        with pytest.raises(ValueError, match="sigma2 must be positive"):
+        with pytest.raises(ValueError, match="sigma2 must be a normal positive"):
             loglik_gradients(y, cfg, pre, h, s, sigma2)
 
     def test_rejects_wrong_sample_count(self):
@@ -648,6 +650,7 @@ class TestConfigValidation:
             dict(M=4, L=2, N=3, inner_kind="dft"),
             dict(M=4, L=2, N=3, inner_kind="custom"),  # no custom_inner
             dict(M=4, L=2, N=3, sigma2=True),
+            *(dict(M=4, L=2, N=3, sigma2=v) for v in SUBNORMAL_SIGMA2),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -659,7 +662,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^sigma2 must be a single number, got "):
             SystemConfig(M=4, L=2, N=3, sigma2=sigma2)
 
-    @pytest.mark.parametrize("sigma2", [np.float64(0.5), np.int32(3), np.array(0.5)])
+    @pytest.mark.parametrize(
+        "sigma2", [np.float64(0.5), np.int32(3), np.array(0.5), SMALLEST_NORMAL]
+    )
     def test_accepts_numpy_scalar_sigma2(self, sigma2):
         assert SystemConfig(M=4, L=2, N=3, sigma2=sigma2).sigma2 == sigma2
 

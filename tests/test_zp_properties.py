@@ -6,8 +6,10 @@ on the full block-diagonal model, and against the frame bound it
 references.
 
 As for the fast route, D0's tolerances are relative to the energy of the
-frame, and taps scaled by a power of two over the float range, under a
-custom inner precoder too, must give D0's bytes. The examples are
+frame, taps scaled by a power of two over the float range, under a
+custom inner precoder too, must give D0's bytes, and the bound at a
+noise variance must be the bytes of that variance times its bound at
+unit noise. The examples are
 derandomized, so every run draws the same instances."""
 
 import numpy as np
@@ -26,6 +28,7 @@ from blindcrb import (
 from blindcrb.crb_blind import _invert_reduced, zp_information
 from helpers import (
     EXPONENTS,
+    NOISE_VARIANCES,
     assert_psd,
     crb_zp_kron,
     frame_energy,
@@ -110,6 +113,21 @@ def test_bound_matches_kron_oracle(instance):
         oracle = crb_zp_kron(h, frame, pre.Ftilde, d, 1.0, M, L, N)
         rel = np.linalg.norm(C - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-10, f"projection and Schur routes differ ({rel:.2e})"
+
+
+@PROPERTY_SETTINGS
+@given(instances(), NOISE_VARIANCES)
+def test_bound_is_sigma2_times_unit_bound(instance, sigma2):
+    # The noise variance enters as one product, never as D0 / sigma2.
+    pre, h, frames, N = instance
+    d = default_anchor(h)
+    try:
+        unit = crb_zp_per_block(h, frames[0], pre, d, 1.0)
+    except NumericalError:
+        reject()  # a frame that carries no information has no bound
+    at = crb_zp_per_block(h, frames[0], pre, d, sigma2)
+    assert at.C.tobytes() == (sigma2 * unit.C).tobytes()
+    assert at.trace.hex() == (sigma2 * unit.trace).hex()
 
 
 @PROPERTY_SETTINGS
