@@ -129,8 +129,10 @@ def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlock
     is evaluated at. Entries: J00[i,j] = s^H K_i^H K_j s / sigma2,
     J01[i,:] = s^H K_i^H K / sigma2, J11 = K^H K / sigma2. A frame with
     a sample that is not finite raises IllConditioned, as on the fast
-    route; an all-zero frame gives exact zero tap blocks, which crb_direct
-    refuses at its anchor-reduced gate with the same error.
+    route, and so does a block that leaves the float range (a sigma2 near
+    the smallest normal, say), without a warning; an all-zero frame gives
+    exact zero tap blocks, which crb_direct refuses at its anchor-reduced
+    gate with the same error.
     """
     _require_positive_sigma2(sigma2)
     K = np.asarray(K, dtype=np.complex128)
@@ -141,10 +143,13 @@ def fim_blocks(K: np.ndarray, K_list, sN: np.ndarray, sigma2: float) -> FimBlock
         raise IllConditioned(_REDUCED, math.inf)
     # Row l holds (K_l s)^T; all blocks derive from it and K.
     W = np.array([Kl @ sN for Kl in K_list])
-    J00 = (W.conj() @ W.T) / sigma2
-    J01 = (W.conj() @ K) / sigma2
-    J11 = (K.conj().T @ K) / sigma2
-    return FimBlocks(J00=_hermitize(J00), J01=J01, J11=_hermitize(J11))
+    with np.errstate(over="ignore", invalid="ignore"):
+        J00 = _hermitize((W.conj() @ W.T) / sigma2)
+        J01 = (W.conj() @ K) / sigma2
+        J11 = _hermitize((K.conj().T @ K) / sigma2)
+    if not all(np.isfinite(J).all() for J in (J00, J01, J11)):
+        raise IllConditioned(_REDUCED, math.inf)
+    return FimBlocks(J00=J00, J01=J01, J11=J11)
 
 
 def _delete_anchor(D: np.ndarray, d) -> np.ndarray:
