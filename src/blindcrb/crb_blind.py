@@ -27,7 +27,8 @@ out, D0 = sigma2 D, which depends only on the channel and the frame,
 and crb_fast and crb_zp_per_block return sigma2 times the
 anchor-reduced inverse of D0 (_invert_reduced), never forming D0 /
 sigma2. A caller that sweeps the noise level inverts D0 once, at unit
-noise, and scales that bound by sigma2 per level, the same product.
+noise, and scales that bound by sigma2 per level, the same product;
+_invert_reduced refuses a product that leaves the float range.
 Only crb_direct forms the textbook information with its 1/sigma2
 (fim_blocks), so the two routes stay independent. Both D0 functions
 take the system's precoder and a batch of T frames sent over one
@@ -73,7 +74,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .crb_core import _J11, COND_LIMIT, RANK_RTOL, _hermitize
-from .errors import IllConditioned, RankDeficient
+from .errors import IllConditioned, NumericalError, RankDeficient
 from .model import Precoder, _anchor_mask, _require_positive_sigma2, _tap_factors, _tap_sum
 from .model import _usable
 
@@ -183,7 +184,9 @@ def _invert_reduced(D: np.ndarray, d, sigma2: float = 1.0) -> CrbResult:
     noise variance, this is the bound at that variance: C is sigma2 times
     the bound at unit noise and the trace sigma2 times its trace, the
     product the harness forms per SNR point. The default, 1, leaves the
-    bound as inverted.
+    bound as inverted. A bound that sigma2 scales out of the float range
+    raises NumericalError naming sigma2, or in a stack is NaN, without a
+    warning.
     """
     Dd = _delete_anchor(np.asarray(D), d)
     cond, ok = _conditioned(Dd)
@@ -192,8 +195,15 @@ def _invert_reduced(D: np.ndarray, d, sigma2: float = 1.0) -> CrbResult:
     C = np.full(Dd.shape, np.nan, dtype=np.complex128)
     # Only the accepted members: a singular one would fail inv for all.
     C[ok] = _hermitize(np.linalg.inv(Dd[ok]))
-    trace = np.real(np.trace(C, axis1=-2, axis2=-1)) * sigma2
-    C *= sigma2
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.real(np.trace(C, axis1=-2, axis2=-1)) * sigma2
+        C *= sigma2
+    # A bound that sigma2 scales out of the float range is refused.
+    scaled_out = ok & ~(np.isfinite(trace) & np.isfinite(C).all(axis=(-2, -1)))
+    if Dd.ndim == 2 and scaled_out:
+        raise NumericalError(f"the bound at sigma2 = {sigma2!r} leaves the float range")
+    C[scaled_out] = np.nan
+    trace = np.where(scaled_out, np.nan, trace)
     return CrbResult(C=C, trace=float(trace) if Dd.ndim == 2 else trace)
 
 
@@ -299,7 +309,8 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
     sweep runs every channel and the result is (C, T, L+1, L+1); each
     member equals its channel's result alone, and a channel whose K fails
     the rank gate, or whose taps fail model._usable, comes back NaN
-    instead of raising.
+    instead of raising. So does a member whose Gram leaves the float
+    range (a frame near 1e160, say), without a warning.
     """
     h, sNs, single, failed = _channel_stack(h, sNs, precoder, 2)
     (C, T, N, M), L = sNs.shape, h.shape[1] - 1
@@ -315,8 +326,9 @@ def fast_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.n
             f"K is column-rank-deficient (diag ratio {low[0]:.3e} / {high[0]:.3e})"
         )
     X = fins.transpose(0, 2, 1, 3)
-    D0 = _hermitize(X.conj().swapaxes(-1, -2) @ X)
-    D0[failed | deficient[:, None]] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        D0 = _hermitize(X.conj().swapaxes(-1, -2) @ X)
+    D0[failed | deficient[:, None] | ~np.isfinite(D0).all(axis=(-2, -1))] = np.nan
     return D0[0] if single else D0
 
 
@@ -472,7 +484,8 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     (T, L+1, L+1) stack. With (C, L+1) taps and (C, T, NM) frames it
     returns (C, T, L+1, L+1), each member equal to its channel's result
     alone; a channel that fails the J11 gate comes back NaN there instead
-    of raising IllConditioned. It takes the system's precoder and checks
+    of raising IllConditioned. A member whose Gram leaves the float range
+    is NaN, as in fast_information. It takes the system's precoder and checks
     the taps and frames against it, usability included, as
     fast_information does, and refuses a precoder that is not zero
     padding, F = [Ftilde; 0].
@@ -508,8 +521,9 @@ def zp_information(h: np.ndarray, sNs: np.ndarray, precoder: Precoder) -> np.nda
     lags = (Qp.conj().swapaxes(1, 2)[:, None] @ np.stack(factors)).transpose(0, 3, 2, 1)
     W = sNs @ lags.reshape(C, 1, M, L * (L + 1))
     X = W.reshape(C, T, N * L, L + 1)
-    D0 = _hermitize(X.conj().swapaxes(-1, -2) @ X)
-    D0[failed | ~ok[:, None]] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        D0 = _hermitize(X.conj().swapaxes(-1, -2) @ X)
+    D0[failed | ~ok[:, None] | ~np.isfinite(D0).all(axis=(-2, -1))] = np.nan
     return D0[0] if single else D0
 
 

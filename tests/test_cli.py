@@ -375,6 +375,20 @@ class TestCrb:
         assert (captured.out + captured.err).startswith(output)
         assert "Traceback" not in captured.err
 
+    def test_bound_beyond_the_float_range_exits_numerical(self, capsys):
+        # sigma2 = 1.7e308 times a unit-noise trace of about 110 leaves the
+        # float range: the bound is refused, naming sigma2, with no warning
+        argv = [
+            "crb", "--override", "h=1, 0.99, 0.2", "--override", "L=2",
+            "--override", "M=4", "--override", "N=2", "--override", "sigma2=1.7e308",
+        ]
+        assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: the bound at sigma2 = 1.7e+308 leaves the float range\n"
+        )
+
     @pytest.mark.parametrize("dump", [[], ["--dump-config"]])
     @pytest.mark.parametrize(
         "key,value",

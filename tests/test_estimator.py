@@ -1,44 +1,34 @@
 """Subspace estimator tests.
 
-The strongest checks are exact-recovery ones: on a noiseless frame the
-sample covariance's noise subspace is exact, so the estimate must match
-the true channel to numerical precision once the blind scale is resolved.
+The estimator takes its noise basis by one of two routes, the rows of one
+table: border, N - w + 1 = wM, where it is the complement of the windows'
+span (_complement), checked against the complete QR of the windows; and
+covariance, every other N, where it is the eigh of the windows'
+covariance, checked byte for byte against helpers.subspace_estimate_eigh.
+Each shared property has one body, run over both rows on drawn frames
+(`cases`) and on fixed M=12, L=4 frames (test_fixed_frames). The draws are
+derandomized, and the suite makes any RuntimeWarning an error.
 """
 
-import math
 import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blindcrb import (
-    EstimatorSettings,
-    InsufficientData,
-    Precoder,
-    SolverDegenerate,
-    SystemConfig,
-    ZeroAnchorTap,
-    build_K,
-    default_anchor,
-    generate_symbols,
-    make_precoder,
-    resolve_ambiguity,
-    subspace_estimate,
-    synthesize_observation,
+    EstimatorSettings, InsufficientData, NumericalError, Precoder, SolverDegenerate, SystemConfig,
+    ZeroAnchorTap, build_K, default_anchor, draw_channel, generate_symbols, make_precoder,
+    resolve_ambiguity, subspace_estimate, synthesize_observation,
 )
-from blindcrb.estimator import _complement
+from blindcrb.estimator import _complement, _on_border
 from blindcrb.model import draw_noise
 from helpers import (
-    block_diag_precoder,
-    build_selection_matrices,
-    channel_from_noise_subspace,
-    complement_complete_qr,
-    left_null_basis,
-    random_unit_channel,
-    subspace_estimate_complete_qr,
-    subspace_estimate_eigh,
+    block_diag_precoder, build_selection_matrices, channel_from_noise_subspace,
+    complement_complete_qr, left_null_basis, normal_or_zero, random_unit_channel,
+    subspace_estimate_complete_qr, subspace_estimate_eigh,
 )
 
 
@@ -48,29 +38,6 @@ def estimate_resolved(pre, h, yN, settings=EstimatorSettings()):
 
 
 class TestNoiselessRecovery:
-    @pytest.mark.parametrize(
-        "kind,inner",
-        [("cp", "identity"), ("cp", "idft"), ("zp", "identity"), ("zp", "idft")],
-    )
-    def test_exact_on_clean_frames(self, kind, inner):
-        cfg = SystemConfig(M=12, L=4, N=25, redundancy_kind=kind, inner_kind=inner)
-        pre = make_precoder(cfg)
-        h = random_unit_channel(4, np.random.default_rng(50))
-        s = generate_symbols("qpsk", 12, 25, 51).sN
-        y = synthesize_observation(pre, h, s, 0.0, 0)
-        h_hat = estimate_resolved(pre, h, y)
-        assert np.linalg.norm(h_hat - h) < 1e-6
-
-    def test_exact_with_three_block_windows(self):
-        # wider windows need N - w + 1 >= wM windows; N=50 suffices
-        cfg = SystemConfig(M=12, L=4, N=50)
-        pre = make_precoder(cfg)
-        h = random_unit_channel(4, np.random.default_rng(52))
-        s = generate_symbols("qpsk", 12, 50, 53).sN
-        y = synthesize_observation(pre, h, s, 0.0, 0)
-        h_hat = estimate_resolved(pre, h, y, settings=EstimatorSettings(window_blocks=3))
-        assert np.linalg.norm(h_hat - h) < 1e-6
-
     def test_exact_subspace_bypass(self):
         # feed the true window-model null space directly: recovery down at
         # machine precision, independent of any covariance estimation
@@ -84,6 +51,18 @@ class TestNoiselessRecovery:
         d = default_anchor(h)
         aligned = resolve_ambiguity(direction, d, h[d])
         assert np.linalg.norm(aligned - h) < 1e-12
+
+
+@pytest.mark.xfail(reason="no check refuses a frame whose symbol windows are rank-deficient")
+def test_rank_deficient_border_frame_refused():
+    # This noiseless border frame's 4 x 4 symbol windows have rank 3: the
+    # estimate is finite and 15.4 from the taps, where the channel's
+    # full-rank frames of seeds 0-39 recover within 2e-15.
+    pre = make_precoder(SystemConfig(M=2, L=1, N=5))
+    channel = draw_channel(1, 1)
+    y = synthesize_observation(pre, channel.h, generate_symbols("qpsk", 2, 5, 0).sN, 0.0, None)
+    with pytest.raises(NumericalError):
+        subspace_estimate(y, pre)
 
 
 class TestNoisyBehaviour:
@@ -159,21 +138,41 @@ class TestFailureModes:
             channel_from_noise_subspace(np.zeros((14, 1)), pre.F, 2)
 
 
-def noisy_stack(kind, inner, N, S=4, seed=70, M=4, L=2):
-    """An M x L precoder (M=4, L=2 by default) and one frame's
-    (S, NP - L) stack of noisy copies, noise variances 1e-1 down to
-    1e-4."""
-    rng = np.random.default_rng(seed)
-    custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
-    cfg = SystemConfig(
+@dataclass(frozen=True)
+class Case:
+    """Taps h, a QPSK frame sN sent with the precoder pre, its noiseless
+    received frame clean and a stack Y of noisy copies, in w-block windows."""
+
+    pre: Precoder
+    settings: EstimatorSettings
+    h: np.ndarray
+    sN: np.ndarray
+    clean: np.ndarray
+    Y: np.ndarray
+
+    def estimate(self, yN):
+        return subspace_estimate(yN, self.pre, self.settings)
+
+
+def make_case(M, L, N, w, kind, inner, rng, sigma2, zeroed=()):
+    """A Case of M x L blocks, N of them, with cp, zp or a random custom
+    redundancy under an identity, IDFT or random custom inner precoder, and
+    one noisy copy per noise variance in sigma2, zeroed where zeroed says."""
+    def custom(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    pre = make_precoder(SystemConfig(
         M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
-        custom_redundancy=custom if kind == "custom" else None,
-    )
-    pre = make_precoder(cfg)
+        custom_redundancy=custom(M + L, M) if kind == "custom" else None,
+        custom_inner=custom(M, M) if inner == "custom" else None,
+    ))
     h = random_unit_channel(L, rng)
-    clean = synthesize_observation(pre, h, generate_symbols("qpsk", M, N, rng).sN, 0.0, None)
-    noise = draw_noise(clean.size, rng)
-    return pre, clean + np.sqrt(np.logspace(-1, -4, S) / 2)[:, None] * noise
+    sN = generate_symbols("qpsk", M, N, rng).sN
+    clean = synthesize_observation(pre, h, sN, 0.0, None)
+    sigma2 = np.asarray(sigma2, dtype=float)
+    Y = clean + np.sqrt(sigma2[:, None] / 2) * draw_noise((sigma2.size, clean.size), rng)
+    Y[np.asarray(zeroed, dtype=bool)] = 0
+    return Case(pre, EstimatorSettings(window_blocks=w), h, sN, clean, Y)
 
 
 class TestPenalty:
@@ -204,34 +203,21 @@ class TestPenalty:
 
 
 class TestStacks:
-    """A stack gives, member by member, what one item gives, and a failed
-    member gives NaN without touching the others."""
+    """A stack of noise bases gives, member by member, what one basis
+    gives, and a failed member gives NaN without touching the others."""
 
     @pytest.mark.parametrize("w", [2, 3])
     @pytest.mark.parametrize("N", [8, 25])
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
     def test_stack_equals_items(self, kind, inner, N, w):
-        pre, Y = noisy_stack(kind, inner, N)
-        settings = EstimatorSettings(window_blocks=w)
-        H = subspace_estimate(Y, pre, settings)
-        assert H.shape == (len(Y), 3)
-        for y, row in zip(Y, H):
-            assert np.array_equal(subspace_estimate(y, pre, settings), row)
+        pre = make_case(4, 2, N, w, kind, inner, np.random.default_rng(70), []).pre
         rng = np.random.default_rng(N + w)
         shape = (3, w * pre.F.shape[0] - 2, 2)
         bases = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         stacked = channel_from_noise_subspace(bases, pre.F, 2)
         for basis, row in zip(bases, stacked):
             assert np.array_equal(channel_from_noise_subspace(basis, pre.F, 2), row)
-
-    def test_zero_frame_gives_nan_row_alone(self):
-        pre, Y = noisy_stack("cp", "idft", 25)
-        Y[1] = 0
-        H = subspace_estimate(Y, pre)
-        assert np.isnan(H[1]).all()
-        for s in (0, 2, 3):
-            assert np.array_equal(subspace_estimate(Y[s], pre), H[s])
 
     @pytest.mark.parametrize("bad", ["zero"])
     def test_degenerate_basis_gives_nan_row_alone(self, bad):
@@ -255,123 +241,8 @@ class TestStacks:
         with pytest.raises(ValueError, match="samples"):
             subspace_estimate(np.ones((2, 21), dtype=complex), pre)
 
-    # Empty stacks at M=12, L=4 on either route: N=25 is the QR border,
-    # N=100 the covariance eigh.
-    @pytest.mark.parametrize("kind,M,L,N,lead", [
-        pytest.param("cp", 4, 2, 25, (2, 3), id="cp"),
-        pytest.param("zp", 4, 2, 25, (2, 3), id="zp"),
-        pytest.param("zp", 12, 4, 25, (0,), id="zp-empty-N25"),
-        pytest.param("zp", 12, 4, 100, (2, 0), id="zp-empty-N100"),
-    ])
-    def test_any_leading_axes(self, kind, M, L, N, lead):
-        pre, Y = noisy_stack(kind, "idft", N, S=6, M=M, L=L)
-        Y = Y[: math.prod(lead)]
-        H = subspace_estimate(Y.reshape(lead + Y.shape[-1:]), pre)
-        assert H.shape == lead + (L + 1,)
-        assert np.array_equal(H, subspace_estimate(Y, pre).reshape(H.shape))
-
-
-# (N, w) with N - w + 1 = wM at M=12: the estimator's identifiability
-# border, where the noise subspace is the complement of the windows' span.
-BORDER = [(25, 2), (38, 3)]
-# Largest distance between the border route's unit-norm estimate and the
-# eigh route's, after phase alignment: 2.6e-12 measured over 20 channels x
-# 7 noise levels of each case of test_qr_route_agrees_with_eigh_route, so
-# this leaves a factor of about 40.
-BORDER_TOL = 1e-10
-# The border basis against complement_complete_qr's, which differs from
-# it only in rounding: over 600 draws of border_stacks' configurations at noise
-# variances 1 down to 1e-6, the projectors differed by at most 1.0e-15
-# and the phase-aligned unit-norm estimates by at most 1.1e-14.
-PROJECTOR_TOL = 1e-14
-COMPLETE_QR_TOL = 1e-12
-
-
-@st.composite
-def border_stacks(draw):
-    """(precoder, w, stack) at the identifiability border N = wM + w - 1:
-    M=12, L=4 at w=2 (N=25) or w=3 (N=38), or small M and L, under
-    cp/zp/custom x identity/IDFT. The stack holds 0 to 4 noisy copies of
-    one frame, any of them zeroed (a failed frame)."""
-    w = draw(st.sampled_from([2, 3]))
-    if draw(st.booleans()):
-        M, L = 12, 4
-    else:
-        M = draw(st.integers(2, 6))
-        L = draw(st.integers(1, min(3, M - 1)))
-    N = w * M + w - 1
-    kind = draw(st.sampled_from(["cp", "zp", "custom"]))
-    inner = draw(st.sampled_from(["identity", "idft"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
-    pre = make_precoder(SystemConfig(
-        M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
-        custom_redundancy=custom if kind == "custom" else None,
-    ))
-    h = random_unit_channel(L, rng)
-    sN = generate_symbols("qpsk", M, N, rng).sN
-    clean = synthesize_observation(pre, h, sN, 0.0, None)
-    size = draw(st.integers(0, 4))
-    sigma2 = draw(st.lists(
-        st.sampled_from([1.0, 1e-2, 1e-4, 1e-6]), min_size=size, max_size=size
-    ))
-    Y = clean + np.sqrt(np.array(sigma2)[:, None] / 2) * draw_noise(
-        (len(sigma2), clean.size), rng
-    )
-    Y[draw(st.lists(st.booleans(), min_size=len(Y), max_size=len(Y)))] = 0
-    return pre, w, Y
-
 
 class TestBorderRoute:
-    """At the border the estimator takes the noise subspace from one
-    stacked QR of the windows; everywhere else from the covariance eigh
-    that helpers.subspace_estimate_eigh keeps as the reference."""
-
-    @pytest.mark.parametrize("N,w", BORDER)
-    @pytest.mark.parametrize("inner", ["identity", "idft"])
-    @pytest.mark.parametrize("kind", ["cp", "zp"])
-    def test_qr_route_agrees_with_eigh_route(self, kind, inner, N, w):
-        pre, Y = noisy_stack(kind, inner, N, S=7, M=12, L=4)
-        settings = EstimatorSettings(window_blocks=w)
-        got = subspace_estimate(Y, pre, settings)
-        ref = subspace_estimate_eigh(Y, pre, settings)
-        phase = np.sum(ref.conj() * got, axis=-1)
-        aligned = got * (phase.conj() / np.abs(phase))[:, None]
-        assert np.max(np.linalg.norm(aligned - ref, axis=-1)) < BORDER_TOL
-
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(border_stacks())
-    def test_border_route_agrees_with_complete_qr(self, case):
-        # The basis from the reflectors spans what complete QR's last
-        # columns span; the estimate matches complete QR's up to rounding
-        # and the blind phase (not to the byte: LAPACK applies the
-        # reflectors in blocks); a member gets its row alone.
-        pre, w, Y = case
-        P, M = pre.F.shape
-        L = P - M
-        dim, n = w * P - L, w * M
-        windows = Y[..., P * np.arange(n)[:, None] + np.arange(dim)]
-        got = _complement(windows)
-        ref = complement_complete_qr(windows.swapaxes(-1, -2))
-        assert got.shape == ref.shape == (len(Y), dim, (w - 1) * L)
-        projectors = [B @ B.conj().swapaxes(-1, -2) for B in (got, ref)]
-        assert np.all(np.abs(projectors[0] - projectors[1]) <= PROJECTOR_TOL)
-        settings_ = EstimatorSettings(window_blocks=w)
-        H = subspace_estimate(Y, pre, settings_)
-        ref = subspace_estimate_complete_qr(Y, pre, settings_)
-        assert H.shape == ref.shape == (len(Y), L + 1)
-        failed = ~np.any(Y != 0, axis=-1)
-        assert np.isnan(H[failed]).all() and np.isnan(ref[failed]).all()
-        phase = np.sum(ref[~failed].conj() * H[~failed], axis=-1)
-        aligned = H[~failed] * (phase.conj() / np.abs(phase))[:, None]
-        assert np.all(np.linalg.norm(aligned - ref[~failed], axis=-1) <= COMPLETE_QR_TOL)
-        for y, row, bad in zip(Y, H, failed):
-            if bad:
-                with pytest.raises(InsufficientData):
-                    subspace_estimate(y, pre, settings_)
-            else:
-                assert subspace_estimate(y, pre, settings_).tobytes() == row.tobytes()
-
     @pytest.mark.parametrize(
         "N,w,qr_calls", [(25, 2, 1), (38, 3, 1), (24, 2, 0), (26, 2, 0), (40, 3, 0)]
     )
@@ -379,87 +250,212 @@ class TestBorderRoute:
         calls = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
-        pre, Y = noisy_stack("cp", "idft", N, S=3, M=12, L=4)
-        subspace_estimate(Y, pre, EstimatorSettings(window_blocks=w))
+        case = make_case(12, 4, N, w, "cp", "idft", np.random.default_rng(70), [0.1, 1e-2, 1e-3])
+        case.estimate(case.Y)
         assert len(calls) == qr_calls
 
-    @pytest.mark.parametrize("N,w", [(8, 2), (24, 2), (26, 2), (40, 3), (100, 2)])
-    @pytest.mark.parametrize("inner", ["identity", "idft"])
-    @pytest.mark.parametrize("kind", ["cp", "zp"])
-    def test_eigh_route_off_the_border(self, kind, inner, N, w):
-        pre, Y = noisy_stack(kind, inner, N, S=7, M=12, L=4)
-        settings = EstimatorSettings(window_blocks=w)
-        got = subspace_estimate(Y, pre, settings)
-        assert got.tobytes() == subspace_estimate_eigh(Y, pre, settings).tobytes()
 
-    # Off the border too: the covariance route's copy of the windows keeps
-    # each member's windows contiguous, as the border route's view does.
-    @pytest.mark.parametrize("N,w", BORDER + [(26, 2), (40, 3), (100, 2)])
-    @pytest.mark.parametrize("kind", ["cp", "zp"])
-    def test_stack_member_equals_frame_alone(self, kind, N, w):
-        pre, Y = noisy_stack(kind, "idft", N, S=6, M=12, L=4)
-        settings = EstimatorSettings(window_blocks=w)
-        H = subspace_estimate(Y.reshape(2, 3, -1), pre, settings).reshape(6, -1)
-        for y, row in zip(Y, H):
-            assert subspace_estimate(y, pre, settings).tobytes() == row.tobytes()
+# Largest distance between the border route's unit-norm estimate and the
+# eigh route's, after phase alignment: 2.6e-12 measured over 20 channels x
+# 7 noise levels of each fixed border configuration, and 5.7e-11 over 786 draws of
+# `cases` at M=12, L=4 (custom precoders at noise variance 1 are the worst).
+BORDER_TOL = 1e-10
+# The border basis against complement_complete_qr's, which differs from
+# it only in rounding: over 600 border draws without custom inner precoders
+# at noise variances 1 down to 1e-6, the projectors differed by at most
+# 1.0e-15 and the phase-aligned unit-norm estimates by at most 1.1e-14.
+PROJECTOR_TOL = 1e-14
+COMPLETE_QR_TOL = 1e-12
 
 
-class TestUnusableFrames:
-    """Both routes take and refuse the same frames. A frame with a sample
-    that is not finite, or without energy, fails alone: InsufficientData
-    given alone, a NaN row in a stack. A frame scaled far from unit size
-    gives its unscaled estimate. No case warns (the suite makes
-    RuntimeWarning an error) or touches the other rows of its stack."""
+def aligned_distance(H, ref):
+    """Largest distance of H's rows, turned to ref's blind phase, from ref's."""
+    phase = np.sum(ref.conj() * H, axis=-1)
+    aligned = H * (phase.conj() / np.abs(phase))[..., None]
+    return np.max(np.linalg.norm(aligned - ref, axis=-1), initial=0.0)
 
-    @staticmethod
-    def spoil(y, bad):
-        if bad == "zero":
-            y[:] = 0.0
+
+def agrees_with_complete_qr(case, H):
+    # The basis from the reflectors spans what complete QR's last columns
+    # span; the estimate matches complete QR's up to rounding and the blind
+    # phase (not to the byte: LAPACK applies the reflectors in blocks).
+    (P, M), w, Y = case.pre.F.shape, case.settings.window_blocks, case.Y
+    L = P - M
+    dim, n = w * P - L, w * M
+    windows = Y[..., P * np.arange(n)[:, None] + np.arange(dim)]
+    bases = _complement(windows), complement_complete_qr(windows.swapaxes(-1, -2))
+    assert bases[0].shape == bases[1].shape == (len(Y), dim, (w - 1) * L)
+    projectors = [B @ B.conj().swapaxes(-1, -2) for B in bases]
+    assert np.all(np.abs(projectors[0] - projectors[1]) <= PROJECTOR_TOL)
+    ref = subspace_estimate_complete_qr(Y, case.pre, case.settings)
+    usable = np.any(Y != 0, axis=-1)
+    assert np.isnan(ref[~usable]).all()
+    assert aligned_distance(H[usable], ref[usable]) <= COMPLETE_QR_TOL
+    if (M, L) == (12, 4):
+        eigh = subspace_estimate_eigh(Y[usable], case.pre, case.settings)
+        assert aligned_distance(H[usable], eigh) < BORDER_TOL
+
+
+def agrees_with_eigh(case, H):
+    assert H.tobytes() == subspace_estimate_eigh(case.Y, case.pre, case.settings).tobytes()
+
+
+# The noise-basis routes of subspace_estimate, each with the check of the
+# estimates H of case.Y against its oracle.
+ROWS = {"border": agrees_with_complete_qr, "covariance": agrees_with_eigh}
+
+
+def row_property(max_examples=40):
+    """A property of every row, its body drawing from st.data()."""
+    examples = settings(derandomize=True, deadline=None, max_examples=max_examples)
+    return lambda body: pytest.mark.parametrize("row", ROWS)(examples(given(st.data())(body)))
+
+
+@st.composite
+def cases(draw, row, min_size=0, max_size=4):
+    """A Case of the row: M=12, L=4, or M in 2..6 with L in 1..min(3, M-1);
+    w in {2, 3}; N = wM + w - 1 on the border row, any other N from w to
+    twice that on the covariance row; cp, zp or custom redundancy under an
+    identity, IDFT or custom inner precoder; min_size to max_size noisy
+    copies at noise variances 1 down to 1e-6, any of them zeroed."""
+    w = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        M, L = 12, 4
+    else:
+        M = draw(st.integers(2, 6))
+        L = draw(st.integers(1, min(3, M - 1)))
+    border = w * M + w - 1
+    N = border if row == "border" else draw(st.integers(w, 2 * border).filter(border.__ne__))
+    kind = draw(st.sampled_from(["cp", "zp", "custom"]))
+    inner = draw(st.sampled_from(["identity", "idft", "custom"]))
+    size = draw(st.integers(min_size, max_size))
+    sigma2 = draw(st.lists(st.sampled_from([1.0, 1e-2, 1e-4, 1e-6]), min_size=size, max_size=size))
+    zeroed = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make_case(M, L, N, w, kind, inner, rng, sigma2, zeroed)
+
+
+def check_recovery(case):
+    # Where the frame's wM x (N - w + 1) symbol windows have full row rank
+    # (so on or above the border), noiseless windows span the signal
+    # subspace and the resolved estimate is the taps; returns whether they
+    # have (see test_rank_deficient_border_frame_refused).
+    M, w = case.pre.F.shape[1], case.settings.window_blocks
+    n = case.sN.size // M - w + 1
+    symbol_windows = case.sN[np.arange(w * M)[:, None] + M * np.arange(n)]
+    if np.linalg.matrix_rank(symbol_windows) < w * M:
+        return False
+    d = default_anchor(case.h)
+    h_hat = resolve_ambiguity(case.estimate(case.clean), d, case.h[d])
+    assert np.linalg.norm(h_hat - case.h) < 1e-6
+    return True
+
+
+def check_stack(case, lead):
+    # A stack with leading axes lead gives each member the bytes of the
+    # frame alone, and a zeroed member NaN.
+    H = case.estimate(case.Y.reshape(lead + case.Y.shape[-1:]))
+    assert H.shape == lead + case.h.shape
+    for y, row in zip(case.Y, H.reshape(-1, case.h.size)):
+        if np.any(y):
+            assert case.estimate(y).tobytes() == row.tobytes()
         else:
-            y[7] = {"inf": np.inf, "nan": complex(0.0, np.nan)}[bad]
+            assert np.isnan(row).all()
 
-    @pytest.mark.parametrize("bad,message", [
-        ("inf", "^frame has samples that are not finite$"),
-        ("nan", "^frame has samples that are not finite$"),
-        ("zero", "^frame carries no energy$"),
-    ])
-    @pytest.mark.parametrize("N", [25, 100])
-    def test_alone_raises(self, N, bad, message):
-        pre, Y = noisy_stack("zp", "idft", N, S=1, M=12, L=4)
-        self.spoil(Y[0], bad)
-        with pytest.raises(InsufficientData, match=message):
-            subspace_estimate(Y[0], pre)
 
-    @pytest.mark.parametrize("bad", ["inf", "nan", "zero"])
-    @pytest.mark.parametrize("N", [25, 100])
-    def test_nan_row_in_a_stack(self, N, bad):
-        pre, Y = noisy_stack("zp", "idft", N, S=4, M=12, L=4)
-        self.spoil(Y[2], bad)
-        H = subspace_estimate(Y, pre)
-        assert np.isnan(H[2]).all()
-        for s in (0, 1, 3):
-            assert subspace_estimate(Y[s], pre).tobytes() == H[s].tobytes()
+NOT_FINITE = "^frame has samples that are not finite$"
+# A value that spoils one sample of a frame, or with zero the whole frame.
+SPOILERS = {"inf": (np.inf, NOT_FINITE), "-inf": (-np.inf, NOT_FINITE),
+            "nan": (complex(0.0, np.nan), NOT_FINITE), "zero": (0.0, "^frame carries no energy$")}
 
-    @staticmethod
-    def scaled(N, scale):
-        pre, Y = noisy_stack("zp", "idft", N, S=4, M=12, L=4)
-        H = subspace_estimate(Y, pre)
-        Y[2] *= scale
-        return H, subspace_estimate(Y, pre)
 
-    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
-    @pytest.mark.parametrize("N", [25, 100])
-    def test_power_of_two_keeps_the_bytes(self, N, scale):
-        H, G = self.scaled(N, scale)
-        assert G.tobytes() == H.tobytes()
+def check_unusable(case, member, bad, where):
+    # A frame with a sample that is not finite, or without energy, raises
+    # alone; in a stack its row is NaN and the others keep their bytes.
+    value, message = SPOILERS[bad]
+    Y = case.Y.copy()
+    Y[member, where % Y.shape[-1] if value else slice(None)] = value
+    with pytest.raises(InsufficientData, match=message):
+        case.estimate(Y[member])
+    G, H = case.estimate(Y), case.estimate(case.Y)
+    assert np.isnan(G[member]).all()
+    others = np.arange(len(Y)) != member
+    assert G[others].tobytes() == H[others].tobytes()
 
-    @pytest.mark.parametrize("scale", [1e160, 1e-170], ids=["1e160", "1e-170"])
-    @pytest.mark.parametrize("N", [25, 100])
-    def test_extreme_scale_keeps_the_estimate(self, N, scale):
-        H, G = self.scaled(N, scale)
-        assert G[[0, 1, 3]].tobytes() == H[[0, 1, 3]].tobytes()
-        assert np.isfinite(G[2]).all()
-        assert np.linalg.norm(G[2] - H[2]) < 1e-13
+
+def check_scaling(case, member, k):
+    # A member times 2^k keeps the stack's bytes, and times 1e160 or
+    # 1e-170 it gives its bytes times that number's mantissa: its size
+    # costs nothing beyond the rounding of the product. Returns how far
+    # those two estimates lie from the member's own.
+    H = case.estimate(case.Y)
+    Y = case.Y.copy()
+    Y[member] *= 2.0**k
+    assert case.estimate(Y).tobytes() == H.tobytes()
+    distance = 0.0
+    for scale in (1e160, 1e-170):
+        Y[member] = scale * case.Y[member]
+        G = case.estimate(Y)
+        Y[member] = np.frexp(scale)[0] * case.Y[member]
+        assert G.tobytes() == case.estimate(Y).tobytes()
+        distance = max(distance, np.linalg.norm(G[member] - H[member]))
+    return distance
+
+
+@row_property()
+def test_noiseless_recovery(row, data):
+    assume(check_recovery(data.draw(cases(row, max_size=0))))
+
+
+@row_property(max_examples=60)
+def test_agrees_with_oracle(row, data):
+    case = data.draw(cases(row))
+    ROWS[row](case, case.estimate(case.Y))
+
+
+@row_property()
+def test_stack_member_equals_frame_alone(row, data):
+    case = data.draw(cases(row))
+    S = len(case.Y)
+    leads = [(S,)] + [(a, S // a) for a in (1, 2, 3) if S % a == 0]
+    check_stack(case, data.draw(st.sampled_from(leads)))
+
+
+@row_property()
+def test_unusable_frame_fails_alone(row, data):
+    case = data.draw(cases(row, min_size=1))
+    member = data.draw(st.integers(0, len(case.Y) - 1))
+    bad, where = data.draw(st.sampled_from(sorted(SPOILERS))), data.draw(st.integers(0, 10**6))
+    check_unusable(case, member, bad, where)
+
+
+@row_property()
+def test_power_of_two_keeps_the_bytes(row, data):
+    case = data.draw(cases(row, min_size=1))
+    member = data.draw(st.integers(0, len(case.Y) - 1))
+    k = data.draw(st.sampled_from([-1000, -600, -7, 9, 600, 1000]))
+    assume(normal_or_zero(2.0**k * case.Y[member]))
+    check_scaling(case, member, k)
+
+
+@pytest.mark.parametrize("N,w", [(8, 2), (24, 2), (25, 2), (26, 2), (38, 3), (40, 3), (100, 2)])
+@pytest.mark.parametrize("inner", ["identity", "idft"])
+@pytest.mark.parametrize("kind", ["cp", "zp"])
+def test_fixed_frames(kind, inner, N, w):
+    # Six noisy copies of an M=12, L=4 frame through every body, on the row
+    # its N takes. On or above the border, the product with 1e160 or
+    # 1e-170 moves the scaled copy's estimate by at most 3.5e-14; below it,
+    # where one-ulp changes of a frame move the estimate, by up to 2.
+    case = make_case(12, 4, N, w, kind, inner, np.random.default_rng(70), np.logspace(-1, -4, 6))
+    ROWS["border" if _on_border(12, N, w) else "covariance"](case, case.estimate(case.Y))
+    check_stack(case, (2, 3))
+    check_stack(replace(case, Y=case.Y[:0]), (2, 0))
+    for bad in SPOILERS:
+        check_unusable(case, 2, bad, 7)
+    spanned = N - w + 1 >= 12 * w
+    assert check_recovery(case) == spanned
+    distance = max(check_scaling(case, 2, k) for k in (600, -600))
+    assert distance < 1e-13 or not spanned
 
 
 class TestSettings:

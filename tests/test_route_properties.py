@@ -32,9 +32,11 @@ raises IllConditioned at the route's bound, naming J11 for the taps and
 the anchor-reduced information for a frame; a route's D0 raises the same
 for the taps and gives the frame's NaN member of its batch. In a (C, T)
 stack, the failed member is NaN, all of a channel's frames for a tap,
-and every other member keeps its bytes. The direct route also refuses,
-with the same error, blocks that leave the float range at a sigma2 near
-the smallest normal. The suite's warning rule fails any case that warns.
+and every other member keeps its bytes. Every route refuses the same
+way a usable frame times 1e160, whose information leaves the float range
+(a fixed zero-padding input), and the direct route also refuses, with the
+same error, blocks that leave the float range at a sigma2 near the
+smallest normal. The suite's warning rule fails any case that warns.
 The examples are derandomized, so every run draws the same instances."""
 
 from dataclasses import dataclass
@@ -348,6 +350,8 @@ def spoil(h, s, spoiler):
     value, on_taps, where = spoiler
     if value == "zero":
         h[:] = 0
+    elif value == "x1e160":  # a finite frame whose Gram overflows
+        s *= 1e160
     elif on_taps:
         h[where % h.size] = BAD[value]
     else:
@@ -412,12 +416,17 @@ def test_failed_member_is_nan_and_the_others_keep_their_bytes(
 
 # Fixed inputs of the usability rule: (M, L, N, taps, frame seed, spoiler,
 # sigma2), each run through the bodies above. Spoiled taps on every route;
-# on the direct route, usable inputs at a sigma2 whose blocks
-# K^H K / sigma2 overflow.
+# on every route under zero padding, a usable frame times 1e160, whose
+# information overflows and which each route refuses as it refuses a frame
+# that is not finite; on the direct route, usable inputs at a sigma2 whose
+# blocks K^H K / sigma2 overflow.
 FIXED_TAPS = {
     "M4-nan-tap": (4, 2, 5, [1.0, 1.0, -0.1j], 0, ("nan", True, 1), 1.0),
     "M12-nan-tap": (12, 4, 25, [0.5, 0.5, 0.5, 0.5, 0.2], 1, ("nan", True, 2), 1.0),
     "M12-inf-tap": (12, 4, 25, [0.5, 0.5, 0.5, 0.5, 0.2], 1, ("+inf", True, 2), 1.0),
+}
+FIXED_FRAMES = {
+    "M12-frame-x1e160": (12, 4, 25, [0.5, 0.5, 0.3, 0.5, 0.2], 0, ("x1e160", False, 0), 1.0),
 }
 FIXED_SIGMA2 = {
     f"M12-sigma2-{float(sigma2)!r}": (12, 4, 25, [0.8, 0.4, 0.3, 0.2, 0.1], 0, None, sigma2)
@@ -425,10 +434,14 @@ FIXED_SIGMA2 = {
 }
 FIXED_CASES = [
     pytest.param(route, kind, case, id=f"{route.name}-{kind}-{name}")
-    for cases, routes in ((FIXED_TAPS, ROUTES), (FIXED_SIGMA2, [DIRECT]))
+    for cases, routes, kinds in (
+        (FIXED_TAPS, ROUTES, ("cp", "zp")),
+        (FIXED_FRAMES, ROUTES, ("zp",)),
+        (FIXED_SIGMA2, [DIRECT], ("cp", "zp")),
+    )
     for name, case in cases.items()
     for route in routes
-    for kind in ("cp", "zp")
+    for kind in kinds
     if kind == "zp" or not route.zero_padding
 ]
 
