@@ -6,10 +6,11 @@ span (_complement), checked against the complete QR of the windows; and
 covariance, every other N, where it is the eigh of the windows'
 covariance, checked byte for byte against helpers.subspace_estimate_eigh.
 Each shared property has one body, run over both rows on drawn frames
-(`cases`) and on fixed M=12, L=4 frames (test_fixed_frames). The draws are
+(`cases`) and on fixed M=12, L=4 frames (`fixed_case`). The draws are
 derandomized, and the suite makes any RuntimeWarning an error.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -23,7 +24,7 @@ from blindcrb import (
     ZeroAnchorTap, build_K, default_anchor, draw_channel, generate_symbols, make_precoder,
     resolve_ambiguity, subspace_estimate, synthesize_observation,
 )
-from blindcrb.estimator import _complement, _on_border
+from blindcrb.estimator import _complement
 from blindcrb.model import draw_noise
 from helpers import (
     block_diag_precoder, build_selection_matrices, channel_from_noise_subspace,
@@ -51,6 +52,16 @@ class TestNoiselessRecovery:
         d = default_anchor(h)
         aligned = resolve_ambiguity(direction, d, h[d])
         assert np.linalg.norm(aligned - h) < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind,inner", [("cp", "identity"), ("cp", "idft"), ("zp", "identity"), ("zp", "idft")]
+    )
+    def test_exact_on_clean_frames(self, kind, inner):
+        assert check_recovery(fixed_case(kind, inner, 25, 2, 0))
+
+    def test_exact_with_three_block_windows(self):
+        # wider windows need N - w + 1 >= wM windows; N=50 suffices
+        assert check_recovery(fixed_case("cp", "idft", 50, 3, 0))
 
 
 @pytest.mark.xfail(reason="no check refuses a frame whose symbol windows are rank-deficient")
@@ -232,6 +243,21 @@ class TestStacks:
         with pytest.raises(SolverDegenerate):
             channel_from_noise_subspace(bases[2], pre.F, 2)
 
+    def test_zero_frame_gives_nan_row_alone(self):
+        check_unusable(fixed_case("cp", "idft", 25, 2, 4, M=4, L=2), 1, "zero", 0)
+
+    # Empty stacks at M=12, L=4 on either route: N=25 is the QR border,
+    # N=100 the covariance eigh.
+    @pytest.mark.parametrize("kind,M,L,N,lead", [
+        pytest.param("cp", 4, 2, 25, (2, 3), id="cp"),
+        pytest.param("zp", 4, 2, 25, (2, 3), id="zp"),
+        pytest.param("zp", 12, 4, 25, (0,), id="zp-empty-N25"),
+        pytest.param("zp", 12, 4, 100, (2, 0), id="zp-empty-N100"),
+    ])
+    def test_any_leading_axes(self, kind, M, L, N, lead):
+        case = fixed_case(kind, "idft", N, 2, 6, M=M, L=L)
+        check_stack(replace(case, Y=case.Y[: math.prod(lead)]), lead)
+
     def test_batch_failures_raise(self):
         pre = make_precoder(SystemConfig(M=6, L=2, N=3))
         with pytest.raises(InsufficientData, match="blocks"):
@@ -240,19 +266,6 @@ class TestStacks:
             subspace_estimate(np.ones((2, 2, 21), dtype=complex), pre)
         with pytest.raises(ValueError, match="samples"):
             subspace_estimate(np.ones((2, 21), dtype=complex), pre)
-
-
-class TestBorderRoute:
-    @pytest.mark.parametrize(
-        "N,w,qr_calls", [(25, 2, 1), (38, 3, 1), (24, 2, 0), (26, 2, 0), (40, 3, 0)]
-    )
-    def test_qr_only_at_the_border(self, monkeypatch, N, w, qr_calls):
-        calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
-        case = make_case(12, 4, N, w, "cp", "idft", np.random.default_rng(70), [0.1, 1e-2, 1e-3])
-        case.estimate(case.Y)
-        assert len(calls) == qr_calls
 
 
 # Largest distance between the border route's unit-norm estimate and the
@@ -383,19 +396,20 @@ def check_unusable(case, member, bad, where):
     assert G[others].tobytes() == H[others].tobytes()
 
 
-def check_scaling(case, member, k):
-    # A member times 2^k keeps the stack's bytes, and times 1e160 or
-    # 1e-170 it gives its bytes times that number's mantissa: its size
-    # costs nothing beyond the rounding of the product. Returns how far
-    # those two estimates lie from the member's own.
+def check_scaling(case, member, k, scales=(1e160, 1e-170)):
+    # A member times 2^k keeps the stack's bytes, and times each of scales
+    # it gives its bytes times that number's mantissa and leaves the other
+    # rows' bytes: its size costs nothing beyond the rounding of the
+    # product. Returns how far those estimates lie from the member's own.
     H = case.estimate(case.Y)
     Y = case.Y.copy()
     Y[member] *= 2.0**k
     assert case.estimate(Y).tobytes() == H.tobytes()
     distance = 0.0
-    for scale in (1e160, 1e-170):
+    for scale in scales:
         Y[member] = scale * case.Y[member]
         G = case.estimate(Y)
+        assert np.delete(G, member, 0).tobytes() == np.delete(H, member, 0).tobytes()
         Y[member] = np.frexp(scale)[0] * case.Y[member]
         assert G.tobytes() == case.estimate(Y).tobytes()
         distance = max(distance, np.linalg.norm(G[member] - H[member]))
@@ -438,24 +452,78 @@ def test_power_of_two_keeps_the_bytes(row, data):
     check_scaling(case, member, k)
 
 
-@pytest.mark.parametrize("N,w", [(8, 2), (24, 2), (25, 2), (26, 2), (38, 3), (40, 3), (100, 2)])
-@pytest.mark.parametrize("inner", ["identity", "idft"])
-@pytest.mark.parametrize("kind", ["cp", "zp"])
-def test_fixed_frames(kind, inner, N, w):
-    # Six noisy copies of an M=12, L=4 frame through every body, on the row
-    # its N takes. On or above the border, the product with 1e160 or
-    # 1e-170 moves the scaled copy's estimate by at most 3.5e-14; below it,
-    # where one-ulp changes of a frame move the estimate, by up to 2.
-    case = make_case(12, 4, N, w, kind, inner, np.random.default_rng(70), np.logspace(-1, -4, 6))
-    ROWS["border" if _on_border(12, N, w) else "covariance"](case, case.estimate(case.Y))
-    check_stack(case, (2, 3))
-    check_stack(replace(case, Y=case.Y[:0]), (2, 0))
-    for bad in SPOILERS:
-        check_unusable(case, 2, bad, 7)
-    spanned = N - w + 1 >= 12 * w
-    assert check_recovery(case) == spanned
-    distance = max(check_scaling(case, 2, k) for k in (600, -600))
-    assert distance < 1e-13 or not spanned
+def fixed_case(kind, inner, N, w, S, M=12, L=4):
+    """S noisy copies of one M x L frame, noise variances 1e-1 down to 1e-4."""
+    return make_case(M, L, N, w, kind, inner, np.random.default_rng(70), np.logspace(-1, -4, S))
+
+
+# (N, w) with N - w + 1 = wM at M=12: the border row's fixed frames.
+BORDER = [(25, 2), (38, 3)]
+
+
+class TestBorderRoute:
+    """Each row's oracle and stack bytes on fixed M=12, L=4 frames."""
+
+    @pytest.mark.parametrize(
+        "N,w,qr_calls", [(25, 2, 1), (38, 3, 1), (24, 2, 0), (26, 2, 0), (40, 3, 0)]
+    )
+    def test_qr_only_at_the_border(self, monkeypatch, N, w, qr_calls):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        case = make_case(12, 4, N, w, "cp", "idft", np.random.default_rng(70), [0.1, 1e-2, 1e-3])
+        case.estimate(case.Y)
+        assert len(calls) == qr_calls
+
+    @pytest.mark.parametrize("N,w", BORDER)
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_qr_route_agrees_with_eigh_route(self, kind, inner, N, w):
+        case = fixed_case(kind, inner, N, w, 7)
+        ROWS["border"](case, case.estimate(case.Y))
+
+    @pytest.mark.parametrize("N,w", [(8, 2), (24, 2), (26, 2), (40, 3), (100, 2)])
+    @pytest.mark.parametrize("inner", ["identity", "idft"])
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_eigh_route_off_the_border(self, kind, inner, N, w):
+        case = fixed_case(kind, inner, N, w, 7)
+        ROWS["covariance"](case, case.estimate(case.Y))
+
+    @pytest.mark.parametrize("N,w", BORDER + [(26, 2), (40, 3), (100, 2)])
+    @pytest.mark.parametrize("kind", ["cp", "zp"])
+    def test_stack_member_equals_frame_alone(self, kind, N, w):
+        check_stack(fixed_case(kind, "idft", N, w, 6), (2, 3))
+
+
+class TestUnusableFrames:
+    """The usability rule on fixed zp/IDFT frames, N=25 on the border row
+    and N=100 on the covariance row."""
+
+    @pytest.mark.parametrize("bad,message", [
+        ("inf", NOT_FINITE), ("nan", NOT_FINITE), ("zero", "^frame carries no energy$"),
+    ])
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_alone_raises(self, N, bad, message):
+        assert SPOILERS[bad][1] == message
+        check_unusable(fixed_case("zp", "idft", N, 2, 1), 0, bad, 7)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "zero"])
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_nan_row_in_a_stack(self, N, bad):
+        check_unusable(fixed_case("zp", "idft", N, 2, 4), 2, bad, 7)
+
+    @pytest.mark.parametrize("k", [600, -600], ids=["2^600", "2^-600"])
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_power_of_two_keeps_the_bytes(self, N, k):
+        check_scaling(fixed_case("zp", "idft", N, 2, 4), 2, k, scales=())
+
+    # On or above the border the product moves the estimate by at most
+    # 3.5e-14 (measured over every fixed frame there); below it, where
+    # one-ulp changes of a frame move the estimate, by up to 2.
+    @pytest.mark.parametrize("scale", [1e160, 1e-170], ids=["1e160", "1e-170"])
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_extreme_scale_keeps_the_estimate(self, N, scale):
+        assert check_scaling(fixed_case("zp", "idft", N, 2, 4), 2, 0, [scale]) < 1e-13
 
 
 class TestSettings:
