@@ -15,11 +15,14 @@ to the (w-1)L unit vectors past the windows' rank, forming neither Q nor
 R, and from the eigh at every other N. Whether a frame can be used is
 decided once, before either route, by the package's one rule
 (model._usable): every sample finite and one nonzero; the windows are
-cut from the frames it hands back, a failed one zeroed. The covariance
-route copies the windows' view once, in the np.ldexp that scales it by
-the power of two putting the frame's peak in [0.5, 1), as crb_blind
-scales the taps: an exact scaling that changes no rounding, so a frame's
-size neither overflows nor underflows Z Z^H.
+cut from the frames it hands back, a failed one zeroed. At the border
+the QR's |diag R| is also a rank gate: a frame whose windows have rank
+below wM, which leaves the complement wider than the noise subspace, is
+refused as an unusable one is. The covariance route copies the windows'
+view once, in the np.ldexp that scales it by the power of two putting
+the frame's peak in [0.5, 1), as crb_blind scales the taps: an exact
+scaling that changes no rounding, so a frame's size neither overflows
+nor underflows Z Z^H.
 _on_border decides the route, and _frame_bytes counts each route's
 working set per frame for the harness's chunks.
 
@@ -104,7 +107,7 @@ def _penalty_minimum(basis: np.ndarray, F: np.ndarray, L: int, w: int) -> np.nda
     return h
 
 
-def _complement(W: np.ndarray) -> np.ndarray:
+def _complement(W: np.ndarray):
     """Orthonormal basis of the complement of the span of the k rows of a
     k x dim matrix W of rank k < dim, or of each member of a stack: the
     last dim - k columns of the complete Q of W^T, (..., dim, dim - k).
@@ -115,10 +118,15 @@ def _complement(W: np.ndarray) -> np.ndarray:
     qr's copy of W keeps W's memory order, so when each member's rows are
     contiguous and in order, as in a view of a C-ordered stack, every step
     takes the same strides for a member as for it alone, and the member
-    gets the same bytes."""
+    gets the same bytes. Returns the basis and each member's smallest and
+    largest |diag R|, low and high, for the rank gate: a member whose rows
+    have rank below k has low <= RANK_RTOL * high, and its basis is not
+    the complement."""
     h, tau = np.linalg.qr(W.swapaxes(-1, -2), mode="raw")
     k, dim = h.shape[-2:]
-    # Row i of h holds reflector i's vector v_i past its unit entry i.
+    # Row i of h holds R's diagonal entry i, then reflector i's vector v_i
+    # past its unit entry i.
+    diag = np.abs(h[..., range(k), range(k)])
     h[..., range(k), range(k)] = 1
     # Row j of X is the basis vector that starts as e_(k+j).
     X = np.zeros(h.shape[:-2] + (dim - k, dim), np.complex128)
@@ -128,7 +136,7 @@ def _complement(W: np.ndarray) -> np.ndarray:
         v = h[..., i, None, i:]
         rows = X[..., i:]
         rows -= (rows @ (tau[..., i, None, None] * v.conj()).swapaxes(-1, -2)) * v
-    return X.swapaxes(-1, -2)
+    return X.swapaxes(-1, -2), diag.min(axis=-1), diag.max(axis=-1)
 
 
 def _on_border(M: int, N: int, w: int) -> bool:
@@ -170,9 +178,10 @@ def subspace_estimate(
     known anchor tap fixes it. Raises InsufficientData when the frame
     cannot supply the required windows. A frame is usable when every
     sample is finite and one is nonzero, on either route; one that is not
-    raises InsufficientData, and one whose penalty minimizer is not
-    isolated raises SolverDegenerate; in a stack, each makes that frame's
-    row NaN instead.
+    raises InsufficientData, as does a frame at the border whose windows
+    have rank below wM, and one whose penalty minimizer is not isolated
+    raises SolverDegenerate; in a stack, each makes that frame's row NaN
+    instead.
 
     The noise subspace is well defined only when the N - w + 1 windows
     can span the wM-dimensional signal subspace, N - w + 1 >= wM. At
@@ -181,7 +190,8 @@ def subspace_estimate(
     Z, which this takes without forming the covariance, Q or R: it
     applies the wM Householder reflectors of Z's QR to those columns'
     unit vectors. Working on Z itself, its rounding error grows with
-    cond(Z), not cond(Z)^2. Both routes read Z from one strided view of
+    cond(Z), not cond(Z)^2. The rank gate reads |diag R| of that QR
+    against RANK_RTOL. Both routes read Z from one strided view of
     the frames, which the QR copies. Above the border the noise subspace
     is the bottom (w-1)L eigenvectors of the covariance
     Z Z^H / (N - w + 1), formed from one C-ordered copy of the view,
@@ -219,7 +229,15 @@ def subspace_estimate(
     # Row n of a frame's windows is the view frames[nP: nP + dim].
     windows = np.lib.stride_tricks.sliding_window_view(frames, dim, axis=-1)[..., ::P, :]
     if _on_border(M, N, w):
-        noise = _complement(windows)
+        noise, low, high = _complement(windows)
+        # Windows of rank below wM leave more than (w-1)L dimensions
+        # unspanned, and the basis is not the noise subspace.
+        deficient = low <= RANK_RTOL * high
+        if yN.ndim == 1 and deficient:
+            raise InsufficientData(
+                f"windows are rank-deficient (diag ratio {low:.3e} / {high:.3e})"
+            )
+        failed |= deficient
     else:
         # Column n of a frame's Z is its window n times the power of two that
         # puts the frame's peak in [0.5, 1), which changes no rounding and

@@ -4,12 +4,15 @@ against, the banded Toeplitz matrix T(h) that is the independent oracle
 for the blocks T(h) F and T(h) Ftilde, the dense routes and bases that the
 banded bounds are checked against, the estimator's covariance-eigh route
 and complete-QR border basis that its border route is checked against,
-the estimator's penalty on a given noise basis, a one-point run of an
-experiment plan, the frame-by-frame run that the stacked harness is
-checked against, the powers of two the taps are scaled by in the
+the estimator's penalty on a given noise basis, a fixed stack of
+channels and the check that a D0 function gives each of them its bytes
+alone, the peak memory of a call, a count of QR calls, a one-point run
+of an experiment plan, the frame-by-frame run that the stacked harness
+is checked against, the powers of two the taps are scaled by in the
 bound routes' scale tests, and the noise variances at the lower edge of
 the normal floats that every sigma2 check is held to."""
 
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,6 +98,57 @@ def random_instance(
     h = random_unit_channel(L, rng)
     sN = generate_symbols("qpsk", M, N, rng).sN
     return config, precoder, h, sN
+
+
+def channel_stack(kind, inner, N, M=6, L=2, C=4, T=3, seed=90):
+    """(precoder, taps, frames) of C random channels with T QPSK frames
+    each, (C, L+1) taps and (C, T, NM) frames, under cp, zp or a random
+    custom redundancy and an identity or IDFT inner precoder."""
+    rng = np.random.default_rng(seed)
+    custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
+    precoder = make_precoder(SystemConfig(
+        M=M, L=L, N=N, redundancy_kind=kind, inner_kind=inner,
+        custom_redundancy=custom if kind == "custom" else None,
+    ))
+    hs = np.stack([random_unit_channel(L, rng) for _ in range(C)])
+    frames = np.stack([
+        [generate_symbols("qpsk", M, N, rng).sN for _ in range(T)] for _ in range(C)
+    ])
+    return precoder, hs, frames
+
+
+def assert_members_alone(information, precoder, hs, frames):
+    """A D0 function on a (C, T) stack of channels and frames: each
+    channel's (T, L+1, L+1) member has the bytes of that channel alone.
+    Returns the stack's D0."""
+    stack = information(hs, frames, precoder)
+    assert stack.shape == frames.shape[:2] + (hs.shape[1],) * 2
+    for h, f, member in zip(hs, frames, stack):
+        assert member.tobytes() == information(h, f, precoder).tobytes()
+    return stack
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes that tracemalloc sees while it runs."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def count_qr(monkeypatch):
+    """The shapes of the np.linalg.qr calls made from here on, a list that
+    each call appends to."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
 
 
 def run_cell(plan, snr_db, estimate_fn=None):

@@ -196,9 +196,11 @@ def test_criterion_4_null_space_structure():
         assert projector_gap <= 1e-9, f"projector mismatch {projector_gap:.2e}"
         ortho = np.linalg.norm(K.conj().T @ basis.utilde)
         assert ortho <= 1e-9, f"basis not orthogonal to range ({ortho:.2e})"
+        gram_gap = np.abs(basis.utilde.conj().T @ basis.utilde - np.eye(n_cols)).max()
+        assert gram_gap <= 1e-12, f"basis not orthonormal ({gram_gap:.2e})"
         rec["detail"] = (
-            f"{n_cols} columns, padding rows exactly zero, "
-            f"projector identity to {projector_gap:.1e}"
+            f"{n_cols} columns, orthonormal to {gram_gap:.1e}, padding rows exactly "
+            f"zero, projector identity to {projector_gap:.1e}"
         )
 
 

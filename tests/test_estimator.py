@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blindcrb import (
-    EstimatorSettings, InsufficientData, NumericalError, Precoder, SolverDegenerate, SystemConfig,
+    EstimatorSettings, InsufficientData, Precoder, SolverDegenerate, SystemConfig,
     ZeroAnchorTap, build_K, default_anchor, draw_channel, generate_symbols, make_precoder,
     resolve_ambiguity, subspace_estimate, synthesize_observation,
 )
@@ -28,7 +28,7 @@ from blindcrb.estimator import _complement
 from blindcrb.model import draw_noise
 from helpers import (
     block_diag_precoder, build_selection_matrices, channel_from_noise_subspace,
-    complement_complete_qr, left_null_basis, normal_or_zero, random_unit_channel,
+    complement_complete_qr, count_qr, left_null_basis, normal_or_zero, random_unit_channel,
     subspace_estimate_complete_qr, subspace_estimate_eigh,
 )
 
@@ -64,16 +64,27 @@ class TestNoiselessRecovery:
         assert check_recovery(fixed_case("cp", "idft", 50, 3, 0))
 
 
-@pytest.mark.xfail(reason="no check refuses a frame whose symbol windows are rank-deficient")
 def test_rank_deficient_border_frame_refused():
-    # This noiseless border frame's 4 x 4 symbol windows have rank 3: the
-    # estimate is finite and 15.4 from the taps, where the channel's
-    # full-rank frames of seeds 0-39 recover within 2e-15.
+    # The noiseless border frames of seeds 0 and 1 have 4 x 4 symbol
+    # windows of rank 3, and a basis of their windows' complement would put
+    # the estimate 15.4 and 0.92 from the taps. The rank gate refuses them,
+    # alone and as NaN rows of a stack; seeds 2 and 3 (rank 4) recover and
+    # keep their bytes in the stack.
     pre = make_precoder(SystemConfig(M=2, L=1, N=5))
     channel = draw_channel(1, 1)
-    y = synthesize_observation(pre, channel.h, generate_symbols("qpsk", 2, 5, 0).sN, 0.0, None)
-    with pytest.raises(NumericalError):
-        subspace_estimate(y, pre)
+    Y = np.stack([
+        synthesize_observation(pre, channel.h, generate_symbols("qpsk", 2, 5, seed).sN, 0.0, None)
+        for seed in range(4)
+    ])
+    H = subspace_estimate(Y, pre)
+    for y in Y[:2]:
+        with pytest.raises(InsufficientData, match=r"^windows are rank-deficient \(diag ratio"):
+            subspace_estimate(y, pre)
+    assert np.isnan(H[:2]).all()
+    for y, row in zip(Y[2:], H[2:]):
+        assert subspace_estimate(y, pre).tobytes() == row.tobytes()
+        aligned = resolve_ambiguity(row, channel.d, channel.h[channel.d])
+        assert np.linalg.norm(aligned - channel.h) < 1e-15
 
 
 class TestNoisyBehaviour:
@@ -296,7 +307,7 @@ def agrees_with_complete_qr(case, H):
     L = P - M
     dim, n = w * P - L, w * M
     windows = Y[..., P * np.arange(n)[:, None] + np.arange(dim)]
-    bases = _complement(windows), complement_complete_qr(windows.swapaxes(-1, -2))
+    bases = _complement(windows)[0], complement_complete_qr(windows.swapaxes(-1, -2))
     assert bases[0].shape == bases[1].shape == (len(Y), dim, (w - 1) * L)
     projectors = [B @ B.conj().swapaxes(-1, -2) for B in bases]
     assert np.all(np.abs(projectors[0] - projectors[1]) <= PROJECTOR_TOL)
@@ -351,13 +362,18 @@ def cases(draw, row, min_size=0, max_size=4):
 def check_recovery(case):
     # Where the frame's wM x (N - w + 1) symbol windows have full row rank
     # (so on or above the border), noiseless windows span the signal
-    # subspace and the resolved estimate is the taps; returns whether they
-    # have (see test_rank_deficient_border_frame_refused).
+    # subspace and the resolved estimate is the taps. On the border, where
+    # they are square, rank-deficient ones are refused (see
+    # test_rank_deficient_border_frame_refused); elsewhere they are
+    # skipped. Returns whether the frame was checked.
     M, w = case.pre.F.shape[1], case.settings.window_blocks
     n = case.sN.size // M - w + 1
     symbol_windows = case.sN[np.arange(w * M)[:, None] + M * np.arange(n)]
     if np.linalg.matrix_rank(symbol_windows) < w * M:
-        return False
+        if n == w * M:
+            with pytest.raises(InsufficientData, match="^windows are rank-deficient"):
+                case.estimate(case.clean)
+        return n == w * M
     d = default_anchor(case.h)
     h_hat = resolve_ambiguity(case.estimate(case.clean), d, case.h[d])
     assert np.linalg.norm(h_hat - case.h) < 1e-6
@@ -468,9 +484,7 @@ class TestBorderRoute:
         "N,w,qr_calls", [(25, 2, 1), (38, 3, 1), (24, 2, 0), (26, 2, 0), (40, 3, 0)]
     )
     def test_qr_only_at_the_border(self, monkeypatch, N, w, qr_calls):
-        calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        calls = count_qr(monkeypatch)
         case = make_case(12, 4, N, w, "cp", "idft", np.random.default_rng(70), [0.1, 1e-2, 1e-3])
         case.estimate(case.Y)
         assert len(calls) == qr_calls

@@ -6,7 +6,6 @@ true channel (reconstructed from the documented seed fan-out) up to a
 complex scale: after ambiguity resolution the cell's mse_avg must vanish.
 """
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from blindcrb import (
 )
 from blindcrb.crb_blind import COND_LIMIT, _conditioned
 import helpers
-from helpers import run_cell, run_experiment_per_frame
+from helpers import run_cell, run_experiment_per_frame, traced_peak
 
 
 def channel_sequence(plan):
@@ -451,12 +450,7 @@ class TestStackedMatchesPerFrame:
             n_trials=5,
             master_seed=0,
         )
-        tracemalloc.start()
-        try:
-            records = run_experiment(plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        records, peak = traced_peak(run_experiment, plan)
         assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
         assert all(r.excluded_trials == 0 for r in records)
 
@@ -471,24 +465,9 @@ class TestStackedMatchesPerFrame:
             n_trials=5,
             master_seed=0,
         )
-        tracemalloc.start()
-        try:
-            records = run_experiment(plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        records, peak = traced_peak(run_experiment, plan)
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
         assert records[0].excluded_trials == 0
-
-
-def traced_peak(fn, *args):
-    """Peak bytes that tracemalloc sees while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestChannelGroups:
@@ -536,7 +515,7 @@ class TestChannelGroups:
             n = harness._group_size(config, n_trials)
             assert n >= least
             self.group_stage(config, n, n_trials)  # numpy's first calls allocate more
-            peak = traced_peak(self.group_stage, config, n, n_trials)
+            peak = traced_peak(self.group_stage, config, n, n_trials)[1]
             assert peak <= harness._GROUP_BYTES, (kind, inner)
 
     def test_long_channel_is_a_group_of_one(self):
@@ -546,7 +525,7 @@ class TestChannelGroups:
         for kind, inner in self.SYSTEMS:
             config = SystemConfig(M=12, L=4, N=1000, redundancy_kind=kind, inner_kind=inner)
             assert harness._group_size(config, 5) == 1
-            peak = traced_peak(self.group_stage, config, 1, 5)
+            peak = traced_peak(self.group_stage, config, 1, 5)[1]
             assert peak < 3 * harness._GROUP_BYTES, (kind, inner)
 
 
@@ -599,7 +578,7 @@ class TestTrialChunks:
             harness.resolve_ambiguity(h_hats, 0, 1.0)
 
         estimate_chunk()  # numpy's first calls in a process allocate more
-        assert traced_peak(estimate_chunk) <= harness._GROUP_BYTES
+        assert traced_peak(estimate_chunk)[1] <= harness._GROUP_BYTES
 
     def test_trial_stage_peak_memory(self, monkeypatch):
         # The desk plan's estimator calls take 8 trials of 7 frames each,
@@ -612,9 +591,9 @@ class TestTrialChunks:
             n_trials=5,
             master_seed=0,
         )
-        assert traced_peak(run_experiment, plan) < 3.5e6
+        assert traced_peak(run_experiment, plan)[1] < 3.5e6
         monkeypatch.setattr(harness, "_chunk_size", lambda *args: 50)
-        assert traced_peak(run_experiment, plan) > 3.5e6
+        assert traced_peak(run_experiment, plan)[1] > 3.5e6
 
 
 class TestSnrSharing:

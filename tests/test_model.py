@@ -1,9 +1,16 @@
 """Model-layer tests: structured matrix builders, symbol/observation
-synthesis, and the Wirtinger log-likelihood gradients.
+synthesis, the Wirtinger log-likelihood gradients, and the one
+noise-variance rule, model._require_positive_sigma2, as one table: each
+entry point that applies it (SystemConfig, fim_blocks, crb_fast,
+crb_zp_per_block, loglik_gradients) refuses every value of one list with
+the rule's message and takes every value of another as float(sigma2).
 
 The independent oracles here are plain time-domain convolution
 (np.convolve on the padded block stream) and central finite differences
 of a locally defined log-likelihood."""
+
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +21,9 @@ from blindcrb import (
     build_inner_precoder,
     build_K,
     build_redundancy,
+    crb_fast,
+    crb_zp_per_block,
+    fim_blocks,
     generate_symbols,
     loglik_gradients,
     make_precoder,
@@ -547,14 +557,6 @@ class TestGradients:
         np.testing.assert_array_equal(grad_h, [np.vdot(Kl @ s, y) / 0.3 for Kl in K_list])
         np.testing.assert_array_equal(grad_s, 0)
 
-    @pytest.mark.parametrize("sigma2", [0.0, -0.5, np.nan, np.inf, True])
-    def test_rejects_nonpositive_or_nan_sigma2(self, sigma2):
-        rng = np.random.default_rng(19)
-        cfg, pre, h, s = random_instance(rng)
-        y = synthesize_observation(pre, h, s, 0.0, None)
-        with pytest.raises(ValueError, match="sigma2 must be a normal positive"):
-            loglik_gradients(y, cfg, pre, h, s, sigma2)
-
     def test_rejects_wrong_sample_count(self):
         # M=4, L=2, N=3 frames hold NP - L = 16 samples
         cfg, pre, h, s = random_instance(np.random.default_rng(21))
@@ -593,6 +595,56 @@ class TestGradients:
                 d_im = (loglik(h, s + 1j * delta) - loglik(h, s - 1j * delta)) / (2 * eps)
                 fd = (d_re + 1j * d_im) / 2
                 assert abs(fd - grad_s[k]) <= 1e-6 * scale_s
+
+
+def _sigma2_entry_points():
+    """Each entry point of model._require_positive_sigma2 as a function of
+    sigma2 that returns what it computes from it, on one zp instance whose
+    taps and frame are small enough that fim_blocks' K^H K / sigma2 and
+    the tap blocks stay in the float range at the smallest normal sigma2."""
+    cfg, pre, h, s = random_instance(np.random.default_rng(19), redundancy_kind="zp")
+    h, s = h / 2, s / 8
+    K, K_list = build_K(cfg, pre, h)
+    y = synthesize_observation(pre, h, s, 0.0, None)
+    return {
+        "SystemConfig": lambda v: (float(SystemConfig(M=4, L=2, N=3, sigma2=v).sigma2),),
+        "fim_blocks": lambda v: astuple(fim_blocks(K, K_list, s, v)),
+        "crb_fast": lambda v: astuple(crb_fast(h, s, pre, 0, v, cfg.N)),
+        "crb_zp_per_block": lambda v: astuple(crb_zp_per_block(h, s, pre, 0, v)),
+        "loglik_gradients": lambda v: loglik_gradients(y, cfg, pre, h, s, v),
+    }
+
+
+SIGMA2_ENTRY_POINTS = _sigma2_entry_points()
+# The rule refuses all of these with its message, and takes each of the
+# accepted as float(sigma2).
+REFUSED_SIGMA2 = {
+    "0": 0.0, "-0.5": -0.5, "-1": -1.0, "nan": np.nan, "+inf": np.inf, "-inf": -np.inf,
+    "True": True, "array(True)": np.array(True), "list": [1.0], "tuple": (0.5,),
+    "vector": np.array([0.5, 1.0]), "1x1": np.ones((1, 1)),
+    **{repr(float(v)): v for v in SUBNORMAL_SIGMA2},
+}
+ACCEPTED_SIGMA2 = {
+    "float64": np.float64(0.5), "float32": np.float32(0.5), "int32": np.int32(3),
+    "int64": np.int64(2), "0-d": np.array(0.5), "smallest-normal": SMALLEST_NORMAL,
+}
+
+
+@pytest.mark.parametrize("sigma2", REFUSED_SIGMA2.values(), ids=REFUSED_SIGMA2)
+@pytest.mark.parametrize("entry", SIGMA2_ENTRY_POINTS)
+def test_noise_variance_refused(entry, sigma2):
+    kind = "single number" if np.ndim(sigma2) else "normal positive finite number"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sigma2 must be a {kind}, got {sigma2}')}$"):
+        SIGMA2_ENTRY_POINTS[entry](sigma2)
+
+
+@pytest.mark.parametrize("sigma2", ACCEPTED_SIGMA2.values(), ids=ACCEPTED_SIGMA2)
+@pytest.mark.parametrize("entry", SIGMA2_ENTRY_POINTS)
+def test_noise_variance_accepted(entry, sigma2):
+    run = SIGMA2_ENTRY_POINTS[entry]
+    assert [np.asarray(x).tobytes() for x in run(sigma2)] == [
+        np.asarray(x).tobytes() for x in run(float(sigma2))
+    ]
 
 
 class TestUsable:
@@ -656,17 +708,6 @@ class TestConfigValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
-
-    @pytest.mark.parametrize("sigma2", [[1.0], np.array([0.5, 1.0]), np.ones((1, 1))])
-    def test_rejects_non_scalar_sigma2(self, sigma2):
-        with pytest.raises(ValueError, match=r"^sigma2 must be a single number, got "):
-            SystemConfig(M=4, L=2, N=3, sigma2=sigma2)
-
-    @pytest.mark.parametrize(
-        "sigma2", [np.float64(0.5), np.int32(3), np.array(0.5), SMALLEST_NORMAL]
-    )
-    def test_accepts_numpy_scalar_sigma2(self, sigma2):
-        assert SystemConfig(M=4, L=2, N=3, sigma2=sigma2).sigma2 == sigma2
 
     @pytest.mark.parametrize("d", [-1, 3, 1.5, True, False])
     def test_channel_anchor_names_a_tap(self, d):

@@ -16,13 +16,20 @@ Hermitian PSD, blind to the taps' scale, the same for a frame in a batch
 and alone, the same bytes for a channel in a stack and alone and for
 taps times any power of two over the float range; the bound agrees with
 the route's dense oracle within 1e-10 and is, bit for bit, sigma2 times
-its bound at unit noise. Rounding errors in D0 scale with the energy of
-the frame, not with D0, which cancels to rounding level for a frame that
-says nothing about the taps (a constant frame, say), so D0's tolerances
-are relative to that energy. Over these ranges some sweeps refresh their
-step map at every step and others keep it once their carry repeats, so
-both are checked. Two properties hold for one route: _sweep projects any
-columns (fast), and the reference never lies above the frame bound (zp).
+its bound at unit noise, the smallest normal sigma2 included. Rounding
+errors in D0 scale with the energy of the frame, not with D0, which
+cancels to rounding level for a frame that says nothing about the taps
+(a constant frame, say), so D0's tolerances are relative to that energy.
+Over these ranges some sweeps refresh their step map at every step and
+others keep it once their carry repeats, so both are checked. Two
+properties hold for one route: _sweep projects any columns, a block or
+one column without a trailing axis, and its rank gate passes where a
+dense QR's |diag R| does (fast); the reference is positive and never
+lies above the frame bound (zp). On a fixed stack, each D0 function
+gives an empty stack an empty result and refuses taps and frames that
+do not match; helpers.assert_members_alone, the stack body, also runs
+on test_crb_blind's fixed stacks up to N = 100. Every route refuses an
+anchor that names no tap with one message.
 
 The usability rule (model._usable: every entry finite and one nonzero)
 is checked on every route over instances with M in 2..6 and N in 2..6,
@@ -39,6 +46,7 @@ same error, blocks that leave the float range at a sigma2 near the
 smallest normal. The suite's warning rule fails any case that warns.
 The examples are derandomized, so every run draws the same instances."""
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,12 +70,15 @@ from blindcrb import (
     make_precoder,
 )
 from blindcrb.crb_blind import _sweep, fast_information, zp_information
+from blindcrb.crb_core import RANK_RTOL
 from helpers import (
     EXPONENTS,
     NOISE_VARIANCES,
     SMALLEST_NORMAL,
+    assert_members_alone,
     assert_psd,
     build_channel_toeplitz,
+    channel_stack,
     crb_fast_dense,
     crb_zp_kron,
     frame_energy,
@@ -225,9 +236,7 @@ def test_channel_stack_member_equals_channel_alone(route, data, seed, C):
         np.stack([generate_symbols("qpsk", M, N, rng).sN for _ in frames])
         for _ in range(C - 1)
     ])
-    D0 = route.information(hs, stack, pre)
-    for h_c, f, member in zip(hs, stack, D0):
-        np.testing.assert_array_equal(member, route.information(h_c, f, pre))
+    assert_members_alone(route.information, pre, hs, stack)
 
 
 @over(D0_ROUTES)
@@ -278,26 +287,29 @@ def test_bound_matches_dense_oracle(route, data):
 @PROPERTY_SETTINGS
 @given(st.data(), NOISE_VARIANCES)
 def test_bound_is_sigma2_times_unit_bound(route, data, sigma2):
-    # The noise variance enters as one product, never as D0 / sigma2.
+    # The noise variance enters as one product, never as D0 / sigma2, also
+    # at the smallest normal sigma2.
     pre, h, frames = data.draw(instances(route))
     d = default_anchor(h)
     unit = bound_or_reject(route, h, frames[0], pre, d)
-    at = route.bound(h, frames[0], pre, d, sigma2)
-    assert at.C.tobytes() == (sigma2 * unit.C).tobytes()
-    assert at.trace.hex() == (sigma2 * unit.trace).hex()
+    for s2 in (sigma2, SMALLEST_NORMAL):
+        at = route.bound(h, frames[0], pre, d, s2)
+        assert at.C.tobytes() == (s2 * unit.C).tobytes()
+        assert at.trace.hex() == (s2 * unit.trace).hex()
 
 
 @st.composite
 def column_blocks(draw):
     """(config, precoder, taps, cols) of a stack of 1 to 4 channels, each
-    with its own block of 1 to 2L+2 random columns aligned with K's rows."""
+    with its own block of 1 to 2L+2 random columns aligned with K's rows,
+    or one column without a trailing axis."""
     config, pre, rng = draw(systems(FAST))
     L = config.L
     width = draw(st.integers(1, 2 * L + 2))
     C = draw(st.integers(1, 4))
     hs = np.stack([random_unit_channel(L, rng) for _ in range(C)])
-    cols = random_matrix(C * (config.N * config.P - L), width, rng)
-    return config, pre, hs, cols.reshape(C, -1, width)
+    cols = random_matrix(C * (config.N * config.P - L), width, rng).reshape(C, -1, width)
+    return config, pre, hs, cols[..., 0] if draw(st.booleans()) else cols
 
 
 @PROPERTY_SETTINGS
@@ -305,17 +317,21 @@ def column_blocks(draw):
 def test_sweep_projects_any_columns(blocks):
     # On columns that are not stream windows, each member's coordinates
     # have the Gram C^H (I - Q Q^H) C of a dense QR of its K, and are the
-    # bytes of its sweep alone.
+    # bytes of its sweep alone; its rank gate passes where the dense QR's
+    # |diag R| does.
     config, pre, hs, cols = blocks
     P, L = pre.F.shape[0], hs.shape[1] - 1
     B = np.stack([build_channel_toeplitz(h, P + L, P) @ pre.F for h in hs])
     coords, low, high = _sweep(B, cols)
-    assert coords.shape == (len(hs), (config.N - 1) * L, cols.shape[2])
+    assert coords.shape == (len(hs), (config.N - 1) * L) + cols.shape[2:]
     for h, B_c, C, X, low_c, high_c in zip(hs, B, cols, coords, low, high):
         alone = _sweep(B_c[None], C[None])
         np.testing.assert_array_equal(X, alone[0][0])
         assert (low_c, high_c) == (alone[1][0], alone[2][0])
-        Q = np.linalg.qr(build_K(config, pre, h)[0])[0]
+        Q, R = np.linalg.qr(build_K(config, pre, h)[0])
+        diag = np.abs(np.diagonal(R))
+        assert (low_c > RANK_RTOL * high_c) == (diag.min() > RANK_RTOL * diag.max())
+        C, X = C.reshape(len(C), -1), X.reshape(len(X), -1)
         projected = C.conj().T @ (C - Q @ (Q.conj().T @ C))
         np.testing.assert_allclose(
             X.conj().T @ X, projected, rtol=0, atol=1e-10 * np.linalg.norm(C) ** 2
@@ -329,8 +345,42 @@ def test_reference_never_above_frame_bound(instance):
     pre, h, frames = instance
     d = default_anchor(h)
     frame = bound_or_reject(FAST, h, frames[0], pre, d, refused=NumericalError).C
-    full = crb_zp_per_block(h, frames[0], pre, d, 1.0).C
-    assert_psd(frame - full, scale_tol=1e-10, msg="reference exceeded the frame bound")
+    full = crb_zp_per_block(h, frames[0], pre, d, 1.0)
+    assert_psd(frame - full.C, scale_tol=1e-10, msg="reference exceeded the frame bound")
+    assert full.trace > 0
+
+
+@over(D0_ROUTES)
+def test_empty_stack_gives_empty_result(route):
+    # _channel_stack hands the frames back as (C, T, N, M) blocks; with no
+    # channel, N is read off the frame length, not inferred.
+    pre, hs, frames = channel_stack("zp", "identity", 8)
+    assert route.information(hs[:0], frames[:0], pre).shape == (0, 3, 3, 3)
+
+
+@over(D0_ROUTES)
+def test_rejects_mismatched_stacks(route):
+    pre, hs, frames = channel_stack("zp", "identity", 8)
+    for taps, f, message in (
+        (hs, frames[:3], "frames"),  # three channels' frames for four channels
+        (hs, frames[0], "frames"),  # one channel's frames for a stack
+        (hs[None], frames[None], "taps"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            route.information(taps, f, pre)
+    for taps in (np.ones(()), hs[0, :1], hs[:, :1]):  # a scalar, or one tap
+        message = f"need (L+1,) taps or a (C, L+1) stack of them, L >= 1, got shape {taps.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route.information(taps, frames, pre)
+
+
+@over(ROUTES)
+def test_anchor_out_of_range_refused(route):
+    # An anchor names one of the L + 1 = 3 taps, and no bool does.
+    pre, hs, frames = channel_stack("zp", "identity", 3)
+    for d in (-1, 3, 1.5, True, False):
+        with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+            route.bound(hs[0], frames[0, 0], pre, d, 1.0)
 
 
 BAD = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
