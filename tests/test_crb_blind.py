@@ -7,16 +7,15 @@ Fisher matrix with the anchor row/column deleted and (b) an elementwise
 reconstruction of the reduced information from explicit selection and
 shift matrices.
 
-Each bound-stage check has one home. What the routes share is one body
-of the route table in test_route_properties.py: D0's structure, the
-bound against its dense oracle, sigma2 as one product, the usability and
-anchor rules, empty and mismatched stacks, the sweep on any columns and
-the reference below the frame bound. The Fisher information's Hermitian
-PSD structure and the left null basis's size and orthonormality are
-acceptance criteria 3 and 4 (test_acceptance.py), and the noise-variance
-rule is one table in test_model.py. Here are each route's oracles on
-fixed instances, the sweep's steady state, rank gate and memory, the
-stacked inversion, and the fixed inputs of the channel-stack body."""
+What the routes share is also one body of the route table in
+test_route_properties.py, over drawn instances: D0's structure, the bound
+against its dense oracle, sigma2 as one product, the usability and anchor
+rules, empty and mismatched stacks, the sweep on any columns and the
+reference below the frame bound. The noise-variance rule is one table in
+test_model.py. Here are each route's oracles on fixed instances, the
+Fisher blocks' structure and the left null basis's size on fixed frames,
+the sweep's steady state, rank gate and memory, the stacked inversion,
+and the fixed inputs of the channel-stack body."""
 
 import re
 from dataclasses import replace
@@ -45,8 +44,16 @@ from blindcrb import (
     subspace_estimate,
     synthesize_observation,
 )
-from blindcrb.crb_blind import COND_LIMIT, _invert_reduced, fast_information, zp_information
+from blindcrb.crb_blind import (
+    COND_LIMIT,
+    _invert_reduced,
+    _sweep,
+    fast_information,
+    zp_information,
+)
+from blindcrb.crb_core import RANK_RTOL
 from helpers import (
+    SMALLEST_NORMAL,
     assembled_fim,
     assert_members_alone,
     assert_psd,
@@ -92,6 +99,17 @@ class TestFimBlocks:
         np.testing.assert_allclose(
             blocks.J11, K.conj().T @ K / cfg.sigma2, atol=1e-14
         )
+
+    def test_hermitian_and_psd(self):
+        rng = np.random.default_rng(21)
+        for trial in range(10):
+            kind = ("cp", "zp")[trial % 2]
+            cfg, pre, h, s = random_instance(rng, redundancy_kind=kind)
+            blocks, _ = make_blocks(cfg, pre, h, s)
+            J = assembled_fim(blocks)
+            scale = np.linalg.norm(J)
+            assert np.linalg.norm(J - J.conj().T) <= 1e-12 * scale
+            assert_psd(J, scale_tol=1e-10, msg="Fisher information not PSD")
 
     def test_annihilates_scalar_ambiguity_direction(self):
         rng = np.random.default_rng(22)
@@ -191,6 +209,18 @@ class TestCrbDirect:
 
 
 class TestLeftNullBasis:
+    def test_dimension_matches_frame_model(self):
+        cfg = SystemConfig(M=12, L=4, N=8)
+        pre = make_precoder(cfg)
+        h = random_unit_channel(4, np.random.default_rng(29))
+        K, _ = build_K(cfg, pre, h)
+        basis = left_null_basis(K, cfg.L)
+        assert basis.utilde.shape == (124, 28)  # (N-1)L columns
+        assert np.linalg.norm(K.conj().T @ basis.utilde) <= 1e-9
+        np.testing.assert_allclose(
+            basis.utilde.conj().T @ basis.utilde, np.eye(28), atol=1e-12
+        )
+
     def test_padding_rows_are_exact_zeros(self):
         rng = np.random.default_rng(30)
         cfg, pre, h, _ = random_instance(rng, M=5, L=2, N=3)
@@ -276,6 +306,14 @@ class TestCrbFast:
         np.testing.assert_allclose(
             fast.C, C_oracle, atol=1e-9 * np.linalg.norm(C_oracle)
         )
+
+    def test_noise_scaling(self):
+        rng = np.random.default_rng(39)
+        cfg, pre, h, s = random_instance(rng)
+        d = default_anchor(h)
+        c1 = crb_fast(h, s, pre, d, 0.3, cfg.N)
+        c3 = crb_fast(h, s, pre, d, 0.9, cfg.N)
+        np.testing.assert_allclose(c3.C, 3 * c1.C, atol=1e-11 * np.linalg.norm(c3.C))
 
     def test_rejects_mismatched_inputs(self):
         rng = np.random.default_rng(40)
@@ -381,6 +419,42 @@ class TestCrbFastSweep:
         assert len(calls) == N
         rel = np.linalg.norm(fast - dense) / np.linalg.norm(dense)
         assert rel <= 1e-12, f"sweep and dense QR differ ({rel:.2e})"
+
+    @pytest.mark.parametrize("settles", [True, False])
+    def test_engine_carries_any_columns(self, monkeypatch, settles):
+        # _sweep on columns that are not stream windows: a random block
+        # and a received frame, whose one column is fewer than L. The Gram
+        # of the coordinates it returns is the dense-QR projection
+        # C^H (I - K pinv(K)) C, on a channel whose carry settles within
+        # the frame and on the one of test_carry_that_never_settles_keeps_qr_steps.
+        M, L, N = 8, 2, 60
+        P = M + L
+        cfg = SystemConfig(M=M, L=L, N=N)
+        pre = make_precoder(cfg)
+        rng = np.random.default_rng(51)
+        zero = 0.9 if settles else np.exp(2j * np.pi / M) * (1 + 1e-3)
+        h = np.poly([zero, 0.5 + 0.3j])
+        B = build_channel_toeplitz(h, P + L, P) @ pre.F
+        Q = np.linalg.qr(build_K(cfg, pre, h)[0])[0]
+        block = rng.standard_normal((N * P - L, 3)) + 1j * rng.standard_normal((N * P - L, 3))
+        y = synthesize_observation(pre, h, generate_symbols("qpsk", M, N, rng).sN, 0.1, rng)
+        for cols in (block, y):
+            calls = count_qr(monkeypatch)
+            (coords,), (low,), (high,) = _sweep(B[None], cols[None])
+            assert low > RANK_RTOL * high
+            assert (len(calls) < N) == settles
+            assert coords.shape == ((N - 1) * L,) + cols.shape[1:]
+            C = cols.reshape(len(cols), -1)
+            X = coords.reshape(len(coords), -1)
+            projected = C.conj().T @ (C - Q @ (Q.conj().T @ C))
+            np.testing.assert_allclose(
+                X.conj().T @ X, projected, rtol=0, atol=1e-10 * np.linalg.norm(C) ** 2
+            )
+        # A zero on the DFT grid makes K rank-deficient under CP.
+        h = np.poly([np.exp(2j * np.pi / M), 0.5 + 0.3j])
+        B = build_channel_toeplitz(h, P + L, P) @ pre.F
+        _, (low,), (high,) = _sweep(B[None], block[None])
+        assert low <= RANK_RTOL * high
 
     @pytest.mark.parametrize("N", [60, 200])
     @pytest.mark.parametrize("inner", ["identity", "idft"])
@@ -631,6 +705,20 @@ class TestZpPerBlock:
             rng, M=M, L=L, N=N, redundancy_kind="zp", inner_kind=inner
         )
 
+    def test_never_above_frame_bound(self):
+        rng = np.random.default_rng(41)
+        for inner in ("identity", "idft"):
+            cfg, pre, h, s = self.make_zp(rng, inner=inner)
+            d = default_anchor(h)
+            frame = crb_fast(h, s, pre, d, cfg.sigma2, cfg.N)
+            full = crb_zp_per_block(h, s, pre, d, cfg.sigma2)
+            assert_psd(
+                frame.C - full.C,
+                scale_tol=1e-10,
+                msg="per-block reference exceeded the frame bound",
+            )
+            assert full.trace > 0
+
     def test_margin_positive_and_shrinks_with_more_blocks(self):
         rng = np.random.default_rng(42)
         margins = []
@@ -645,6 +733,26 @@ class TestZpPerBlock:
             margins.append(10 * np.log10(frame.trace / full.trace))
         assert all(m > 0 for m in margins)
         assert margins[2] < margins[0]
+
+    def test_matches_direct_blocks_built_from_padded_model(self):
+        # independent construction: simulate the per-block model as one
+        # big linear map and push it through the generic machinery
+        rng = np.random.default_rng(43)
+        cfg, pre, h, s = self.make_zp(rng, M=4, L=2, N=3)
+        d = default_anchor(h)
+        full = crb_zp_per_block(h, s, pre, d, cfg.sigma2)
+
+        T = build_channel_toeplitz(h, cfg.P, cfg.M)
+        K = np.kron(np.eye(cfg.N), T @ pre.Ftilde)
+        K_list = [
+            np.kron(np.eye(cfg.N), np.eye(cfg.P, cfg.M, k=-l) @ pre.Ftilde)
+            for l in range(cfg.L + 1)
+        ]
+        blocks = fim_blocks(K, K_list, s, cfg.sigma2)
+        J = assembled_fim(blocks)
+        Jd = np.delete(np.delete(J, d, axis=0), d, axis=1)
+        C_full = np.linalg.inv(Jd)[: cfg.L, : cfg.L]
+        np.testing.assert_allclose(full.C, C_full, atol=1e-9 * np.linalg.norm(C_full))
 
     def test_matches_kron_oracle_long_frame(self):
         rng = np.random.default_rng(51)
@@ -724,6 +832,14 @@ class TestZpPerBlock:
                 crb_zp_per_block(taps, s, pre, 0, cfg.sigma2)
             with pytest.raises(ValueError, match="inconsistent with precoder shape"):
                 zp_information(np.stack([taps] * 2), np.stack([s[None]] * 2), pre)
+
+    def test_accepts_smallest_normal_sigma2(self):
+        rng = np.random.default_rng(46)
+        cfg, pre, h, s = self.make_zp(rng)
+        unit = crb_zp_per_block(h, s, pre, 0, 1.0)
+        at = crb_zp_per_block(h, s, pre, 0, SMALLEST_NORMAL)
+        assert np.array_equal(at.C, SMALLEST_NORMAL * unit.C)
+        assert at.trace == SMALLEST_NORMAL * unit.trace
 
 
 class TestPrecoderInsensitivity:
