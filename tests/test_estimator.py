@@ -280,9 +280,12 @@ class TestStacks:
 
 
 # Largest distance between the border route's unit-norm estimate and the
-# eigh route's, after phase alignment: 2.6e-12 measured over 20 channels x
-# 7 noise levels of each fixed border configuration, and 5.7e-11 over 786 draws of
-# `cases` at M=12, L=4 (custom precoders at noise variance 1 are the worst).
+# eigh route's, after phase alignment, on the fixed M=12, L=4 border frames:
+# 2.6e-12 measured over 20 channels x 7 noise levels of each. The eigh's
+# error grows as cond(Z)^2 (it reached 5.7e-11 over 786 draws of `cases`
+# at M=12, L=4, custom precoders at noise variance 1 the worst), so drawn
+# cases are held to their complete-QR oracle instead, whose error grows as
+# cond(Z).
 BORDER_TOL = 1e-10
 # The border basis against complement_complete_qr's, which differs from
 # it only in rounding: over 600 border draws without custom inner precoders
@@ -315,9 +318,6 @@ def agrees_with_complete_qr(case, H):
     usable = np.any(Y != 0, axis=-1)
     assert np.isnan(ref[~usable]).all()
     assert aligned_distance(H[usable], ref[usable]) <= COMPLETE_QR_TOL
-    if (M, L) == (12, 4):
-        eigh = subspace_estimate_eigh(Y[usable], case.pre, case.settings)
-        assert aligned_distance(H[usable], eigh) < BORDER_TOL
 
 
 def agrees_with_eigh(case, H):
@@ -494,7 +494,10 @@ class TestBorderRoute:
     @pytest.mark.parametrize("kind", ["cp", "zp"])
     def test_qr_route_agrees_with_eigh_route(self, kind, inner, N, w):
         case = fixed_case(kind, inner, N, w, 7)
-        ROWS["border"](case, case.estimate(case.Y))
+        H = case.estimate(case.Y)
+        ROWS["border"](case, H)
+        eigh = subspace_estimate_eigh(case.Y, case.pre, case.settings)
+        assert aligned_distance(H, eigh) < BORDER_TOL
 
     @pytest.mark.parametrize("N,w", [(8, 2), (24, 2), (26, 2), (40, 3), (100, 2)])
     @pytest.mark.parametrize("inner", ["identity", "idft"])

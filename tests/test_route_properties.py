@@ -21,15 +21,18 @@ errors in D0 scale with the energy of the frame, not with D0, which
 cancels to rounding level for a frame that says nothing about the taps
 (a constant frame, say), so D0's tolerances are relative to that energy.
 Over these ranges some sweeps refresh their step map at every step and
-others keep it once their carry repeats, so both are checked. Two
+others keep it once their carry repeats, so both are checked. Some
 properties hold for one route: _sweep projects any columns, a block or
 one column without a trailing axis, and its rank gate passes where a
 dense QR's |diag R| does (fast); the reference is positive and never
-lies above the frame bound (zp). On a fixed stack, each D0 function
-gives an empty stack an empty result and refuses taps and frames that
-do not match; helpers.assert_members_alone, the stack body, also runs
-on test_crb_blind's fixed stacks up to N = 100. Every route refuses an
-anchor that names no tap with one message.
+lies above the frame bound, and the frame's D0 is, within 1e-13 of its
+largest entry, the reference's D0 of the frame's last N - 1 blocks (zp),
+also on a fixed zp/IDFT frame of N = 400 blocks, past the draws. On a
+fixed stack, each D0 function gives an empty stack an empty result and
+refuses taps and frames that do not match; helpers.assert_members_alone,
+the stack body, also runs on test_crb_blind's fixed stacks up to
+N = 100. Every route refuses an anchor that names no tap with one
+message.
 
 The usability rule (model._usable: every entry finite and one nonzero)
 is checked on every route over instances with M in 2..6 and N in 2..6,
@@ -348,6 +351,35 @@ def test_reference_never_above_frame_bound(instance):
     full = crb_zp_per_block(h, frames[0], pre, d, 1.0)
     assert_psd(frame - full.C, scale_tol=1e-10, msg="reference exceeded the frame bound")
     assert full.trace > 0
+
+
+def assert_frame_bound_is_bound_of_last_blocks(pre, h, frames):
+    # Under zero padding, F = [Ftilde; 0], K = blockdiag(A[L:], A, ..., A)
+    # with A = T(h) Ftilde (P x M). A[L:] is square, so while h_L != 0
+    # block 0 adds no left-null direction, and the frame's D0 is the
+    # reference's D0 of its last N - 1 blocks.
+    M = pre.F.shape[1]
+    try:
+        D0 = fast_information(h, frames, pre)
+        last = zp_information(h, frames[:, M:], pre)
+    except NumericalError:
+        reject()
+    assert np.all(np.abs(D0 - last) <= 1e-13 * np.abs(D0).max())
+
+
+@PROPERTY_SETTINGS
+@given(instances(ZP))
+def test_frame_bound_is_bound_of_last_blocks(instance):
+    assert_frame_bound_is_bound_of_last_blocks(*instance)
+
+
+def test_frame_bound_is_bound_of_last_blocks_at_N400():
+    # past the dense oracles' N = 60
+    pre = make_precoder(SystemConfig(M=12, L=4, N=400, redundancy_kind="zp", inner_kind="idft"))
+    rng = np.random.default_rng(0)
+    h = random_unit_channel(4, rng)
+    frames = np.array([generate_symbols("qpsk", 12, 400, rng).sN for _ in range(2)])
+    assert_frame_bound_is_bound_of_last_blocks(pre, h, frames)
 
 
 @over(D0_ROUTES)
