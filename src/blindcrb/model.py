@@ -74,13 +74,15 @@ def _bools(value) -> list:
 
 def _require_positive_sigma2(sigma2: float):
     """The package's one test of a noise variance that scales a bound:
-    raise ValueError unless sigma2 is one normal, positive, finite number
-    (a Python or numpy scalar, or a 0-d array). A bool is not a noise
-    variance, nor is a list or an array of them, and a subnormal one
-    would leave the bounds it scales short of bits or out of range."""
+    raise ValueError unless sigma2 is one normal, positive, finite real
+    number (a Python or numpy integer or float, or a 0-d array of one). A
+    bool, complex number, string or None is not a noise variance, nor is
+    a list or an array of them, and a subnormal one would leave the
+    bounds it scales short of bits or out of range."""
     if np.ndim(sigma2) != 0:
         raise ValueError(f"sigma2 must be a single number, got {sigma2}")
-    if _bools(sigma2) or not np.finfo(float).smallest_normal <= sigma2 < math.inf:
+    real = np.asarray(sigma2).dtype.kind in "iuf"
+    if not real or not np.finfo(float).smallest_normal <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be a normal positive finite number, got {sigma2}")
 
 
@@ -377,15 +379,17 @@ def synthesize_observation(
     array, returns one row per variance, (len(sigma2), NP - L): every row
     scales the same unit noise, so row r is the frame that variance r
     alone gives from the same rng, and a row of variance 0 is the
-    noiseless frame. Variances must be nonnegative and finite numbers, not
-    bools (see _bools).
+    noiseless frame. Variances must be nonnegative and finite real
+    numbers: not bools (see _bools), complex numbers or strings, which are
+    refused before the cast to float would drop an imaginary part.
     """
-    variances = np.asarray(sigma2, dtype=np.float64)
-    in_range = np.all((0 <= variances) & (variances < math.inf))
-    if _bools(sigma2) or variances.ndim > 1 or not in_range:
+    variances = np.asarray(sigma2)
+    real = variances.dtype.kind in "iuf" and not _bools(sigma2)
+    if not real or variances.ndim > 1 or not np.all((0 <= variances) & (variances < math.inf)):
         raise ValueError(
             f"noise variance must be nonnegative and finite, got {sigma2}"
         )
+    variances = variances.astype(np.float64)
     P, M = precoder.F.shape
     L = P - M
     h = np.asarray(h, dtype=np.complex128)

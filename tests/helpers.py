@@ -1,16 +1,15 @@
 """Shared builders for randomized test instances, the explicit
-selection-matrix oracles that the model's per-tap factors are checked
-against, the banded Toeplitz matrix T(h) that is the independent oracle
-for the blocks T(h) F and T(h) Ftilde, the dense routes and bases that the
-banded bounds are checked against, the estimator's covariance-eigh route
-and complete-QR border basis that its border route is checked against,
-the estimator's penalty on a given noise basis, a fixed stack of
-channels and the check that a D0 function gives each of them its bytes
-alone, the peak memory of a call, a count of QR calls, a one-point run
-of an experiment plan, the frame-by-frame run that the stacked harness
-is checked against, the powers of two the taps are scaled by in the
-bound routes' scale tests, and the noise variances at the lower edge of
-the normal floats that every sigma2 check is held to."""
+selection-matrix oracles that the model's per-tap factors, their tap sums
+T(h) F and T(h) Ftilde, and K_l are checked against, the dense routes and
+bases that the banded bounds are checked against, the estimator's
+covariance-eigh route and complete-QR border basis that its border route
+is checked against, the estimator's penalty on a given noise basis, a
+fixed stack of channels and the check that a D0 function gives each of
+them its bytes alone, the peak memory of a call, a count of QR calls, a
+one-point run of an experiment plan, the frame-by-frame run that the
+stacked harness is checked against, the powers of two the taps are
+scaled by in the bound routes' scale tests, and the noise variances at
+the lower edge of the normal floats that every sigma2 check is held to."""
 
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -338,31 +337,17 @@ def build_selection_matrices(N, P, L):
     return G, J
 
 
-def build_channel_toeplitz(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Build the tall banded Toeplitz convolution matrix of the taps h.
-
-    For taps of order L = len(h) - 1, rows must equal cols + L; entry
-    (i, j) = h[i - j] for 0 <= i - j <= L, so applying it to a length-cols
-    sequence yields the full convolution.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 1 or h.size < 1:
-        raise ValueError("taps must form a nonempty 1-D array")
-    L = h.size - 1
-    if rows - cols != L:
-        raise ValueError(
-            f"shape {rows}x{cols} inconsistent with channel order {L}"
-        )
-    T = np.zeros((rows, cols), dtype=np.complex128)
-    idx = np.arange(cols)
-    for l in range(L + 1):
-        T[idx + l, idx] = h[l]
-    return T
-
-
 def block_diag_precoder(F, N):
     """The frame-level precoder I_N kron F mapping s_N to x_N."""
     return np.kron(np.eye(N), F)
+
+
+def selection_product(h, F, N=1):
+    """(sum_l h_l J_l)(I_N kron F) for the taps h, with the J_l of
+    build_selection_matrices: the full convolution of h with the precoded
+    stream as a matrix, which is T(h) F for one block (N = 1)."""
+    _, J = build_selection_matrices(N, F.shape[0], len(h) - 1)
+    return sum(hl * Jl for hl, Jl in zip(h, J)) @ block_diag_precoder(F, N)
 
 
 def crb_fast_dense(h, sN, precoder, d, sigma2, N):
@@ -392,7 +377,7 @@ def crb_zp_kron(h, sN, Ftilde, d, sigma2, M, L, N):
     on the full NP x NM block-diagonal model I_N kron T(h) Ftilde."""
     P = M + L
     eye_N = np.eye(N)
-    K = np.kron(eye_N, build_channel_toeplitz(h, P, M) @ Ftilde)
+    K = np.kron(eye_N, selection_product(h, Ftilde))
     K_list = [np.kron(eye_N, np.eye(P, M, k=-l) @ Ftilde) for l in range(L + 1)]
     return crb_direct(fim_blocks(K, K_list, sN, sigma2), d).C
 

@@ -58,7 +58,6 @@ from helpers import (
     assert_members_alone,
     assert_psd,
     block_diag_precoder,
-    build_channel_toeplitz,
     build_selection_matrices,
     channel_stack,
     count_qr,
@@ -67,6 +66,7 @@ from helpers import (
     left_null_basis,
     random_instance,
     random_unit_channel,
+    selection_product,
     traced_peak,
 )
 
@@ -434,7 +434,7 @@ class TestCrbFastSweep:
         rng = np.random.default_rng(51)
         zero = 0.9 if settles else np.exp(2j * np.pi / M) * (1 + 1e-3)
         h = np.poly([zero, 0.5 + 0.3j])
-        B = build_channel_toeplitz(h, P + L, P) @ pre.F
+        B = selection_product(h, pre.F)
         Q = np.linalg.qr(build_K(cfg, pre, h)[0])[0]
         block = rng.standard_normal((N * P - L, 3)) + 1j * rng.standard_normal((N * P - L, 3))
         y = synthesize_observation(pre, h, generate_symbols("qpsk", M, N, rng).sN, 0.1, rng)
@@ -452,7 +452,7 @@ class TestCrbFastSweep:
             )
         # A zero on the DFT grid makes K rank-deficient under CP.
         h = np.poly([np.exp(2j * np.pi / M), 0.5 + 0.3j])
-        B = build_channel_toeplitz(h, P + L, P) @ pre.F
+        B = selection_product(h, pre.F)
         _, (low,), (high,) = _sweep(B[None], block[None])
         assert low <= RANK_RTOL * high
 
@@ -742,8 +742,7 @@ class TestZpPerBlock:
         d = default_anchor(h)
         full = crb_zp_per_block(h, s, pre, d, cfg.sigma2)
 
-        T = build_channel_toeplitz(h, cfg.P, cfg.M)
-        K = np.kron(np.eye(cfg.N), T @ pre.Ftilde)
+        K = np.kron(np.eye(cfg.N), selection_product(h, pre.Ftilde))
         K_list = [
             np.kron(np.eye(cfg.N), np.eye(cfg.P, cfg.M, k=-l) @ pre.Ftilde)
             for l in range(cfg.L + 1)
@@ -773,9 +772,9 @@ class TestZpPerBlock:
     def test_j11_gate_switches_with_cond_of_j11(self, eps):
         # The gate reads cond(J11) = cond(R)^2 off the QR of A = T(h) Ftilde.
         # Its decisions must be the rule cond(A^H A) >= COND_LIMIT, taken
-        # here from the Toeplitz oracle, over 20 channels and one NaN-tap
-        # member; cond(J11) grows as 1/eps^2 and crosses the limit between
-        # eps = 1e-6 and 1e-5.
+        # here from the selection-matrix oracle, over 20 channels and one
+        # NaN-tap member; cond(J11) grows as 1/eps^2 and crosses the limit
+        # between eps = 1e-6 and 1e-5.
         M, L = 12, 4
         rng = np.random.default_rng(53)
         hs = np.array(
@@ -787,7 +786,7 @@ class TestZpPerBlock:
         failed = np.isnan(zp_information(hs, frames, pre)).all(axis=(1, 2, 3))
         rule = []
         for h in hs[:-1]:
-            A = build_channel_toeplitz(h, M + L, M) @ Ftilde
+            A = selection_product(h, Ftilde)
             rule.append(np.linalg.cond(A.conj().T @ A) >= COND_LIMIT)
         assert failed.tolist() == rule + [True]
         assert rule == [eps <= 1e-6] * 20

@@ -1,58 +1,190 @@
 """Model-layer tests: structured matrix builders, symbol/observation
 synthesis, the Wirtinger log-likelihood gradients, and the one
-noise-variance rule, model._require_positive_sigma2, as one table: each
-entry point that applies it (SystemConfig, fim_blocks, crb_fast,
-crb_zp_per_block, loglik_gradients) refuses every value of one list with
-the rule's message and takes every value of another as float(sigma2).
+noise-variance rule.
 
-The independent oracles here are plain time-domain convolution
-(np.convolve on the padded block stream) and central finite differences
+The model's constructions are the rows of one table, ROWS, each with one
+oracle: the per-tap factors J_l (I_N kron F), their tap sums under F and
+Ftilde (T(h) F and T(h) Ftilde for one block) and build_K's K_l meet the
+selection-matrix product of helpers.build_selection_matrices and
+block_diag_precoder; build_K's K s, the noiseless frame and the rows at a
+grid of noise variances meet np.convolve of the taps with the precoded
+stream. One body per property runs on every row it applies to. Each test
+of the construction classes calls a body on its fixed instance; one test
+per body also runs it on SWEEP, one seeded draw per cp/zp/custom
+redundancy x identity/IDFT/custom inner precoder x N in {1, 2, 3, 25}.
+
+SystemConfig, fim_blocks, crb_fast, crb_zp_per_block and
+loglik_gradients, the entry points of model._require_positive_sigma2,
+refuse every value of one list with its message and take every value of
+another as float(sigma2). The gradients meet central finite differences
 of a locally defined log-likelihood."""
 
+import itertools
 import re
+from collections import namedtuple
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from blindcrb import (
-    Channel,
-    SystemConfig,
-    build_inner_precoder,
-    build_K,
-    build_redundancy,
-    crb_fast,
-    crb_zp_per_block,
-    fim_blocks,
-    generate_symbols,
-    loglik_gradients,
-    make_precoder,
+    Channel, Precoder, SystemConfig, build_inner_precoder, build_K, build_redundancy, crb_fast,
+    crb_zp_per_block, fim_blocks, generate_symbols, loglik_gradients, make_precoder,
     synthesize_observation,
 )
 from blindcrb.model import _tap_factors, _tap_sum, _usable, draw_noise
 from helpers import (
-    SMALLEST_NORMAL,
-    SUBNORMAL_SIGMA2,
-    block_diag_precoder,
-    build_channel_toeplitz,
-    build_selection_matrices,
-    random_instance,
-    random_unit_channel,
+    SMALLEST_NORMAL, SUBNORMAL_SIGMA2, block_diag_precoder, build_selection_matrices,
+    random_instance, random_unit_channel, selection_product,
 )
 
-
-def conv_stream(F, sN, N):
-    """Transmitted sample stream x_N = (I_N kron F) s_N via block reshape."""
-    M = F.shape[1]
-    return (sN.reshape(N, M) @ F.T).ravel()
+GRID = (0.0, 1e-3, 0.25, 7.0)
 
 
-def conv_observe(F, h, sN, N):
-    """Oracle: full convolution of the stream, first L samples dropped,
-    trailing L-sample tail dropped."""
-    L = len(h) - 1
-    NP = N * F.shape[0]
-    return np.convolve(conv_stream(F, sN, N), h)[L:NP]
+def model(pre, h, s, grid=GRID):
+    """An instance: a precoder, one channel's (L+1,) taps or a (C, L+1)
+    stack, a frame s of N blocks and the grid row's noise variances. L is
+    read off the taps, so F may be any P x M block with L < P; config
+    holds the dimensions build_K reads, at any N >= 1."""
+    h, (P, M) = np.asarray(h), pre.F.shape
+    L, N = h.shape[-1] - 1, len(s) // M
+    return SimpleNamespace(
+        pre=pre, h=h, s=s, grid=grid, L=L, N=N, config=SimpleNamespace(L=L, N=N, P=P)
+    )
+
+
+def seeded():
+    """The generator each noise draw of the grid row starts from."""
+    return np.random.default_rng(np.random.SeedSequence([3, 2, 1, 0]))
+
+
+def shifted(m):
+    """The selector G and the [J_l (I_N kron F)] of the instance m."""
+    G, J = build_selection_matrices(m.N, m.pre.F.shape[0], m.L)
+    return G, [Jl @ block_diag_precoder(m.pre.F, m.N) for Jl in J]
+
+
+def convolution(m):
+    """The convolution of the taps with the precoded stream (I_N kron F) s_N,
+    less its first L samples and its L-sample tail."""
+    x = (m.s.reshape(m.N, -1) @ m.pre.F.T).ravel()
+    return np.convolve(x, m.h)[m.L: m.N * m.pre.F.shape[0]]
+
+
+# A construction of the model: build(m) is what the package makes of the
+# instance m, oracle(m) what it must equal within atol plus rtol times the
+# oracle's largest entry; linear: it scales with the taps; stacks: it
+# takes a (C, L+1) stack of taps; views: it is the L+1 per-tap factors.
+Row = namedtuple("Row", "name build oracle atol rtol linear stacks views", defaults=(False,) * 3)
+FACTORS = Row("J_l (I_N kron F)", lambda m: _tap_factors(m.pre.F, m.L, m.N),
+              lambda m: shifted(m)[1], 0.0, 0.0, views=True)
+TAP_SUM_F = Row("T(h) F", lambda m: _tap_sum(m.h, _tap_factors(m.pre.F, m.L, m.N)),
+                lambda m: selection_product(m.h, m.pre.F, m.N), 0.0, 1e-15, True, True)
+TAP_SUM_FTILDE = Row("T(h) Ftilde", lambda m: _tap_sum(m.h, _tap_factors(m.pre.Ftilde, m.L, m.N)),
+                     lambda m: selection_product(m.h, m.pre.Ftilde, m.N), 0.0, 1e-15, True, True)
+K_S = Row("K s", lambda m: build_K(m.config, m.pre, m.h)[0] @ m.s, convolution, 1e-13, 0.0, True)
+K_L = Row("K_l", lambda m: build_K(m.config, m.pre, m.h)[1],
+          lambda m: [shifted(m)[0] @ JX for JX in shifted(m)[1]], 1e-12, 0.0, views=True)
+FRAME = Row("noiseless frame", lambda m: synthesize_observation(m.pre, m.h, m.s, 0.0, None),
+            convolution, 1e-13, 0.0, True)
+# the grid row's oracle adds sqrt(sigma2/2) times one unit noise draw
+GRID_ROWS = Row("grid rows", lambda m: synthesize_observation(
+    m.pre, m.h, m.s, np.array(m.grid), seeded()), lambda m: convolution(m) + np.multiply.outer(
+        np.sqrt(np.array(m.grid) / 2), draw_noise(len(convolution(m)), seeded())), 1e-13, 0.0)
+ROWS = [FACTORS, TAP_SUM_F, TAP_SUM_FTILDE, K_S, K_L, FRAME, GRID_ROWS]
+
+
+def check_oracle(rows, models):
+    """Each row's construction equals its oracle."""
+    for m, row in itertools.product(models, rows):
+        want = np.asarray(row.oracle(m))
+        atol = row.atol + row.rtol * np.abs(want).max()
+        np.testing.assert_allclose(row.build(m), want, rtol=0, atol=atol, err_msg=row.name)
+
+
+def check_linear(rows, models, c=2 - 1j):
+    """A row linear in the taps gives c times its construction at c h,
+    within 1e-12."""
+    for m, row in itertools.product(models, [row for row in rows if row.linear]):
+        got, want = row.build(model(m.pre, c * m.h, m.s)), c * row.build(m)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=row.name)
+
+
+def check_stack(rows, models):
+    """A row that takes a stack of taps gives each member the bytes of its
+    channel alone."""
+    for m, row in itertools.product(models, [row for row in rows if row.stacks]):
+        for h, member in zip(m.h, row.build(m)):
+            assert member.tobytes() == row.build(model(m.pre, h, m.s)).tobytes(), row.name
+
+
+def check_views(rows, models):
+    """A row of per-tap factors is L+1 read-only views of one array."""
+    for m, row in itertools.product(models, [row for row in rows if row.views]):
+        factors = row.build(m)
+        assert len(factors) == m.L + 1
+        for factor in factors:
+            assert np.shares_memory(factors[0], factor)
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 1
+
+
+def check_grid(models):
+    """The grid row's frames all scale one unit noise draw, which is all
+    it takes from the generator: the frame at each variance is, bit for
+    bit, the call at that variance alone from the same seed and the
+    noiseless frame plus sqrt(sigma2/2) times draw_noise of its size,
+    which it equals where the variance is 0."""
+    for m in models:
+        gen, ref = seeded(), seeded()
+        rows = synthesize_observation(m.pre, m.h, m.s, np.array(m.grid), gen)
+        clean = FRAME.build(m)
+        noise = draw_noise(clean.size, ref)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert rows.shape == (len(m.grid), clean.size)
+        for row, sigma2 in zip(rows, m.grid):
+            alone = synthesize_observation(m.pre, m.h, m.s, sigma2, seeded())
+            assert row.tobytes() == alone.tobytes()
+            assert row.tobytes() == (clean + np.sqrt(sigma2 / 2) * noise).tobytes()
+            assert np.array_equal(row, clean) == (sigma2 == 0)
+
+
+def complex_normal(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def sweep(rng):
+    """One instance per redundancy x inner precoder x N, with M in 2..6,
+    L in 1..min(3, M-1), unit-norm taps and a QPSK frame."""
+    kinds = itertools.product(["cp", "zp", "custom"], ["identity", "idft", "custom"])
+    for (kind, inner), N in itertools.product(kinds, [1, 2, 3, 25]):
+        M = int(rng.integers(2, 7))
+        L = int(rng.integers(1, min(3, M - 1) + 1))
+        # the precoder does not depend on N, which SystemConfig keeps >= 2
+        pre = make_precoder(SystemConfig(M=M, L=L, N=2, redundancy_kind=kind, inner_kind=inner,
+                                         custom_redundancy=complex_normal((M + L, M), rng),
+                                         custom_inner=complex_normal((M, M), rng)))
+        yield model(pre, random_unit_channel(L, rng), generate_symbols("qpsk", M, N, rng).sN)
+
+
+SWEEP = list(sweep(np.random.default_rng(43)))
+
+
+def plain(P):
+    """The identity as the precoder, whose factors are the J_l."""
+    return Precoder(Ftilde=np.eye(P), F=np.eye(P))
+
+
+def drawn(rng, grid=GRID, **kwargs):
+    """random_instance's precoder, taps and frame as an instance."""
+    return model(*random_instance(rng, **kwargs)[1:], grid)
+
+
+def precoder_of(kind, inner, M=5, L=2):
+    custom = np.random.default_rng(9).standard_normal((M + L, M)) if kind == "custom" else None
+    return make_precoder(SystemConfig(M=M, L=L, N=2, redundancy_kind=kind, inner_kind=inner,
+                                      custom_redundancy=custom))
 
 
 class TestRedundancy:
@@ -131,33 +263,12 @@ class TestInnerPrecoder:
 
 
 class TestChannelToeplitz:
-    # The tap sum of the N=1 factors of F = I is T(h) itself.
+    # The tap sum of the one-block factors of F = I is T(h) itself.
     def test_identity_channel_is_padded_eye(self):
-        h = np.array([1.0, 0.0, 0.0])
-        T = _tap_sum(h, _tap_factors(np.eye(5), 2, 1))
-        np.testing.assert_array_equal(T[:5], np.eye(5))
-        np.testing.assert_array_equal(T[5:], 0)
+        check_oracle([TAP_SUM_F], [model(plain(5), [1.0, 0.0, 0.0], np.ones(5))])
 
     def test_tall_two_tap_pattern(self):
-        h0, h1 = 0.8 - 0.1j, 0.3 + 0.5j
-        T = _tap_sum(np.array([h0, h1]), _tap_factors(np.eye(3), 1, 1))
-        expected = np.array(
-            [
-                [h0, 0, 0],
-                [h1, h0, 0],
-                [0, h1, h0],
-                [0, 0, h1],
-            ]
-        )
-        np.testing.assert_array_equal(T, expected)
-
-
-def precoder_of(kind, inner, M=5, L=2):
-    custom = np.random.default_rng(9).standard_normal((M + L, M)) if kind == "custom" else None
-    return make_precoder(
-        SystemConfig(M=M, L=L, N=2, redundancy_kind=kind, inner_kind=inner,
-                     custom_redundancy=custom)
-    )
+        check_oracle([TAP_SUM_F], [model(plain(3), [0.8 - 0.1j, 0.3 + 0.5j], np.ones(3))])
 
 
 class TestTapFactors:
@@ -165,126 +276,71 @@ class TestTapFactors:
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
     def test_factors_are_shifted_block_precoders(self, kind, inner, N):
-        pre = precoder_of(kind, inner)
-        P, M = pre.F.shape
-        L = P - M
-        _, J = build_selection_matrices(N, P, L)
-        X = block_diag_precoder(pre.F, N)
-        factors = _tap_factors(pre.F, L, N)
-        assert len(factors) == L + 1
-        for l, factor in enumerate(factors):
-            assert factor.shape == (N * P + L, N * M)
-            assert not factor.flags.writeable
-            np.testing.assert_array_equal(factor, J[l] @ X)
+        m = model(precoder_of(kind, inner), np.ones(3), np.ones(5 * N))
+        check_oracle([FACTORS], [m])
+        check_views([FACTORS], [m])
 
     def test_stacked_tap_sum_is_each_channel_alone(self):
-        pre = precoder_of("cp", "idft")
         rng = np.random.default_rng(10)
-        hs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        factors = _tap_factors(pre.F, 2, 3)
-        stacked = _tap_sum(hs, factors)
-        for h, member in zip(hs, stacked):
-            np.testing.assert_array_equal(member, _tap_sum(h, factors))
+        check_stack([TAP_SUM_F], [model(precoder_of("cp", "idft"), complex_normal((4, 3), rng),
+                                        np.ones(15))])
+        check_stack(ROWS, [model(m.pre, np.stack([m.h, m.h[::-1], 1j * m.h]), m.s) for m in SWEEP])
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
     def test_blocks_match_toeplitz_oracle(self, kind, inner):
         # B = T(h) F, the sweep's block, and A = T(h) Ftilde, the
-        # zero-padding block, from the N=1 factors.
-        pre = precoder_of(kind, inner)
-        P, M = pre.F.shape
-        L = P - M
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            h = random_unit_channel(L, rng)
-            for G, rows in ((pre.F, P), (pre.Ftilde, M)):
-                block = _tap_sum(h, _tap_factors(G, L, 1))
-                oracle = build_channel_toeplitz(h, rows + L, rows) @ G
-                np.testing.assert_allclose(
-                    block, oracle, rtol=0, atol=1e-15 * np.abs(oracle).max()
-                )
+        # zero-padding block, from the one-block factors.
+        pre, rng = precoder_of(kind, inner), np.random.default_rng(11)
+        models = [model(pre, random_unit_channel(2, rng), np.ones(5)) for _ in range(5)]
+        check_oracle([TAP_SUM_F, TAP_SUM_FTILDE], models)
 
 
 class TestSelectionMatrices:
+    # The selection-matrix oracle under F = I_P, whose factors are the J_l
+    # themselves and whose K_l are the J_l's rows L..NP-1.
     def test_j0_is_padded_identity(self):
-        G, J = build_selection_matrices(2, 3, 1)
-        np.testing.assert_array_equal(J[0][:6], np.eye(6))
-        np.testing.assert_array_equal(J[0][6:], 0)
+        check_oracle([FACTORS], [model(plain(3), [1.0, 0.0], np.ones(6))])
 
     def test_tap_sum_reproduces_toeplitz(self):
         rng = np.random.default_rng(5)
-        for N, P, L in [(2, 3, 1), (3, 5, 2), (2, 6, 4)]:
-            NP = N * P
-            h = rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1)
-            G, J = build_selection_matrices(N, P, L)
-            H = build_channel_toeplitz(h, NP + L, NP)
-            np.testing.assert_allclose(
-                sum(h[l] * J[l] for l in range(L + 1)), H, atol=0
-            )
-            # and G cuts the first and last L rows
-            np.testing.assert_array_equal(G @ H, H[L:NP])
+        check_oracle([TAP_SUM_F, K_S], [
+            model(plain(P), complex_normal(L + 1, rng), np.ones(N * P))
+            for N, P, L in [(2, 3, 1), (3, 5, 2), (2, 6, 4)]
+        ])
+        check_oracle(ROWS, SWEEP)
 
     def test_g_selects_one_sample_per_row(self):
-        G, _ = build_selection_matrices(3, 4, 2)
-        assert G.shape == (10, 14)
-        assert np.sum(G) == 10
-        np.testing.assert_array_equal(np.sum(G, axis=1), np.ones(10))
-        # rows pick samples L .. NP-1
-        cols = np.argmax(G, axis=1)
-        np.testing.assert_array_equal(cols, np.arange(2, 12))
+        check_oracle([K_S, K_L], [model(plain(4), np.ones(3), np.ones(12))])
 
 
 class TestBuildK:
     def test_unit_pulse_channel_gives_k0(self):
-        cfg = SystemConfig(M=4, L=2, N=3, redundancy_kind="cp")
-        pre = make_precoder(cfg)
-        h = np.array([1.0, 0.0, 0.0])
-        K, K_list = build_K(cfg, pre, h)
-        np.testing.assert_array_equal(K, K_list[0])
+        pre = make_precoder(SystemConfig(M=4, L=2, N=3))
+        s = generate_symbols("qpsk", 4, 3, 0).sN
+        check_oracle([K_S, K_L], [model(pre, [1.0, 0.0, 0.0], s)])
 
     def test_tap_sum_identity(self):
         rng = np.random.default_rng(7)
-        for kind in ("cp", "zp"):
-            cfg, pre, h, _ = random_instance(rng, M=5, L=2, N=3, redundancy_kind=kind)
-            K, K_list = build_K(cfg, pre, h)
-            np.testing.assert_allclose(
-                K, sum(h[l] * K_list[l] for l in range(3)), atol=1e-12
-            )
+        check_oracle([K_S, K_L], [
+            drawn(rng, M=5, L=2, N=3, redundancy_kind=kind) for kind in ("cp", "zp")
+        ])
 
     def test_factors_match_selection_matrix_products(self):
-        rng = np.random.default_rng(8)
-        cfg, pre, h, _ = random_instance(rng, M=4, L=2, N=3, inner_kind="idft")
-        _, K_list = build_K(cfg, pre, h)
-        G, J = build_selection_matrices(cfg.N, cfg.P, cfg.L)
-        X = block_diag_precoder(pre.F, cfg.N)
-        for l in range(cfg.L + 1):
-            np.testing.assert_allclose(K_list[l], G @ J[l] @ X, atol=1e-12)
+        check_oracle([K_L], [drawn(np.random.default_rng(8), M=4, L=2, N=3, inner_kind="idft")])
 
     def test_tiny_zp_convolution_oracle(self):
-        cfg = SystemConfig(M=2, L=1, N=2, redundancy_kind="zp")
-        pre = make_precoder(cfg)
+        pre = make_precoder(SystemConfig(M=2, L=1, N=2, redundancy_kind="zp"))
         rng = np.random.default_rng(9)
-        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        s = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        K, _ = build_K(cfg, pre, h)
-        np.testing.assert_allclose(K @ s, conv_observe(pre.F, h, s, 2), atol=1e-13)
+        check_oracle([K_S], [model(pre, complex_normal(2, rng), complex_normal(4, rng))])
 
     def test_linearity_in_taps(self):
-        rng = np.random.default_rng(10)
-        cfg, pre, h, _ = random_instance(rng)
-        K1, _ = build_K(cfg, pre, h)
-        K2, _ = build_K(cfg, pre, (2 - 1j) * h)
-        np.testing.assert_allclose(K2, (2 - 1j) * K1, atol=1e-12)
+        check_linear([K_S], [drawn(np.random.default_rng(10))])
+        check_linear(ROWS, SWEEP)
 
     def test_factors_are_read_only_views_of_one_block_precoder(self):
-        rng = np.random.default_rng(11)
-        cfg, pre, h, _ = random_instance(rng, M=4, L=2, N=3)
-        _, K_list = build_K(cfg, pre, h)
-        for Kl in K_list[1:]:
-            assert np.shares_memory(K_list[0], Kl)
-        for Kl in K_list:
-            with pytest.raises(ValueError, match="read-only"):
-                Kl[0, 0] = 1
+        check_views([K_L], [drawn(np.random.default_rng(11), M=4, L=2, N=3)])
+        check_views(ROWS, SWEEP)
 
     def test_rejects_wrong_tap_count(self):
         cfg = SystemConfig(M=4, L=2, N=3)
@@ -366,28 +422,17 @@ class TestSynthesize:
     @pytest.mark.parametrize("kind,inner", [("cp", "identity"), ("cp", "idft"), ("zp", "idft")])
     def test_convolution_oracle(self, kind, inner):
         rng = np.random.default_rng(12)
-        cfg, pre, h, s = random_instance(
-            rng, M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner
-        )
-        y = synthesize_observation(pre, h, s, 0.0, 0)
-        np.testing.assert_allclose(y, conv_observe(pre.F, h, s, 4), atol=1e-13)
+        check_oracle([FRAME], [drawn(rng, M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner)])
 
     @pytest.mark.parametrize("N", [2, 25])
     @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
     def test_noiseless_frame_matches_dense_K(self, kind, N):
+        # K s and the frame meet one oracle
         rng = np.random.default_rng(14)
-        M, L = 6, 2
-        custom = rng.standard_normal((M + L, M)) + 1j * rng.standard_normal((M + L, M))
-        cfg = SystemConfig(
-            M=M, L=L, N=N, redundancy_kind=kind, inner_kind="idft",
-            custom_redundancy=custom if kind == "custom" else None,
-        )
-        pre = make_precoder(cfg)
-        h = random_unit_channel(L, rng)
-        s = generate_symbols("qpsk", M, N, rng).sN
-        y = synthesize_observation(pre, h, s, 0.0, 0)
-        ref = build_K(cfg, pre, h)[0] @ s
-        assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
+        pre = make_precoder(SystemConfig(M=6, L=2, N=N, redundancy_kind=kind, inner_kind="idft",
+                                         custom_redundancy=complex_normal((8, 6), rng)))
+        h = random_unit_channel(2, rng)
+        check_oracle([K_S, FRAME], [model(pre, h, generate_symbols("qpsk", 6, N, rng).sN)])
 
     def test_rejects_wrong_tap_count(self):
         cfg = SystemConfig(M=4, L=2, N=3)
@@ -405,27 +450,27 @@ class TestSynthesize:
         [np.nan, -1.0, np.inf, True]
         + [np.array(g) for g in ([0.1, np.nan], [0.1, np.inf], [0.1, -1.0], [True, False])]
         + [np.array([[0.1, 0.2]]), np.array([[0.5]])]
-        + [[0.1, True], (0.1, np.bool_(True))],
+        + [[0.1, True], (0.1, np.bool_(True))]
+        + [np.complex128(0.5 + 0.5j), np.array([0.1, 0.2 + 0j])],
         ids=["nan", "-1.0", "inf", "bool", "grid-nan", "grid-inf", "grid-neg", "grid-bool",
-             "2d", "2d-1x1", "list-bool", "tuple-bool"],
+             "2d", "2d-1x1", "list-bool", "tuple-bool", "complex", "grid-complex"],
     )
     def test_rejects_nan_or_negative_noise_variance(self, sigma2):
         # NaN fails every comparison, so a `< 0` test would let it through
         # and return the noiseless frame; an infinite variance would give
         # a frame of infinities. A grid of variances is 1-D, and each of
-        # its entries must pass.
+        # its entries must pass. A complex one is refused before the cast
+        # to float would drop its imaginary part.
         rng = np.random.default_rng(18)
         _, pre, h, s = random_instance(rng)
         with pytest.raises(ValueError, match="noise variance"):
             synthesize_observation(pre, h, s, sigma2, 0)
 
     def test_observation_length(self):
-        for M, L, N in [(4, 2, 3), (12, 4, 8), (5, 1, 2)]:
-            cfg = SystemConfig(M=M, L=L, N=N)
-            pre = make_precoder(cfg)
-            s = generate_symbols("qpsk", M, N, 0).sN
-            y = synthesize_observation(pre, random_unit_channel(L, np.random.default_rng(0)), s, 1.0, 1)
-            assert y.shape == (N * (M + L) - L,)
+        # the oracle's NP - L samples, and so many in each row of a grid
+        models = [drawn(np.random.default_rng(0), (1.0,), M=M, L=L, N=N)
+                  for M, L, N in [(4, 2, 3), (12, 4, 8), (5, 1, 2)]]
+        check_oracle([FRAME, GRID_ROWS], models)
 
     def test_scalar_ambiguity_invariance(self):
         rng = np.random.default_rng(13)
@@ -437,94 +482,45 @@ class TestSynthesize:
 
     def test_noise_variance_calibration(self):
         pre = make_precoder(SystemConfig(M=4, L=2, N=4))
-        h = np.zeros(3, dtype=complex)
-        h[0] = 1.0
-        s = np.zeros(16, dtype=complex)
-        rng = np.random.default_rng(99)
-        power = np.mean(
-            [
-                np.mean(np.abs(synthesize_observation(pre, h, s, 0.25, rng)) ** 2)
-                for _ in range(200)
-            ]
-        )
-        assert abs(power - 0.25) < 0.01
+        h, s, rng = np.array([1.0, 0.0, 0.0]), np.zeros(16), np.random.default_rng(99)
+        frames = [synthesize_observation(pre, h, s, 0.25, rng) for _ in range(200)]
+        assert abs(np.mean([np.mean(np.abs(y) ** 2) for y in frames]) - 0.25) < 0.01
 
     def test_noise_seed_determinism(self):
-        rng = np.random.default_rng(14)
-        cfg, pre, h, s = random_instance(rng)
-        y1 = synthesize_observation(pre, h, s, 0.5, 77)
-        y2 = synthesize_observation(pre, h, s, 0.5, 77)
-        np.testing.assert_array_equal(y1, y2)
+        check_grid([drawn(np.random.default_rng(14), (0.5,))])
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     @pytest.mark.parametrize("kind", ["cp", "zp"])
     def test_scaled_unit_noise_is_the_noisy_frame(self, kind, inner):
-        # The noise is sqrt(sigma2/2) times one unit draw_noise of the
-        # frame's size from rng, added to the noiseless frame.
         rng = np.random.default_rng(15)
-        for sigma2 in (1e-3, 0.7):
-            _, pre, h, s = random_instance(
-                rng, M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner,
-            )
-            clean = synthesize_observation(pre, h, s, 0.0, None)
-            seed = np.random.SeedSequence([3, 2, 1, 0])
-            noise = draw_noise(clean.size, np.random.default_rng(seed))
-            noisy = synthesize_observation(
-                pre, h, s, sigma2, np.random.default_rng(seed)
-            )
-            assert np.array_equal(clean + np.sqrt(sigma2 / 2) * noise, noisy)
+        check_grid([
+            drawn(rng, (sigma2,), M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner)
+            for sigma2 in (1e-3, 0.7)
+        ])
 
 
 class TestSynthesizeGrid:
-    """A 1-D array of noise variances gives one frame per variance, all
-    scaling one unit noise draw: the harness makes a trial's frames at
-    every SNR point in one call, so each row must be the frame that
-    variance alone gives from the same seed."""
-
-    grid = np.array([0.0, 1e-3, 0.25, 7.0])
+    """A 1-D array of noise variances gives one frame per variance: the
+    harness makes a trial's frames at every SNR point in one call."""
 
     @staticmethod
-    def instance(kind="cp", inner="identity"):
+    def instance(kind="cp", inner="identity", grid=GRID):
         rng = np.random.default_rng(21)
-        _, pre, h, s = random_instance(
-            rng, M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner,
-        )
-        return pre, h, s
-
-    @staticmethod
-    def seeded():
-        return np.random.default_rng(np.random.SeedSequence([3, 2, 1, 0]))
+        return drawn(rng, grid, M=5, L=2, N=4, redundancy_kind=kind, inner_kind=inner)
 
     @pytest.mark.parametrize("kind,inner", [("cp", "identity"), ("zp", "idft")])
     def test_rows_are_scalar_calls(self, kind, inner):
-        pre, h, s = self.instance(kind, inner)
-        rows = synthesize_observation(pre, h, s, self.grid, self.seeded())
-        assert rows.shape == (self.grid.size, 4 * 7 - 2)
-        for row, sigma2 in zip(rows, self.grid):
-            alone = synthesize_observation(pre, h, s, sigma2, self.seeded())
-            assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+        check_grid([self.instance(kind, inner)])
 
     def test_one_point_grid_is_the_scalar_call(self):
-        pre, h, s = self.instance()
-        rows = synthesize_observation(pre, h, s, np.array([0.3]), self.seeded())
-        alone = synthesize_observation(pre, h, s, 0.3, self.seeded())
-        assert rows.shape == (1, alone.size)
-        assert np.array_equal(rows[0].view(np.uint64), alone.view(np.uint64))
+        check_grid([self.instance(grid=(0.3,))])
 
     def test_zero_variance_row_is_the_clean_frame(self):
-        pre, h, s = self.instance()
-        rows = synthesize_observation(pre, h, s, self.grid, self.seeded())
-        clean = synthesize_observation(pre, h, s, 0.0, None)
-        assert np.array_equal(rows[0], clean)
-        assert not np.array_equal(rows[1], clean)
+        check_grid([self.instance()] + SWEEP)
 
     @pytest.mark.parametrize("grid", [[0.0, 0.0], [1e-3, 0.25, 7.0]])
     def test_consumes_one_unit_noise_draw(self, grid):
-        pre, h, s = self.instance()
-        gen, ref = self.seeded(), self.seeded()
-        rows = synthesize_observation(pre, h, s, np.array(grid), gen)
-        draw_noise(rows.shape[1], ref)
-        assert gen.bit_generator.state == ref.bit_generator.state
+        check_grid([self.instance(grid=tuple(grid))])
 
 
 class TestGradients:
@@ -575,7 +571,7 @@ class TestGradients:
             y = synthesize_observation(pre, h, s, sigma2, trial)
 
             def loglik(taps, frame):
-                e = y - conv_observe(pre.F, taps, frame, cfg.N)
+                e = y - convolution(model(pre, taps, frame))
                 return -float(np.real(np.vdot(e, e))) / sigma2
 
             grad_h, grad_s = loglik_gradients(y, cfg, pre, h, s, sigma2)
@@ -623,6 +619,8 @@ REFUSED_SIGMA2 = {
     "True": True, "array(True)": np.array(True), "list": [1.0], "tuple": (0.5,),
     "vector": np.array([0.5, 1.0]), "1x1": np.ones((1, 1)),
     **{repr(float(v)): v for v in SUBNORMAL_SIGMA2},
+    "complex128(0.5)": np.complex128(0.5), "complex128(0.5+0.5j)": np.complex128(0.5 + 0.5j),
+    "0-d complex": np.array(0.5 + 0j), "str": "0.5", "None": None,
 }
 ACCEPTED_SIGMA2 = {
     "float64": np.float64(0.5), "float32": np.float32(0.5), "int32": np.int32(3),

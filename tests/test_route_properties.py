@@ -80,13 +80,13 @@ from helpers import (
     SMALLEST_NORMAL,
     assert_members_alone,
     assert_psd,
-    build_channel_toeplitz,
     channel_stack,
     crb_fast_dense,
     crb_zp_kron,
     frame_energy,
     normal_or_zero,
     random_unit_channel,
+    selection_product,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -323,8 +323,8 @@ def test_sweep_projects_any_columns(blocks):
     # bytes of its sweep alone; its rank gate passes where the dense QR's
     # |diag R| does.
     config, pre, hs, cols = blocks
-    P, L = pre.F.shape[0], hs.shape[1] - 1
-    B = np.stack([build_channel_toeplitz(h, P + L, P) @ pre.F for h in hs])
+    L = hs.shape[1] - 1
+    B = np.stack([selection_product(h, pre.F) for h in hs])
     coords, low, high = _sweep(B, cols)
     assert coords.shape == (len(hs), (config.N - 1) * L) + cols.shape[2:]
     for h, B_c, C, X, low_c, high_c in zip(hs, B, cols, coords, low, high):
