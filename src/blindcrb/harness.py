@@ -107,7 +107,7 @@ from .estimator import EstimatorSettings, _frame_bytes, resolve_ambiguity, subsp
 from .model import (
     Channel,
     SystemConfig,
-    _bools,
+    _reals,
     _require_integers,
     _require_positive_sigma2,
     generate_symbols,
@@ -171,8 +171,8 @@ class ExperimentPlan:
     The config's sigma2 is never read: each SNR point gives its cell's
     noise variance, which must pass model._require_positive_sigma2, the
     rule every bound applies to a noise variance. The grid must be
-    nonempty, strictly increasing and hold real numbers, not bools,
-    complex numbers or strings, and window_blocks must be at most N.
+    nonempty, strictly increasing and hold real numbers (see
+    model._reals), and window_blocks must be at most N.
     compute_zp_reference needs a config whose precoder is zero
     padding by Precoder.zero_padding, the test zp_information applies,
     whatever its redundancy kind.
@@ -187,9 +187,7 @@ class ExperimentPlan:
     compute_zp_reference: bool = False
 
     def __post_init__(self):
-        if _bools(self.snr_db_grid):
-            raise ValueError(f"SNR grid must hold numbers, not bools, got {self.snr_db_grid}")
-        if np.asarray(self.snr_db_grid).dtype.kind not in "iuf":
+        if not _reals(self.snr_db_grid):
             raise ValueError(f"SNR grid must hold real numbers, got {self.snr_db_grid}")
         grid = tuple(float(v) for v in self.snr_db_grid)
         if len(grid) == 0:

@@ -72,17 +72,25 @@ def _bools(value) -> list:
     return list(np.ravel(value)) if np.asarray(value).dtype == bool else []
 
 
+def _reals(value) -> bool:
+    """Whether a value that a caller passed for a number, or a list or
+    array of them, holds real numbers alone: integers and floats, numpy's
+    or Python's of any size. A bool (see _bools), complex number, string
+    or None is not one, nor is a Fraction or Decimal, which numpy's float
+    arithmetic does not take."""
+    real = (int, float, np.integer, np.floating)
+    return not _bools(value) and all(isinstance(v, real) for v in np.asarray(value).flat)
+
+
 def _require_positive_sigma2(sigma2: float):
     """The package's one test of a noise variance that scales a bound:
     raise ValueError unless sigma2 is one normal, positive, finite real
-    number (a Python or numpy integer or float, or a 0-d array of one). A
-    bool, complex number, string or None is not a noise variance, nor is
-    a list or an array of them, and a subnormal one would leave the
-    bounds it scales short of bits or out of range."""
+    number (see _reals): a Python or numpy scalar, or a 0-d array. A list
+    or an array of them is not a noise variance, and a subnormal one
+    would leave the bounds it scales short of bits or out of range."""
     if np.ndim(sigma2) != 0:
         raise ValueError(f"sigma2 must be a single number, got {sigma2}")
-    real = np.asarray(sigma2).dtype.kind in "iuf"
-    if not real or not np.finfo(float).smallest_normal <= sigma2 < math.inf:
+    if not _reals(sigma2) or not np.finfo(float).smallest_normal <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be a normal positive finite number, got {sigma2}")
 
 
@@ -380,16 +388,15 @@ def synthesize_observation(
     scales the same unit noise, so row r is the frame that variance r
     alone gives from the same rng, and a row of variance 0 is the
     noiseless frame. Variances must be nonnegative and finite real
-    numbers: not bools (see _bools), complex numbers or strings, which are
-    refused before the cast to float would drop an imaginary part.
+    numbers (see _reals), which is checked before the cast to float would
+    drop an imaginary part.
     """
-    variances = np.asarray(sigma2)
-    real = variances.dtype.kind in "iuf" and not _bools(sigma2)
+    real = _reals(sigma2)
+    variances = np.asarray(sigma2, dtype=np.float64) if real else None
     if not real or variances.ndim > 1 or not np.all((0 <= variances) & (variances < math.inf)):
         raise ValueError(
             f"noise variance must be nonnegative and finite, got {sigma2}"
         )
-    variances = variances.astype(np.float64)
     P, M = precoder.F.shape
     L = P - M
     h = np.asarray(h, dtype=np.complex128)

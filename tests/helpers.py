@@ -1,6 +1,6 @@
 """Shared builders for randomized test instances, the explicit
 selection-matrix oracles that the model's per-tap factors, their tap sums
-T(h) F and T(h) Ftilde, and K_l are checked against, the dense routes and
+T(h) F and T(h) Ftilde, K and K_l are checked against, the dense routes and
 bases that the banded bounds are checked against, the estimator's
 covariance-eigh route and complete-QR border basis that its border route
 is checked against, the estimator's penalty on a given noise basis, a

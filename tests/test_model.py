@@ -1,57 +1,65 @@
 """Model-layer tests: structured matrix builders, symbol/observation
 synthesis, the Wirtinger log-likelihood gradients, and the one
-noise-variance rule.
+noise-variance rule, model._require_positive_sigma2, as one table: each
+entry point that applies it (SystemConfig, fim_blocks, crb_fast,
+crb_zp_per_block, loglik_gradients) refuses every value of one list with
+the rule's message and takes every value of another as float(sigma2).
 
 The model's constructions are the rows of one table, ROWS, each with one
-oracle: the per-tap factors J_l (I_N kron F), their tap sums under F and
-Ftilde (T(h) F and T(h) Ftilde for one block) and build_K's K_l meet the
-selection-matrix product of helpers.build_selection_matrices and
-block_diag_precoder; build_K's K s, the noiseless frame and the rows at a
-grid of noise variances meet np.convolve of the taps with the precoded
-stream. One body per property runs on every row it applies to. Each test
-of the construction classes calls a body on its fixed instance; one test
-per body also runs it on SWEEP, one seeded draw per cp/zp/custom
-redundancy x identity/IDFT/custom inner precoder x N in {1, 2, 3, 25}.
-
-SystemConfig, fim_blocks, crb_fast, crb_zp_per_block and
-loglik_gradients, the entry points of model._require_positive_sigma2,
-refuse every value of one list with its message and take every value of
-another as float(sigma2). The gradients meet central finite differences
-of a locally defined log-likelihood."""
+oracle: the selection-matrix product of helpers.build_selection_matrices
+and block_diag_precoder, or np.convolve of the taps with the precoded
+stream. One body per property runs the rows on each test's fixed
+instance and on SWEEP, a seeded draw per cp/zp/custom redundancy x
+identity/IDFT/custom inner precoder x N in {1, 2, 3, 25}. The gradients
+meet central finite differences of a locally defined log-likelihood."""
 
 import itertools
 import re
 from collections import namedtuple
 from dataclasses import astuple
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from blindcrb import (
-    Channel, Precoder, SystemConfig, build_inner_precoder, build_K, build_redundancy, crb_fast,
-    crb_zp_per_block, fim_blocks, generate_symbols, loglik_gradients, make_precoder,
+    Channel,
+    Precoder,
+    SystemConfig,
+    build_inner_precoder,
+    build_K,
+    build_redundancy,
+    crb_fast,
+    crb_zp_per_block,
+    fim_blocks,
+    generate_symbols,
+    loglik_gradients,
+    make_precoder,
     synthesize_observation,
 )
 from blindcrb.model import _tap_factors, _tap_sum, _usable, draw_noise
 from helpers import (
-    SMALLEST_NORMAL, SUBNORMAL_SIGMA2, block_diag_precoder, build_selection_matrices,
-    random_instance, random_unit_channel, selection_product,
+    SMALLEST_NORMAL,
+    SUBNORMAL_SIGMA2,
+    block_diag_precoder,
+    build_selection_matrices,
+    random_instance,
+    random_unit_channel,
+    selection_product,
 )
 
 GRID = (0.0, 1e-3, 0.25, 7.0)
 
 
 def model(pre, h, s, grid=GRID):
-    """An instance: a precoder, one channel's (L+1,) taps or a (C, L+1)
-    stack, a frame s of N blocks and the grid row's noise variances. L is
-    read off the taps, so F may be any P x M block with L < P; config
-    holds the dimensions build_K reads, at any N >= 1."""
+    """An instance, which holds the L, N and P that build_K reads of a
+    config: a precoder, one channel's (L+1,) taps or a (C, L+1) stack, a
+    frame s of N >= 1 blocks and the grid row's noise variances. L is read
+    off the taps, so F may be any P x M block with L < P."""
     h, (P, M) = np.asarray(h), pre.F.shape
-    L, N = h.shape[-1] - 1, len(s) // M
-    return SimpleNamespace(
-        pre=pre, h=h, s=s, grid=grid, L=L, N=N, config=SimpleNamespace(L=L, N=N, P=P)
-    )
+    return SimpleNamespace(pre=pre, h=h, s=s, grid=grid, L=h.shape[-1] - 1, N=len(s) // M, P=P)
 
 
 def seeded():
@@ -61,7 +69,7 @@ def seeded():
 
 def shifted(m):
     """The selector G and the [J_l (I_N kron F)] of the instance m."""
-    G, J = build_selection_matrices(m.N, m.pre.F.shape[0], m.L)
+    G, J = build_selection_matrices(m.N, m.P, m.L)
     return G, [Jl @ block_diag_precoder(m.pre.F, m.N) for Jl in J]
 
 
@@ -69,59 +77,65 @@ def convolution(m):
     """The convolution of the taps with the precoded stream (I_N kron F) s_N,
     less its first L samples and its L-sample tail."""
     x = (m.s.reshape(m.N, -1) @ m.pre.F.T).ravel()
-    return np.convolve(x, m.h)[m.L: m.N * m.pre.F.shape[0]]
+    return np.convolve(x, m.h)[m.L: m.N * m.P]
+
+
+def noisy(m, clean):
+    """clean plus sqrt(sigma2/2) times one unit noise draw from seeded(),
+    one row per noise variance of the grid."""
+    noise = draw_noise(clean.size, seeded())
+    return clean + np.multiply.outer(np.sqrt(np.array(m.grid) / 2), noise)
 
 
 # A construction of the model: build(m) is what the package makes of the
-# instance m, oracle(m) what it must equal within atol plus rtol times the
-# oracle's largest entry; linear: it scales with the taps; stacks: it
-# takes a (C, L+1) stack of taps; views: it is the L+1 per-tap factors.
-Row = namedtuple("Row", "name build oracle atol rtol linear stacks views", defaults=(False,) * 3)
+# instance m, oracle(m) what it must equal, within atol plus rtol times
+# the oracle's largest entry.
+Row = namedtuple("Row", "name build oracle atol rtol")
 FACTORS = Row("J_l (I_N kron F)", lambda m: _tap_factors(m.pre.F, m.L, m.N),
-              lambda m: shifted(m)[1], 0.0, 0.0, views=True)
+              lambda m: shifted(m)[1], 0.0, 0.0)
 TAP_SUM_F = Row("T(h) F", lambda m: _tap_sum(m.h, _tap_factors(m.pre.F, m.L, m.N)),
-                lambda m: selection_product(m.h, m.pre.F, m.N), 0.0, 1e-15, True, True)
+                lambda m: selection_product(m.h, m.pre.F, m.N), 0.0, 1e-15)
 TAP_SUM_FTILDE = Row("T(h) Ftilde", lambda m: _tap_sum(m.h, _tap_factors(m.pre.Ftilde, m.L, m.N)),
-                     lambda m: selection_product(m.h, m.pre.Ftilde, m.N), 0.0, 1e-15, True, True)
-K_S = Row("K s", lambda m: build_K(m.config, m.pre, m.h)[0] @ m.s, convolution, 1e-13, 0.0, True)
-K_L = Row("K_l", lambda m: build_K(m.config, m.pre, m.h)[1],
-          lambda m: [shifted(m)[0] @ JX for JX in shifted(m)[1]], 1e-12, 0.0, views=True)
+                     lambda m: selection_product(m.h, m.pre.Ftilde, m.N), 0.0, 1e-15)
+K_MATRIX = Row("K", lambda m: build_K(m, m.pre, m.h)[0],
+               lambda m: shifted(m)[0] @ selection_product(m.h, m.pre.F, m.N), 1e-12, 0.0)
+K_S = Row("K s", lambda m: build_K(m, m.pre, m.h)[0] @ m.s, convolution, 1e-13, 0.0)
+K_L = Row("K_l", lambda m: build_K(m, m.pre, m.h)[1],
+          lambda m: [shifted(m)[0] @ JX for JX in shifted(m)[1]], 1e-12, 0.0)
 FRAME = Row("noiseless frame", lambda m: synthesize_observation(m.pre, m.h, m.s, 0.0, None),
-            convolution, 1e-13, 0.0, True)
-# the grid row's oracle adds sqrt(sigma2/2) times one unit noise draw
-GRID_ROWS = Row("grid rows", lambda m: synthesize_observation(
-    m.pre, m.h, m.s, np.array(m.grid), seeded()), lambda m: convolution(m) + np.multiply.outer(
-        np.sqrt(np.array(m.grid) / 2), draw_noise(len(convolution(m)), seeded())), 1e-13, 0.0)
-ROWS = [FACTORS, TAP_SUM_F, TAP_SUM_FTILDE, K_S, K_L, FRAME, GRID_ROWS]
+            convolution, 1e-13, 0.0)
+GRID_ROWS = Row("grid rows", lambda m: synthesize_observation(m.pre, m.h, m.s, m.grid, seeded()),
+                lambda m: noisy(m, convolution(m)), 1e-13, 0.0)
+ROWS = [FACTORS, TAP_SUM_F, TAP_SUM_FTILDE, K_MATRIX, K_S, K_L, FRAME, GRID_ROWS]
 
 
-def check_oracle(rows, models):
-    """Each row's construction equals its oracle."""
+def check_oracle(rows, models, exact=False):
+    """Each row's construction equals its oracle within the row's
+    tolerance, or exactly if exact is set."""
     for m, row in itertools.product(models, rows):
         want = np.asarray(row.oracle(m))
-        atol = row.atol + row.rtol * np.abs(want).max()
+        atol = 0.0 if exact else row.atol + row.rtol * np.abs(want).max()
         np.testing.assert_allclose(row.build(m), want, rtol=0, atol=atol, err_msg=row.name)
 
 
 def check_linear(rows, models, c=2 - 1j):
-    """A row linear in the taps gives c times its construction at c h,
-    within 1e-12."""
-    for m, row in itertools.product(models, [row for row in rows if row.linear]):
+    """Each row gives c times its construction at c h, within 1e-12."""
+    for m, row in itertools.product(models, rows):
         got, want = row.build(model(m.pre, c * m.h, m.s)), c * row.build(m)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=row.name)
 
 
 def check_stack(rows, models):
-    """A row that takes a stack of taps gives each member the bytes of its
+    """Each row, given a stack of taps, gives each member the bytes of its
     channel alone."""
-    for m, row in itertools.product(models, [row for row in rows if row.stacks]):
+    for m, row in itertools.product(models, rows):
         for h, member in zip(m.h, row.build(m)):
             assert member.tobytes() == row.build(model(m.pre, h, m.s)).tobytes(), row.name
 
 
 def check_views(rows, models):
-    """A row of per-tap factors is L+1 read-only views of one array."""
-    for m, row in itertools.product(models, [row for row in rows if row.views]):
+    """Each row's per-tap factors are L+1 read-only views of one array."""
+    for m, row in itertools.product(models, rows):
         factors = row.build(m)
         assert len(factors) == m.L + 1
         for factor in factors:
@@ -131,22 +145,21 @@ def check_views(rows, models):
 
 
 def check_grid(models):
-    """The grid row's frames all scale one unit noise draw, which is all
-    it takes from the generator: the frame at each variance is, bit for
-    bit, the call at that variance alone from the same seed and the
-    noiseless frame plus sqrt(sigma2/2) times draw_noise of its size,
-    which it equals where the variance is 0."""
+    """The grid row takes one unit noise draw from the generator, and is,
+    bit for bit, the noiseless frame plus that draw scaled per variance:
+    each of its frames is the call at that variance alone from the same
+    seed, and equals the noiseless frame where the variance is 0."""
     for m in models:
         gen, ref = seeded(), seeded()
         rows = synthesize_observation(m.pre, m.h, m.s, np.array(m.grid), gen)
-        clean = FRAME.build(m)
-        noise = draw_noise(clean.size, ref)
+        draw_noise(rows.shape[-1], ref)
         assert gen.bit_generator.state == ref.bit_generator.state
+        clean = FRAME.build(m)
         assert rows.shape == (len(m.grid), clean.size)
+        assert rows.tobytes() == noisy(m, clean).tobytes()
         for row, sigma2 in zip(rows, m.grid):
             alone = synthesize_observation(m.pre, m.h, m.s, sigma2, seeded())
             assert row.tobytes() == alone.tobytes()
-            assert row.tobytes() == (clean + np.sqrt(sigma2 / 2) * noise).tobytes()
             assert np.array_equal(row, clean) == (sigma2 == 0)
 
 
@@ -183,8 +196,10 @@ def drawn(rng, grid=GRID, **kwargs):
 
 def precoder_of(kind, inner, M=5, L=2):
     custom = np.random.default_rng(9).standard_normal((M + L, M)) if kind == "custom" else None
-    return make_precoder(SystemConfig(M=M, L=L, N=2, redundancy_kind=kind, inner_kind=inner,
-                                      custom_redundancy=custom))
+    return make_precoder(
+        SystemConfig(M=M, L=L, N=2, redundancy_kind=kind, inner_kind=inner,
+                     custom_redundancy=custom)
+    )
 
 
 class TestRedundancy:
@@ -265,10 +280,11 @@ class TestInnerPrecoder:
 class TestChannelToeplitz:
     # The tap sum of the one-block factors of F = I is T(h) itself.
     def test_identity_channel_is_padded_eye(self):
-        check_oracle([TAP_SUM_F], [model(plain(5), [1.0, 0.0, 0.0], np.ones(5))])
+        check_oracle([TAP_SUM_F], [model(plain(5), [1.0, 0.0, 0.0], np.ones(5))], exact=True)
 
     def test_tall_two_tap_pattern(self):
-        check_oracle([TAP_SUM_F], [model(plain(3), [0.8 - 0.1j, 0.3 + 0.5j], np.ones(3))])
+        h = [0.8 - 0.1j, 0.3 + 0.5j]
+        check_oracle([TAP_SUM_F], [model(plain(3), h, np.ones(3))], exact=True)
 
 
 class TestTapFactors:
@@ -281,10 +297,10 @@ class TestTapFactors:
         check_views([FACTORS], [m])
 
     def test_stacked_tap_sum_is_each_channel_alone(self):
-        rng = np.random.default_rng(10)
-        check_stack([TAP_SUM_F], [model(precoder_of("cp", "idft"), complex_normal((4, 3), rng),
-                                        np.ones(15))])
-        check_stack(ROWS, [model(m.pre, np.stack([m.h, m.h[::-1], 1j * m.h]), m.s) for m in SWEEP])
+        hs = complex_normal((4, 3), np.random.default_rng(10))
+        check_stack([TAP_SUM_F], [model(precoder_of("cp", "idft"), hs, np.ones(15))])
+        stacks = [model(m.pre, np.stack([m.h, m.h[::-1], 1j * m.h]), m.s) for m in SWEEP]
+        check_stack([TAP_SUM_F, TAP_SUM_FTILDE], stacks)
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     @pytest.mark.parametrize("kind", ["cp", "zp", "custom"])
@@ -297,34 +313,33 @@ class TestTapFactors:
 
 
 class TestSelectionMatrices:
-    # The selection-matrix oracle under F = I_P, whose factors are the J_l
-    # themselves and whose K_l are the J_l's rows L..NP-1.
+    # Under F = I_P the factors are the J_l themselves, K is rows L..NP-1
+    # of T(h) and K_l rows L..NP-1 of J_l; each is met exactly.
     def test_j0_is_padded_identity(self):
         check_oracle([FACTORS], [model(plain(3), [1.0, 0.0], np.ones(6))])
 
     def test_tap_sum_reproduces_toeplitz(self):
         rng = np.random.default_rng(5)
-        check_oracle([TAP_SUM_F, K_S], [
-            model(plain(P), complex_normal(L + 1, rng), np.ones(N * P))
-            for N, P, L in [(2, 3, 1), (3, 5, 2), (2, 6, 4)]
-        ])
+        models = [model(plain(P), complex_normal(L + 1, rng), np.ones(N * P))
+                  for N, P, L in [(2, 3, 1), (3, 5, 2), (2, 6, 4)]]
+        check_oracle([TAP_SUM_F, K_MATRIX], models, exact=True)
         check_oracle(ROWS, SWEEP)
 
     def test_g_selects_one_sample_per_row(self):
-        check_oracle([K_S, K_L], [model(plain(4), np.ones(3), np.ones(12))])
+        check_oracle([K_MATRIX, K_L], [model(plain(4), np.ones(3), np.ones(12))], exact=True)
 
 
 class TestBuildK:
     def test_unit_pulse_channel_gives_k0(self):
+        # both meet G J_0 (I_N kron F) exactly, so K is K_0
         pre = make_precoder(SystemConfig(M=4, L=2, N=3))
-        s = generate_symbols("qpsk", 4, 3, 0).sN
-        check_oracle([K_S, K_L], [model(pre, [1.0, 0.0, 0.0], s)])
+        check_oracle([K_MATRIX, K_L], [model(pre, [1.0, 0.0, 0.0], np.ones(12))], exact=True)
 
     def test_tap_sum_identity(self):
+        # K and each K_l meet their oracles, which sum as K = sum h_l K_l
         rng = np.random.default_rng(7)
-        check_oracle([K_S, K_L], [
-            drawn(rng, M=5, L=2, N=3, redundancy_kind=kind) for kind in ("cp", "zp")
-        ])
+        models = [drawn(rng, M=5, L=2, N=3, redundancy_kind=kind) for kind in ("cp", "zp")]
+        check_oracle([K_MATRIX, K_L], models)
 
     def test_factors_match_selection_matrix_products(self):
         check_oracle([K_L], [drawn(np.random.default_rng(8), M=4, L=2, N=3, inner_kind="idft")])
@@ -335,12 +350,12 @@ class TestBuildK:
         check_oracle([K_S], [model(pre, complex_normal(2, rng), complex_normal(4, rng))])
 
     def test_linearity_in_taps(self):
-        check_linear([K_S], [drawn(np.random.default_rng(10))])
-        check_linear(ROWS, SWEEP)
+        check_linear([K_MATRIX], [drawn(np.random.default_rng(10))])
+        check_linear([TAP_SUM_F, TAP_SUM_FTILDE, K_MATRIX, FRAME], SWEEP)
 
     def test_factors_are_read_only_views_of_one_block_precoder(self):
         check_views([K_L], [drawn(np.random.default_rng(11), M=4, L=2, N=3)])
-        check_views(ROWS, SWEEP)
+        check_views([FACTORS, K_L], SWEEP)
 
     def test_rejects_wrong_tap_count(self):
         cfg = SystemConfig(M=4, L=2, N=3)
@@ -482,9 +497,17 @@ class TestSynthesize:
 
     def test_noise_variance_calibration(self):
         pre = make_precoder(SystemConfig(M=4, L=2, N=4))
-        h, s, rng = np.array([1.0, 0.0, 0.0]), np.zeros(16), np.random.default_rng(99)
-        frames = [synthesize_observation(pre, h, s, 0.25, rng) for _ in range(200)]
-        assert abs(np.mean([np.mean(np.abs(y) ** 2) for y in frames]) - 0.25) < 0.01
+        h = np.zeros(3, dtype=complex)
+        h[0] = 1.0
+        s = np.zeros(16, dtype=complex)
+        rng = np.random.default_rng(99)
+        power = np.mean(
+            [
+                np.mean(np.abs(synthesize_observation(pre, h, s, 0.25, rng)) ** 2)
+                for _ in range(200)
+            ]
+        )
+        assert abs(power - 0.25) < 0.01
 
     def test_noise_seed_determinism(self):
         check_grid([drawn(np.random.default_rng(14), (0.5,))])
@@ -621,10 +644,12 @@ REFUSED_SIGMA2 = {
     **{repr(float(v)): v for v in SUBNORMAL_SIGMA2},
     "complex128(0.5)": np.complex128(0.5), "complex128(0.5+0.5j)": np.complex128(0.5 + 0.5j),
     "0-d complex": np.array(0.5 + 0j), "str": "0.5", "None": None,
+    "Fraction": Fraction(1, 2), "Decimal": Decimal("0.5"),
 }
 ACCEPTED_SIGMA2 = {
     "float64": np.float64(0.5), "float32": np.float32(0.5), "int32": np.int32(3),
     "int64": np.int64(2), "0-d": np.array(0.5), "smallest-normal": SMALLEST_NORMAL,
+    "int 2**70": 2**70,
 }
 
 
