@@ -9,8 +9,9 @@ Three subcommands:
 run and crb read a flat configuration file of "key = value" lines
 (--config); blank lines and "#" comments are ignored. --override
 key=value (repeatable) takes precedence over the file. Exit codes: 0
-success, 1 usage or configuration error (an unreadable --config or an
-unwritable --out included), 2 numerical failure, 3 selftest failure.
+success, 1 any ValueError, which by errors.py's convention is a bad
+argument: a usage or configuration error, an unreadable --config or an
+unwritable --out included; 2 numerical failure, 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -42,14 +43,10 @@ EXIT_NUMERICAL = 2
 EXIT_SELFTEST = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2); route usage problems to exit code 1 instead.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_bool(text: str) -> bool:
@@ -137,7 +134,7 @@ def _collect(args, allowed, defaults, seed_key) -> dict:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as err:
-            raise _UsageError(f"cannot read config: {err}") from None
+            raise ValueError(f"cannot read config: {err}") from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
@@ -148,15 +145,15 @@ def _collect(args, allowed, defaults, seed_key) -> dict:
     values = dict(defaults)
     for where, text in entries:
         if "=" not in text:
-            raise _UsageError(f"{where}: expected 'key = value', got {text!r}")
+            raise ValueError(f"{where}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
         if key not in allowed:
-            raise _UsageError(f"{where}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
         try:
             values[key] = _PARSERS[key](value.strip())
         except ValueError as err:
-            raise _UsageError(f"{where}: bad value for {key}: {err}") from None
+            raise ValueError(f"{where}: bad value for {key}: {err}") from None
     return values
 
 
@@ -165,25 +162,19 @@ def _dump_config(values: dict, keys) -> str:
 
 
 def _config_from_values(values: dict) -> SystemConfig:
-    try:
-        return SystemConfig(**{k: values[k] for k in _FRAME_KEYS})
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    return SystemConfig(**{k: values[k] for k in _FRAME_KEYS})
 
 
 def _plan_from_values(values: dict) -> ExperimentPlan:
-    try:
-        return ExperimentPlan(
-            config=_config_from_values(values),
-            snr_db_grid=values["snr_db_grid"],
-            n_channels=values["n_channels"],
-            n_trials=values["n_trials"],
-            master_seed=values["master_seed"],
-            estimator_settings=EstimatorSettings(values["window_blocks"]),
-            compute_zp_reference=values["compute_zp_reference"],
-        )
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    return ExperimentPlan(
+        config=_config_from_values(values),
+        snr_db_grid=values["snr_db_grid"],
+        n_channels=values["n_channels"],
+        n_trials=values["n_trials"],
+        master_seed=values["master_seed"],
+        estimator_settings=EstimatorSettings(values["window_blocks"]),
+        compute_zp_reference=values["compute_zp_reference"],
+    )
 
 
 def _cmd_run(args) -> int:
@@ -195,13 +186,13 @@ def _cmd_run(args) -> int:
     out = None if args.out is None else Path(args.out)
     # A path that cannot be a file is refused before the plan runs.
     if out is not None and (out.is_dir() or not out.parent.is_dir()):
-        raise _UsageError(f"cannot write output {out}: not a file in an existing directory")
+        raise ValueError(f"cannot write output {out}: not a file in an existing directory")
     records = run_experiment(plan)
     if args.out is not None:
         try:
             write_csv(records, args.out)
         except OSError as err:
-            raise _UsageError(f"cannot write output: {err}") from None
+            raise ValueError(f"cannot write output: {err}") from None
     else:
         sys.stdout.write(format_csv(records))
     return EXIT_OK
@@ -210,30 +201,27 @@ def _cmd_run(args) -> int:
 def _cmd_crb(args) -> int:
     values = _collect(args, _CRB_KEYS, _CRB_DEFAULTS, "seed")
     if "h" not in values:
-        raise _UsageError("the crb command needs channel taps (key 'h')")
+        raise ValueError("the crb command needs channel taps (key 'h')")
     config = _config_from_values(values)  # validate before dumping
     if values["seed"] < 0:
-        raise _UsageError(f"seed must be nonnegative, got {values['seed']}")
+        raise ValueError(f"seed must be nonnegative, got {values['seed']}")
     for key in ("h", "s_n"):
         if key in values and not _usable(values[key], allow_zero=True)[0]:
-            raise _UsageError(f"{key} must be finite, got a non-finite entry")
+            raise ValueError(f"{key} must be finite, got a non-finite entry")
     h = np.asarray(values["h"], dtype=np.complex128)
     if h.size != config.L + 1:
-        raise _UsageError(f"h must have L+1 = {config.L + 1} taps, got {h.size}")
+        raise ValueError(f"h must have L+1 = {config.L + 1} taps, got {h.size}")
     if "s_n" in values:
         sN = np.asarray(values["s_n"], dtype=np.complex128)
         if sN.size != config.N * config.M:
-            raise _UsageError(
+            raise ValueError(
                 f"s_n must have N*M = {config.N * config.M} entries, got {sN.size}"
             )
     else:
         sN = generate_symbols("qpsk", config.M, config.N, values["seed"]).sN
     d = values["d"] if "d" in values else default_anchor(h)
-    try:
-        _require_positive_sigma2(values["sigma2"])
-        _anchor_mask(d, h.size)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    _require_positive_sigma2(values["sigma2"])
+    _anchor_mask(d, h.size)
     if args.dump_config:
         sys.stdout.write(_dump_config(values, _CRB_KEYS))
         return EXIT_OK
@@ -354,7 +342,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help exits 0

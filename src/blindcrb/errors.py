@@ -4,7 +4,8 @@ Every numerical failure derives from NumericalError, so a caller can
 catch it with a single except clause. Given a stack, the package's
 stacked functions report the same failures as NaN members instead, which
 is how a Monte Carlo trial fails without stopping the run. Anything else
-(bad shapes, bad arguments) is a plain ValueError.
+(bad shapes, bad arguments) is a plain ValueError, which the command
+line reports as a usage error with exit code 1.
 
 Taps and frames meet one usability rule first (model._usable): every
 entry finite and one nonzero. The bound routes refuse taps or a frame

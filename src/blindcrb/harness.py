@@ -351,13 +351,13 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
                 f"{n_excluded} of {total} trials excluded at {snr_db} dB"
             )
     # Per SNR point: sums of squared errors, bounds and reference bounds
-    # over the included trials, one trial at a time in trial order (a
-    # pairwise sum over the trials would round otherwise); an excluded
+    # over the included trials, each the last partial sum of a cumulative
+    # sum along the trials. np.cumsum adds one trial at a time in trial
+    # order; numpy's pairwise np.sum would round otherwise. An excluded
     # trial adds 0.0, which changes no bit.
+    terms = np.where(ok, [err, *units[..., None] * sigma2s], 0.0)
     sums = np.zeros((3, n_snr))
-    for i, j in np.ndindex(ok.shape[:2]):
-        terms = [err[i, j], *units[:, i, j, None] * sigma2s]
-        sums[: len(terms)] += np.where(ok[i, j], terms, 0.0)
+    sums[: len(terms)] = np.cumsum(terms.reshape(len(terms), -1, n_snr), axis=1)[:, -1]
     included = total - excluded
     mse, crb, zp = sums
     return [

@@ -40,6 +40,7 @@ they are pure 0/1 selection patterns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -74,12 +75,16 @@ def _bools(value) -> list:
 
 def _reals(value) -> bool:
     """Whether a value that a caller passed for a number, or a list or
-    array of them, holds real numbers alone: integers and floats, numpy's
-    or Python's of any size. A bool (see _bools), complex number, string
+    array of them, holds real numbers alone: numbers a float can hold,
+    which are integers and floats, numpy's or Python's, short of a Python
+    int past the float range. A bool (see _bools), complex number, string
     or None is not one, nor is a Fraction or Decimal, which numpy's float
     arithmetic does not take."""
-    real = (int, float, np.integer, np.floating)
-    return not _bools(value) and all(isinstance(v, real) for v in np.asarray(value).flat)
+    real = (float, np.integer, np.floating)
+    return not _bools(value) and all(
+        isinstance(v, real) or isinstance(v, int) and abs(v) <= sys.float_info.max
+        for v in np.asarray(value).flat
+    )
 
 
 def _require_positive_sigma2(sigma2: float):

@@ -320,6 +320,7 @@ class TestPlanValidation:
             dict(n_channels=0), dict(n_trials=0), dict(master_seed=-1),
             dict(snr_db_grid=(True, 10.0)), dict(snr_db_grid=np.array([False, True])),
             dict(snr_db_grid=(np.complex128(10.0),)), dict(snr_db_grid=(10 + 0j,)),
+            dict(snr_db_grid=(10**400,)), dict(snr_db_grid=(-10**400,)),
         ],
     )
     def test_rejects_bad_plans(self, overrides):

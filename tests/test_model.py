@@ -466,9 +466,11 @@ class TestSynthesize:
         + [np.array(g) for g in ([0.1, np.nan], [0.1, np.inf], [0.1, -1.0], [True, False])]
         + [np.array([[0.1, 0.2]]), np.array([[0.5]])]
         + [[0.1, True], (0.1, np.bool_(True))]
-        + [np.complex128(0.5 + 0.5j), np.array([0.1, 0.2 + 0j])],
+        + [np.complex128(0.5 + 0.5j), np.array([0.1, 0.2 + 0j])]
+        + [10**400, [0.1, 10**400]],
         ids=["nan", "-1.0", "inf", "bool", "grid-nan", "grid-inf", "grid-neg", "grid-bool",
-             "2d", "2d-1x1", "list-bool", "tuple-bool", "complex", "grid-complex"],
+             "2d", "2d-1x1", "list-bool", "tuple-bool", "complex", "grid-complex",
+             "int-past-float", "grid-int-past-float"],
     )
     def test_rejects_nan_or_negative_noise_variance(self, sigma2):
         # NaN fails every comparison, so a `< 0` test would let it through
@@ -644,7 +646,7 @@ REFUSED_SIGMA2 = {
     **{repr(float(v)): v for v in SUBNORMAL_SIGMA2},
     "complex128(0.5)": np.complex128(0.5), "complex128(0.5+0.5j)": np.complex128(0.5 + 0.5j),
     "0-d complex": np.array(0.5 + 0j), "str": "0.5", "None": None,
-    "Fraction": Fraction(1, 2), "Decimal": Decimal("0.5"),
+    "Fraction": Fraction(1, 2), "Decimal": Decimal("0.5"), "10**400": 10**400, "-10**400": -10**400,
 }
 ACCEPTED_SIGMA2 = {
     "float64": np.float64(0.5), "float32": np.float32(0.5), "int32": np.int32(3),
