@@ -46,11 +46,7 @@ from .crb_blind import (
     default_anchor,
     fim_blocks,
 )
-from .estimator import (
-    EstimatorSettings,
-    resolve_ambiguity,
-    subspace_estimate,
-)
+from .estimator import resolve_ambiguity, subspace_estimate
 from .harness import (
     CSV_HEADER,
     ExperimentPlan,
@@ -68,7 +64,6 @@ __all__ = [
     "CSV_HEADER",
     "Channel",
     "CrbResult",
-    "EstimatorSettings",
     "ExclusionBudgetExceeded",
     "ExperimentPlan",
     "FimBlocks",

@@ -23,7 +23,6 @@ import numpy as np
 
 from .crb_blind import crb_direct, crb_fast, default_anchor, fim_blocks
 from .errors import NumericalError
-from .estimator import EstimatorSettings
 from .harness import ExperimentPlan, draw_channel, format_csv, run_experiment, write_csv
 from .model import (
     SystemConfig,
@@ -166,14 +165,10 @@ def _config_from_values(values: dict) -> SystemConfig:
 
 
 def _plan_from_values(values: dict) -> ExperimentPlan:
+    # run's keys are the frame's fields and the plan's
     return ExperimentPlan(
         config=_config_from_values(values),
-        snr_db_grid=values["snr_db_grid"],
-        n_channels=values["n_channels"],
-        n_trials=values["n_trials"],
-        master_seed=values["master_seed"],
-        estimator_settings=EstimatorSettings(values["window_blocks"]),
-        compute_zp_reference=values["compute_zp_reference"],
+        **{k: values[k] for k in _RUN_KEYS if k not in _FRAME_KEYS},
     )
 
 

@@ -51,7 +51,6 @@ each raises the typed error it always has.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 import numpy as np
 
 from .crb_core import COND_LIMIT, RANK_RTOL
@@ -59,23 +58,14 @@ from .errors import InsufficientData, SolverDegenerate, ZeroAnchorTap
 from .model import Precoder, _anchor_mask, _require_integers, _tap_factors, _usable
 
 
-@dataclass(frozen=True)
-class EstimatorSettings:
-    """Settings of the subspace estimator.
-
-    window_blocks is the number of consecutive blocks per window (at least
-    2, at most the frame's N, checked at use). There is no diagonal load:
-    it would shift every eigenvalue equally and leave the estimate as is.
-    """
-
-    window_blocks: int = 2
-
-    def __post_init__(self):
-        _require_integers(window_blocks=self.window_blocks)
-        if self.window_blocks < 2:
-            raise ValueError(
-                f"need at least 2 blocks per window, got {self.window_blocks}"
-            )
+def _require_window(window_blocks):
+    """The rule for the estimator's one setting, the number of consecutive
+    blocks per window: an integer, at least 2 (at most the frame's N,
+    checked at use). There is no diagonal load: it would shift every
+    eigenvalue equally and leave the estimate as is."""
+    _require_integers(window_blocks=window_blocks)
+    if window_blocks < 2:
+        raise ValueError(f"need at least 2 blocks per window, got {window_blocks}")
 
 
 def _penalty_minimum(basis: np.ndarray, F: np.ndarray, L: int, w: int) -> np.ndarray:
@@ -165,13 +155,10 @@ def _frame_bytes(P: int, M: int, N: int, w: int) -> int:
     return 16 * (2 * dim * n + 3 * dim * dim)
 
 
-def subspace_estimate(
-    yN: np.ndarray,
-    precoder: Precoder,
-    settings: EstimatorSettings = EstimatorSettings(),
-) -> np.ndarray:
+def subspace_estimate(yN: np.ndarray, precoder: Precoder, window_blocks: int = 2) -> np.ndarray:
     """Estimate the channel direction from one received frame, or from
-    each frame of a (..., NP - L) stack.
+    each frame of a (..., NP - L) stack, in windows of window_blocks
+    consecutive blocks (see _require_window).
 
     N is read off the frame length NP - L. Returns the L+1 taps up to the
     blind complex scale, (L+1,) or (..., L+1); resolve_ambiguity with a
@@ -202,13 +189,14 @@ def subspace_estimate(
     are chosen by rounding, and the estimate is not reproducible under
     one-ulp changes of yN. This is not checked.
     """
+    _require_window(window_blocks)
     yN = np.asarray(yN, dtype=np.complex128, order="C")
     P, M = precoder.F.shape
     L = P - M
     if yN.ndim == 0 or (yN.shape[-1] + L) % P != 0:
         raise ValueError(f"expected NP - L samples for a whole N, got shape {yN.shape}")
     N = (yN.shape[-1] + L) // P
-    w = settings.window_blocks
+    w = window_blocks
     if w > N:
         raise InsufficientData(f"windows of {w} blocks do not fit in {N} blocks")
     dim = w * P - L

@@ -41,10 +41,12 @@ estimator._frame_bytes) within the same byte budget, and at least one.
 Per chunk, one synthesize_observation call per trial gives its frames
 at every SNR point, each the noiseless frame plus the trial's one unit
 noise draw scaled to that point's variance; the (trial, SNR point)
-stack of frames goes to the estimator (given no sigma2) in one stacked
-call, the rows' ambiguity is resolved in another, each against its own
-channel's anchor, and each trial's squared errors are written to its
-row of the table. Nothing is summed while the groups run.
+stack of frames goes to the estimator, this module's subspace_estimate
+(given the plan's window_blocks and no sigma2), in one stacked call
+(a test stub replaces it, see run_experiment); the rows' ambiguity is
+resolved in another, each against its own channel's anchor, and each
+trial's squared errors are written to its row of the table. Nothing is
+summed while the groups run.
 
 Reduce: once every group has run, a trial is in a cell exactly when its
 squared error there is finite, so one isfinite of the error table gives
@@ -88,7 +90,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 # crb_fast and crb_zp_per_block are not called here; they stay bound because
@@ -103,7 +105,7 @@ from .crb_blind import (
     zp_information,
 )
 from .errors import ExclusionBudgetExceeded
-from .estimator import EstimatorSettings, _frame_bytes, resolve_ambiguity, subspace_estimate
+from .estimator import _frame_bytes, _require_window, resolve_ambiguity, subspace_estimate
 from .model import (
     Channel,
     SystemConfig,
@@ -171,11 +173,13 @@ class ExperimentPlan:
     The config's sigma2 is never read: each SNR point gives its cell's
     noise variance, which must pass model._require_positive_sigma2, the
     rule every bound applies to a noise variance. The grid must be
-    nonempty, strictly increasing and hold real numbers (see
-    model._reals), and window_blocks must be at most N.
-    compute_zp_reference needs a config whose precoder is zero
-    padding by Precoder.zero_padding, the test zp_information applies,
-    whatever its redundancy kind.
+    a nonempty, strictly increasing 1-D sequence of real numbers (see
+    model._reals). window_blocks is the subspace estimator's one setting,
+    the number of blocks per window: an integer from 2 (see
+    estimator._require_window) to N. compute_zp_reference is a bool, and
+    True needs a config whose precoder is zero padding by
+    Precoder.zero_padding, the test zp_information applies, whatever its
+    redundancy kind.
     """
 
     config: SystemConfig
@@ -183,12 +187,15 @@ class ExperimentPlan:
     n_channels: int
     n_trials: int
     master_seed: int
-    estimator_settings: EstimatorSettings = field(default_factory=EstimatorSettings)
+    window_blocks: int = 2
     compute_zp_reference: bool = False
 
     def __post_init__(self):
+        _require_window(self.window_blocks)
         if not _reals(self.snr_db_grid):
             raise ValueError(f"SNR grid must hold real numbers, got {self.snr_db_grid}")
+        if np.ndim(self.snr_db_grid) != 1:
+            raise ValueError(f"SNR grid must be a 1-D sequence, got {self.snr_db_grid}")
         grid = tuple(float(v) for v in self.snr_db_grid)
         if len(grid) == 0:
             raise ValueError("SNR grid must not be empty")
@@ -208,9 +215,13 @@ class ExperimentPlan:
             raise ValueError("need at least one channel and one trial per cell")
         if self.master_seed < 0:
             raise ValueError("master seed must be nonnegative")
+        if not isinstance(self.compute_zp_reference, (bool, np.bool_)):
+            raise ValueError(
+                f"compute_zp_reference must be a bool, got {self.compute_zp_reference!r}"
+            )
         if self.compute_zp_reference and not make_precoder(self.config).zero_padding:
             raise ValueError("the per-block reference bound applies to zero padding only")
-        if self.estimator_settings.window_blocks > self.config.N:
+        if self.window_blocks > self.config.N:
             raise ValueError("window_blocks must not exceed the frame's N blocks")
 
 
@@ -260,12 +271,13 @@ def _chunk_size(config: SystemConfig, n_snr: int, window_blocks: int) -> int:
     return max(1, _GROUP_BYTES // (n_snr * (16 * (config.N * config.P - config.L) + working)))
 
 
-def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
+def run_experiment(plan: ExperimentPlan) -> list:
     """Run every cell of the plan; one record per SNR point, ascending.
 
-    estimate_fn replaces the subspace estimator when given (for oracle
-    tests). It is called once per chunk of trials, with every SNR point
-    of each: it receives (Y, precoder, settings), where Y is the
+    The estimator is looked up as this module's subspace_estimate at each
+    call, so a test stub replaces harness.subspace_estimate; that is the
+    one seam. It is called once per chunk of trials, with every SNR point
+    of each: it receives (Y, precoder, window_blocks), where Y is the
     (k, len(grid), NP - L) stack whose row r holds the r-th trial's
     frames, row s of those the frame at grid point s, and no noise
     variance, and returns the (k, len(grid), L+1) unresolved taps. Rows
@@ -279,8 +291,6 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     does not depend on which other points share the grid, nor on how the
     trials are chunked.
     """
-    if estimate_fn is None:
-        estimate_fn = subspace_estimate
     config = plan.config
     precoder = make_precoder(config)
     n_snr = len(plan.snr_db_grid)
@@ -292,7 +302,7 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
     units = np.empty((1 + plan.compute_zp_reference, plan.n_channels, plan.n_trials))
     err = np.full((plan.n_channels, plan.n_trials, n_snr), np.nan)
     group_size = _group_size(config, plan.n_trials)
-    chunk_size = _chunk_size(config, n_snr, plan.estimator_settings.window_blocks)
+    chunk_size = _chunk_size(config, n_snr, plan.window_blocks)
     for first in range(0, plan.n_channels, group_size):
         group = range(first, min(first + group_size, plan.n_channels))
         channels = [
@@ -332,12 +342,7 @@ def run_experiment(plan: ExperimentPlan, estimate_fn=None) -> list:
                     precoder, hs[c_r], sNs[c_r, j_r], sigma2s,
                     _stream_rng(plan.master_seed, _STREAM_NOISE, group[c_r], j_r),
                 )
-            h_hats = estimate_fn(Y, precoder, plan.estimator_settings)
-            if np.shape(h_hats) != (c.size, n_snr, config.L + 1):
-                raise ValueError(
-                    f"estimate_fn returned shape {np.shape(h_hats)}, "
-                    f"expected {(c.size, n_snr, config.L + 1)}"
-                )
+            h_hats = subspace_estimate(Y, precoder, plan.window_blocks)
             d = anchors[c]
             h_res = resolve_ambiguity(h_hats, d[:, None], hs[c, d][:, None])
             # Not finite where the estimate or its anchor tap failed.

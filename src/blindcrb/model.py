@@ -102,11 +102,13 @@ def _require_positive_sigma2(sigma2: float):
 def _anchor_mask(d, n: int) -> np.ndarray:
     """The (..., n) mask of the anchor tap among n taps; d is an index or
     an array of them broadcast over a stack's leading axes, one anchor per
-    member. Raises ValueError for an anchor that names no tap: out of
-    range, not integral, or a bool (see _bools)."""
-    bad = _bools(d)
-    d = np.asarray(d)
-    bad = bad or d[(d < 0) | (d >= n) | (d != np.floor(d))]
+    member. Raises ValueError for an anchor that names no tap: not a real
+    number (see _reals), out of range, or not integral."""
+    if _reals(d):
+        d = np.asarray(d)
+        bad = d[(d < 0) | (d >= n) | (d != np.floor(d))]
+    else:
+        bad = [v for v in np.ravel(np.array(d, dtype=object)) if not _reals(v)]
     if len(bad):
         raise ValueError(f"anchor index {bad[0]} outside 0..{n - 1}")
     return np.arange(n) == d[..., None]

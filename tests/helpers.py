@@ -6,19 +6,21 @@ covariance-eigh route and complete-QR border basis that its border route
 is checked against, the estimator's penalty on a given noise basis, a
 fixed stack of channels and the check that a D0 function gives each of
 them its bytes alone, the peak memory of a call, a count of QR calls, a
-one-point run of an experiment plan, the frame-by-frame run that the
-stacked harness is checked against, the powers of two the taps are
-scaled by in the bound routes' scale tests, and the noise variances at
-the lower edge of the normal floats that every sigma2 check is held to."""
+one-point run of an experiment plan, a run with a stub in place of the
+harness's estimator, the frame-by-frame run that the stacked harness is
+checked against, the powers of two the taps are scaled by in the bound
+routes' scale tests, and the noise variances at the lower edge of the
+normal floats that every sigma2 check is held to."""
 
 import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from blindcrb import harness
 from blindcrb import (
-    EstimatorSettings,
     ExclusionBudgetExceeded,
     InsufficientData,
     NumericalError,
@@ -150,10 +152,18 @@ def count_qr(monkeypatch):
     return calls
 
 
-def run_cell(plan, snr_db, estimate_fn=None):
+def run_cell(plan, snr_db):
     """The record of one SNR point: the plan run with that point as its
     only grid point."""
-    return run_experiment(replace(plan, snr_db_grid=(snr_db,)), estimate_fn)[0]
+    return run_experiment(replace(plan, snr_db_grid=(snr_db,)))[0]
+
+
+def run_with(plan, stub):
+    """The plan's records with stub, called as (Y, precoder, window_blocks),
+    in place of harness.subspace_estimate, the run's one estimator seam."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "subspace_estimate", stub)
+        return run_experiment(plan)
 
 
 def run_experiment_per_frame(plan):
@@ -203,7 +213,7 @@ def run_experiment_per_frame(plan):
             for s, sigma2 in enumerate(sigma2s):
                 yN = clean + np.sqrt(sigma2 / 2) * noise
                 try:
-                    h_hat = subspace_estimate(yN, precoder, plan.estimator_settings)
+                    h_hat = subspace_estimate(yN, precoder, plan.window_blocks)
                     h_hat = resolve_ambiguity(h_hat, d, h[d])
                 except NumericalError:
                     excluded[s] += 1
@@ -243,7 +253,7 @@ def channel_from_noise_subspace(noise_basis, F, L):
     return _penalty_minimum(basis, F, L, w)
 
 
-def subspace_estimate_eigh(yN, precoder, settings=EstimatorSettings()):
+def subspace_estimate_eigh(yN, precoder, window_blocks=2):
     """subspace_estimate with the noise subspace always taken from the
     eigh of the windows' sample covariance, at every N: the reference
     that the estimator's QR route at the identifiability border is
@@ -253,7 +263,7 @@ def subspace_estimate_eigh(yN, precoder, settings=EstimatorSettings()):
     P, M = precoder.F.shape
     L = P - M
     N = (yN.shape[-1] + L) // P
-    w = settings.window_blocks
+    w = window_blocks
     dim = w * P - L
     n_windows = N - w + 1
     Z = yN[..., np.arange(dim)[:, None] + P * np.arange(n_windows)]
@@ -277,7 +287,7 @@ def complement_complete_qr(Z):
     return np.linalg.qr(Z, mode="complete")[0][..., Z.shape[-1]:]
 
 
-def subspace_estimate_complete_qr(yN, precoder, settings=EstimatorSettings()):
+def subspace_estimate_complete_qr(yN, precoder, window_blocks=2):
     """subspace_estimate at the identifiability border, N - w + 1 = wM,
     with the noise basis taken from the complete QR of the windows
     (complement_complete_qr): the reference for the estimator's border
@@ -287,7 +297,7 @@ def subspace_estimate_complete_qr(yN, precoder, settings=EstimatorSettings()):
     P, M = precoder.F.shape
     L = P - M
     N = (yN.shape[-1] + L) // P
-    w = settings.window_blocks
+    w = window_blocks
     dim = w * P - L
     n_windows = N - w + 1
     if n_windows != w * M:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from blindcrb import (
-    EstimatorSettings,
     ExperimentPlan,
     NumericalError,
     SystemConfig,
@@ -357,7 +356,7 @@ def test_criterion_9_estimator_behaviour():
                 h = unit_channel(4, np.random.default_rng(2030))
                 s = generate_symbols("qpsk", 12, 25, 2031).sN
                 y = synthesize_observation(pre, h, s, 0.0, None)
-                est = subspace_estimate(y, pre, EstimatorSettings())
+                est = subspace_estimate(y, pre)
                 d = default_anchor(h)
                 err = np.linalg.norm(resolve_ambiguity(est, d, h[d]) - h)
                 assert err < 1e-6, f"noiseless error {err:.2e} ({kind}/{inner})"

@@ -93,18 +93,21 @@ def test_traced_run_matches_untraced(name, tmp_path):
     ("long_frame", [12]),
     ("zp_reference", [20, 20, 10]),
 ], ids=["snr_sweep", "long_frame", "zp_reference"])
-def test_estimator_calls_per_plan_pass(name, rows):
+def test_estimator_calls_per_plan_pass(name, rows, monkeypatch):
     # One stacked estimator call per chunk of trials, as many trials a
     # chunk as the byte budget allows: 50 trials of 7 SNR points at the
     # N=25 border, 12 of one point at N=100, 50 of 3 points at the border.
     calls = []
 
-    def estimate(Y, precoder, settings):
-        calls.append(len(Y))
-        return harness.subspace_estimate(Y, precoder, settings)
+    estimator = harness.subspace_estimate
 
+    def estimate(Y, precoder, window_blocks):
+        calls.append(len(Y))
+        return estimator(Y, precoder, window_blocks)
+
+    monkeypatch.setattr(harness, "subspace_estimate", estimate)
     plan = workloads.WORKLOADS[name].plan(workloads.DEFAULT_SEED)
-    harness.run_experiment(plan, estimate_fn=estimate)
+    harness.run_experiment(plan)
     assert calls == rows
 
 

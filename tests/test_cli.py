@@ -96,6 +96,9 @@ REFUSED = {
         "run --override window_blocks=30 {dump}",
         "error: window_blocks must not exceed the frame's N blocks\n",
     ),
+    "test_window_of_one_block": Row(
+        "run --override window_blocks=1 {dump}", "error: need at least 2 blocks per window, got 1\n"
+    ),
     "test_missing_config_file": Row(
         "run --config {tmp}/nope.cfg",
         "error: cannot read config: [Errno 2] No such file or directory: '{tmp}/nope.cfg'\n",
@@ -294,6 +297,10 @@ class TestRunErrors:
 
     @DUMP
     def test_windows_longer_than_frame(self, dump, refused):
+        refused()
+
+    @DUMP
+    def test_window_of_one_block(self, dump, refused):
         refused()
 
     def test_unwritable_out(self, refused, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ derandomized, and the suite makes any RuntimeWarning an error.
 """
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blindcrb import (
-    EstimatorSettings, InsufficientData, Precoder, SolverDegenerate, SystemConfig,
+    InsufficientData, Precoder, SolverDegenerate, SystemConfig,
     ZeroAnchorTap, build_K, default_anchor, draw_channel, generate_symbols, make_precoder,
     resolve_ambiguity, subspace_estimate, synthesize_observation,
 )
@@ -33,9 +34,9 @@ from helpers import (
 )
 
 
-def estimate_resolved(pre, h, yN, settings=EstimatorSettings()):
+def estimate_resolved(pre, h, yN):
     d = default_anchor(h)
-    return resolve_ambiguity(subspace_estimate(yN, pre, settings), d, h[d])
+    return resolve_ambiguity(subspace_estimate(yN, pre), d, h[d])
 
 
 class TestNoiselessRecovery:
@@ -137,7 +138,7 @@ class TestFailureModes:
         pre = make_precoder(cfg)
         y = np.ones(3 * 8 - 2, dtype=complex)
         with pytest.raises(InsufficientData, match="blocks"):
-            subspace_estimate(y, pre, EstimatorSettings(window_blocks=4))
+            subspace_estimate(y, pre, window_blocks=4)
 
     def test_wrong_length_rejected(self):
         pre = make_precoder(SystemConfig(M=6, L=2, N=8))
@@ -163,17 +164,18 @@ class TestFailureModes:
 @dataclass(frozen=True)
 class Case:
     """Taps h, a QPSK frame sN sent with the precoder pre, its noiseless
-    received frame clean and a stack Y of noisy copies, in w-block windows."""
+    received frame clean and a stack Y of noisy copies, in windows of
+    window_blocks blocks."""
 
     pre: Precoder
-    settings: EstimatorSettings
+    window_blocks: int
     h: np.ndarray
     sN: np.ndarray
     clean: np.ndarray
     Y: np.ndarray
 
     def estimate(self, yN):
-        return subspace_estimate(yN, self.pre, self.settings)
+        return subspace_estimate(yN, self.pre, self.window_blocks)
 
 
 def make_case(M, L, N, w, kind, inner, rng, sigma2, zeroed=()):
@@ -194,7 +196,7 @@ def make_case(M, L, N, w, kind, inner, rng, sigma2, zeroed=()):
     sigma2 = np.asarray(sigma2, dtype=float)
     Y = clean + np.sqrt(sigma2[:, None] / 2) * draw_noise((sigma2.size, clean.size), rng)
     Y[np.asarray(zeroed, dtype=bool)] = 0
-    return Case(pre, EstimatorSettings(window_blocks=w), h, sN, clean, Y)
+    return Case(pre, w, h, sN, clean, Y)
 
 
 class TestPenalty:
@@ -272,7 +274,7 @@ class TestStacks:
     def test_batch_failures_raise(self):
         pre = make_precoder(SystemConfig(M=6, L=2, N=3))
         with pytest.raises(InsufficientData, match="blocks"):
-            subspace_estimate(np.ones((2, 22), dtype=complex), pre, EstimatorSettings(4))
+            subspace_estimate(np.ones((2, 22), dtype=complex), pre, 4)
         with pytest.raises(ValueError, match="samples"):
             subspace_estimate(np.ones((2, 2, 21), dtype=complex), pre)
         with pytest.raises(ValueError, match="samples"):
@@ -306,7 +308,7 @@ def agrees_with_complete_qr(case, H):
     # The basis from the reflectors spans what complete QR's last columns
     # span; the estimate matches complete QR's up to rounding and the blind
     # phase (not to the byte: LAPACK applies the reflectors in blocks).
-    (P, M), w, Y = case.pre.F.shape, case.settings.window_blocks, case.Y
+    (P, M), w, Y = case.pre.F.shape, case.window_blocks, case.Y
     L = P - M
     dim, n = w * P - L, w * M
     windows = Y[..., P * np.arange(n)[:, None] + np.arange(dim)]
@@ -314,14 +316,14 @@ def agrees_with_complete_qr(case, H):
     assert bases[0].shape == bases[1].shape == (len(Y), dim, (w - 1) * L)
     projectors = [B @ B.conj().swapaxes(-1, -2) for B in bases]
     assert np.all(np.abs(projectors[0] - projectors[1]) <= PROJECTOR_TOL)
-    ref = subspace_estimate_complete_qr(Y, case.pre, case.settings)
+    ref = subspace_estimate_complete_qr(Y, case.pre, case.window_blocks)
     usable = np.any(Y != 0, axis=-1)
     assert np.isnan(ref[~usable]).all()
     assert aligned_distance(H[usable], ref[usable]) <= COMPLETE_QR_TOL
 
 
 def agrees_with_eigh(case, H):
-    assert H.tobytes() == subspace_estimate_eigh(case.Y, case.pre, case.settings).tobytes()
+    assert H.tobytes() == subspace_estimate_eigh(case.Y, case.pre, case.window_blocks).tobytes()
 
 
 # The noise-basis routes of subspace_estimate, each with the check of the
@@ -366,7 +368,7 @@ def check_recovery(case):
     # they are square, rank-deficient ones are refused (see
     # test_rank_deficient_border_frame_refused); elsewhere they are
     # skipped. Returns whether the frame was checked.
-    M, w = case.pre.F.shape[1], case.settings.window_blocks
+    M, w = case.pre.F.shape[1], case.window_blocks
     n = case.sN.size // M - w + 1
     symbol_windows = case.sN[np.arange(w * M)[:, None] + M * np.arange(n)]
     if np.linalg.matrix_rank(symbol_windows) < w * M:
@@ -496,7 +498,7 @@ class TestBorderRoute:
         case = fixed_case(kind, inner, N, w, 7)
         H = case.estimate(case.Y)
         ROWS["border"](case, H)
-        eigh = subspace_estimate_eigh(case.Y, case.pre, case.settings)
+        eigh = subspace_estimate_eigh(case.Y, case.pre, case.window_blocks)
         assert aligned_distance(H, eigh) < BORDER_TOL
 
     @pytest.mark.parametrize("N,w", [(8, 2), (24, 2), (26, 2), (40, 3), (100, 2)])
@@ -544,14 +546,28 @@ class TestUnusableFrames:
 
 
 class TestSettings:
-    def test_defaults(self):
-        s = EstimatorSettings()
-        assert s.window_blocks == 2
+    """The estimator's one setting, subspace_estimate's window_blocks."""
 
-    @pytest.mark.parametrize("kwargs", [dict(window_blocks=1)])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            EstimatorSettings(**kwargs)
+    def test_defaults(self):
+        # two blocks per window unless told otherwise
+        case = fixed_case("cp", "idft", 50, 3, 2)
+        default = subspace_estimate(case.Y, case.pre)
+        assert default.tobytes() == subspace_estimate(case.Y, case.pre, 2).tobytes()
+        assert default.tobytes() != subspace_estimate(case.Y, case.pre, 3).tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(window_blocks=1), "need at least 2 blocks per window, got 1"),
+            (dict(window_blocks=2.5), "window_blocks must be an integer, got 2.5"),
+            (dict(window_blocks=True), "window_blocks must be an integer, got True"),
+        ],
+        ids=["kwargs0", "2.5", "True"],
+    )
+    def test_rejects_bad_values(self, kwargs, message):
+        pre = make_precoder(SystemConfig(M=4, L=2, N=14))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            subspace_estimate(np.ones(14 * 6 - 2), pre, **kwargs)
 
 
 class TestResolveAmbiguity:
@@ -582,8 +598,9 @@ class TestResolveAmbiguity:
             resolve_ambiguity(np.array([anchor, 1.0], dtype=complex), 0, 1.0)
 
     def test_anchor_index_validated(self):
-        for d in (3, 1.5, True, False):
-            with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+        for d in (3, 1.5, True, False, None, "1", 1 + 0j):
+            message = f"anchor index {d} outside 0..2"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 resolve_ambiguity(np.ones(3, dtype=complex), d, 1.0)
 
     @pytest.mark.parametrize(
@@ -651,8 +668,9 @@ class TestResolveAmbiguity:
             assert np.array_equal(out[k], resolve_ambiguity(stack[k], 1, h[1]))
 
     def test_stack_anchor_index_validated(self):
-        for d in (3, 1.5, True, False):
-            with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+        for d in (3, 1.5, True, False, None, "1", 1 + 0j):
+            message = f"anchor index {d} outside 0..2"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 resolve_ambiguity(np.ones((2, 3), dtype=complex), d, 1.0)
 
     def test_per_row_anchors_equal_rows(self):

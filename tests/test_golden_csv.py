@@ -30,7 +30,6 @@ from pathlib import Path
 import pytest
 
 from blindcrb import (
-    EstimatorSettings,
     ExclusionBudgetExceeded,
     ExperimentPlan,
     SystemConfig,
@@ -50,7 +49,7 @@ def plan(kind, inner, N, seed=0, channels=5, trials=2, window_blocks=2):
         n_channels=channels,
         n_trials=trials,
         master_seed=seed,
-        estimator_settings=EstimatorSettings(window_blocks),
+        window_blocks=window_blocks,
         compute_zp_reference=kind == "zp",
     )
 

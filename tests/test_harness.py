@@ -24,7 +24,6 @@ import pytest
 from blindcrb import harness
 from blindcrb import (
     CSV_HEADER,
-    EstimatorSettings,
     ExclusionBudgetExceeded,
     ExperimentPlan,
     IllConditioned,
@@ -39,7 +38,7 @@ from blindcrb import (
 )
 from blindcrb.crb_blind import COND_LIMIT, _conditioned
 import helpers
-from helpers import run_cell, run_experiment_per_frame, traced_peak
+from helpers import run_cell, run_experiment_per_frame, run_with, traced_peak
 
 
 def channel_sequence(plan):
@@ -71,7 +70,7 @@ def numbered_estimator(plan, live=None, failures=(), rows=None):
             H[r, s, channels[live[r][0]].d] = 0.0
     seen = [] if rows is None else rows
 
-    def estimate(Y, precoder, settings):
+    def estimate(Y, precoder, window_blocks):
         first = len(seen)
         seen.extend(Y)
         return H[first: len(seen)].copy()
@@ -187,7 +186,7 @@ def check_records(plan, partitions, monkeypatch):
     assert all(r.excluded_trials == 0 for r in want)
     assert [run_cell(plan, snr) for snr in plan.snr_db_grid] == want
     trials, n_snr = plan.n_channels * plan.n_trials, len(plan.snr_db_grid)
-    default_chunk = harness._chunk_size(plan.config, n_snr, plan.estimator_settings.window_blocks)
+    default_chunk = harness._chunk_size(plan.config, n_snr, plan.window_blocks)
     assert default_chunk >= 2
     estimate = harness.subspace_estimate
     for partition in partitions:
@@ -264,12 +263,14 @@ def check_exclusions(monkeypatch, test):
     if "first_frame" in d0_failures:
         dropped.add((0, 0))
     live = [t for t in np.ndindex(plan.n_channels, plan.n_trials) if t not in dropped]
-    estimate = numbered_estimator(plan, live, failures, rows)
+    monkeypatch.setattr(
+        harness, "subspace_estimate", numbered_estimator(plan, live, failures, rows)
+    )
     if isinstance(excluded, str):
         with pytest.raises(ExclusionBudgetExceeded, match=f"^{re.escape(excluded)}$"):
-            run_experiment(plan, estimate_fn=estimate)
+            run_experiment(plan)
     else:
-        records = run_experiment(plan, estimate_fn=estimate)
+        records = run_experiment(plan)
         assert [r.excluded_trials for r in records] == excluded
         assert all(r.mse_avg <= 1e-25 for r in records)
     assert len(calls) == 1
@@ -321,6 +322,13 @@ class TestPlanValidation:
             dict(snr_db_grid=(True, 10.0)), dict(snr_db_grid=np.array([False, True])),
             dict(snr_db_grid=(np.complex128(10.0),)), dict(snr_db_grid=(10 + 0j,)),
             dict(snr_db_grid=(10**400,)), dict(snr_db_grid=(-10**400,)),
+            # a grid is a 1-D sequence, and the reference switch a bool
+            dict(snr_db_grid=10.0), dict(snr_db_grid=np.float64(5.0)),
+            dict(snr_db_grid=[[10.0, 20.0]]),
+            *(
+                dict(config=SYSTEMS["zp-reference"], compute_zp_reference=v)
+                for v in ("yes", None, 2)
+            ),
         ],
     )
     def test_rejects_bad_plans(self, overrides):
@@ -334,7 +342,7 @@ class TestPlanValidation:
             ("n_trials", lambda: small_plan(n_trials=2.5)),
             ("master_seed", lambda: small_plan(master_seed=1.5)),
             ("n_trials", lambda: small_plan(n_trials=True)),
-            ("window_blocks", lambda: EstimatorSettings(2.5)),
+            ("window_blocks", lambda: small_plan(window_blocks=2.5)),
             ("M", lambda: SystemConfig(M=6.0, L=2, N=14)),
         ],
         ids=["n_channels", "n_trials", "master_seed", "bool", "window_blocks", "M"],
@@ -350,7 +358,7 @@ class TestPlanValidation:
             n_channels=np.int64(2),
             n_trials=np.uint8(2),
             master_seed=np.int64(7),
-            estimator_settings=EstimatorSettings(np.int16(2)),
+            window_blocks=np.int16(2),
         )
         assert format_csv(run_experiment(plan)) == format_csv(run_experiment(small_plan()))
 
@@ -363,15 +371,16 @@ class TestPlanValidation:
 
     def test_windows_must_fit_in_the_frame(self):
         with pytest.raises(ValueError, match="window_blocks"):
-            small_plan(estimator_settings=EstimatorSettings(window_blocks=15))
-        plan = small_plan(estimator_settings=EstimatorSettings(window_blocks=14))
-        assert plan.estimator_settings.window_blocks == plan.config.N
+            small_plan(window_blocks=15)
+        plan = small_plan(window_blocks=14)
+        assert plan.window_blocks == plan.config.N
 
     def test_zp_reference_needs_zero_padding(self):
         with pytest.raises(ValueError, match="zero padding"):
             small_plan(compute_zp_reference=True)
-        plan = small_plan(config=SYSTEMS["zp-reference"], compute_zp_reference=True)
-        assert plan.compute_zp_reference
+        for on in (True, np.True_):
+            plan = small_plan(config=SYSTEMS["zp-reference"], compute_zp_reference=on)
+            assert plan.compute_zp_reference
 
     @pytest.mark.parametrize("inner", ["identity", "idft"])
     def test_zp_reference_takes_a_custom_zero_padding(self, inner):
@@ -440,7 +449,7 @@ class TestResultRecordValidation:
 class TestRunCell:
     def test_oracle_estimator_gives_zero_mse(self):
         plan = small_plan(snr_db_grid=(20.0,))
-        record = run_cell(plan, 20.0, estimate_fn=numbered_estimator(plan))
+        record = run_with(plan, numbered_estimator(plan))[0]
         assert record.mse_avg <= 1e-25
         assert record.crb_avg > 0
         assert record.excluded_trials == 0
@@ -487,18 +496,12 @@ class TestRunCell:
 class TestRunExperiment:
     def test_one_record_per_grid_point_in_order(self):
         plan = small_plan(snr_db_grid=(5.0, 15.0, 25.0), n_channels=1, n_trials=1)
-        records = run_experiment(plan, estimate_fn=numbered_estimator(plan))
+        records = run_with(plan, numbered_estimator(plan))
         assert [r.snr_db for r in records] == [5.0, 15.0, 25.0]
-
-    def test_estimate_of_wrong_shape_rejected(self):
-        plan = small_plan()
-        channel = channel_sequence(plan)[0]
-        with pytest.raises(ValueError, match="shape"):
-            run_experiment(plan, estimate_fn=lambda yN, p, s: channel.h)
 
     def test_crb_decreases_with_snr(self):
         plan = small_plan(snr_db_grid=(0.0, 20.0), n_channels=2, n_trials=1)
-        lo, hi = run_experiment(plan, estimate_fn=numbered_estimator(plan))
+        lo, hi = run_with(plan, numbered_estimator(plan))
         assert hi.crb_avg < lo.crb_avg
         assert lo.mse_avg <= 1e-25 and hi.mse_avg <= 1e-25
 
@@ -628,9 +631,7 @@ class TestTrialChunks:
             Y = np.empty((k, n_snr, N * config.P - config.L), dtype=complex)
             Y.real = rng.standard_normal(Y.shape)
             Y.imag = rng.standard_normal(Y.shape)
-            h_hats = harness.subspace_estimate(
-                Y, precoder, EstimatorSettings(window_blocks)
-            )
+            h_hats = harness.subspace_estimate(Y, precoder, window_blocks)
             harness.resolve_ambiguity(h_hats, 0, 1.0)
 
         estimate_chunk()  # numpy's first calls in a process allocate more
@@ -712,7 +713,8 @@ class TestSnrSharing:
                 "fast_information",
                 information(module.fast_information, [], first_frame=D0),
             )
-        records = run_experiment(plan, estimate_fn=numbered_estimator(plan))
+        monkeypatch.setattr(harness, "subspace_estimate", numbered_estimator(plan))
+        records = run_experiment(plan)
         assert len({r.excluded_trials for r in records}) == 1
         assert all(r.mse_avg <= 1e-25 for r in records)
         # the per-frame oracle decides the frame once too
@@ -725,11 +727,11 @@ class TestSnrSharing:
         # budget sets
         plan = small_plan(snr_db_grid=GRID)
 
-        def estimate(Y, precoder, settings):
+        def estimate(Y, precoder, window_blocks):
             raise IllConditioned("stub", float("inf"))
 
         with pytest.raises(IllConditioned, match="stub"):
-            run_experiment(plan, estimate_fn=estimate)
+            run_with(plan, estimate)
 
     def test_template_sigma2_is_never_read(self):
         plans = [
@@ -745,7 +747,7 @@ class TestCsv:
 
     def make_records(self):
         plan = small_plan(n_channels=1, n_trials=1)
-        return run_experiment(plan, estimate_fn=numbered_estimator(plan))
+        return run_with(plan, numbered_estimator(plan))
 
     def test_header_exact(self):
         assert CSV_HEADER == (

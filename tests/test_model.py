@@ -734,9 +734,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
 
-    @pytest.mark.parametrize("d", [-1, 3, 1.5, True, False])
+    @pytest.mark.parametrize("d", [-1, 3, 1.5, True, False, None, "1", 1 + 0j])
     def test_channel_anchor_names_a_tap(self, d):
-        with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+        message = f"anchor index {d} outside 0..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Channel(h=np.ones(3), d=d)
 
     @pytest.mark.parametrize(

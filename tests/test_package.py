@@ -9,8 +9,9 @@ from pathlib import Path
 import blindcrb
 
 REMOVED = (
-    "ChannelEstimate", "NullSpaceBasis", "Observation", "build_channel_toeplitz",
-    "channel_from_noise_subspace", "hankel_rearrange", "left_null_basis", "run_cell",
+    "ChannelEstimate", "EstimatorSettings", "NullSpaceBasis", "Observation",
+    "build_channel_toeplitz", "channel_from_noise_subspace", "hankel_rearrange",
+    "left_null_basis", "run_cell",
 )
 
 # The paper's complex-parameter bounds stay public though the package

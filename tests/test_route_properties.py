@@ -408,10 +408,12 @@ def test_rejects_mismatched_stacks(route):
 
 @over(ROUTES)
 def test_anchor_out_of_range_refused(route):
-    # An anchor names one of the L + 1 = 3 taps, and no bool does.
+    # An anchor names one of the L + 1 = 3 taps, and nothing but a real
+    # number does: no bool, None, string or complex number.
     pre, hs, frames = channel_stack("zp", "identity", 3)
-    for d in (-1, 3, 1.5, True, False):
-        with pytest.raises(ValueError, match=f"^anchor index {d} outside 0..2$"):
+    for d in (-1, 3, 1.5, True, False, None, "1", 1 + 0j):
+        message = f"anchor index {d} outside 0..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             route.bound(hs[0], frames[0, 0], pre, d, 1.0)
 
 
